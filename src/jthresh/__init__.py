@@ -13,10 +13,10 @@ from .cones import (ConeConstants, LightConeFacet, NefConeModel, cone_constants,
                     is_kahler, is_nef, seshadri_T, sigma_inf, validate_cone)
 from .errors import JThreshError
 from .exactnum import (QuadNum, Rat, RatPoly, decimal_str, format_rat,
-                       poly_roots_quadratic, quad_sign, rat, rat_sqrt)
+                       poly_roots_quadratic, rat, rat_sqrt)
 from .lattice import (DivClass, IntersectionLattice, diagonal_lattice, segment,
                       validate_signature)
-from .surface import (Audit, CsckReport, Interval, PathAnalysis, PerfectCone,
+from .surface import (CsckReport, Interval, PathAnalysis, PerfectCone,
                       StableSubcone, Status, ThresholdResult, c_constant,
                       csck_criterion, is_solvable, path_R, sample_path,
                       stable_subcone, surface_gamma)
@@ -29,7 +29,7 @@ from .toric import (Fan, SubvarietyScore, ToricClass, ToricGammaResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Audit", "CatalogEntry", "ConeConstants", "CsckReport", "DivClass", "Fan",
+    "CatalogEntry", "ConeConstants", "CsckReport", "DivClass", "Fan",
     "IntersectionLattice", "Interval", "JThreshError", "LightConeFacet",
     "NefConeModel", "PathAnalysis", "PerfectCone", "QuadNum", "Rat", "RatPoly",
     "StableSubcone", "Status", "SubvarietyScore", "ThresholdResult",
@@ -37,7 +37,7 @@ __all__ = [
     "classes_equivalent", "cone_constants", "csck_criterion", "decimal_str",
     "diagonal_lattice", "enumerate_orbits", "format_rat", "intersection_number",
     "invariant_curves", "is_ample", "is_kahler", "is_nef", "is_nef_toric",
-    "is_solvable", "path_R", "poly_roots_quadratic", "quad_sign", "rat",
+    "is_solvable", "path_R", "poly_roots_quadratic", "rat",
     "rat_sqrt", "ross_gamma_closed_form", "ross_polarization", "sample_path",
     "segment", "seshadri_T", "sigma_inf", "stable_subcone", "subvariety_score",
     "surface_gamma", "toric_gamma", "toric_seshadri_T", "validate_cone",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from . import catalog as catalog_mod
-from .cones import NefConeModel, seshadri_T, sigma_inf
+from .cones import ConeConstants, NefConeModel, seshadri_T, sigma_inf
 from .documents import (InputDocument, document_to_json, parse_document,
                         quad_to_json)
 from .errors import BadDocument, BadParams, JThreshError
@@ -137,9 +137,11 @@ def _load_document(args: argparse.Namespace, stdin_bytes: bytes,
         except OSError as exc:
             raise BadDocument(f"cannot read {path}: {exc}") from None
     try:
-        return parse_document(json.loads(data))
-    except json.JSONDecodeError as exc:
+        data = json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers past the int-string limit
         raise BadDocument(f"invalid JSON: {exc}") from None
+    return parse_document(data)
 
 
 def _option(args: argparse.Namespace, doc: InputDocument, name: str) -> str:
@@ -178,6 +180,17 @@ def _toric_class(doc: InputDocument, label: str) -> ToricClass:
 # --- command handlers -------------------------------------------------------
 
 
+def _audit_json(audit: ConeConstants) -> dict[str, Any]:
+    return {
+        "C": format_rat(audit.C),
+        "sigma": quad_to_json(audit.sigma),
+        "T": quad_to_json(audit.T),
+        "theta_kahler": audit.theta_kahler,
+        "binding_facet_sigma": audit.binding_facet_sigma,
+        "binding_facet_T": audit.binding_facet_T,
+    }
+
+
 def _cmd_gamma(doc: InputDocument, args: argparse.Namespace, digits: int) -> dict[str, Any]:
     lattice, cone = _surface_inputs(doc)
     theta_label = _option(args, doc, "theta")
@@ -191,29 +204,22 @@ def _cmd_gamma(doc: InputDocument, args: argparse.Namespace, digits: int) -> dic
         "exact": {"value": quad_to_json(res.value)},
         "decimal": {"value": decimal_str(res.value, digits), "digits": digits},
         "status": res.status.value,
-        "audit": {
-            "C": format_rat(res.audit.C),
-            "sigma": quad_to_json(res.audit.sigma),
-            "T": quad_to_json(res.audit.T),
-            "theta_kahler": res.audit.theta_kahler,
-            "binding_facet_sigma": res.audit.binding_facet_sigma,
-            "binding_facet_T": res.audit.binding_facet_T,
-        },
+        "audit": _audit_json(res.audit),
         "caveats": [],
     }
 
 
 def _cmd_cone_constant(doc: InputDocument, args: argparse.Namespace,
-                       digits: int, which: str) -> dict[str, Any]:
+                       digits: int) -> dict[str, Any]:
+    """`seshadri` prints T and `sigma` prints sigma, each with its binding facet."""
     lattice, cone = _surface_inputs(doc)
     theta_label = _option(args, doc, "theta")
     omega_label = _option(args, doc, "omega")
-    theta = _lattice_class(doc, theta_label)
-    omega = _lattice_class(doc, omega_label)
-    fn = seshadri_T if which == "seshadri" else sigma_inf
-    value, facet = fn(lattice, cone, theta, omega)
+    project = {"seshadri": seshadri_T, "sigma": sigma_inf}[args.command]
+    value, facet = project(lattice, cone, _lattice_class(doc, theta_label),
+                           _lattice_class(doc, omega_label))
     return {
-        "command": which,
+        "command": args.command,
         "theta": theta_label,
         "omega": omega_label,
         "exact": {"value": quad_to_json(value)},
@@ -244,8 +250,9 @@ def _interval_json(interval) -> dict[str, Any]:
             "hi_closed": interval.hi_closed}
 
 
-def _cmd_path(doc: InputDocument, args: argparse.Namespace, digits: int,
-              fmt: str) -> str:
+def _cmd_path(doc: InputDocument, args: argparse.Namespace,
+              digits: int) -> dict[str, Any] | str:
+    """The sweep as a payload, or as finished CSV text under --format csv."""
     lattice, cone = _surface_inputs(doc)
     theta_label = _option(args, doc, "theta")
     a_label = _option(args, doc, "a")
@@ -258,7 +265,7 @@ def _cmd_path(doc: InputDocument, args: argparse.Namespace, digits: int,
     a = _lattice_class(doc, a_label)
     analysis = path_R(lattice, cone, theta, a)
     rows = sample_path(lattice, cone, theta, a, samples)
-    if fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["t", "R_numerator", "gamma_value", "solvable", "decimal_approx"])
@@ -291,7 +298,7 @@ def _cmd_path(doc: InputDocument, args: argparse.Namespace, digits: int,
         "decimal_digits": digits,
         "caveats": [],
     }
-    return _render(payload, fmt)
+    return payload
 
 
 def _cmd_stable_cone(doc: InputDocument, args: argparse.Namespace,
@@ -368,7 +375,8 @@ def _cmd_csck(doc: InputDocument, args: argparse.Namespace, digits: int) -> dict
     }
 
 
-def _cmd_validate(doc: InputDocument) -> dict[str, Any]:
+def _cmd_validate(doc: InputDocument, args: argparse.Namespace,
+                  digits: int) -> dict[str, Any]:
     # parse_document already validated everything; report what was checked
     payload: dict[str, Any] = {"command": "validate", "ok": True}
     if doc.lattice is not None:
@@ -430,15 +438,24 @@ def _cmd_catalog(args: argparse.Namespace, digits: int) -> dict[str, Any]:
                             "closed_form": format_rat(closed)}
         payload["decimal"] = {"value": decimal_str(res.value, digits), "digits": digits}
         payload["status"] = res.status.value
-        payload["audit"] = {
-            "C": format_rat(res.audit.C),
-            "sigma": quad_to_json(res.audit.sigma),
-            "T": quad_to_json(res.audit.T),
-            "theta_kahler": res.audit.theta_kahler,
-            "binding_facet_sigma": res.audit.binding_facet_sigma,
-            "binding_facet_T": res.audit.binding_facet_T,
-        }
+        payload["audit"] = _audit_json(res.audit)
     return payload
+
+
+# Commands that read a document.  A handler returns the payload to render,
+# or finished text when its format has no payload form (path's CSV).
+DOC_COMMANDS: dict[str, Callable[[InputDocument, argparse.Namespace, int],
+                                 dict[str, Any] | str]] = {
+    "gamma": _cmd_gamma,
+    "seshadri": _cmd_cone_constant,
+    "sigma": _cmd_cone_constant,
+    "solvable": _cmd_solvable,
+    "path": _cmd_path,
+    "stable-cone": _cmd_stable_cone,
+    "toric-gamma": _cmd_toric_gamma,
+    "csck": _cmd_csck,
+    "validate": _cmd_validate,
+}
 
 
 # --- entry points ------------------------------------------------------------
@@ -453,27 +470,8 @@ def _dispatch(args: argparse.Namespace, stdin_bytes: bytes,
     if args.command == "catalog":
         return _render(_cmd_catalog(args, digits), fmt)
     doc = _load_document(args, stdin_bytes, stdin_reader)
-    if args.command == "gamma":
-        payload = _cmd_gamma(doc, args, digits)
-    elif args.command == "seshadri":
-        payload = _cmd_cone_constant(doc, args, digits, "seshadri")
-    elif args.command == "sigma":
-        payload = _cmd_cone_constant(doc, args, digits, "sigma")
-    elif args.command == "solvable":
-        payload = _cmd_solvable(doc, args, digits)
-    elif args.command == "path":
-        return _cmd_path(doc, args, digits, fmt)
-    elif args.command == "stable-cone":
-        payload = _cmd_stable_cone(doc, args, digits)
-    elif args.command == "toric-gamma":
-        payload = _cmd_toric_gamma(doc, args, digits)
-    elif args.command == "csck":
-        payload = _cmd_csck(doc, args, digits)
-    elif args.command == "validate":
-        payload = _cmd_validate(doc)
-    else:  # pragma: no cover
-        raise BadParams(f"unknown command {args.command!r}")
-    return _render(payload, fmt)
+    out = DOC_COMMANDS[args.command](doc, args, digits)
+    return out if isinstance(out, str) else _render(out, fmt)
 
 
 def run(argv: list[str], stdin_bytes: bytes = b"",

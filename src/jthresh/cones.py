@@ -5,14 +5,21 @@ the lattice) plus an optional quadratic "light-cone" facet D.D >= 0 with a
 reference interior class fixing the forward component.  T(theta, omega) is
 the largest delta with theta - delta*omega still in the cone; sigma is the
 smallest delta making delta*omega - theta interior.
-"""
+
+Every surface constant comes from one table of pairings, built once per
+(theta, omega) by :func:`cone_constants`: theta.f and omega.f for each
+facet f, theta^2, theta.omega and omega^2, and, with a light-cone facet,
+theta.H and omega.H for its reference class H.  The Kahler checks, C, T,
+sigma and their binding facets are read off those scalars."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
-from .errors import BadConeModel, BadSignature, OmegaNotKahler
+from .errors import BadConeModel, BadSignature, OmegaNotKahler, ZeroVolume
 from .exactnum import QuadNum, Scalar, as_rat, rat_sqrt
 from .lattice import DivClass, IntersectionLattice
 
@@ -47,12 +54,18 @@ class NefConeModel:
 
 @dataclass(frozen=True)
 class ConeConstants:
-    """The pair (T, sigma) together with the facets attaining them."""
+    """Everything one pairing table of (theta, omega) determines.
 
-    T: QuadNum
+    C = 2 theta.omega / omega^2; T and sigma with the facets attaining them;
+    theta_kahler says whether theta is interior to the cone model.
+    """
+
+    C: Fraction
     sigma: QuadNum
-    binding_facet_T: str
+    T: QuadNum
+    theta_kahler: bool
     binding_facet_sigma: str
+    binding_facet_T: str
 
 
 def validate_cone(lattice: IntersectionLattice, cone: NefConeModel) -> None:
@@ -75,6 +88,7 @@ def validate_cone(lattice: IntersectionLattice, cone: NefConeModel) -> None:
 
 def _constraints(lattice: IntersectionLattice, cone: NefConeModel,
                  d: DivClass) -> list[Scalar]:
+    """d.f per facet f, then d^2 and d.H with a light cone; cone_constants reads it too."""
     vals: list[Scalar] = [lattice.pair(f, d) for f in cone.facets]
     if cone.light_cone is not None:
         vals.append(lattice.self_int(d))
@@ -92,26 +106,13 @@ def is_kahler(lattice: IntersectionLattice, cone: NefConeModel, d: DivClass) -> 
     return all(v > 0 for v in _constraints(lattice, cone, d))
 
 
-def _require_kahler(lattice: IntersectionLattice, cone: NefConeModel,
-                    omega: DivClass) -> None:
-    """Polarizations are rejected, never coerced: interior with omega^2 > 0."""
-    if not is_kahler(lattice, cone, omega):
-        raise OmegaNotKahler("omega is not in the interior of the cone model")
-    if not lattice.self_int(omega) > 0:
-        raise OmegaNotKahler("omega^2 <= 0")
-
-
-def _light_cone_roots(lattice: IntersectionLattice, theta: DivClass,
-                      omega: DivClass) -> tuple[QuadNum, QuadNum]:
+def _light_cone_roots(tw: Fraction, tt: Fraction, ww: Fraction) -> tuple[QuadNum, QuadNum]:
     """Roots of (theta - delta*omega)^2 = 0 in delta, smaller first.
 
-    Requires omega^2 > 0; the discriminant is non-negative for every
-    validated hyperbolic lattice (Hodge index), so a negative value means
-    the lattice was never validated.
+    Takes theta.omega, theta^2 and omega^2; requires omega^2 > 0.  The
+    discriminant is non-negative for every validated hyperbolic lattice
+    (Hodge index), so a negative value means the lattice was never validated.
     """
-    tw = as_rat(lattice.pair(theta, omega))
-    ww = as_rat(lattice.self_int(omega))
-    tt = as_rat(lattice.self_int(theta))
     disc = tw * tw - tt * ww
     if disc < 0:
         raise BadSignature("negative light-cone discriminant; lattice signature is not (1, r-1)")
@@ -121,56 +122,55 @@ def _light_cone_roots(lattice: IntersectionLattice, theta: DivClass,
     return lo, hi
 
 
-def _linear_bounds(lattice: IntersectionLattice, cone: NefConeModel,
-                   theta: DivClass, omega: DivClass) -> list[tuple[QuadNum, str]]:
-    """Critical delta of theta - delta*omega per linear facet, in facet order."""
-    return [(QuadNum(as_rat(lattice.pair(theta, f)) / as_rat(lattice.pair(omega, f))), name)
-            for f, name in zip(cone.facets, cone.facet_labels)]
+def cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
+                   theta: DivClass, omega: DivClass) -> ConeConstants:
+    """C, T, sigma, their binding facets and theta's interiority, in one pass.
+
+    omega is rejected, never coerced: not interior raises OmegaNotKahler,
+    omega^2 = 0 raises ZeroVolume and omega^2 < 0 raises OmegaNotKahler.
+    Each linear facet f bounds delta at theta.f / omega.f.  The light-cone
+    facet contributes the smaller root of the delta-quadratic to T (the
+    feasible component containing delta -> -infinity, where theta - delta*omega
+    is deep inside the forward cone) and the larger root to sigma.  T is the
+    least bound and sigma the greatest; ties break to the lowest facet index,
+    light-cone last.
+    """
+    k = len(cone.facets)
+    theta_sides = [as_rat(v) for v in _constraints(lattice, cone, theta)]
+    omega_sides = [as_rat(v) for v in _constraints(lattice, cone, omega)]
+    tw = as_rat(lattice.pair(theta, omega))
+    if cone.light_cone is None:
+        tt, ww = as_rat(lattice.self_int(theta)), as_rat(lattice.self_int(omega))
+    else:
+        tt, ww = theta_sides[k], omega_sides[k]
+    if not all(v > 0 for v in omega_sides):
+        raise OmegaNotKahler("omega is not interior to the cone model")
+    if ww == 0:
+        raise ZeroVolume("omega^2 = 0")
+    if ww < 0:
+        raise OmegaNotKahler("omega^2 <= 0")
+    bounds = [(QuadNum(t / w), name)
+              for t, w, name in zip(theta_sides[:k], omega_sides[:k], cone.facet_labels)]
+    lower, upper = bounds, bounds
+    if cone.light_cone is not None:
+        lo, hi = _light_cone_roots(tw, tt, ww)
+        lower, upper = bounds + [(lo, LIGHT_CONE)], bounds + [(hi, LIGHT_CONE)]
+    t_val, t_facet = min(lower, key=itemgetter(0))
+    s_val, s_facet = max(upper, key=itemgetter(0))
+    return ConeConstants(C=2 * tw / ww, sigma=s_val, T=t_val,
+                         theta_kahler=all(v > 0 for v in theta_sides),
+                         binding_facet_sigma=s_facet, binding_facet_T=t_facet)
 
 
 def seshadri_T(lattice: IntersectionLattice, cone: NefConeModel,
                theta: DivClass, omega: DivClass) -> tuple[QuadNum, str]:
-    """sup{delta : theta - delta*omega in the closed cone}, with binding facet.
-
-    The light-cone facet contributes the smaller root of the delta-quadratic:
-    the feasible component is the one containing delta -> -infinity, where
-    theta - delta*omega is deep inside the forward cone.  Ties break to the
-    lowest facet index, light-cone last.
-    """
-    _require_kahler(lattice, cone, omega)
-    bounds = _linear_bounds(lattice, cone, theta, omega)
-    if cone.light_cone is not None:
-        lo, _ = _light_cone_roots(lattice, theta, omega)
-        bounds.append((lo, LIGHT_CONE))
-    best, best_name = bounds[0]
-    for bound, name in bounds[1:]:
-        if bound < best:
-            best, best_name = bound, name
-    return best, best_name
+    """sup{delta : theta - delta*omega in the closed cone}, with binding facet."""
+    cc = cone_constants(lattice, cone, theta, omega)
+    return cc.T, cc.binding_facet_T
 
 
 def sigma_inf(lattice: IntersectionLattice, cone: NefConeModel,
               theta: DivClass, omega: DivClass) -> tuple[QuadNum, str]:
-    """inf{delta : delta*omega - theta in the open cone}, with binding facet.
-
-    Mirror image of seshadri_T: largest linear bound against the larger
-    light-cone root (the feasible component containing delta -> +infinity).
-    """
-    _require_kahler(lattice, cone, omega)
-    bounds = _linear_bounds(lattice, cone, theta, omega)
-    if cone.light_cone is not None:
-        _, hi = _light_cone_roots(lattice, theta, omega)
-        bounds.append((hi, LIGHT_CONE))
-    best, best_name = bounds[0]
-    for bound, name in bounds[1:]:
-        if bound > best:
-            best, best_name = bound, name
-    return best, best_name
-
-
-def cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
-                   theta: DivClass, omega: DivClass) -> ConeConstants:
-    t_val, t_facet = seshadri_T(lattice, cone, theta, omega)
-    s_val, s_facet = sigma_inf(lattice, cone, theta, omega)
-    return ConeConstants(T=t_val, sigma=s_val,
-                         binding_facet_T=t_facet, binding_facet_sigma=s_facet)
+    """inf{delta : delta*omega - theta in the open cone}, with binding facet."""
+    cc = cone_constants(lattice, cone, theta, omega)
+    return cc.sigma, cc.binding_facet_sigma

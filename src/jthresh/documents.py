@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any
 
 from .cones import LightConeFacet, NefConeModel, validate_cone
-from .errors import BadDocument, DimensionMismatch
+from .errors import BadDocument, BadParams, DimensionMismatch
 from .exactnum import QuadNum, format_rat, rat
 from .lattice import DivClass, IntersectionLattice, validate_signature
 from .toric import Fan, ToricClass, validate_fan
@@ -25,8 +25,22 @@ def parse_rat(value: Any) -> Fraction:
         raise BadDocument(f"expected an exact rational string, got {value!r}")
     try:
         return rat(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadDocument(f"bad rational {value!r}: {exc}") from None
+    except BadParams as exc:
+        raise BadDocument(str(exc)) from None
+
+
+def _rat_list(value: Any, what: str) -> list[Fraction]:
+    """A JSON list of exact rationals; a string is never iterated."""
+    if not isinstance(value, list):
+        raise BadDocument(f"{what} must be a list of exact rationals, got {value!r}")
+    return [parse_rat(x) for x in value]
+
+
+def _labelled(data: dict[str, Any], key: str) -> dict[str, Any]:
+    value = data.get(key) or {}
+    if not isinstance(value, dict):
+        raise BadDocument(f"{key} must be an object mapping labels to classes")
+    return value
 
 
 def quad_to_json(x: QuadNum) -> Any:
@@ -81,14 +95,17 @@ def _parse_lattice(data: Any) -> IntersectionLattice:
 def _parse_cone(data: Any, lattice: IntersectionLattice) -> NefConeModel:
     if not isinstance(data, dict):
         raise BadDocument("cone must be an object")
-    facets = [DivClass([parse_rat(x) for x in row]) for row in data.get("facets", [])]
+    rows = data.get("facets", [])
+    if not isinstance(rows, list):
+        raise BadDocument("cone facets must be a list of classes")
+    facets = [DivClass(_rat_list(row, "cone facet")) for row in rows]
     labels = data.get("facet_labels")
     light = None
     lc = data.get("light_cone")
     if lc is not None:
         if not isinstance(lc, dict) or "H" not in lc:
             raise BadDocument("light_cone must be an object with reference class 'H'")
-        light = LightConeFacet(DivClass([parse_rat(x) for x in lc["H"]]))
+        light = LightConeFacet(DivClass(_rat_list(lc["H"], "light_cone.H")))
     cone = NefConeModel(facets=facets, light_cone=light, facet_labels=labels)
     validate_cone(lattice, cone)
     return cone
@@ -123,18 +140,19 @@ def parse_document(data: Any) -> InputDocument:
         doc.fan = _parse_fan(data["fan"])
     if doc.lattice is None and doc.fan is None:
         raise BadDocument("document must contain a lattice or a fan")
-    for label, coords in (data.get("classes") or {}).items():
+    for label, coords in _labelled(data, "classes").items():
         if doc.lattice is None:
             raise BadDocument("'classes' requires a lattice; use 'toric_classes' with a fan")
-        cls = DivClass([parse_rat(x) for x in coords])
+        cls = DivClass(_rat_list(coords, f"class {label!r}"))
         doc.lattice.check_class(cls)
         doc.classes[str(label)] = cls
-    for label, coeffs in (data.get("toric_classes") or {}).items():
+    for label, coeffs in _labelled(data, "toric_classes").items():
         if doc.fan is None:
             raise BadDocument("'toric_classes' requires a fan")
+        coeffs = _rat_list(coeffs, f"toric class {label!r}")
         if len(coeffs) != len(doc.fan.rays):
             raise BadDocument(f"toric class {label!r} needs one coefficient per ray")
-        doc.toric_classes[str(label)] = ToricClass([parse_rat(x) for x in coeffs])
+        doc.toric_classes[str(label)] = ToricClass(coeffs)
     query = data.get("query") or {}
     if not isinstance(query, dict):
         raise BadDocument("query must be an object")

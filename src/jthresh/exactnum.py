@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Union
 
-from .errors import MixedRadicands, ZeroPolynomial
+from .errors import BadParams, MixedRadicands, ZeroPolynomial
 
 Rat = Fraction
 
@@ -25,13 +25,19 @@ Scalar = Union[int, Fraction, "QuadNum"]
 
 
 def rat(value: RatLike | str) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to a Fraction."""
+    """Coerce ints, Fractions and 'p/q' strings to a Fraction.
+
+    A malformed string or a zero denominator raises BadParams.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadParams(f"bad rational {value!r}: {exc}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -227,11 +233,6 @@ class QuadNum:
             return tail if self.b > 0 else f"-{tail}"
         op = "+" if self.b > 0 else "-"
         return f"{format_rat(self.a)} {op} {tail}"
-
-
-def quad_sign(x: QuadNum) -> int:
-    """Exact sign of a QuadNum: -1, 0 or +1."""
-    return x.sign()
 
 
 def as_rat(x: Scalar) -> Fraction:

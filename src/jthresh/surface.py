@@ -14,7 +14,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import NefConeModel, is_kahler, is_nef, seshadri_T, sigma_inf
+# seshadri_T/sigma_inf re-exported beside surface_gamma (perfbench's tracer rebinds them)
+from .cones import (ConeConstants, NefConeModel, cone_constants, is_kahler, is_nef,
+                    seshadri_T, sigma_inf)  # noqa: F401
 from .errors import (ANotOnBoundary, BadParams, NegativeSelfIntersection,
                      OmegaNotKahler, ThetaNotKahler, ZeroVolume)
 from .exactnum import QuadNum, RatPoly, as_rat, poly_roots_quadratic, rat_sqrt
@@ -39,22 +41,10 @@ class Status(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class Audit:
-    """The constants every result carries so statuses can be re-derived."""
-
-    C: Fraction
-    sigma: QuadNum
-    T: QuadNum
-    theta_kahler: bool
-    binding_facet_sigma: str
-    binding_facet_T: str
-
-
-@dataclass(frozen=True)
 class ThresholdResult:
     value: QuadNum
     status: Status
-    audit: Audit
+    audit: ConeConstants
 
 
 @dataclass(frozen=True)
@@ -125,19 +115,12 @@ def c_constant(lattice: IntersectionLattice, theta: DivClass,
 def surface_gamma(lattice: IntersectionLattice, cone: NefConeModel,
                   theta: DivClass, omega: DivClass) -> ThresholdResult:
     """Formula value C - sigma with its certification status and audit data."""
-    if not is_kahler(lattice, cone, omega):
-        raise OmegaNotKahler("omega is not interior to the cone model")
-    c = c_constant(lattice, theta, omega)
-    sigma, facet_sigma = sigma_inf(lattice, cone, theta, omega)
-    t_const, facet_t = seshadri_T(lattice, cone, theta, omega)
-    value = QuadNum(c) - sigma
-    theta_kahler = is_kahler(lattice, cone, theta)
-    if theta_kahler:
+    audit = cone_constants(lattice, cone, theta, omega)
+    value = QuadNum(audit.C) - audit.sigma
+    if audit.theta_kahler:
         status = Status.SOLVABLE if value > 0 else Status.EXACT_UNSTABLE
     else:
-        status = Status.CONDITIONAL_EXACT if value < t_const else Status.INDETERMINATE
-    audit = Audit(C=c, sigma=sigma, T=t_const, theta_kahler=theta_kahler,
-                  binding_facet_sigma=facet_sigma, binding_facet_T=facet_t)
+        status = Status.CONDITIONAL_EXACT if value < audit.T else Status.INDETERMINATE
     return ThresholdResult(value=value, status=status, audit=audit)
 
 
@@ -228,13 +211,8 @@ def csck_criterion(lattice: IntersectionLattice, cone: NefConeModel,
     """
     if not alpha > 0:
         raise BadParams("alpha must be positive")
-    if not is_kahler(lattice, cone, omega):
-        raise OmegaNotKahler("omega is not interior to the cone model")
-    c = c_constant(lattice, minus_c1, omega)
-    sigma, _ = sigma_inf(lattice, cone, minus_c1, omega)
-    t_const, _ = seshadri_T(lattice, cone, minus_c1, omega)
-    candidate = QuadNum(c) - sigma
-    lhs = candidate if candidate < t_const else t_const
+    res = surface_gamma(lattice, cone, minus_c1, omega)
+    lhs = min(res.value, res.audit.T)
     rhs = -Fraction(3, 2) * alpha
     return CsckReport(holds=lhs > rhs, lhs=lhs, rhs=rhs)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from jthresh.cli import run
 from jthresh.documents import parse_document
 
@@ -241,3 +243,62 @@ class TestProcessEntryPoints:
             input=BAD_LATTICE_DOC, capture_output=True, timeout=60)
         assert proc.returncode == 2
         assert proc.stdout.decode().startswith("BadSignature")
+
+
+# facet-only half-plane x > 0 over diag(1, -1): interior classes of every square
+HALF_PLANE_DOC = json.dumps({
+    "lattice": {"matrix": [["1", "0"], ["0", "-1"]]},
+    "cone": {"facets": [["1", "0"]], "facet_labels": ["P"]},
+    "classes": {"theta": ["2", "0"], "outside": ["-1", "0"],
+                "null": ["1", "1"], "negative": ["1", "2"]},
+}).encode()
+
+
+def _with(doc: bytes, **fields) -> bytes:
+    return json.dumps({**json.loads(doc), **fields}).encode()
+
+
+MALFORMED = {
+    "alpha_zero_den": (["csck", "--minus-c1", "mc1", "--omega", "omega",
+                        "--alpha", "1/0"], F1_DOC, "BadParams"),
+    "alpha_text": (["csck", "--minus-c1", "mc1", "--omega", "omega",
+                    "--alpha", "zz"], F1_DOC, "BadParams"),
+    "ross_g_text": (["catalog", "ross", "--g", "x", "--sC", "2"], b"", "BadParams"),
+    "ross_t_text": (["catalog", "ross", "--g", "4", "--sC", "2", "--t", "abc"], b"",
+                    "BadParams"),
+    "toric_class_scalar": (["validate"], _with(FAN_DOC, toric_classes={"x": 5}),
+                           "BadDocument"),
+    "huge_json_int": (["validate"], F1_DOC.replace(b'"-1"', b"9" * 5000, 1), "BadDocument"),
+    "deep_json": (["validate"], b"[" * 100000 + b"]" * 100000, "BadDocument"),
+    "class_as_string": (["validate"], _with(F1_DOC, classes={"x": "12"}), "BadDocument"),
+    "classes_as_list": (["validate"], _with(F1_DOC, classes=["x"]), "BadDocument"),
+    "facets_as_number": (["validate"], _with(F1_DOC, cone={"facets": 5}), "BadDocument"),
+    "light_cone_reference_as_string": (
+        ["validate"], _with(F1_DOC, cone={"facets": [], "light_cone": {"H": "10"}}),
+        "BadDocument"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_one_diagnostic_line_and_exit_2(self, name):
+        argv, stdin, code_name = MALFORMED[name]
+        code, out = run(argv, stdin)
+        line = out.decode()
+        assert code == 2, line
+        assert line.count("\n") == 1 and line.endswith("\n")
+        assert line.startswith(code_name + ": ")
+
+    @pytest.mark.parametrize("command", ["gamma", "seshadri", "sigma", "csck"])
+    def test_omega_diagnostics_in_order(self, command):
+        expected = {
+            "outside": "OmegaNotKahler: omega is not interior to the cone model\n",
+            "null": "ZeroVolume: omega^2 = 0\n",
+            "negative": "OmegaNotKahler: omega^2 <= 0\n",
+        }
+        for omega, line in expected.items():
+            if command == "csck":
+                argv = ["csck", "--minus-c1", "theta", "--omega", omega, "--alpha", "1"]
+            else:
+                argv = [command, "--theta", "theta", "--omega", omega]
+            assert run(argv, HALF_PLANE_DOC) == (2, line.encode())

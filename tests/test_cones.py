@@ -196,7 +196,9 @@ class TestReciprocityAndPathIdentities:
             theta = random_class(rng, inst)
             omega = random_kahler(rng, inst)
             from jthresh.cones import _light_cone_roots
-            lo, hi = _light_cone_roots(inst.lattice, theta, omega)
+            lo, hi = _light_cone_roots(inst.lattice.pair(theta, omega),
+                                       inst.lattice.self_int(theta),
+                                       inst.lattice.self_int(omega))
             expected = 2 * inst.lattice.pair(theta, omega) / inst.lattice.self_int(omega)
             assert lo + hi == QuadNum(expected)
             # both roots are genuine null directions

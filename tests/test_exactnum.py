@@ -11,7 +11,7 @@ import pytest
 
 from jthresh.errors import MixedRadicands, ZeroPolynomial
 from jthresh.exactnum import (QuadNum, RatPoly, decimal_str, format_rat,
-                              poly_roots_quadratic, quad_sign, rat, rat_sqrt,
+                              poly_roots_quadratic, rat, rat_sqrt,
                               squarefree_decompose)
 
 
@@ -38,10 +38,10 @@ def oracle_sign(p: Fraction, q: Fraction, d: int) -> int:
 class TestQuadSign:
     def test_known_signs(self):
         # sqrt(3) > 1 since 3 > 1
-        assert quad_sign(QuadNum(-1, 1, 3)) == 1
-        assert quad_sign(QuadNum(0, 0, 0)) == 0
+        assert QuadNum(-1, 1, 3).sign() == 1
+        assert QuadNum(0, 0, 0).sign() == 0
         # 1 < sqrt(2) since 1 < 2
-        assert quad_sign(QuadNum(1, -1, 2)) == -1
+        assert QuadNum(1, -1, 2).sign() == -1
 
     def test_matches_decimal_oracle(self):
         rng = Random(7001)
@@ -50,7 +50,7 @@ class TestQuadSign:
             p = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
             q = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
             d = rng.choice(squarefree)
-            assert quad_sign(QuadNum(p, q, d)) == oracle_sign(p, q, d)
+            assert QuadNum(p, q, d).sign() == oracle_sign(p, q, d)
 
     def test_rational_embedding_agrees_with_fraction_order(self):
         rng = Random(7002)

@@ -8,10 +8,10 @@ from random import Random
 import pytest
 
 from conftest import random_class, random_instance, random_kahler
-from jthresh import (DivClass, LightConeFacet, NefConeModel, PerfectCone,
-                     QuadNum, Status, c_constant, csck_criterion,
-                     diagonal_lattice, is_kahler, is_solvable, path_R,
-                     sample_path, segment, seshadri_T, stable_subcone,
+from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
+                     NefConeModel, PerfectCone, QuadNum, Status, c_constant,
+                     csck_criterion, diagonal_lattice, is_kahler, is_solvable,
+                     path_R, sample_path, segment, seshadri_T, stable_subcone,
                      surface_gamma)
 from jthresh.errors import (ANotOnBoundary, BadParams, OmegaNotKahler,
                             ThetaNotKahler, ZeroVolume)
@@ -81,6 +81,27 @@ class TestSurfaceGamma:
         assert not res2.audit.theta_kahler
         assert res2.value == Fraction(-13, 12) and res2.audit.T == Fraction(-1, 4)
         assert res2.status is Status.CONDITIONAL_EXACT
+
+    def test_one_pairing_table_per_query(self, monkeypatch):
+        # theta and omega each pair once with every facet, plus theta^2,
+        # theta.omega and omega^2, plus theta.H and omega.H for a light cone
+        calls = []
+        original = IntersectionLattice.pair
+
+        def counting_pair(lattice, x, y):
+            calls.append(1)
+            return original(lattice, x, y)
+
+        monkeypatch.setattr(IntersectionLattice, "pair", counting_pair)
+        rng = Random(8309)
+        for _ in range(40):
+            inst = random_instance(rng)
+            theta = random_class(rng, inst)
+            omega = random_kahler(rng, inst)
+            calls.clear()
+            surface_gamma(inst.lattice, inst.cone, theta, omega)
+            k = len(inst.cone.facets)
+            assert len(calls) == 2 * k + (5 if inst.cone.light_cone else 3)
 
     def test_affine_law_in_the_twist(self):
         rng = Random(8302)
