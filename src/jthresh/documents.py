@@ -86,8 +86,12 @@ def _parse_lattice(data: Any) -> IntersectionLattice:
         lattice = IntersectionLattice(rows, labels)
     except DimensionMismatch as exc:
         raise BadDocument(str(exc)) from None
-    if "rank" in data and data["rank"] != lattice.rank:
-        raise BadDocument(f"declared rank {data['rank']} != matrix rank {lattice.rank}")
+    if "rank" in data:
+        rank = data["rank"]
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise BadDocument(f"lattice rank must be an integer, got {rank!r}")
+        if rank != lattice.rank:
+            raise BadDocument(f"declared rank {rank} != matrix rank {lattice.rank}")
     validate_signature(lattice)
     return lattice
 
@@ -100,6 +104,9 @@ def _parse_cone(data: Any, lattice: IntersectionLattice) -> NefConeModel:
         raise BadDocument("cone facets must be a list of classes")
     facets = [DivClass(_rat_list(row, "cone facet")) for row in rows]
     labels = data.get("facet_labels")
+    if labels is not None and (not isinstance(labels, list)
+                               or not all(isinstance(x, str) for x in labels)):
+        raise BadDocument(f"cone facet_labels must be a list of strings, got {labels!r}")
     light = None
     lc = data.get("light_cone")
     if lc is not None:

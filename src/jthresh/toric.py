@@ -11,6 +11,11 @@ standard recursion: distinct rays spanning a cone contribute 1, distinct
 rays not spanning a cone kill the term, and a repeated ray is rewritten
 through a character that is -1 on it and 0 on the other rays of an ambient
 maximal cone.  Orbit-closure integrals seed the recursion at the orbit's cone.
+Each query builds one table over its classes (``_Intersections``) that
+memoizes every orbit integral on (cone as a frozenset, sorted tuple of class
+indices) and every rewrite relation on (ambient maximal cone, ray); the
+:class:`Fan` itself holds no query state.  ``toric_gamma`` derives the
+ampleness checks, T, C and every orbit score from one such table.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from random import Random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (BadFace, FanInvalid, NonPrimitiveRay, NotComplete,
                      NotSmooth, OmegaNotAmpleOnOrbit, OmegaNotKahler, WrongArity)
@@ -86,7 +91,6 @@ class Fan:
                                for cone in max_cones)
         self._validated = False
         self._max_cone_sets = tuple(frozenset(c) for c in self.max_cones)
-        self._rewrite_cache: dict[tuple[tuple[int, ...], int], tuple[tuple[int, Fraction], ...]] = {}
 
     # -- structure queries -------------------------------------------------
 
@@ -119,18 +123,10 @@ class Fan:
         then expresses D_i through rays outside that cone.
         """
         smax = self._ambient_max_cone(sigma)
-        key = (smax, i)
-        cached = self._rewrite_cache.get(key)
-        if cached is None:
-            rows = [self.rays[k] for k in smax]
-            rhs = [-1 if k == i else 0 for k in smax]
-            m = solve_linear(rows, rhs)
-            assert m is not None  # maximal cones are unimodular
-            outside = [j for j in range(len(self.rays)) if j not in smax]
-            cached = tuple((j, _dot(m, self.rays[j])) for j in outside
-                           if _dot(m, self.rays[j]) != 0)
-            self._rewrite_cache[key] = cached
-        return cached
+        m = solve_linear([self.rays[k] for k in smax], [-1 if k == i else 0 for k in smax])
+        assert m is not None  # maximal cones are unimodular
+        coeffs = ((j, _dot(m, self.rays[j])) for j in range(len(self.rays)) if j not in smax)
+        return tuple((j, c) for j, c in coeffs if c != 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Fan):
@@ -251,44 +247,50 @@ def _generic_cover_check(fan: Fan) -> None:
     raise FanInvalid("could not find a generic sample point")  # pragma: no cover
 
 
-def _eval_product(fan: Fan, sigma: frozenset[int],
-                  classes: tuple[ToricClass, ...]) -> Fraction:
-    """Product of the remaining classes against the fixed distinct rays sigma."""
-    if not classes:
-        return Fraction(1)
-    head, tail = classes[0], classes[1:]
-    total = Fraction(0)
-    for j, coeff in enumerate(head.coeffs):
-        if coeff != 0:
-            total += coeff * _eval_ray(fan, sigma, j, tail)
-    return total
+class _Intersections:
+    """Orbit integrals of products of one query's classes, memoized.
 
+    A word is a sorted tuple of indices into ``classes``; the integral of a
+    word over V(sigma) is memoized on (sigma, word), and each rewrite
+    relation on (ambient maximal cone, ray).  Build one table per query.
+    """
 
-def _eval_ray(fan: Fan, sigma: frozenset[int], i: int,
-              tail: tuple[ToricClass, ...]) -> Fraction:
-    if i not in sigma:
-        grown = sigma | {i}
-        if not fan.is_face(grown):
-            return Fraction(0)
-        return _eval_product(fan, grown, tail)
-    total = Fraction(0)
-    for j, c in fan.rewrite_terms(sigma, i):
-        total += c * _eval_ray(fan, sigma, j, tail)
-    return total
+    def __init__(self, fan: Fan, classes: Sequence[ToricClass]):
+        for cls in classes:
+            if len(cls.coeffs) != len(fan.rays):
+                raise WrongArity("one coefficient per ray required")
+        self.fan = fan
+        self.terms = [[(j, c) for j, c in enumerate(cls.coeffs) if c] for cls in classes]
+        self.c: Fraction | None = None  # C of a (theta, omega) table, see _c_constant_toric
+        self._memo: dict[tuple[frozenset[int], tuple[int, ...]], Fraction] = {}
+        self._relations: dict[tuple[tuple[int, ...], int], tuple[tuple[int, Fraction], ...]] = {}
 
+    def integral(self, sigma: frozenset[int], word: tuple[int, ...]) -> Fraction:
+        """Integral over V(sigma) of the product of the classes in ``word``."""
+        if not word:
+            return Fraction(1)
+        value = self._memo.get((sigma, word))
+        if value is None:
+            value, tail = Fraction(0), word[1:]
+            for i, coeff in self.terms[word[0]]:
+                # a ray already in sigma is first rewritten through rays outside it
+                for j, c in self._relation(sigma, i) if i in sigma else ((i, 1),):
+                    grown = sigma | {j}
+                    if self.fan.is_face(grown):
+                        value += coeff * c * self.integral(grown, tail)
+            self._memo[sigma, word] = value
+        return value
 
-def _integral(fan: Fan, sigma: Iterable[int],
-              classes: Sequence[ToricClass]) -> Fraction:
-    """Integral over the orbit closure of sigma of the product of classes."""
-    sigma = frozenset(sigma)
-    for cls in classes:
-        if len(cls.coeffs) != len(fan.rays):
-            raise WrongArity("one coefficient per ray required")
-    if len(sigma) + len(classes) != fan.dim:
-        raise WrongArity(f"need {fan.dim - len(sigma)} classes on this orbit")
-    if sigma and not fan.is_face(sigma):
-        raise BadFace(f"rays {sorted(sigma)} do not span a cone of the fan")
-    return _eval_product(fan, sigma, tuple(classes))
+    def _relation(self, sigma: frozenset[int], i: int) -> tuple[tuple[int, Fraction], ...]:
+        key = (self.fan._ambient_max_cone(sigma), i)
+        terms = self._relations.get(key)
+        if terms is None:
+            terms = self._relations[key] = self.fan.rewrite_terms(sigma, i)
+        return terms
+
+    def curve_degrees(self, curves: Sequence[tuple[int, ...]], k: int) -> list[Fraction]:
+        """Degree of class k on each invariant curve."""
+        return [self.integral(frozenset(tau), (k,)) for tau in curves]
 
 
 def intersection_number(fan: Fan, classes: Sequence[ToricClass]) -> Fraction:
@@ -296,7 +298,7 @@ def intersection_number(fan: Fan, classes: Sequence[ToricClass]) -> Fraction:
     validate_fan(fan)
     if len(classes) != fan.dim:
         raise WrongArity(f"expected {fan.dim} classes, got {len(classes)}")
-    return _integral(fan, (), classes)
+    return _Intersections(fan, classes).integral(frozenset(), tuple(range(fan.dim)))
 
 
 def canonicalize(fan: Fan, cls: ToricClass) -> ToricClass:
@@ -357,22 +359,25 @@ def invariant_curves(fan: Fan) -> list[tuple[int, ...]]:
 def is_ample(fan: Fan, d: ToricClass) -> bool:
     """Strict positivity against every invariant curve (toric Kleiman)."""
     validate_fan(fan)
-    return all(_integral(fan, tau, [d]) > 0 for tau in invariant_curves(fan))
+    return all(x > 0 for x in _Intersections(fan, [d]).curve_degrees(invariant_curves(fan), 0))
 
 
 def is_nef_toric(fan: Fan, d: ToricClass) -> bool:
     validate_fan(fan)
-    return all(_integral(fan, tau, [d]) >= 0 for tau in invariant_curves(fan))
+    return all(x >= 0 for x in _Intersections(fan, [d]).curve_degrees(invariant_curves(fan), 0))
 
 
 def toric_seshadri_T(fan: Fan, theta: ToricClass, omega: ToricClass) -> Fraction:
     """sup{delta : theta - delta*omega nef}, from the invariant-curve bounds."""
     validate_fan(fan)
-    if not is_ample(fan, omega):
+    table, curves = _Intersections(fan, [theta, omega]), invariant_curves(fan)
+    return _seshadri_bound(table.curve_degrees(curves, 0), table.curve_degrees(curves, 1))
+
+
+def _seshadri_bound(theta_deg: list[Fraction], omega_deg: list[Fraction]) -> Fraction:
+    if not all(x > 0 for x in omega_deg):
         raise OmegaNotKahler("omega is not ample")
-    bounds = [_integral(fan, tau, [theta]) / _integral(fan, tau, [omega])
-              for tau in invariant_curves(fan)]
-    return min(bounds)
+    return min(t / w for t, w in zip(theta_deg, omega_deg))
 
 
 @dataclass(frozen=True)
@@ -406,27 +411,35 @@ class ToricGammaResult:
     caveat: str = AUTOMORPHISM_CAVEAT
 
 
-def _c_constant_toric(fan: Fan, theta: ToricClass, omega: ToricClass) -> Fraction:
-    vol = _integral(fan, (), [omega] * fan.dim)
-    if vol <= 0:
-        raise OmegaNotKahler(f"omega^n = {vol} <= 0")
-    mixed = _integral(fan, (), [theta] + [omega] * (fan.dim - 1))
-    return fan.dim * mixed / vol
+def _c_constant_toric(fan: Fan, theta: ToricClass, omega: ToricClass, *,
+                      table: _Intersections | None = None) -> Fraction:
+    """C = n int theta omega^(n-1) / int omega^n, once per (theta, omega) table."""
+    table = table or _Intersections(fan, [theta, omega])
+    if table.c is None:
+        n = fan.dim
+        vol = table.integral(frozenset(), (1,) * n)
+        if vol <= 0:
+            raise OmegaNotKahler(f"omega^n = {vol} <= 0")
+        table.c = n * table.integral(frozenset(), (0,) + (1,) * (n - 1)) / vol
+    return table.c
 
 
 def subvariety_score(fan: Fan, theta: ToricClass, omega: ToricClass,
-                     sigma: Sequence[int]) -> SubvarietyScore:
-    """Exact score of the orbit closure of sigma, seeding the recursion there."""
+                     sigma: Sequence[int], *,
+                     table: _Intersections | None = None) -> SubvarietyScore:
+    """Exact score of the orbit closure of sigma; ``table`` is the query's (theta, omega) table."""
     validate_fan(fan)
     sigma = tuple(sorted(sigma))
-    if not (1 <= len(sigma) <= fan.dim) or not fan.is_face(frozenset(sigma)):
+    cone = frozenset(sigma)
+    if not (1 <= len(sigma) <= fan.dim) or not fan.is_face(cone):
         raise BadFace(f"rays {list(sigma)} do not span a positive-dimension cone")
+    table = table or _Intersections(fan, [theta, omega])
     p = fan.dim - len(sigma)
-    vol = _integral(fan, sigma, [omega] * p)
+    vol = table.integral(cone, (1,) * p)
     if vol <= 0:
         raise OmegaNotAmpleOnOrbit(f"int_V omega^{p} = {vol} on orbit {sigma}")
-    c = _c_constant_toric(fan, theta, omega)
-    mixed = _integral(fan, sigma, [theta] + [omega] * (p - 1)) if p >= 1 else Fraction(0)
+    c = _c_constant_toric(fan, theta, omega, table=table)
+    mixed = table.integral(cone, (0,) + (1,) * (p - 1)) if p >= 1 else Fraction(0)
     numerator = c * vol - p * mixed
     denominator = (fan.dim - p) * vol
     return SubvarietyScore(cone=sigma, p=p, numerator=numerator,
@@ -439,23 +452,23 @@ def toric_gamma(fan: Fan, theta: ToricClass, omega: ToricClass) -> ToricGammaRes
     The minimizer tie-break follows the orbit enumeration order (dimension
     of the cone, then lex ray indices), so results are deterministic.
     For a non-ample twist the value is compared against the Seshadri-type
-    bound computed from the fan's own invariant curves.
+    bound computed from the fan's own invariant curves.  One table serves
+    the whole query: curve degrees, C and every orbit score.
     """
     validate_fan(fan)
-    if not is_ample(fan, omega):
+    table, orbits = _Intersections(fan, [theta, omega]), enumerate_orbits(fan)
+    curves = [tau for tau in orbits if len(tau) == fan.dim - 1]
+    theta_deg, omega_deg = table.curve_degrees(curves, 0), table.curve_degrees(curves, 1)
+    if not all(x > 0 for x in omega_deg):
         raise OmegaNotKahler("omega is not ample")
-    scores = tuple(subvariety_score(fan, theta, omega, sigma)
-                   for sigma in enumerate_orbits(fan))
-    best = scores[0]
-    for s in scores[1:]:
-        if s.value < best.value:
-            best = s
-    c = _c_constant_toric(fan, theta, omega)
-    if is_ample(fan, theta):
+    c = _c_constant_toric(fan, theta, omega, table=table)
+    scores = tuple(subvariety_score(fan, theta, omega, sigma, table=table) for sigma in orbits)
+    best = min(scores, key=lambda s: s.value)  # first minimum in orbit order
+    if all(x > 0 for x in theta_deg):
         status = Status.SOLVABLE if best.value > 0 else Status.EXACT_UNSTABLE
         t_bound: Fraction | None = None
     else:
-        t_bound = toric_seshadri_T(fan, theta, omega)
+        t_bound = _seshadri_bound(theta_deg, omega_deg)
         status = (Status.CONDITIONAL_EXACT if best.value < t_bound
                   else Status.INDETERMINATE)
     return ToricGammaResult(value=best.value, minimizer=best.cone, scores=scores,

@@ -276,6 +276,14 @@ MALFORMED = {
     "light_cone_reference_as_string": (
         ["validate"], _with(F1_DOC, cone={"facets": [], "light_cone": {"H": "10"}}),
         "BadDocument"),
+    "facet_labels_as_string": (["validate"], _with(F1_DOC, cone={
+        "facets": [["0", "1"], ["1", "-1"]], "facet_labels": "EF"}), "BadDocument"),
+    "facet_labels_as_integers": (["validate"], _with(F1_DOC, cone={
+        "facets": [["0", "1"], ["1", "-1"]], "facet_labels": [1, 2]}), "BadDocument"),
+    "rank_as_string": (["validate"], _with(F1_DOC, lattice={
+        "rank": "2", "matrix": [["1", "0"], ["0", "-1"]]}), "BadDocument"),
+    "rank_as_bool": (["validate"], json.dumps({"lattice": {
+        "rank": True, "matrix": [["1"]]}}).encode(), "BadDocument"),
 }
 
 
@@ -288,6 +296,17 @@ class TestMalformedInput:
         assert code == 2, line
         assert line.count("\n") == 1 and line.endswith("\n")
         assert line.startswith(code_name + ": ")
+
+    def test_field_type_diagnostics(self):
+        expected = {
+            "facet_labels_as_string": "cone facet_labels must be a list of strings, got 'EF'",
+            "facet_labels_as_integers": "cone facet_labels must be a list of strings, got [1, 2]",
+            "rank_as_string": "lattice rank must be an integer, got '2'",
+            "rank_as_bool": "lattice rank must be an integer, got True",
+        }
+        for name, message in expected.items():
+            argv, stdin, _ = MALFORMED[name]
+            assert run(argv, stdin) == (2, f"BadDocument: {message}\n".encode()), name
 
     @pytest.mark.parametrize("command", ["gamma", "seshadri", "sigma", "csck"])
     def test_omega_diagnostics_in_order(self, command):

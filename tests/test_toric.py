@@ -6,7 +6,9 @@ intersection numbers, and the rank-2 lattice models of the same surfaces.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import factorial, prod
 from random import Random
 
 import pytest
@@ -23,6 +25,18 @@ P2 = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 P1P1 = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
 P1CUBE = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
              [(a, b, c) for a in (0, 3) for b in (1, 4) for c in (2, 5)])
+
+
+def projective_space(n: int) -> Fan:
+    rays = [tuple(int(j == i) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return Fan(n, rays, [[i for i in range(n + 1) if i != k] for k in range(n + 1)])
+
+
+def p1_power(n: int) -> Fan:
+    """(P^1)^n; rays 2i and 2i+1 are +e_i and -e_i."""
+    rays = [tuple(s * int(j == i) for j in range(n)) for i in range(n) for s in (1, -1)]
+    return Fan(n, rays, [[2 * i + s for i, s in enumerate(signs)]
+                         for signs in itertools.product((0, 1), repeat=n)])
 
 
 def hirzebruch(a: int) -> Fan:
@@ -356,3 +370,81 @@ class TestCanonicalForm:
             y = ToricClass([Fraction(rng.randint(-4, 4)) for _ in F1.rays])
             assert intersection_number(F1, [x, y]) == \
                 intersection_number(F1, [canonicalize(F1, x), canonicalize(F1, y)])
+
+
+def _factor_degrees(cls: ToricClass) -> list[Fraction]:
+    """Degree on each P^1 factor of (P^1)^n: the sum of the two opposite rays."""
+    return [cls.coeffs[2 * i] + cls.coeffs[2 * i + 1] for i in range(len(cls.coeffs) // 2)]
+
+
+def _draw(rng: Random, fan: Fan, ample) -> ToricClass:
+    while True:
+        cls = ToricClass([Fraction(rng.randint(-2, 4), rng.randint(1, 3)) for _ in fan.rays])
+        if ample(cls):
+            return cls
+
+
+class TestClosedForms:
+    """Exact oracles on P^n and (P^1)^n, independent of the engine.
+
+    On P^n every ray divisor is a hyperplane, so a class is its coefficient
+    sum times H.  On (P^1)^n a class is the sum over factors of its factor
+    degree times that factor's point class, and V(sigma) is the product of
+    the factors sigma leaves free.
+    """
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_projective_space(self, n):
+        rng, fan = Random(8600 + n), projective_space(n)
+        for _ in range(2):
+            omega = _draw(rng, fan, lambda c: sum(c.coeffs) > 0)
+            theta = _draw(rng, fan, lambda c: True)
+            alpha, beta = sum(omega.coeffs), sum(theta.coeffs)
+            assert intersection_number(fan, [omega] * n) == alpha ** n
+            res = toric_gamma(fan, theta, omega)
+            assert res.C == n * beta / alpha
+            assert len(res.scores) == 2 ** (n + 1) - 2
+            assert all(s.value == beta / alpha for s in res.scores)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_p1_power(self, n):
+        rng, fan = Random(8700 + n), p1_power(n)
+        for _ in range(2):
+            omega = _draw(rng, fan, lambda c: all(x > 0 for x in _factor_degrees(c)))
+            theta = _draw(rng, fan, lambda c: True)
+            a, b = _factor_degrees(omega), _factor_degrees(theta)
+            ratio = [bi / ai for ai, bi in zip(a, b)]
+            assert intersection_number(fan, [omega] * n) == factorial(n) * prod(a)
+            res = toric_gamma(fan, theta, omega)
+            assert res.C == sum(ratio)
+            assert len(res.scores) == 3 ** n - 1
+            for s in res.scores:
+                fixed = {j // 2 for j in s.cone}
+                assert s.value == sum(ratio[i] for i in fixed) / len(fixed), s.cone
+
+
+class TestWorkCounts:
+    """Exact recursion work of one toric_gamma; counters need no tolerance."""
+
+    @pytest.mark.parametrize("fan, theta, omega, faces, relations", [
+        (projective_space(3), [1, -2, 0, -1], [1, 2, 3, 1], 91, 8),
+        (p1_power(3), [1, -1, 0, 2, -3, 1], [1, 1, 2, 1, 1, 2], 235, 18),
+    ])
+    def test_one_query(self, monkeypatch, fan, theta, omega, faces, relations):
+        is_face, rewrite_terms = Fan.is_face, Fan.rewrite_terms
+        asked: list[frozenset[int]] = []
+        solved: list[tuple[tuple[int, ...], int]] = []
+
+        def counted_is_face(self, rays):
+            asked.append(rays)
+            return is_face(self, rays)
+
+        def counted_rewrite_terms(self, sigma, i):
+            solved.append((self._ambient_max_cone(sigma), i))
+            return rewrite_terms(self, sigma, i)
+
+        monkeypatch.setattr(Fan, "is_face", counted_is_face)
+        monkeypatch.setattr(Fan, "rewrite_terms", counted_rewrite_terms)
+        toric_gamma(fan, ToricClass(theta), ToricClass(omega))
+        assert (len(asked), len(solved)) == (faces, relations)
+        assert len(set(solved)) == len(solved)  # no relation solved twice per query
