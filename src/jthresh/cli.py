@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="negative-section self-intersection parameter (hirzebruch)")
     cat.add_argument("--rank", default=None, help="lattice rank (perfect_lightcone)")
     cat.add_argument("--export", action="store_true",
-                     help="print the entry as an input document")
+                     help="print the entry as an input document (always JSON)")
     cat.add_argument("--format", default="text", choices=["text", "json", "csv"])
     return parser
 
@@ -468,7 +468,7 @@ def _dispatch(args: argparse.Namespace, stdin_bytes: bytes,
     if fmt == "csv" and args.command != "path":
         raise BadParams("csv output is only defined for the 'path' command")
     if args.command == "catalog":
-        return _render(_cmd_catalog(args, digits), fmt)
+        return _render(_cmd_catalog(args, digits), "json" if args.export else fmt)
     doc = _load_document(args, stdin_bytes, stdin_reader)
     out = DOC_COMMANDS[args.command](doc, args, digits)
     return out if isinstance(out, str) else _render(out, fmt)

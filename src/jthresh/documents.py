@@ -36,6 +36,19 @@ def _rat_list(value: Any, what: str) -> list[Fraction]:
     return [parse_rat(x) for x in value]
 
 
+def _json_int(value: Any, what: str) -> int:
+    """A JSON integer; bools, floats and strings are refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadDocument(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _int_rows(value: Any, what: str) -> list[list[int]]:
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise BadDocument(f"{what} must be a list of integer lists, got {value!r}")
+    return [[_json_int(x, f"{what} entry") for x in row] for row in value]
+
+
 def _labelled(data: dict[str, Any], key: str) -> dict[str, Any]:
     value = data.get(key) or {}
     if not isinstance(value, dict):
@@ -87,9 +100,7 @@ def _parse_lattice(data: Any) -> IntersectionLattice:
     except DimensionMismatch as exc:
         raise BadDocument(str(exc)) from None
     if "rank" in data:
-        rank = data["rank"]
-        if isinstance(rank, bool) or not isinstance(rank, int):
-            raise BadDocument(f"lattice rank must be an integer, got {rank!r}")
+        rank = _json_int(data["rank"], "lattice rank")
         if rank != lattice.rank:
             raise BadDocument(f"declared rank {rank} != matrix rank {lattice.rank}")
     validate_signature(lattice)
@@ -124,10 +135,8 @@ def _parse_fan(data: Any) -> Fan:
     for key in ("dim", "rays", "max_cones"):
         if key not in data:
             raise BadDocument(f"fan missing field {key!r}")
-    try:
-        fan = Fan(dim=data["dim"], rays=data["rays"], max_cones=data["max_cones"])
-    except (TypeError, ValueError) as exc:
-        raise BadDocument(f"bad fan data: {exc}") from None
+    fan = Fan(dim=_json_int(data["dim"], "fan dim"), rays=_int_rows(data["rays"], "fan rays"),
+              max_cones=_int_rows(data["max_cones"], "fan max_cones"))
     validate_fan(fan)
     return fan
 

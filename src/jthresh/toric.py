@@ -4,7 +4,9 @@ A :class:`Fan` is given by primitive integer rays and the index sets of its
 maximal cones.  Validation checks unimodularity of every maximal cone, the
 wall condition (every ridge shared by exactly two maximal cones, lying on
 opposite sides) and that a generic point is covered exactly once; together
-these certify a smooth complete fan with compatible faces.
+these certify a smooth complete fan with compatible faces.  Validation, the
+rewrite characters and ``canonicalize`` all read one integer fraction-free
+elimination (``_eliminate``), validation once per maximal cone (its dual basis).
 
 The intersection engine evaluates products of invariant divisors by the
 standard recursion: distinct rays spanning a cone contribute 1, distinct
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from random import Random
 from typing import Sequence
 
@@ -32,47 +34,45 @@ from .exactnum import RatLike
 from .surface import Status
 
 
-def _det(rows: list[list[int]]) -> int:
-    """Integer determinant by fraction-free Bareiss elimination."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[int], int, list[list[int]]]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
+
+    Returns the pivot columns, the last pivot d and the reduced rows: d * the
+    reduced row echelon form, so every pivot entry is d.  Each division is
+    exact, since every entry stays a minor of the input.  For [A | I] with A
+    square and invertible, |d| = |det A| and the right block is d * A^-1.
+    """
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    d = 1
+    for col in range(len(m[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        top, new = m[r], m[r][col]
+        m = [row if i == r else [(new * x - row[col] * y) // d for x, y in zip(row, top)]
+             for i, row in enumerate(m)]
+        d = new
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    return pivots, d, m
 
 
-def solve_linear(rows: Sequence[Sequence[RatLike]],
-                 rhs: Sequence[RatLike]) -> list[Fraction] | None:
-    """Solve the square system rows * x = rhs exactly; None if singular."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot is None:
-            return None
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        pk = aug[k][k]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k] / pk
-                for j in range(k, n + 1):
-                    aug[i][j] -= f * aug[k][j]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
+def _unimodular_dual(rays: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """Dual basis of n rays in Z^n, <m_k, rays[l]> = [k == l]; None unless |det| = 1."""
+    n = len(rays)
+    pivots, d, rows = _eliminate([list(col) + [int(i == j) for j in range(n)]
+                                  for i, col in enumerate(zip(*rays))])
+    if pivots[-1] != n - 1 or abs(d) != 1:
+        return None
+    return [[d * x for x in row[n:]] for row in rows]
 
 
-def _dot(m: Sequence[Fraction], u: Sequence[int]) -> Fraction:
-    return sum((c * x for c, x in zip(m, u)), Fraction(0))
+def _dot(m: Sequence[int], u: Sequence[int]) -> int:
+    return sum(c * x for c, x in zip(m, u))
 
 
 class Fan:
@@ -115,17 +115,18 @@ class Fan:
             raise BadFace(f"rays {sorted(sigma)} do not span a cone of the fan")
         return best
 
-    def rewrite_terms(self, sigma: frozenset[int], i: int) -> tuple[tuple[int, Fraction], ...]:
+    def rewrite_terms(self, sigma: frozenset[int], i: int) -> tuple[tuple[int, int], ...]:
         """Replacement of divisor i, repeated inside sigma, by outside divisors.
 
         Uses the character m with <m, u_i> = -1 and <m, u_k> = 0 for the
-        other rays of the ambient maximal cone; the relation sum_j <m,u_j> D_j
-        then expresses D_i through rays outside that cone.
+        other rays of the ambient maximal cone (minus u_i's dual vector); the
+        relation sum_j <m,u_j> D_j then expresses D_i through rays outside it.
         """
         smax = self._ambient_max_cone(sigma)
-        m = solve_linear([self.rays[k] for k in smax], [-1 if k == i else 0 for k in smax])
-        assert m is not None  # maximal cones are unimodular
-        coeffs = ((j, _dot(m, self.rays[j])) for j in range(len(self.rays)) if j not in smax)
+        dual = _unimodular_dual([self.rays[k] for k in smax])
+        assert dual is not None  # maximal cones are unimodular
+        m = dual[smax.index(i)]
+        coeffs = ((j, -_dot(m, self.rays[j])) for j in range(len(self.rays)) if j not in smax)
         return tuple((j, c) for j, c in coeffs if c != 0)
 
     def __eq__(self, other: object) -> bool:
@@ -174,20 +175,21 @@ def validate_fan(fan: Fan) -> None:
             raise FanInvalid(f"ray {ray} has wrong length")
         if all(x == 0 for x in ray):
             raise NonPrimitiveRay("zero ray")
-        g = 0
-        for x in ray:
-            g = gcd(g, abs(x))
+        g = gcd(*ray)
         if g != 1:
             raise NonPrimitiveRay(f"ray {ray} has content {g}")
     used: set[int] = set()
+    duals: dict[tuple[int, ...], list[list[int]]] = {}
     for cone in fan.max_cones:
         if len(cone) != n or len(set(cone)) != n:
             raise NotSmooth(f"maximal cone {cone} does not have {n} distinct rays")
         if not all(0 <= i < len(fan.rays) for i in cone):
             raise FanInvalid(f"cone {cone} references missing rays")
         used.update(cone)
-        if abs(_det([list(fan.rays[i]) for i in cone])) != 1:
+        dual = _unimodular_dual([fan.rays[i] for i in cone])
+        if dual is None:
             raise NotSmooth(f"maximal cone {cone} is not unimodular")
+        duals[cone] = dual
     if len(set(fan.max_cones)) != len(fan.max_cones):
         raise FanInvalid("duplicate maximal cones")
     if used != set(range(len(fan.rays))):
@@ -204,41 +206,34 @@ def validate_fan(fan: Fan) -> None:
             raise NotComplete(f"ridge {ridge} lies on the boundary of the support")
         if len(owners) > 2:
             raise BadFace(f"ridge {ridge} shared by {len(owners)} maximal cones")
-        sides = []
-        for _, extra in owners:
-            rows = [list(fan.rays[i]) for i in ridge] + [list(fan.rays[extra])]
-            sides.append(_det(rows))
-        if sides[0] * sides[1] >= 0:
+        # Opposite sides: the second owner's extra ray, in the first owner's
+        # basis, has a negative coordinate on the first owner's dropped ray.
+        (cone, drop), (_, extra) = owners
+        if _dot(duals[cone][cone.index(drop)], fan.rays[extra]) >= 0:
             raise BadFace(f"maximal cones at ridge {ridge} are on the same side")
 
-    _generic_cover_check(fan)
+    _generic_cover_check(fan, list(duals.values()))
     fan._validated = True
 
 
-def _generic_cover_check(fan: Fan) -> None:
+def _generic_cover_check(fan: Fan, duals: Sequence[list[list[int]]]) -> None:
     """A generic point must lie in the interior of exactly one maximal cone.
 
     Combined with the wall condition this pins down degree one everywhere:
     crossing any wall preserves the covering count, so one generic sample
-    certifies global completeness and pairwise disjoint interiors.
+    certifies global completeness and pairwise disjoint interiors.  Cone
+    coordinates are pairings with the dual basis, of the point scaled by lcm(q) > 0.
     """
     rng = Random(164207)
-    cols = [[list(fan.rays[i]) for i in cone] for cone in fan.max_cones]
     for _ in range(64):
-        point = [Fraction(rng.randrange(-10**6, 10**6 + 1), rng.randrange(1, 1000))
+        draws = [(rng.randrange(-10**6, 10**6 + 1), rng.randrange(1, 1000))
                  for _ in range(fan.dim)]
-        inside = 0
-        degenerate = False
-        for cone_rows in cols:
-            coords = solve_linear(list(map(list, zip(*cone_rows))), point)
-            assert coords is not None
-            if any(c == 0 for c in coords) and all(c >= 0 for c in coords):
-                degenerate = True
-                break
-            if all(c > 0 for c in coords):
-                inside += 1
-        if degenerate:
-            continue
+        scale = lcm(*(q for _, q in draws))
+        point = [p * (scale // q) for p, q in draws]
+        coords = [[_dot(m, point) for m in dual] for dual in duals]
+        if any(min(c) == 0 for c in coords):
+            continue  # on the boundary of a maximal cone
+        inside = sum(min(c) > 0 for c in coords)
         if inside == 0:
             raise NotComplete("generic point not covered by any maximal cone")
         if inside > 1:
@@ -263,7 +258,7 @@ class _Intersections:
         self.terms = [[(j, c) for j, c in enumerate(cls.coeffs) if c] for cls in classes]
         self.c: Fraction | None = None  # C of a (theta, omega) table, see _c_constant_toric
         self._memo: dict[tuple[frozenset[int], tuple[int, ...]], Fraction] = {}
-        self._relations: dict[tuple[tuple[int, ...], int], tuple[tuple[int, Fraction], ...]] = {}
+        self._relations: dict[tuple[tuple[int, ...], int], tuple[tuple[int, int], ...]] = {}
 
     def integral(self, sigma: frozenset[int], word: tuple[int, ...]) -> Fraction:
         """Integral over V(sigma) of the product of the classes in ``word``."""
@@ -281,7 +276,7 @@ class _Intersections:
             self._memo[sigma, word] = value
         return value
 
-    def _relation(self, sigma: frozenset[int], i: int) -> tuple[tuple[int, Fraction], ...]:
+    def _relation(self, sigma: frozenset[int], i: int) -> tuple[tuple[int, int], ...]:
         key = (self.fan._ambient_max_cone(sigma), i)
         terms = self._relations.get(key)
         if terms is None:
@@ -302,41 +297,16 @@ def intersection_number(fan: Fan, classes: Sequence[ToricClass]) -> Fraction:
 
 
 def canonicalize(fan: Fan, cls: ToricClass) -> ToricClass:
-    """Canonical representative: zero on the first dim-many independent rays."""
+    """Canonical representative: zero on the first dim-many independent rays.
+
+    They are the pivot columns of the ray matrix; ray j is sum_r rows[r][j] / d
+    times the r-th of them, so adding the character that is -cls on them zeroes cls there.
+    """
     validate_fan(fan)
-    basis: list[int] = []
-    rows: list[list[int]] = []
-    for i, ray in enumerate(fan.rays):
-        cand = rows + [list(ray)]
-        if len(cand) <= fan.dim and _rank(cand) == len(cand):
-            basis.append(i)
-            rows.append(list(ray))
-        if len(basis) == fan.dim:
-            break
-    m = solve_linear(rows, [-cls.coeffs[i] for i in basis])
-    assert m is not None
-    return ToricClass([cls.coeffs[j] + _dot(m, fan.rays[j])
+    basis, d, rows = _eliminate(list(zip(*fan.rays)))
+    c = cls.coeffs
+    return ToricClass([c[j] - sum(c[b] * row[j] for b, row in zip(basis, rows)) / d
                        for j in range(len(fan.rays))])
-
-
-def _rank(rows: list[list[int]]) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank, col = 0, 0
-    ncols = len(m[0]) if m else 0
-    while rank < len(m) and col < ncols:
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] / m[rank][col]
-                for j in range(col, ncols):
-                    m[i][j] -= f * m[rank][j]
-        rank += 1
-        col += 1
-    return rank
 
 
 def classes_equivalent(fan: Fan, x: ToricClass, y: ToricClass) -> bool:
@@ -352,8 +322,12 @@ def enumerate_orbits(fan: Fan) -> list[tuple[int, ...]]:
 
 def invariant_curves(fan: Fan) -> list[tuple[int, ...]]:
     """Cones of dimension dim-1 (the invariant curves of the variety)."""
-    validate_fan(fan)
-    return [f for f in fan.faces() if len(f) == fan.dim - 1]
+    return _curves(fan, enumerate_orbits(fan))
+
+
+def _curves(fan: Fan, orbits: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Cones tau of the invariant curves V(tau): dimension dim-1, so () if dim is 1."""
+    return [()] if fan.dim == 1 else [tau for tau in orbits if len(tau) == fan.dim - 1]
 
 
 def is_ample(fan: Fan, d: ToricClass) -> bool:
@@ -457,7 +431,7 @@ def toric_gamma(fan: Fan, theta: ToricClass, omega: ToricClass) -> ToricGammaRes
     """
     validate_fan(fan)
     table, orbits = _Intersections(fan, [theta, omega]), enumerate_orbits(fan)
-    curves = [tau for tau in orbits if len(tau) == fan.dim - 1]
+    curves = _curves(fan, orbits)
     theta_deg, omega_deg = table.curve_degrees(curves, 0), table.curve_degrees(curves, 1)
     if not all(x > 0 for x in omega_deg):
         raise OmegaNotKahler("omega is not ample")

@@ -15,7 +15,7 @@ from random import Random
 from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
                      NefConeModel, diagonal_lattice, is_kahler,
                      validate_signature)
-from jthresh.toric import solve_linear
+from jthresh.toric import _unimodular_dual
 
 
 def rnd_fraction(rng: Random, lo: int = -6, hi: int = 6, max_den: int = 4) -> Fraction:
@@ -79,17 +79,16 @@ def random_instance(rng: Random, rank: int | None = None,
     facets_diag = [[c / d for c, d in zip(cov, diag)] for cov in covectors]
 
     if shear:
-        basis = [[Fraction(x) for x in row]
-                 for row in _transpose(unimodular_shear(rng, rank))]
+        shear_rows = unimodular_shear(rng, rank)
+        basis = [[Fraction(x) for x in row] for row in _transpose(shear_rows)]
+        inverse = _unimodular_dual(shear_rows)  # rows of basis^-1
         diag_m = [[diag[i] if i == j else Fraction(0) for j in range(rank)]
                   for i in range(rank)]
         gram = _mat_mul(_transpose(basis), _mat_mul(diag_m, basis))
         lattice = IntersectionLattice(gram)
 
         def to_coords(v):
-            sol = solve_linear(basis, v)
-            assert sol is not None
-            return DivClass(sol)
+            return DivClass([sum(a * x for a, x in zip(row, v)) for row in inverse])
     else:
         lattice = diagonal_lattice(diag)
 

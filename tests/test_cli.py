@@ -63,6 +63,14 @@ class TestCatalogCommand:
         assert set(doc.classes) == {"H", "E", "F"}
         assert set(doc.toric_classes) == {"H", "E", "F"}
 
+    def test_export_is_json_without_format(self):
+        code, out = run(["catalog", "hirzebruch", "--a", "2", "--export"])
+        assert code == 0
+        doc = parse_document(json.loads(out.decode()))
+        assert doc.fan is not None and set(doc.toric_classes) == {"H", "E", "F"}
+        code, out = run(["catalog", "hirzebruch", "--a", "2", "--export", "--format", "csv"])
+        assert code == 2 and out.decode().startswith("BadParams")
+
     def test_summary_without_t(self):
         payload = run_json(["catalog", "perfect_lightcone", "--rank", "3"])
         assert payload["name"] == "perfect_lightcone"
@@ -159,6 +167,18 @@ class TestToricCommand:
         assert payload["status"] == "ExactUnstable"
         assert len(payload["scores"]) == 8
         assert payload["caveats"]  # automorphism caveat present
+
+    def test_projective_line(self):
+        # the only invariant curve of P^1 is P^1 itself: -D_0 has degree -1
+        line = {"dim": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
+        doc = json.dumps({"fan": line, "toric_classes": {
+            "minus": ["-1", "0"], "point": ["1", "0"]}}).encode()
+        payload = run_json(["toric-gamma", "--theta", "minus", "--omega", "point"], doc)
+        assert payload["status"] == "Indeterminate"
+        assert payload["audit"] == {"C": "-1", "T": "-1", "orbits": 2}
+        payload = run_json(["toric-gamma", "--theta", "point", "--omega", "point"], doc)
+        assert (payload["status"], payload["exact"]["value"]) == ("Solvable", "1")
+        assert payload["audit"] == {"C": "1", "T": None, "orbits": 2}
 
     def test_needs_fan(self):
         code, out = run(["toric-gamma", "--theta", "theta", "--omega", "omega"],
@@ -258,6 +278,16 @@ def _with(doc: bytes, **fields) -> bytes:
     return json.dumps({**json.loads(doc), **fields}).encode()
 
 
+# fan fields that must be JSON integers: each once truncated or coerced by int()
+FAN_FIELDS = {
+    "fan_ray_float": {"rays": [[1.9, 0], [0, 1], [-1, 1], [0, -1]]},
+    "fan_dim_float": {"dim": 2.7},
+    "fan_cone_index_float": {"max_cones": [[0, 1], [1, 2.5], [2, 3], [3, 0]]},
+    "fan_ray_string": {"rays": [["1", 0], [0, 1], [-1, 1], [0, -1]]},
+    "fan_cone_index_bool": {"max_cones": [[0, True], [1, 2], [2, 3], [3, 0]]},
+    "fan_rays_as_string": {"rays": "1011"},
+}
+
 MALFORMED = {
     "alpha_zero_den": (["csck", "--minus-c1", "mc1", "--omega", "omega",
                         "--alpha", "1/0"], F1_DOC, "BadParams"),
@@ -284,6 +314,8 @@ MALFORMED = {
         "rank": "2", "matrix": [["1", "0"], ["0", "-1"]]}), "BadDocument"),
     "rank_as_bool": (["validate"], json.dumps({"lattice": {
         "rank": True, "matrix": [["1"]]}}).encode(), "BadDocument"),
+    **{name: (["validate"], _with(FAN_DOC, fan={**json.loads(FAN_DOC)["fan"], **fan}),
+              "BadDocument") for name, fan in FAN_FIELDS.items()},
 }
 
 
@@ -303,6 +335,12 @@ class TestMalformedInput:
             "facet_labels_as_integers": "cone facet_labels must be a list of strings, got [1, 2]",
             "rank_as_string": "lattice rank must be an integer, got '2'",
             "rank_as_bool": "lattice rank must be an integer, got True",
+            "fan_ray_float": "fan rays entry must be an integer, got 1.9",
+            "fan_dim_float": "fan dim must be an integer, got 2.7",
+            "fan_cone_index_float": "fan max_cones entry must be an integer, got 2.5",
+            "fan_ray_string": "fan rays entry must be an integer, got '1'",
+            "fan_cone_index_bool": "fan max_cones entry must be an integer, got True",
+            "fan_rays_as_string": "fan rays must be a list of integer lists, got '1011'",
         }
         for name, message in expected.items():
             argv, stdin, _ = MALFORMED[name]

@@ -13,13 +13,17 @@ from random import Random
 
 import pytest
 
+from jthresh import toric
 from jthresh import (DivClass, Fan, NefConeModel, QuadNum, Status, ToricClass,
                      canonicalize, classes_equivalent, diagonal_lattice,
                      enumerate_orbits, intersection_number, invariant_curves,
                      is_ample, is_nef_toric, subvariety_score, surface_gamma,
                      toric_gamma, toric_seshadri_T, validate_fan)
-from jthresh.errors import (BadFace, NonPrimitiveRay, NotComplete, NotSmooth,
-                            OmegaNotAmpleOnOrbit, OmegaNotKahler, WrongArity)
+from jthresh.errors import (BadFace, FanInvalid, NonPrimitiveRay, NotComplete,
+                            NotSmooth, OmegaNotAmpleOnOrbit, OmegaNotKahler,
+                            WrongArity)
+
+eliminate = toric._eliminate
 
 P2 = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 P1P1 = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -44,9 +48,44 @@ def hirzebruch(a: int) -> Fan:
 
 
 F1 = hirzebruch(1)
+P1 = Fan(1, [(1,), (-1,)], [(0,), (1,)])
+
 F1_H = ToricClass([0, 0, 0, 1])
 F1_E = ToricClass([0, 1, 0, 0])
 F1_F = ToricClass([1, 0, 0, 0])
+
+P2_RAYS, P2_CONES = [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]
+# eight unimodular cones winding twice around the origin: every ridge has
+# two owners on opposite sides, so only the generic-point count catches it
+TWICE = [(1, 0), (-2, 1), (-1, 0), (-1, -1), (-1, -2), (0, -1), (1, 1), (-2, -1)]
+BAD_FANS = {
+    "non_positive_dimension": (0, [], [], FanInvalid, "dimension must be positive"),
+    "duplicate_rays": (2, [(1, 0), (0, 1), (1, 0)], P2_CONES, FanInvalid, "duplicate rays"),
+    "wrong_ray_length": (2, [(1, 0), (0, 1, 0), (-1, -1)], P2_CONES, FanInvalid,
+                         "ray (0, 1, 0) has wrong length"),
+    "zero_ray": (2, [(1, 0), (0, 0), (-1, -1)], P2_CONES, NonPrimitiveRay, "zero ray"),
+    "ray_content": (2, [(2, 0), (0, 1), (-1, -1)], P2_CONES, NonPrimitiveRay,
+                    "ray (2, 0) has content 2"),
+    "non_distinct_cone": (2, P2_RAYS, [(0, 0), (1, 2), (0, 2)], NotSmooth,
+                          "maximal cone (0, 0) does not have 2 distinct rays"),
+    "missing_rays": (2, P2_RAYS, [(0, 1), (1, 5), (0, 2)], FanInvalid,
+                     "cone (1, 5) references missing rays"),
+    "not_unimodular": (2, [(1, 0), (1, 2), (-1, -1)], P2_CONES, NotSmooth,
+                       "maximal cone (0, 1) is not unimodular"),
+    "singular_cone": (2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 2), (1, 2), (2, 3), (3, 0)],
+                      NotSmooth, "maximal cone (0, 2) is not unimodular"),
+    "duplicate_max_cones": (2, P2_RAYS, P2_CONES + [(1, 0)], FanInvalid,
+                            "duplicate maximal cones"),
+    "unused_rays": (2, P2_RAYS + [(1, 1)], P2_CONES, FanInvalid, "unused rays"),
+    "boundary_ridge": (2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)], NotComplete,
+                       "ridge (0,) lies on the boundary of the support"),
+    "ridge_three_owners": (2, P2_RAYS + [(1, 1)], P2_CONES + [(0, 3)], BadFace,
+                           "ridge (0,) shared by 3 maximal cones"),
+    "same_side_walls": (2, [(1, 0), (0, 1), (1, 1)], P2_CONES, BadFace,
+                        "maximal cones at ridge (1,) are on the same side"),
+    "interior_overlap": (2, TWICE, [(i, (i + 1) % 8) for i in range(8)], BadFace,
+                         "maximal cones overlap in their interiors"),
+}
 
 
 class TestValidateFan:
@@ -73,7 +112,14 @@ class TestValidateFan:
                              [(0, 1), (1, 2), (0, 2), (0, 3)]))
 
     def test_one_dimensional_projective_line(self):
-        validate_fan(Fan(1, [(1,), (-1,)], [(0,), (1,)]))
+        validate_fan(P1)
+
+    @pytest.mark.parametrize("name", sorted(BAD_FANS))
+    def test_diagnostic(self, name):
+        dim, rays, cones, error, message = BAD_FANS[name]
+        with pytest.raises(error) as info:
+            validate_fan(Fan(dim, rays, cones))
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestIntersectionNumbers:
@@ -238,6 +284,16 @@ class TestAmpleness:
         assert is_nef_toric(F1, F1_H)
         assert not is_nef_toric(F1, F1_E)
 
+    def test_projective_line(self):
+        # V(()) = P^1 is the only invariant curve; every D_i has degree 1 on it
+        d0 = ToricClass([1, 0])
+        assert invariant_curves(P1) == [()]
+        assert not is_ample(P1, d0.scale(-1)) and not is_nef_toric(P1, d0.scale(-1))
+        assert is_ample(P1, d0) and is_nef_toric(P1, ToricClass([1, -1]))
+        assert toric_seshadri_T(P1, d0.scale(-1), d0) == -1
+        with pytest.raises(OmegaNotKahler):
+            toric_seshadri_T(P1, d0, d0.scale(-1))
+
     def test_toric_seshadri_bound(self):
         theta = F1_H.scale(2) - F1_E
         omega = F1_H.scale(5) - F1_E
@@ -327,6 +383,16 @@ class TestToricGamma:
         assert res2.status is Status.CONDITIONAL_EXACT
         assert res2.value < res2.T
 
+    def test_projective_line(self):
+        d0 = ToricClass([1, 0])
+        res = toric_gamma(P1, d0.scale(-1), d0)
+        assert (res.value, res.T, res.C) == (-1, -1, -1)
+        assert res.status is Status.INDETERMINATE
+        res = toric_gamma(P1, d0, d0)
+        assert (res.value, res.T, res.C, res.minimizer) == (1, None, 1, (0,))
+        assert res.status is Status.SOLVABLE
+        assert [(s.cone, s.p, s.value) for s in res.scores] == [((0,), 0, 1), ((1,), 0, 1)]
+
     def test_omega_must_be_ample(self):
         with pytest.raises(OmegaNotKahler):
             toric_gamma(F1, F1_H, F1_H)
@@ -353,6 +419,13 @@ class TestCanonicalForm:
     def test_canonical_zeroes_first_basis(self):
         cls = canonicalize(F1, ToricClass([3, -2, 5, 7]))
         assert cls.coeffs[0] == 0 and cls.coeffs[1] == 0
+
+    def test_basis_that_is_not_a_cone(self):
+        # F_2 with rays reordered: the first two rays (1,0), (-1,2) have det 2
+        fan = Fan(2, [(1, 0), (-1, 2), (0, 1), (0, -1)], [(0, 2), (1, 2), (1, 3), (0, 3)])
+        cls = canonicalize(fan, ToricClass([1, 0, 0, 0]))
+        assert cls.coeffs == (0, 0, Fraction(-1, 2), Fraction(1, 2))
+        assert classes_equivalent(fan, cls, ToricClass([1, 0, 0, 0]))
 
     def test_equivalence_detects_relations(self):
         # D3 ~ D1 + a*D0 on the a-th ruled surface
@@ -448,3 +521,41 @@ class TestWorkCounts:
         toric_gamma(fan, ToricClass(theta), ToricClass(omega))
         assert (len(asked), len(solved)) == (faces, relations)
         assert len(set(solved)) == len(solved)  # no relation solved twice per query
+
+    @pytest.mark.parametrize("fan", [projective_space(3), p1_power(3)])
+    def test_validation_eliminates_once_per_maximal_cone(self, monkeypatch, fan):
+        # the wall condition and the generic sample read the stored dual bases
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return eliminate(rows)
+
+        monkeypatch.setattr(toric, "_eliminate", counted)
+        validate_fan(fan)
+        assert len(calls) == len(fan.max_cones)
+
+
+class TestElimination:
+    """``_eliminate`` against sympy's exact determinant, inverse and rref."""
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = Random(8800)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            pivots, d, rows = eliminate([row + [int(i == j) for j in range(n)]
+                                         for i, row in enumerate(a)])
+            if pivots == list(range(n)):
+                assert abs(d) == abs(sympy.Matrix(a).det())
+                inverse = sympy.Matrix([row[n:] for row in rows])  # d * A^-1
+                assert sympy.Matrix(a) * inverse == d * sympy.eye(n)
+            else:
+                assert sympy.Matrix(a).det() == 0
+            m = [[rng.randint(-2, 2) for _ in range(rng.randint(1, 5))]]
+            m += [[rng.randint(-2, 2) for _ in m[0]] for _ in range(rng.randint(0, 3))]
+            pivots, d, rows = eliminate(m)
+            rref, sympy_pivots = sympy.Matrix(m).rref()
+            assert pivots == list(sympy_pivots)
+            assert sympy.Matrix(rows) == d * rref  # every pivot entry is d
