@@ -20,11 +20,10 @@ from .surface import (CsckReport, Interval, PathAnalysis, PerfectCone,
                       StableSubcone, Status, ThresholdResult, c_constant,
                       csck_criterion, is_solvable, path_R, sample_path,
                       stable_subcone, surface_gamma)
-from .toric import (Fan, SubvarietyScore, ToricClass, ToricGammaResult,
-                    canonicalize, classes_equivalent, enumerate_orbits,
-                    intersection_number, invariant_curves, is_ample,
-                    is_nef_toric, subvariety_score, toric_gamma,
-                    toric_seshadri_T, validate_fan)
+from .toric import (Fan, SubvarietyScore, ToricGammaResult, canonicalize,
+                    classes_equivalent, enumerate_orbits, intersection_number,
+                    invariant_curves, is_ample, is_nef_toric, subvariety_score,
+                    toric_gamma, toric_seshadri_T, validate_fan)
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,7 @@ __all__ = [
     "IntersectionLattice", "Interval", "JThreshError", "LightConeFacet",
     "NefConeModel", "PathAnalysis", "PerfectCone", "QuadNum", "Rat", "RatPoly",
     "StableSubcone", "Status", "SubvarietyScore", "ThresholdResult",
-    "ToricClass", "ToricGammaResult", "build", "c_constant", "canonicalize",
+    "ToricGammaResult", "build", "c_constant", "canonicalize",
     "classes_equivalent", "cone_constants", "csck_criterion", "decimal_str",
     "diagonal_lattice", "enumerate_orbits", "format_rat", "intersection_number",
     "invariant_curves", "is_ample", "is_kahler", "is_nef", "is_nef_toric",

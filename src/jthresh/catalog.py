@@ -23,7 +23,7 @@ from .cones import LightConeFacet, NefConeModel, validate_cone
 from .errors import BadParams, OutOfDomain, UnknownName
 from .exactnum import RatLike, rat
 from .lattice import DivClass, IntersectionLattice, diagonal_lattice, validate_signature
-from .toric import Fan, ToricClass, validate_fan
+from .toric import Fan
 
 ROSS_MODEL_FACET_NOTE = ("facet w_up (x - g*y >= 0, from the diagonal class) is an inner "
                          "model of the true nef cone; it never binds sigma on t > s_C "
@@ -38,7 +38,7 @@ class CatalogEntry:
     cone: NefConeModel
     named_classes: dict[str, DivClass]
     fan: Fan | None = None
-    named_toric_classes: dict[str, ToricClass] | None = None
+    named_toric_classes: dict[str, DivClass] | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -116,9 +116,9 @@ def hirzebruch_entry(a: RatLike | str) -> CatalogEntry:
     cone = NefConeModel(facets=[e, f], facet_labels=["E", "F"])
     classes = {"H": h, "E": e, "F": f}
     toric = {
-        "F": ToricClass([1, 0, 0, 0]),   # ray divisor D0, the fiber
-        "E": ToricClass([0, 1, 0, 0]),   # D1, the negative section
-        "H": ToricClass([0, 0, 0, 1]),   # D3 = E + a*F, the positive section
+        "F": DivClass([1, 0, 0, 0]),   # ray divisor D0, the fiber
+        "E": DivClass([0, 1, 0, 0]),   # D1, the negative section
+        "H": DivClass([0, 0, 0, 1]),   # D3 = E + a*F, the positive section
     }
     return CatalogEntry(name="hirzebruch", params={"a": Fraction(a)},
                         lattice=lattice, cone=cone, named_classes=classes,
@@ -175,6 +175,4 @@ def build(name: str, params: dict[str, RatLike | str] | None = None) -> CatalogE
     entry = builder(*args)
     validate_signature(entry.lattice)
     validate_cone(entry.lattice, entry.cone)
-    if entry.fan is not None:
-        validate_fan(entry.fan)
     return entry

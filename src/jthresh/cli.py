@@ -26,7 +26,7 @@ from .exactnum import QuadNum, decimal_str, format_rat, rat
 from .lattice import DivClass, IntersectionLattice
 from .surface import (PerfectCone, csck_criterion, is_solvable, path_R,
                       sample_path, stable_subcone, surface_gamma)
-from .toric import Fan, ToricClass, enumerate_orbits, toric_gamma
+from .toric import Fan, enumerate_orbits, toric_gamma
 
 DEFAULT_DIGITS = 12
 
@@ -171,7 +171,7 @@ def _toric_inputs(doc: InputDocument) -> Fan:
     return doc.fan
 
 
-def _toric_class(doc: InputDocument, label: str) -> ToricClass:
+def _toric_class(doc: InputDocument, label: str) -> DivClass:
     if label not in doc.toric_classes:
         raise BadDocument(f"unknown toric class label {label!r}")
     return doc.toric_classes[label]

@@ -17,7 +17,7 @@ from .cones import LightConeFacet, NefConeModel, validate_cone
 from .errors import BadDocument, BadParams, DimensionMismatch
 from .exactnum import QuadNum, format_rat, rat
 from .lattice import DivClass, IntersectionLattice, validate_signature
-from .toric import Fan, ToricClass, validate_fan
+from .toric import Fan
 
 
 def parse_rat(value: Any) -> Fraction:
@@ -80,7 +80,7 @@ class InputDocument:
     cone: NefConeModel | None = None
     fan: Fan | None = None
     classes: dict[str, DivClass] = field(default_factory=dict)
-    toric_classes: dict[str, ToricClass] = field(default_factory=dict)
+    toric_classes: dict[str, DivClass] = field(default_factory=dict)
     query: dict[str, Any] = field(default_factory=dict)
 
 
@@ -135,10 +135,8 @@ def _parse_fan(data: Any) -> Fan:
     for key in ("dim", "rays", "max_cones"):
         if key not in data:
             raise BadDocument(f"fan missing field {key!r}")
-    fan = Fan(dim=_json_int(data["dim"], "fan dim"), rays=_int_rows(data["rays"], "fan rays"),
-              max_cones=_int_rows(data["max_cones"], "fan max_cones"))
-    validate_fan(fan)
-    return fan
+    return Fan(dim=_json_int(data["dim"], "fan dim"), rays=_int_rows(data["rays"], "fan rays"),
+               max_cones=_int_rows(data["max_cones"], "fan max_cones"))
 
 
 def parse_document(data: Any) -> InputDocument:
@@ -168,7 +166,7 @@ def parse_document(data: Any) -> InputDocument:
         coeffs = _rat_list(coeffs, f"toric class {label!r}")
         if len(coeffs) != len(doc.fan.rays):
             raise BadDocument(f"toric class {label!r} needs one coefficient per ray")
-        doc.toric_classes[str(label)] = ToricClass(coeffs)
+        doc.toric_classes[str(label)] = DivClass(coeffs)
     query = data.get("query") or {}
     if not isinstance(query, dict):
         raise BadDocument("query must be an object")
@@ -205,7 +203,7 @@ def document_to_json(doc: InputDocument) -> dict[str, Any]:
         out["classes"] = {label: [format_rat(x) for x in cls.coords]
                           for label, cls in sorted(doc.classes.items())}
     if doc.toric_classes:
-        out["toric_classes"] = {label: [format_rat(x) for x in cls.coeffs]
+        out["toric_classes"] = {label: [format_rat(x) for x in cls.coords]
                                 for label, cls in sorted(doc.toric_classes.items())}
     if doc.query:
         out["query"] = doc.query

@@ -10,6 +10,7 @@ arithmetic between two distinct radicands is rejected rather than widened.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
@@ -24,18 +25,27 @@ RatLike = Union[int, Fraction]
 Scalar = Union[int, Fraction, "QuadNum"]
 
 
+# Fraction's decimal grammar with an exponent: '1e3000000' would expand to a
+# million-digit integer, so such strings are refused before Fraction sees them
+_EXPONENT_FORM = re.compile(r"[-+]?(?=\d|\.\d)(\d+(_\d+)*)?(\.(\d+(_\d+)*)?)?"
+                            r"e[-+]?\d+(_\d+)*", re.IGNORECASE)
+
+
 def rat(value: RatLike | str) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to a Fraction.
 
-    A malformed string or a zero denominator raises BadParams.
+    A malformed string, exponent notation or a zero denominator raises BadParams.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if _EXPONENT_FORM.fullmatch(text):
+            raise BadParams(f"bad rational {value!r}: exponent notation is not accepted")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParams(f"bad rational {value!r}: {exc}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")

@@ -79,9 +79,15 @@ class IntersectionLattice:
             labels = tuple(f"b{i}" for i in range(n))
         elif len(labels) != n:
             raise DimensionMismatch("one basis label per row required")
-        self.rank = n
-        self.matrix = tuple(rows)
-        self.labels = tuple(labels)
+        object.__setattr__(self, "rank", n)
+        object.__setattr__(self, "matrix", tuple(rows))
+        object.__setattr__(self, "labels", tuple(labels))
+
+    def __setattr__(self, name, value):  # immutable after __init__
+        raise AttributeError("IntersectionLattice is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return IntersectionLattice, (self.matrix, self.labels)
 
     def check_class(self, x: DivClass) -> None:
         if len(x) != self.rank:

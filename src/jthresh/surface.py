@@ -23,6 +23,7 @@ from .exactnum import QuadNum, RatPoly, as_rat, poly_roots_quadratic, rat_sqrt
 from .lattice import DivClass, IntersectionLattice, segment
 
 CSCK_CAVEAT = "requires discrete automorphism group"
+MAX_SAMPLES = 100_000  # largest path grid; each row is one full surface_gamma
 
 
 class Status(str, enum.Enum):
@@ -234,8 +235,8 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel,
     Each gamma value goes through the full pipeline on omega_t; the
     numerator column is the closed-form polynomial at the same t.
     """
-    if samples < 1:
-        raise BadParams("samples must be >= 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise BadParams(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
     analysis = path_R(lattice, cone, theta, a)
     rows = []
     for k in range(1, samples + 1):

@@ -1,7 +1,8 @@
 """Smooth complete fans and exact intersection numbers of invariant divisors.
 
 A :class:`Fan` is given by primitive integer rays and the index sets of its
-maximal cones.  Validation checks unimodularity of every maximal cone, the
+maximal cones; a divisor class is a :class:`DivClass`, one coefficient per
+ray.  The constructor validates: unimodularity of every maximal cone, the
 wall condition (every ridge shared by exactly two maximal cones, lying on
 opposite sides) and that a generic point is covered exactly once; together
 these certify a smooth complete fan with compatible faces.  Validation, the
@@ -30,7 +31,7 @@ from typing import Sequence
 
 from .errors import (BadFace, FanInvalid, NonPrimitiveRay, NotComplete,
                      NotSmooth, OmegaNotAmpleOnOrbit, OmegaNotKahler, WrongArity)
-from .exactnum import RatLike
+from .lattice import DivClass
 from .surface import Status
 
 
@@ -75,37 +76,44 @@ def _dot(m: Sequence[int], u: Sequence[int]) -> int:
     return sum(c * x for c, x in zip(m, u))
 
 
-class Fan:
-    """Rays and maximal cones of a (purportedly) smooth complete fan.
+def _integer(value: object, what: str) -> int:
+    """An int; bools, floats and strings are refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FanInvalid(f"fan {what} must be an integer, got {value!r}")
+    return value
 
-    Ray indices are 0-based everywhere, including in documents.  Call
-    :func:`validate_fan` (or rely on the engine, which validates lazily)
-    before trusting any intersection number.
+
+class Fan:
+    """Rays and maximal cones of a smooth complete fan, certified when built.
+
+    Ray indices are 0-based everywhere, including in documents.  The
+    constructor refuses non-integer data and runs :func:`validate_fan`, so
+    every ``Fan`` is valid; it is immutable and holds no query state.
     """
+
+    __slots__ = ("dim", "rays", "max_cones", "_max_cone_sets")
 
     def __init__(self, dim: int, rays: Sequence[Sequence[int]],
                  max_cones: Sequence[Sequence[int]]):
-        self.dim = int(dim)
-        self.rays = tuple(tuple(int(x) for x in ray) for ray in rays)
-        self.max_cones = tuple(tuple(sorted(int(i) for i in cone))
-                               for cone in max_cones)
-        self._validated = False
-        self._max_cone_sets = tuple(frozenset(c) for c in self.max_cones)
+        init = object.__setattr__
+        init(self, "dim", _integer(dim, "dim"))
+        init(self, "rays", tuple(tuple(_integer(x, "ray entry") for x in ray) for ray in rays))
+        init(self, "max_cones", tuple(tuple(sorted(_integer(i, "cone index") for i in cone))
+                                      for cone in max_cones))
+        init(self, "_max_cone_sets", tuple(frozenset(c) for c in self.max_cones))
+        validate_fan(self)
+
+    def __setattr__(self, name, value):  # immutable after __init__
+        raise AttributeError("Fan is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return Fan, (self.dim, self.rays, self.max_cones)
 
     # -- structure queries -------------------------------------------------
 
     def is_face(self, rays: frozenset[int]) -> bool:
         """True if the index set spans a cone of the fan (simplicial faces)."""
         return any(rays <= mc for mc in self._max_cone_sets)
-
-    def faces(self) -> list[tuple[int, ...]]:
-        """All positive-dimension faces, by (dimension, lex ray indices)."""
-        seen: set[tuple[int, ...]] = set()
-        for cone in self.max_cones:
-            for mask in range(1, 1 << len(cone)):
-                face = tuple(cone[i] for i in range(len(cone)) if mask >> i & 1)
-                seen.add(face)
-        return sorted(seen, key=lambda f: (len(f), f))
 
     def _ambient_max_cone(self, sigma: frozenset[int]) -> tuple[int, ...]:
         """Deterministic choice: lex-least maximal cone containing sigma."""
@@ -139,32 +147,8 @@ class Fan:
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
 
-@dataclass(frozen=True)
-class ToricClass:
-    """Invariant divisor class as one rational coefficient per ray."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Sequence[RatLike]):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
-
-    def __add__(self, other: "ToricClass") -> "ToricClass":
-        return ToricClass([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "ToricClass") -> "ToricClass":
-        return ToricClass([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, c: RatLike) -> "ToricClass":
-        return ToricClass([Fraction(c) * a for a in self.coeffs])
-
-    def __rmul__(self, c: RatLike) -> "ToricClass":
-        return self.scale(c)
-
-
 def validate_fan(fan: Fan) -> None:
-    """Smoothness, completeness and face compatibility; raises on failure."""
-    if fan._validated:
-        return
+    """Smoothness, completeness and face compatibility; ``Fan.__init__`` runs it."""
     n = fan.dim
     if n < 1:
         raise FanInvalid("dimension must be positive")
@@ -213,7 +197,6 @@ def validate_fan(fan: Fan) -> None:
             raise BadFace(f"maximal cones at ridge {ridge} are on the same side")
 
     _generic_cover_check(fan, list(duals.values()))
-    fan._validated = True
 
 
 def _generic_cover_check(fan: Fan, duals: Sequence[list[list[int]]]) -> None:
@@ -250,12 +233,12 @@ class _Intersections:
     relation on (ambient maximal cone, ray).  Build one table per query.
     """
 
-    def __init__(self, fan: Fan, classes: Sequence[ToricClass]):
+    def __init__(self, fan: Fan, classes: Sequence[DivClass]):
         for cls in classes:
-            if len(cls.coeffs) != len(fan.rays):
+            if len(cls) != len(fan.rays):
                 raise WrongArity("one coefficient per ray required")
         self.fan = fan
-        self.terms = [[(j, c) for j, c in enumerate(cls.coeffs) if c] for cls in classes]
+        self.terms = [[(j, c) for j, c in enumerate(cls.coords) if c] for cls in classes]
         self.c: Fraction | None = None  # C of a (theta, omega) table, see _c_constant_toric
         self._memo: dict[tuple[frozenset[int], tuple[int, ...]], Fraction] = {}
         self._relations: dict[tuple[tuple[int, ...], int], tuple[tuple[int, int], ...]] = {}
@@ -288,36 +271,37 @@ class _Intersections:
         return [self.integral(frozenset(tau), (k,)) for tau in curves]
 
 
-def intersection_number(fan: Fan, classes: Sequence[ToricClass]) -> Fraction:
+def intersection_number(fan: Fan, classes: Sequence[DivClass]) -> Fraction:
     """Exact top intersection product of dim-many invariant divisor classes."""
-    validate_fan(fan)
     if len(classes) != fan.dim:
         raise WrongArity(f"expected {fan.dim} classes, got {len(classes)}")
     return _Intersections(fan, classes).integral(frozenset(), tuple(range(fan.dim)))
 
 
-def canonicalize(fan: Fan, cls: ToricClass) -> ToricClass:
+def canonicalize(fan: Fan, cls: DivClass) -> DivClass:
     """Canonical representative: zero on the first dim-many independent rays.
 
     They are the pivot columns of the ray matrix; ray j is sum_r rows[r][j] / d
     times the r-th of them, so adding the character that is -cls on them zeroes cls there.
     """
-    validate_fan(fan)
     basis, d, rows = _eliminate(list(zip(*fan.rays)))
-    c = cls.coeffs
-    return ToricClass([c[j] - sum(c[b] * row[j] for b, row in zip(basis, rows)) / d
-                       for j in range(len(fan.rays))])
+    c = cls.coords
+    return DivClass([c[j] - sum(c[b] * row[j] for b, row in zip(basis, rows)) / d
+                     for j in range(len(fan.rays))])
 
 
-def classes_equivalent(fan: Fan, x: ToricClass, y: ToricClass) -> bool:
+def classes_equivalent(fan: Fan, x: DivClass, y: DivClass) -> bool:
     """Linear equivalence of invariant divisor classes."""
     return canonicalize(fan, x) == canonicalize(fan, y)
 
 
 def enumerate_orbits(fan: Fan) -> list[tuple[int, ...]]:
     """Every positive-dimension cone, once, ordered by (dim, lex ray indices)."""
-    validate_fan(fan)
-    return fan.faces()
+    seen: set[tuple[int, ...]] = set()
+    for cone in fan.max_cones:
+        for mask in range(1, 1 << len(cone)):
+            seen.add(tuple(cone[i] for i in range(len(cone)) if mask >> i & 1))
+    return sorted(seen, key=lambda f: (len(f), f))
 
 
 def invariant_curves(fan: Fan) -> list[tuple[int, ...]]:
@@ -330,20 +314,17 @@ def _curves(fan: Fan, orbits: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]
     return [()] if fan.dim == 1 else [tau for tau in orbits if len(tau) == fan.dim - 1]
 
 
-def is_ample(fan: Fan, d: ToricClass) -> bool:
+def is_ample(fan: Fan, d: DivClass) -> bool:
     """Strict positivity against every invariant curve (toric Kleiman)."""
-    validate_fan(fan)
     return all(x > 0 for x in _Intersections(fan, [d]).curve_degrees(invariant_curves(fan), 0))
 
 
-def is_nef_toric(fan: Fan, d: ToricClass) -> bool:
-    validate_fan(fan)
+def is_nef_toric(fan: Fan, d: DivClass) -> bool:
     return all(x >= 0 for x in _Intersections(fan, [d]).curve_degrees(invariant_curves(fan), 0))
 
 
-def toric_seshadri_T(fan: Fan, theta: ToricClass, omega: ToricClass) -> Fraction:
+def toric_seshadri_T(fan: Fan, theta: DivClass, omega: DivClass) -> Fraction:
     """sup{delta : theta - delta*omega nef}, from the invariant-curve bounds."""
-    validate_fan(fan)
     table, curves = _Intersections(fan, [theta, omega]), invariant_curves(fan)
     return _seshadri_bound(table.curve_degrees(curves, 0), table.curve_degrees(curves, 1))
 
@@ -385,7 +366,7 @@ class ToricGammaResult:
     caveat: str = AUTOMORPHISM_CAVEAT
 
 
-def _c_constant_toric(fan: Fan, theta: ToricClass, omega: ToricClass, *,
+def _c_constant_toric(fan: Fan, theta: DivClass, omega: DivClass, *,
                       table: _Intersections | None = None) -> Fraction:
     """C = n int theta omega^(n-1) / int omega^n, once per (theta, omega) table."""
     table = table or _Intersections(fan, [theta, omega])
@@ -398,11 +379,10 @@ def _c_constant_toric(fan: Fan, theta: ToricClass, omega: ToricClass, *,
     return table.c
 
 
-def subvariety_score(fan: Fan, theta: ToricClass, omega: ToricClass,
+def subvariety_score(fan: Fan, theta: DivClass, omega: DivClass,
                      sigma: Sequence[int], *,
                      table: _Intersections | None = None) -> SubvarietyScore:
     """Exact score of the orbit closure of sigma; ``table`` is the query's (theta, omega) table."""
-    validate_fan(fan)
     sigma = tuple(sorted(sigma))
     cone = frozenset(sigma)
     if not (1 <= len(sigma) <= fan.dim) or not fan.is_face(cone):
@@ -420,7 +400,7 @@ def subvariety_score(fan: Fan, theta: ToricClass, omega: ToricClass,
                            denominator=denominator, value=numerator / denominator)
 
 
-def toric_gamma(fan: Fan, theta: ToricClass, omega: ToricClass) -> ToricGammaResult:
+def toric_gamma(fan: Fan, theta: DivClass, omega: DivClass) -> ToricGammaResult:
     """Minimum orbit score, its minimizer and a certification status.
 
     The minimizer tie-break follows the orbit enumeration order (dimension
@@ -429,7 +409,6 @@ def toric_gamma(fan: Fan, theta: ToricClass, omega: ToricClass) -> ToricGammaRes
     bound computed from the fan's own invariant curves.  One table serves
     the whole query: curve degrees, C and every orbit score.
     """
-    validate_fan(fan)
     table, orbits = _Intersections(fan, [theta, omega]), enumerate_orbits(fan)
     curves = _curves(fan, orbits)
     theta_deg, omega_deg = table.curve_degrees(curves, 0), table.curve_degrees(curves, 1)

@@ -15,7 +15,7 @@ from random import Random
 
 from conftest import random_class, random_instance, random_kahler
 from jthresh import (DivClass, Fan, LightConeFacet, NefConeModel, QuadNum,
-                     Status, ToricClass, build, csck_criterion,
+                     Status, build, csck_criterion,
                      diagonal_lattice, intersection_number, is_solvable,
                      path_R, ross_gamma_closed_form, ross_polarization,
                      segment, seshadri_T, sigma_inf, subvariety_score,
@@ -72,7 +72,7 @@ def test_criterion_3_blowup_cross_validation():
                         facet_labels=["E", "F"])
     surf = surface_gamma(lattice, cone, DivClass([2, -1]), DivClass([5, -1]))
     fan = hirzebruch_fan(1)
-    h, e = ToricClass([0, 0, 0, 1]), ToricClass([0, 1, 0, 0])
+    h, e = DivClass([0, 0, 0, 1]), DivClass([0, 1, 0, 0])
     tor = toric_gamma(fan, h.scale(2) - e, h.scale(5) - e)
     assert surf.value == Fraction(-1, 4) and tor.value == Fraction(-1, 4)
     assert tor.minimizer == (1,)                       # the exceptional ray
@@ -185,14 +185,14 @@ def test_criterion_8_toric_ground_truth():
     started = time.perf_counter()
     for a in (1, 2, 3):
         fan = hirzebruch_fan(a)
-        section = ToricClass([0, 1, 0, 0])
+        section = DivClass([0, 1, 0, 0])
         assert intersection_number(fan, [section, section]) == -a
     p2 = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
-    line = ToricClass([1, 0, 0])
+    line = DivClass([1, 0, 0])
     assert intersection_number(p2, [line, line]) == 1
     quadric = Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
                   [(0, 1), (1, 2), (2, 3), (3, 0)])
-    h1, h2 = ToricClass([1, 0, 0, 0]), ToricClass([0, 1, 0, 0])
+    h1, h2 = DivClass([1, 0, 0, 0]), DivClass([0, 1, 0, 0])
     products = (intersection_number(quadric, [h1, h1]),
                 intersection_number(quadric, [h1, h2]),
                 intersection_number(quadric, [h2, h2]))
@@ -203,10 +203,10 @@ def test_criterion_8_toric_ground_truth():
         for _ in range(10):
             omega = None
             while omega is None:
-                cand = ToricClass([Fraction(rng.randint(1, 6)) for _ in fan.rays])
+                cand = DivClass([Fraction(rng.randint(1, 6)) for _ in fan.rays])
                 omega = cand if is_ample(fan, cand) else None
-            theta = ToricClass([Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-                                for _ in fan.rays])
+            theta = DivClass([Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+                              for _ in fan.rays])
             for sigma in enumerate_orbits(fan):
                 v_theta = subvariety_score(fan, theta, omega, sigma).value
                 v_half = subvariety_score(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -157,6 +158,11 @@ class TestPathCommand:
                          "--samples", "x"], F1_DOC)
         assert code == 2 and out.decode().startswith("BadParams")
 
+    def test_samples_cap(self):
+        argv = ["path", "--theta", "theta", "--a", "H", "--samples", "100001"]
+        assert run(argv, F1_DOC) == (
+            2, b"BadParams: samples must be between 1 and 100000, got 100001\n")
+
 
 class TestToricCommand:
     def test_toric_gamma(self):
@@ -296,6 +302,13 @@ MALFORMED = {
     "ross_g_text": (["catalog", "ross", "--g", "x", "--sC", "2"], b"", "BadParams"),
     "ross_t_text": (["catalog", "ross", "--g", "4", "--sC", "2", "--t", "abc"], b"",
                     "BadParams"),
+    # exponent notation: Fraction would expand each into a million-digit integer
+    "alpha_exponent": (["csck", "--minus-c1", "mc1", "--omega", "omega",
+                        "--alpha", "1e2000000"], F1_DOC, "BadParams"),
+    "ross_t_exponent": (["catalog", "ross", "--g", "4", "--sC", "2", "--t", "1e3000000"],
+                        b"", "BadParams"),
+    "class_exponent": (["gamma", "--theta", "theta", "--omega", "omega"], _with(
+        F1_DOC, classes={"theta": ["2", "-1"], "omega": ["1e3000000", "-1"]}), "BadDocument"),
     "toric_class_scalar": (["validate"], _with(FAN_DOC, toric_classes={"x": 5}),
                            "BadDocument"),
     "huge_json_int": (["validate"], F1_DOC.replace(b'"-1"', b"9" * 5000, 1), "BadDocument"),
@@ -345,6 +358,18 @@ class TestMalformedInput:
         for name, message in expected.items():
             argv, stdin, _ = MALFORMED[name]
             assert run(argv, stdin) == (2, f"BadDocument: {message}\n".encode()), name
+
+    @pytest.mark.parametrize("name, line", [
+        ("alpha_exponent", "BadParams: bad rational '1e2000000'"),
+        ("ross_t_exponent", "BadParams: bad rational '1e3000000'"),
+        ("class_exponent", "BadDocument: bad rational '1e3000000'"),
+    ])
+    def test_exponent_notation_is_refused_at_once(self, name, line):
+        argv, stdin, _ = MALFORMED[name]
+        start = time.perf_counter()
+        result = run(argv, stdin)
+        assert time.perf_counter() - start < 1.0
+        assert result == (2, f"{line}: exponent notation is not accepted\n".encode())
 
     @pytest.mark.parametrize("command", ["gamma", "seshadri", "sigma", "csck"])
     def test_omega_diagnostics_in_order(self, command):

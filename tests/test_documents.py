@@ -38,7 +38,7 @@ class TestParse:
     def test_fan_document(self):
         doc = parse_document(FAN_DOC)
         assert doc.fan is not None and doc.fan.dim == 2
-        assert doc.toric_classes["omega"].coeffs[3] == 5
+        assert doc.toric_classes["omega"].coords[3] == 5
 
     def test_bad_signature_surfaces_by_name(self):
         bad = {"lattice": {"rank": 2, "matrix": [["1", "0"], ["0", "1"]]}}

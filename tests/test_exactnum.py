@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import isqrt
@@ -9,7 +10,7 @@ from random import Random
 
 import pytest
 
-from jthresh.errors import MixedRadicands, ZeroPolynomial
+from jthresh.errors import BadParams, MixedRadicands, ZeroPolynomial
 from jthresh.exactnum import (QuadNum, RatPoly, decimal_str, format_rat,
                               poly_roots_quadratic, rat, rat_sqrt,
                               squarefree_decompose)
@@ -179,6 +180,70 @@ class TestPolyRoots:
             disc = b * b - 4 * a * c
             n = len(poly_roots_quadratic(RatPoly([c, b, a])))
             assert n == (0 if disc < 0 else 1 if disc == 0 else 2)
+
+
+class TestSympyOracles:
+    """QuadNum ordering and quadratic roots against sympy's exact arithmetic."""
+
+    @staticmethod
+    def to_sympy(sympy, x: QuadNum):
+        return sympy.Rational(x.a) + sympy.Rational(x.b) * sympy.sqrt(x.d)
+
+    def test_ordering(self):
+        sympy = pytest.importorskip("sympy")
+        rng = Random(7011)
+        for _ in range(300):
+            d = rng.choice([2, 3, 5, 6, 7, 10, 8, 12])
+            x, y = (QuadNum(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                            Fraction(rng.randint(-3, 3), rng.randint(1, 3)), d)
+                    for _ in range(2))
+            sx, sy = self.to_sympy(sympy, x), self.to_sympy(sympy, y)
+            assert (x < y, x == y, x > y) == (bool(sx < sy), (sx - sy).is_zero, bool(sx > sy))
+            assert x.sign() == sympy.sign(sx)
+
+    def test_quadratic_roots(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = Random(7012)
+        for _ in range(200):
+            coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)]
+            p = RatPoly(coeffs)
+            if p.degree < 1:
+                continue
+            expected = sorted(sympy.roots(sympy.Poly(sum(
+                sympy.Rational(c) * t ** i for i, c in enumerate(coeffs)), t), filter="R"))
+            got = [self.to_sympy(sympy, r) for r in poly_roots_quadratic(p)]
+            assert len(got) == len(expected)
+            assert all(sympy.expand(g - e) == 0 for g, e in zip(got, expected))
+
+
+class TestRat:
+    @pytest.mark.parametrize("text", ["1e5", "1E5", "-1.5e-3", "+.5e2", "1_000e1_0",
+                                      " 1e5 ", "1.e5", "1e+5", "1e10000000"])
+    def test_exponent_notation_is_refused(self, text):
+        start = time.perf_counter()
+        with pytest.raises(BadParams) as info:
+            rat(text)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == f"bad rational {text!r}: exponent notation is not accepted"
+
+    @pytest.mark.parametrize("text, message", [
+        ("zz", "Invalid literal for Fraction: 'zz'"),
+        ("x", "Invalid literal for Fraction: 'x'"),
+        ("abc", "Invalid literal for Fraction: 'abc'"),
+        ("1e", "Invalid literal for Fraction: '1e'"),
+        ("1e5x", "Invalid literal for Fraction: '1e5x'"),
+        ("1e5/2", "Invalid literal for Fraction: '1e5/2'"),
+        ("1/0", "Fraction(1, 0)"),
+    ])
+    def test_other_malformed_strings_keep_their_message(self, text, message):
+        with pytest.raises(BadParams) as info:
+            rat(text)
+        assert str(info.value) == f"bad rational {text!r}: {message}"
+
+    def test_plain_forms(self):
+        assert [rat(s) for s in ("16/3", " 7 ", "1.25", "-2")] == [
+            Fraction(16, 3), Fraction(7), Fraction(5, 4), Fraction(-2)]
 
 
 class TestRendering:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -97,10 +99,52 @@ class TestSignature:
             inst = random_instance(rng, sheared=True)
             assert inst.lattice.signature() == (1, inst.lattice.rank - 1, 0)
 
+    def test_against_sympy_charpoly(self):
+        # a real symmetric matrix has only real eigenvalues, so Descartes' rule
+        # on its characteristic polynomial counts them exactly
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def sign_changes(coeffs):
+            signs = [c > 0 for c in coeffs if c != 0]
+            return sum(a != b for a, b in zip(signs, signs[1:]))
+
+        rng = Random(8106)
+        singular = 0
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            k = rng.randint(1, n + 1)  # k < n rows make B^T D B singular
+            b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            d = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+            gram = [[sum(b[r][i] * d[r] * b[r][j] for r in range(k)) for j in range(n)]
+                    for i in range(n)]
+            p = sympy.Matrix(gram).applyfunc(sympy.Rational).charpoly(x)
+            coeffs = p.all_coeffs()  # highest degree first
+            zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
+            pos = sign_changes(coeffs)
+            neg = sign_changes(p.as_expr().subs(x, -x).as_poly(x).all_coeffs())
+            assert IntersectionLattice(gram).signature() == (pos, neg, zero), gram
+            singular += zero > 0
+        assert singular >= 30
+
     def test_hirzebruch_style_gram(self):
         # section/fiber basis [[-a, 1], [1, 0]] is hyperbolic for every a
         for a in range(0, 5):
             validate_signature(IntersectionLattice([[-a, 1], [1, 0]]))
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("name", ["rank", "matrix", "labels", "extra"])
+    def test_lattice_attributes_cannot_be_assigned(self, name):
+        lat = diagonal_lattice([1, -1])
+        with pytest.raises(AttributeError):
+            setattr(lat, name, 5)
+        assert lat.rank == 2 and lat == diagonal_lattice([1, -1])
+
+    def test_copy_and_pickle(self):
+        lat = IntersectionLattice([[0, 1], [1, 0]], labels=["s", "f"])
+        for clone in (copy.copy(lat), copy.deepcopy(lat), pickle.loads(pickle.dumps(lat))):
+            assert clone == lat and clone.rank == 2
 
 
 class TestHodgeIndex:

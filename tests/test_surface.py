@@ -15,7 +15,7 @@ from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
                      surface_gamma)
 from jthresh.errors import (ANotOnBoundary, BadParams, OmegaNotKahler,
                             ThetaNotKahler, ZeroVolume)
-from jthresh.surface import CSCK_CAVEAT
+from jthresh.surface import CSCK_CAVEAT, MAX_SAMPLES
 
 F1_LATTICE = diagonal_lattice([1, -1], labels=["H", "E"])
 F1_CONE = NefConeModel(facets=[DivClass([0, 1]), DivClass([1, -1])],
@@ -270,6 +270,8 @@ class TestPathAnalysis:
             assert r.solvable == (r.r_numerator > 0)
         with pytest.raises(BadParams):
             sample_path(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, 0]), 0)
+        with pytest.raises(BadParams, match=f"between 1 and {MAX_SAMPLES}, got {MAX_SAMPLES + 1}"):
+            sample_path(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, 0]), MAX_SAMPLES + 1)
 
 
 class TestStableSubcone:

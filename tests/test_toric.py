@@ -6,7 +6,9 @@ intersection numbers, and the rank-2 lattice models of the same surfaces.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 from math import factorial, prod
 from random import Random
@@ -14,14 +16,14 @@ from random import Random
 import pytest
 
 from jthresh import toric
-from jthresh import (DivClass, Fan, NefConeModel, QuadNum, Status, ToricClass,
+from jthresh import (DivClass, Fan, NefConeModel, QuadNum, Status,
                      canonicalize, classes_equivalent, diagonal_lattice,
                      enumerate_orbits, intersection_number, invariant_curves,
                      is_ample, is_nef_toric, subvariety_score, surface_gamma,
                      toric_gamma, toric_seshadri_T, validate_fan)
-from jthresh.errors import (BadFace, FanInvalid, NonPrimitiveRay, NotComplete,
-                            NotSmooth, OmegaNotAmpleOnOrbit, OmegaNotKahler,
-                            WrongArity)
+from jthresh.errors import (BadFace, DimensionMismatch, FanInvalid, NonPrimitiveRay,
+                            NotComplete, NotSmooth, OmegaNotAmpleOnOrbit,
+                            OmegaNotKahler, WrongArity)
 
 eliminate = toric._eliminate
 
@@ -50,9 +52,9 @@ def hirzebruch(a: int) -> Fan:
 F1 = hirzebruch(1)
 P1 = Fan(1, [(1,), (-1,)], [(0,), (1,)])
 
-F1_H = ToricClass([0, 0, 0, 1])
-F1_E = ToricClass([0, 1, 0, 0])
-F1_F = ToricClass([1, 0, 0, 0])
+F1_H = DivClass([0, 0, 0, 1])
+F1_E = DivClass([0, 1, 0, 0])
+F1_F = DivClass([1, 0, 0, 0])
 
 P2_RAYS, P2_CONES = [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]
 # eight unimodular cones winding twice around the origin: every ridge has
@@ -118,13 +120,46 @@ class TestValidateFan:
     def test_diagnostic(self, name):
         dim, rays, cones, error, message = BAD_FANS[name]
         with pytest.raises(error) as info:
-            validate_fan(Fan(dim, rays, cones))
+            Fan(dim, rays, cones)  # the constructor validates
         assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("dim, rays, cones, message", [
+        (2.7, P2_RAYS, P2_CONES, "fan dim must be an integer, got 2.7"),
+        (2, [(1.9, 0), (0, 1), (-1, -1)], P2_CONES, "fan ray entry must be an integer, got 1.9"),
+        (2, P2_RAYS, [(0, 1), (1, 2), (0, 2.5)], "fan cone index must be an integer, got 2.5"),
+        (2, [("1", 0), (0, 1), (-1, -1)], P2_CONES, "fan ray entry must be an integer, got '1'"),
+        (2, P2_RAYS, [(0, True), (1, 2), (0, 2)], "fan cone index must be an integer, got True"),
+    ])
+    def test_non_integer_data_is_refused(self, dim, rays, cones, message):
+        # int() would truncate each of these into a valid P^2
+        with pytest.raises(FanInvalid) as info:
+            Fan(dim, rays, cones)
+        assert type(info.value) is FanInvalid and str(info.value) == message
+
+    @pytest.mark.parametrize("name", ["dim", "rays", "max_cones", "_max_cone_sets", "extra"])
+    def test_fan_is_immutable(self, name):
+        fan = hirzebruch(1)
+        with pytest.raises(AttributeError):
+            setattr(fan, name, getattr(P2, name, None))
+        assert fan == F1
+
+    def test_copy_and_pickle_rebuild_the_fan(self):
+        for clone in (copy.copy(F1), copy.deepcopy(F1), pickle.loads(pickle.dumps(F1))):
+            assert type(clone) is Fan and clone == F1
+
+
+class TestToricClasses:
+    def test_classes_of_different_lengths_do_not_combine(self):
+        shorter = DivClass([1, 0, 0])
+        with pytest.raises(DimensionMismatch):
+            F1_H + shorter
+        with pytest.raises(DimensionMismatch):
+            F1_H - shorter
 
 
 class TestIntersectionNumbers:
     def test_projective_plane_line(self):
-        h = ToricClass([1, 0, 0])
+        h = DivClass([1, 0, 0])
         assert intersection_number(P2, [h, h]) == 1
 
     def test_blowup_exceptional_square(self):
@@ -134,8 +169,8 @@ class TestIntersectionNumbers:
         assert intersection_number(F1, [F1_F, F1_E]) == 1
 
     def test_quadric_rulings(self):
-        h1 = ToricClass([1, 0, 0, 0])
-        h2 = ToricClass([0, 1, 0, 0])
+        h1 = DivClass([1, 0, 0, 0])
+        h2 = DivClass([0, 1, 0, 0])
         assert intersection_number(P1P1, [h1, h1]) == 0
         assert intersection_number(P1P1, [h1, h2]) == 1
         assert intersection_number(P1P1, [h2, h2]) == 0
@@ -143,13 +178,13 @@ class TestIntersectionNumbers:
     def test_negative_section_squares(self):
         for a in (1, 2, 3):
             fan = hirzebruch(a)
-            section = ToricClass([0, 1, 0, 0])
+            section = DivClass([0, 1, 0, 0])
             assert intersection_number(fan, [section, section]) == -a
 
     def test_triple_product_on_threefold(self):
-        h1 = ToricClass([1, 0, 0, 0, 0, 0])
-        h2 = ToricClass([0, 1, 0, 0, 0, 0])
-        h3 = ToricClass([0, 0, 1, 0, 0, 0])
+        h1 = DivClass([1, 0, 0, 0, 0, 0])
+        h2 = DivClass([0, 1, 0, 0, 0, 0])
+        h3 = DivClass([0, 0, 1, 0, 0, 0])
         assert intersection_number(P1CUBE, [h1, h2, h3]) == 1
         assert intersection_number(P1CUBE, [h1, h1, h2]) == 0
         big = h1 + h2 + h3
@@ -160,8 +195,8 @@ class TestIntersectionNumbers:
         # satisfy H^3 = 1, E^3 = 1, mixed products 0, (H - E)^3 = 0
         fan = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)],
                   [(0, 1, 4), (0, 2, 4), (1, 2, 4), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-        h = ToricClass([0, 0, 0, 1, 0])
-        e = ToricClass([0, 0, 0, 0, 1])
+        h = DivClass([0, 0, 0, 1, 0])
+        e = DivClass([0, 0, 0, 0, 1])
         assert intersection_number(fan, [h, h, h]) == 1
         assert intersection_number(fan, [e, e, e]) == 1
         assert intersection_number(fan, [h, h, e]) == 0
@@ -177,11 +212,11 @@ class TestIntersectionNumbers:
         rng = Random(8401)
         for fan in (P2, F1, P1P1):
             for _ in range(30):
-                x = ToricClass([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                                for _ in fan.rays])
-                y = ToricClass([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                                for _ in fan.rays])
-                z = ToricClass([Fraction(rng.randint(-4, 4)) for _ in fan.rays])
+                x = DivClass([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in fan.rays])
+                y = DivClass([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in fan.rays])
+                z = DivClass([Fraction(rng.randint(-4, 4)) for _ in fan.rays])
                 a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), 2)
                 assert intersection_number(fan, [x, y]) == intersection_number(fan, [y, x])
                 assert intersection_number(fan, [x.scale(a) + y.scale(b), z]) == \
@@ -192,18 +227,18 @@ class TestIntersectionNumbers:
         for fan in (P2, F1, P1CUBE):
             n = fan.dim
             for _ in range(20):
-                classes = [ToricClass([Fraction(rng.randint(-3, 3)) for _ in fan.rays])
+                classes = [DivClass([Fraction(rng.randint(-3, 3)) for _ in fan.rays])
                            for _ in range(n)]
                 base = intersection_number(fan, classes)
                 m = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
-                shift = ToricClass([sum(mi * ui for mi, ui in zip(m, ray))
-                                    for ray in fan.rays])
+                shift = DivClass([sum(mi * ui for mi, ui in zip(m, ray))
+                                  for ray in fan.rays])
                 bumped = [classes[0] + shift] + classes[1:]
                 assert intersection_number(fan, bumped) == base
 
     def test_wrong_arity(self):
         with pytest.raises(WrongArity):
-            intersection_number(P2, [ToricClass([1, 0, 0])])
+            intersection_number(P2, [DivClass([1, 0, 0])])
 
 
 class TestAgainstLatticeModel:
@@ -214,10 +249,10 @@ class TestAgainstLatticeModel:
             fan = hirzebruch(a)
             lat = diagonal_lattice([1, -1])
             named = {
-                "E": (ToricClass([0, 1, 0, 0]),
+                "E": (DivClass([0, 1, 0, 0]),
                       DivClass([Fraction(1 - a, 2), Fraction(1 + a, 2)])),
-                "F": (ToricClass([1, 0, 0, 0]), DivClass([1, -1])),
-                "H": (ToricClass([0, 0, 0, 1]),
+                "F": (DivClass([1, 0, 0, 0]), DivClass([1, -1])),
+                "H": (DivClass([0, 0, 0, 1]),
                       DivClass([Fraction(1 + a, 2), Fraction(1 - a, 2)])),
             }
             for la, (ta, da) in named.items():
@@ -255,7 +290,7 @@ class TestAgainstLatticeModel:
         for _ in range(20):
             x = Fraction(rng.randint(1, 9), rng.randint(1, 4))
             y = Fraction(rng.randint(1, 9), rng.randint(1, 4))
-            tor = toric_gamma(P2, ToricClass([x, 0, 0]), ToricClass([y, 0, 0]))
+            tor = toric_gamma(P2, DivClass([x, 0, 0]), DivClass([y, 0, 0]))
             surf = surface_gamma(lat, cone, DivClass([x]), DivClass([y]))
             assert QuadNum(tor.value) == surf.value == x / y
             assert tor.status is surf.status
@@ -286,10 +321,10 @@ class TestAmpleness:
 
     def test_projective_line(self):
         # V(()) = P^1 is the only invariant curve; every D_i has degree 1 on it
-        d0 = ToricClass([1, 0])
+        d0 = DivClass([1, 0])
         assert invariant_curves(P1) == [()]
         assert not is_ample(P1, d0.scale(-1)) and not is_nef_toric(P1, d0.scale(-1))
-        assert is_ample(P1, d0) and is_nef_toric(P1, ToricClass([1, -1]))
+        assert is_ample(P1, d0) and is_nef_toric(P1, DivClass([1, -1]))
         assert toric_seshadri_T(P1, d0.scale(-1), d0) == -1
         with pytest.raises(OmegaNotKahler):
             toric_seshadri_T(P1, d0, d0.scale(-1))
@@ -329,9 +364,9 @@ class TestScores:
             subvariety_score(F1, F1_E, F1_H.scale(2) - F1_E, (0, 2))
 
 
-def _random_ample(rng: Random, fan: Fan) -> ToricClass:
+def _random_ample(rng: Random, fan: Fan) -> DivClass:
     for _ in range(60):
-        cand = ToricClass([Fraction(rng.randint(1, 6)) for _ in fan.rays])
+        cand = DivClass([Fraction(rng.randint(1, 6)) for _ in fan.rays])
         if is_ample(fan, cand):
             return cand
     raise AssertionError("no ample class found")
@@ -364,7 +399,7 @@ class TestToricGamma:
         assert res_toric.status is res_lattice.status
 
     def test_plane_with_scaled_line(self):
-        h = ToricClass([1, 0, 0])
+        h = DivClass([1, 0, 0])
         for a in (Fraction(1, 2), Fraction(1), Fraction(7, 3)):
             res = toric_gamma(P2, h.scale(a), h)
             assert res.value == a
@@ -384,7 +419,7 @@ class TestToricGamma:
         assert res2.value < res2.T
 
     def test_projective_line(self):
-        d0 = ToricClass([1, 0])
+        d0 = DivClass([1, 0])
         res = toric_gamma(P1, d0.scale(-1), d0)
         assert (res.value, res.T, res.C) == (-1, -1, -1)
         assert res.status is Status.INDETERMINATE
@@ -402,8 +437,8 @@ class TestToricGamma:
         for fan in (P2, F1, P1P1, P1CUBE):
             for _ in range(8):
                 omega = _random_ample(rng, fan)
-                theta = ToricClass([Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-                                    for _ in fan.rays])
+                theta = DivClass([Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+                                  for _ in fan.rays])
                 half = theta.scale(Fraction(1, 2)) + omega.scale(Fraction(1, 2))
                 for sigma in enumerate_orbits(fan):
                     v0 = subvariety_score(fan, theta, omega, sigma).value
@@ -417,42 +452,42 @@ class TestToricGamma:
 
 class TestCanonicalForm:
     def test_canonical_zeroes_first_basis(self):
-        cls = canonicalize(F1, ToricClass([3, -2, 5, 7]))
-        assert cls.coeffs[0] == 0 and cls.coeffs[1] == 0
+        cls = canonicalize(F1, DivClass([3, -2, 5, 7]))
+        assert cls.coords[0] == 0 and cls.coords[1] == 0
 
     def test_basis_that_is_not_a_cone(self):
         # F_2 with rays reordered: the first two rays (1,0), (-1,2) have det 2
         fan = Fan(2, [(1, 0), (-1, 2), (0, 1), (0, -1)], [(0, 2), (1, 2), (1, 3), (0, 3)])
-        cls = canonicalize(fan, ToricClass([1, 0, 0, 0]))
-        assert cls.coeffs == (0, 0, Fraction(-1, 2), Fraction(1, 2))
-        assert classes_equivalent(fan, cls, ToricClass([1, 0, 0, 0]))
+        cls = canonicalize(fan, DivClass([1, 0, 0, 0]))
+        assert cls.coords == (0, 0, Fraction(-1, 2), Fraction(1, 2))
+        assert classes_equivalent(fan, cls, DivClass([1, 0, 0, 0]))
 
     def test_equivalence_detects_relations(self):
         # D3 ~ D1 + a*D0 on the a-th ruled surface
         for a in (1, 2, 3):
             fan = hirzebruch(a)
-            d3 = ToricClass([0, 0, 0, 1])
-            combo = ToricClass([a, 1, 0, 0])
+            d3 = DivClass([0, 0, 0, 1])
+            combo = DivClass([a, 1, 0, 0])
             assert classes_equivalent(fan, d3, combo)
-            assert not classes_equivalent(fan, d3, ToricClass([0, 1, 0, 0]))
+            assert not classes_equivalent(fan, d3, DivClass([0, 1, 0, 0]))
 
     def test_invariance_of_engine_under_canonicalization(self):
         rng = Random(8405)
         for _ in range(20):
-            x = ToricClass([Fraction(rng.randint(-4, 4)) for _ in F1.rays])
-            y = ToricClass([Fraction(rng.randint(-4, 4)) for _ in F1.rays])
+            x = DivClass([Fraction(rng.randint(-4, 4)) for _ in F1.rays])
+            y = DivClass([Fraction(rng.randint(-4, 4)) for _ in F1.rays])
             assert intersection_number(F1, [x, y]) == \
                 intersection_number(F1, [canonicalize(F1, x), canonicalize(F1, y)])
 
 
-def _factor_degrees(cls: ToricClass) -> list[Fraction]:
+def _factor_degrees(cls: DivClass) -> list[Fraction]:
     """Degree on each P^1 factor of (P^1)^n: the sum of the two opposite rays."""
-    return [cls.coeffs[2 * i] + cls.coeffs[2 * i + 1] for i in range(len(cls.coeffs) // 2)]
+    return [cls.coords[2 * i] + cls.coords[2 * i + 1] for i in range(len(cls.coords) // 2)]
 
 
-def _draw(rng: Random, fan: Fan, ample) -> ToricClass:
+def _draw(rng: Random, fan: Fan, ample) -> DivClass:
     while True:
-        cls = ToricClass([Fraction(rng.randint(-2, 4), rng.randint(1, 3)) for _ in fan.rays])
+        cls = DivClass([Fraction(rng.randint(-2, 4), rng.randint(1, 3)) for _ in fan.rays])
         if ample(cls):
             return cls
 
@@ -470,9 +505,9 @@ class TestClosedForms:
     def test_projective_space(self, n):
         rng, fan = Random(8600 + n), projective_space(n)
         for _ in range(2):
-            omega = _draw(rng, fan, lambda c: sum(c.coeffs) > 0)
+            omega = _draw(rng, fan, lambda c: sum(c.coords) > 0)
             theta = _draw(rng, fan, lambda c: True)
-            alpha, beta = sum(omega.coeffs), sum(theta.coeffs)
+            alpha, beta = sum(omega.coords), sum(theta.coords)
             assert intersection_number(fan, [omega] * n) == alpha ** n
             res = toric_gamma(fan, theta, omega)
             assert res.C == n * beta / alpha
@@ -518,7 +553,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(Fan, "is_face", counted_is_face)
         monkeypatch.setattr(Fan, "rewrite_terms", counted_rewrite_terms)
-        toric_gamma(fan, ToricClass(theta), ToricClass(omega))
+        toric_gamma(fan, DivClass(theta), DivClass(omega))
         assert (len(asked), len(solved)) == (faces, relations)
         assert len(set(solved)) == len(solved)  # no relation solved twice per query
 
@@ -534,6 +569,20 @@ class TestWorkCounts:
         monkeypatch.setattr(toric, "_eliminate", counted)
         validate_fan(fan)
         assert len(calls) == len(fan.max_cones)
+
+
+    def test_query_on_a_built_fan_does_not_revalidate(self, monkeypatch):
+        fan, calls = projective_space(3), []
+
+        def counted(fan):
+            calls.append(fan)
+            return validate_fan(fan)
+
+        monkeypatch.setattr(toric, "validate_fan", counted)
+        toric_gamma(fan, DivClass([1, -2, 0, -1]), DivClass([1, 2, 3, 1]))
+        assert calls == []
+        projective_space(3)  # the constructor calls the module's validate_fan
+        assert len(calls) == 1
 
 
 class TestElimination:
