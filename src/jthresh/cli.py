@@ -250,21 +250,32 @@ def _interval_json(interval) -> dict[str, Any]:
             "hi_closed": interval.hi_closed}
 
 
+def _samples(args: argparse.Namespace, doc: InputDocument) -> int:
+    """--samples, else the document's query.samples, else 100; a JSON bool is refused."""
+    raw = getattr(args, "samples", None)
+    if raw is None:
+        raw = doc.query.get("samples")
+    if raw is None:
+        return 100
+    if not isinstance(raw, bool):
+        try:
+            return int(str(raw))
+        except ValueError:
+            pass
+    raise BadParams(f"--samples must be an integer, got {raw!r}")
+
+
 def _cmd_path(doc: InputDocument, args: argparse.Namespace,
               digits: int) -> dict[str, Any] | str:
     """The sweep as a payload, or as finished CSV text under --format csv."""
     lattice, cone = _surface_inputs(doc)
     theta_label = _option(args, doc, "theta")
     a_label = _option(args, doc, "a")
-    raw_samples = getattr(args, "samples", None) or doc.query.get("samples") or "100"
-    try:
-        samples = int(str(raw_samples))
-    except ValueError:
-        raise BadParams(f"--samples must be an integer, got {raw_samples!r}") from None
+    samples = _samples(args, doc)
     theta = _lattice_class(doc, theta_label)
     a = _lattice_class(doc, a_label)
     analysis = path_R(lattice, cone, theta, a)
-    rows = sample_path(lattice, cone, theta, a, samples)
+    rows = sample_path(lattice, cone, theta, a, samples, analysis)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

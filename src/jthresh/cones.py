@@ -10,14 +10,15 @@ Every surface constant comes from one table of pairings, built once per
 (theta, omega) by :func:`cone_constants`: theta.f and omega.f for each
 facet f, theta^2, theta.omega and omega^2, and, with a light-cone facet,
 theta.H and omega.H for its reference class H.  The Kahler checks, C, T,
-sigma and their binding facets are read off those scalars."""
+sigma and their binding facets are read off those scalars, so along a
+segment of omegas (:func:`segment_constants`) the table is formed from
+scalars and nothing is paired per point."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadConeModel, BadSignature, OmegaNotKahler, ZeroVolume
 from .exactnum import QuadNum, Scalar, as_rat, rat_sqrt
@@ -116,10 +117,9 @@ def _light_cone_roots(tw: Fraction, tt: Fraction, ww: Fraction) -> tuple[QuadNum
     disc = tw * tw - tt * ww
     if disc < 0:
         raise BadSignature("negative light-cone discriminant; lattice signature is not (1, r-1)")
-    root = rat_sqrt(disc)
-    lo = (QuadNum(tw) - root) / ww
-    hi = (QuadNum(tw) + root) / ww
-    return lo, hi
+    r = rat_sqrt(disc)
+    return (QuadNum((tw - r.a) / ww, -r.b / ww, r.d),
+            QuadNum((tw + r.a) / ww, r.b / ww, r.d))
 
 
 def cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
@@ -135,29 +135,85 @@ def cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
     least bound and sigma the greatest; ties break to the lowest facet index,
     light-cone last.
     """
-    k = len(cone.facets)
-    theta_sides = [as_rat(v) for v in _constraints(lattice, cone, theta)]
-    omega_sides = [as_rat(v) for v in _constraints(lattice, cone, omega)]
+    theta_sides = _sides(lattice, cone, theta)
+    omega_sides = _sides(lattice, cone, omega)
     tw = as_rat(lattice.pair(theta, omega))
+    tt = _square(lattice, cone, theta, theta_sides)
+    ww = _square(lattice, cone, omega, omega_sides)
+    return _constants(cone, theta_sides, omega_sides, tt, tw, ww)
+
+
+def segment_constants(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClass,
+                      a: DivClass, ts: Iterable[Fraction]) -> Iterator[ConeConstants]:
+    """cone_constants(theta, omega_t) for omega_t = (1-t)a + t*theta at each t.
+
+    a and theta are paired once; every pairing of omega_t is then a
+    polynomial in t (omega_t.f, omega_t.H and theta.omega_t affine, omega_t^2
+    quadratic), so each t costs only Fraction arithmetic and no pairing, and
+    goes through the same checks and derivation as cone_constants.
+    """
+    k = len(cone.facets)
+    theta_sides, a_sides = _sides(lattice, cone, theta), _sides(lattice, cone, a)
+    at = as_rat(lattice.pair(a, theta))
+    tt, aa = _square(lattice, cone, theta, theta_sides), _square(lattice, cone, a, a_sides)
+    # omega_t.x = a.x + t (theta - a).x, and
+    # omega_t^2 = a^2 + t (2 a.theta - 2 a^2) + t^2 (a^2 - 2 a.theta + theta^2)
+    slopes = [y - x for x, y in zip(a_sides, theta_sides)]
+    tw1, ww1, ww2 = tt - at, 2 * (at - aa), aa - 2 * at + tt
+    for t in ts:
+        omega_sides = [x + t * dx for x, dx in zip(a_sides, slopes)]
+        tw = at + t * tw1
+        ww = aa + t * (ww1 + t * ww2)
+        if cone.light_cone is not None:
+            omega_sides[k] = ww  # the light-cone side is omega_t^2, not an affine blend
+        yield _constants(cone, theta_sides, omega_sides, tt, tw, ww)
+
+
+def _sides(lattice: IntersectionLattice, cone: NefConeModel, d: DivClass) -> list[Fraction]:
+    return [as_rat(v) for v in _constraints(lattice, cone, d)]
+
+
+def _square(lattice: IntersectionLattice, cone: NefConeModel, d: DivClass,
+            sides: list[Fraction]) -> Fraction:
+    """d^2, read from d's sides when the light cone already paired it."""
     if cone.light_cone is None:
-        tt, ww = as_rat(lattice.self_int(theta)), as_rat(lattice.self_int(omega))
-    else:
-        tt, ww = theta_sides[k], omega_sides[k]
+        return as_rat(lattice.self_int(d))
+    return sides[len(cone.facets)]
+
+
+def _constants(cone: NefConeModel, theta_sides: list[Fraction], omega_sides: list[Fraction],
+               tt: Fraction, tw: Fraction, ww: Fraction) -> ConeConstants:
+    """The checks and the derivation of cone_constants, from paired values only.
+
+    Takes theta's and omega's sides (see _constraints), theta^2, theta.omega
+    and omega^2.  Linear bounds compare as Fractions; each light-cone root
+    enters with one strict comparison, so on a tie the facet keeps it.
+    """
     if not all(v > 0 for v in omega_sides):
         raise OmegaNotKahler("omega is not interior to the cone model")
     if ww == 0:
         raise ZeroVolume("omega^2 = 0")
     if ww < 0:
         raise OmegaNotKahler("omega^2 <= 0")
-    bounds = [(QuadNum(t / w), name)
-              for t, w, name in zip(theta_sides[:k], omega_sides[:k], cone.facet_labels)]
-    lower, upper = bounds, bounds
+    lower = upper = None
+    t_facet = s_facet = LIGHT_CONE
+    for t, w, name in zip(theta_sides, omega_sides, cone.facet_labels):
+        bound = t / w
+        if lower is None or bound < lower:
+            lower, t_facet = bound, name
+        if upper is None or bound > upper:
+            upper, s_facet = bound, name
+    T = QuadNum(lower) if lower is not None else None
+    sigma = QuadNum(upper) if upper is not None else None
     if cone.light_cone is not None:
         lo, hi = _light_cone_roots(tw, tt, ww)
-        lower, upper = bounds + [(lo, LIGHT_CONE)], bounds + [(hi, LIGHT_CONE)]
-    t_val, t_facet = min(lower, key=itemgetter(0))
-    s_val, s_facet = max(upper, key=itemgetter(0))
-    return ConeConstants(C=2 * tw / ww, sigma=s_val, T=t_val,
+        if T is None or lo < T:
+            T, t_facet = lo, LIGHT_CONE
+        if sigma is None or hi > sigma:
+            sigma, s_facet = hi, LIGHT_CONE
+    if T is None:
+        raise BadConeModel("no facets and no light-cone facet")
+    return ConeConstants(C=2 * tw / ww, sigma=sigma, T=T,
                          theta_kahler=all(v > 0 for v in theta_sides),
                          binding_facet_sigma=s_facet, binding_facet_T=t_facet)
 

@@ -87,6 +87,23 @@ def rat_sqrt(x: Fraction) -> "QuadNum":
     return QuadNum(0, coeff, d)
 
 
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Sign of a + b*sqrt(d) for a square-free d, in {-1, 0, +1}, exactly."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # opposite signs: compare a^2 against b^2 d
+    lhs, rhs = a * a, b * b * d
+    if a > 0:  # b < 0
+        return (lhs > rhs) - (lhs < rhs)
+    return (rhs > lhs) - (rhs < lhs)
+
+
 class QuadNum:
     """Real number a + b*sqrt(d), d square-free >= 0, with exact ordering.
 
@@ -113,6 +130,9 @@ class QuadNum:
     def __setattr__(self, name, value):  # immutable after __init__
         raise AttributeError("QuadNum is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return QuadNum, (self.a, self.b, self.d)
+
     # -- predicates ------------------------------------------------------
 
     @property
@@ -126,20 +146,7 @@ class QuadNum:
 
     def sign(self) -> int:
         """Sign of the real number, in {-1, 0, +1}, computed exactly."""
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 d
-        lhs, rhs = a * a, b * b * d
-        if a > 0:  # b < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return _sign(self.a, self.b, self.d)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -211,7 +218,11 @@ class QuadNum:
     # -- comparisons (total order of the denoted reals) -------------------
 
     def _cmp(self, other: Scalar) -> int:
-        return (self - other).sign()
+        """Sign of self - other, without building the difference."""
+        o = self._coerce(other)
+        if o is NotImplemented:
+            raise TypeError(f"cannot compare QuadNum with {type(other).__name__}")
+        return _sign(self.a - o.a, self.b - o.b, self._join_radicand(o))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (QuadNum, int, Fraction)):

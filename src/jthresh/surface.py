@@ -16,14 +16,14 @@ from fractions import Fraction
 
 # seshadri_T/sigma_inf re-exported beside surface_gamma (perfbench's tracer rebinds them)
 from .cones import (ConeConstants, NefConeModel, cone_constants, is_kahler, is_nef,
-                    seshadri_T, sigma_inf)  # noqa: F401
+                    segment_constants, seshadri_T, sigma_inf)  # noqa: F401
 from .errors import (ANotOnBoundary, BadParams, NegativeSelfIntersection,
                      OmegaNotKahler, ThetaNotKahler, ZeroVolume)
 from .exactnum import QuadNum, RatPoly, as_rat, poly_roots_quadratic, rat_sqrt
-from .lattice import DivClass, IntersectionLattice, segment
+from .lattice import DivClass, IntersectionLattice
 
 CSCK_CAVEAT = "requires discrete automorphism group"
-MAX_SAMPLES = 100_000  # largest path grid; each row is one full surface_gamma
+MAX_SAMPLES = 100_000  # largest path grid; each row is one cone_constants derivation
 
 
 class Status(str, enum.Enum):
@@ -228,22 +228,24 @@ class PathSample:
     solvable: bool
 
 
-def sample_path(lattice: IntersectionLattice, cone: NefConeModel,
-                theta: DivClass, a: DivClass, samples: int) -> list[PathSample]:
+def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClass,
+                a: DivClass, samples: int, analysis: PathAnalysis | None = None) -> list[PathSample]:
     """Evaluate the path at t = k/samples, k = 1..samples, in order.
 
-    Each gamma value goes through the full pipeline on omega_t; the
-    numerator column is the closed-form polynomial at the same t.
+    a and theta are paired once; each row's gamma = C - sigma then goes
+    through the checks and derivation of cone_constants, fed with omega_t's
+    pairings formed from those scalars.  The numerator column is the
+    closed-form polynomial at the same t.  analysis, when given, is
+    path_R(lattice, cone, theta, a) and is not computed again.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise BadParams(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
-    analysis = path_R(lattice, cone, theta, a)
+    if analysis is None:
+        analysis = path_R(lattice, cone, theta, a)
+    ts = [Fraction(k, samples) for k in range(1, samples + 1)]
     rows = []
-    for k in range(1, samples + 1):
-        t = Fraction(k, samples)
-        omega_t = segment(a, theta, t)
-        result = surface_gamma(lattice, cone, theta, omega_t)
+    for t, audit in zip(ts, segment_constants(lattice, cone, theta, a, ts)):
         num = as_rat(analysis.numerator(t))
-        rows.append(PathSample(t=t, r_numerator=num, gamma=result.value,
+        rows.append(PathSample(t=t, r_numerator=num, gamma=QuadNum(audit.C) - audit.sigma,
                                solvable=num > 0))
     return rows

@@ -158,6 +158,26 @@ class TestPathCommand:
                          "--samples", "x"], F1_DOC)
         assert code == 2 and out.decode().startswith("BadParams")
 
+    def test_sample_count_from_document(self):
+        for samples, rows in ((3, 3), (None, 100)):
+            doc = json.loads(F1_DOC)
+            doc["query"] = {"theta": "theta", "a": "H", "samples": samples}
+            payload = run_json(["path"], json.dumps(doc).encode())
+            assert (payload["samples"], len(payload["rows"])) == (rows, rows)
+
+    def test_one_path_analysis_per_command(self, monkeypatch):
+        from jthresh import cli, surface
+        calls, original = [], surface.path_R
+
+        def counting_path_r(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (cli, surface):
+            monkeypatch.setattr(module, "path_R", counting_path_r)
+        run_json(["path", "--theta", "theta", "--a", "H", "--samples", "5"], F1_DOC)
+        assert len(calls) == 1
+
     def test_samples_cap(self):
         argv = ["path", "--theta", "theta", "--a", "H", "--samples", "100001"]
         assert run(argv, F1_DOC) == (
@@ -329,6 +349,11 @@ MALFORMED = {
         "rank": True, "matrix": [["1"]]}}).encode(), "BadDocument"),
     **{name: (["validate"], _with(FAN_DOC, fan={**json.loads(FAN_DOC)["fan"], **fan}),
               "BadDocument") for name, fan in FAN_FIELDS.items()},
+    # falsy sample counts in the document once fell back to 100 rows
+    "query_samples_zero": (["path"], _with(F1_DOC, query={
+        "theta": "theta", "a": "H", "samples": 0}), "BadParams"),
+    "query_samples_bool": (["path"], _with(F1_DOC, query={
+        "theta": "theta", "a": "H", "samples": False}), "BadParams"),
 }
 
 
@@ -358,6 +383,15 @@ class TestMalformedInput:
         for name, message in expected.items():
             argv, stdin, _ = MALFORMED[name]
             assert run(argv, stdin) == (2, f"BadDocument: {message}\n".encode()), name
+
+    def test_query_sample_count_diagnostics(self):
+        expected = {
+            "query_samples_zero": "BadParams: samples must be between 1 and 100000, got 0",
+            "query_samples_bool": "BadParams: --samples must be an integer, got False",
+        }
+        for name, line in expected.items():
+            argv, stdin, _ = MALFORMED[name]
+            assert run(argv, stdin) == (2, f"{line}\n".encode()), name
 
     @pytest.mark.parametrize("name, line", [
         ("alpha_exponent", "BadParams: bad rational '1e2000000'"),

@@ -220,6 +220,12 @@ class TestReciprocityAndPathIdentities:
                 bumped, _ = seshadri_T(inst.lattice, inst.cone, theta + nu, omega)
                 assert bumped >= base
 
+    def test_empty_model_is_refused(self):
+        # validate_cone refuses it too; an unvalidated one must not reach min/max
+        with pytest.raises(BadConeModel, match="no facets and no light-cone facet"):
+            cone_constants(F1_LATTICE, NefConeModel(facets=[]), DivClass([2, -1]),
+                           DivClass([5, -1]))
+
     def test_constants_bundle(self):
         theta, omega = DivClass([2, -1]), DivClass([5, -1])
         cc = cone_constants(F1_LATTICE, F1_CONE, theta, omega)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -116,6 +118,21 @@ class TestQuadArithmetic:
         x = QuadNum(1, 1, 2)
         with pytest.raises(AttributeError):
             x.a = Fraction(2)
+
+    def test_copy_and_pickle(self):
+        for x in (QuadNum(Fraction(-3, 7)), QuadNum(Fraction(1, 2), Fraction(-5, 3), 7)):
+            for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert type(clone) is QuadNum
+                assert (clone.a, clone.b, clone.d) == (x.a, x.b, x.d)
+                with pytest.raises(AttributeError):
+                    clone.b = Fraction(0)
+
+    def test_comparison_with_other_types_is_refused(self):
+        x = QuadNum(1, 1, 2)
+        for other in (1.5, "1"):
+            with pytest.raises(TypeError):
+                x < other  # noqa: B015
+            assert x != other
 
 
 class TestSquarefree:

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from conftest import random_class, random_instance, random_kahler
+from conftest import random_class, random_instance, random_kahler, rnd_fraction
 from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
                      NefConeModel, PerfectCone, QuadNum, Status, c_constant,
                      csck_criterion, diagonal_lattice, is_kahler, is_solvable,
                      path_R, sample_path, segment, seshadri_T, stable_subcone,
                      surface_gamma)
-from jthresh.errors import (ANotOnBoundary, BadParams, OmegaNotKahler,
+from jthresh.cones import LIGHT_CONE, cone_constants, segment_constants
+from jthresh.errors import (ANotOnBoundary, BadParams, JThreshError, OmegaNotKahler,
                             ThetaNotKahler, ZeroVolume)
 from jthresh.surface import CSCK_CAVEAT, MAX_SAMPLES
 
@@ -81,6 +84,16 @@ class TestSurfaceGamma:
         assert not res2.audit.theta_kahler
         assert res2.value == Fraction(-13, 12) and res2.audit.T == Fraction(-1, 4)
         assert res2.status is Status.CONDITIONAL_EXACT
+
+    def test_results_copy_and_pickle(self):
+        lat = diagonal_lattice([1, -1, -1])
+        cone = NefConeModel(facets=[], light_cone=LightConeFacet(DivClass([1, 0, 0])))
+        for res in (surface_gamma(F1_LATTICE, F1_CONE, F1_THETA, F1_OMEGA),
+                    surface_gamma(lat, cone, DivClass([2, 1, 0]), DivClass([3, 0, 1]))):
+            for clone in (copy.deepcopy(res), pickle.loads(pickle.dumps(res))):
+                assert clone == res
+                assert _exact(clone.value) == _exact(res.value)
+        assert not res.value.is_rational  # 3/4 - sqrt(3)/4
 
     def test_one_pairing_table_per_query(self, monkeypatch):
         # theta and omega each pair once with every facet, plus theta^2,
@@ -272,6 +285,143 @@ class TestPathAnalysis:
             sample_path(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, 0]), 0)
         with pytest.raises(BadParams, match=f"between 1 and {MAX_SAMPLES}, got {MAX_SAMPLES + 1}"):
             sample_path(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, 0]), MAX_SAMPLES + 1)
+
+
+def _exact(q: QuadNum) -> tuple:
+    return q.a, q.b, q.d
+
+
+def _audit(cc) -> tuple:
+    return (cc.C, _exact(cc.sigma), _exact(cc.T), cc.theta_kahler,
+            cc.binding_facet_sigma, cc.binding_facet_T)
+
+
+def _outcome(compute) -> tuple:
+    try:
+        return _audit(compute())
+    except JThreshError as exc:
+        return type(exc), str(exc)
+
+
+# rank 2, light cone plus the facet D.(1,1) >= 0, which touches the light cone
+# along the null ray (1,1): wherever theta - delta*omega leaves the cone
+# through that ray, the facet and the light cone bind T together
+TIE_LATTICE = diagonal_lattice([1, -1])
+TIE_CONE = NefConeModel(facets=[DivClass([1, 1])],
+                        light_cone=LightConeFacet(DivClass([1, 0])))
+
+
+class TestPathOracle:
+    """sample_path against the per-row route: build omega_t, then surface_gamma."""
+
+    def _boundary_paths(self, rng: Random, count: int):
+        """(lattice, cone, theta, a) with a rational, on the boundary, a^2 and a.theta >= 0.
+
+        The last two make omega_t^2 > 0 for t in (0, 1], so every row has a
+        value.  Half come from random instances as a = theta - T*omega; there
+        a light cone binds T only at a null a, and then both roots of every
+        row are rational.  The other half put a inside the light cone on a
+        facet through it (a^2 > 0), where the roots are irrational.  gamma
+        itself stays rational (sigma = 1/t from a's facet), so the irrational
+        values are the rows' T.
+        """
+        found = []
+        while len(found) < count:
+            inst = random_instance(rng, light_cone=len(found) % 2 == 0)
+            theta, omega = random_kahler(rng, inst), random_kahler(rng, inst)
+            t_val, _ = seshadri_T(inst.lattice, inst.cone, theta, omega)
+            if not t_val.is_rational:
+                continue
+            a = theta - omega.scale(t_val.a)
+            if inst.lattice.self_int(a) >= 0 and inst.lattice.pair(a, theta) >= 0:
+                found.append((inst.lattice, inst.cone, theta, a))
+        while len(found) < 2 * count:
+            p, q = rng.randint(1, 5), rng.randint(1, 5)
+            lattice = diagonal_lattice([1, -p, -q])
+            a = DivClass([1, rnd_fraction(rng, -3, 3, 4), rnd_fraction(rng, -3, 3, 4)])
+            if a.coords[1] == 0 or not lattice.self_int(a) > 0:
+                continue
+            facet = DivClass([1, 1 / (p * a.coords[1]), 0])  # facet.a = 0, facet.H = 1
+            h = DivClass([1, 0, 0])
+            cone = NefConeModel(facets=[facet], light_cone=LightConeFacet(h))
+            theta = a + h.scale(Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+            if is_kahler(lattice, cone, theta):
+                found.append((lattice, cone, theta, a))
+        found.append((TIE_LATTICE, TIE_CONE, DivClass([3, 1]), DivClass([1, 1])))
+        return found
+
+    def test_rows_match_the_per_row_pipeline(self):
+        rng = Random(8313)
+        light = irrational = 0
+        for lattice, cone, theta, a in self._boundary_paths(rng, 40):
+            samples = rng.choice([1, 2, 3, 5, 8, 13])
+            ts = [Fraction(k, samples) for k in range(1, samples + 1)]
+            rows = sample_path(lattice, cone, theta, a, samples)
+            audits = list(segment_constants(lattice, cone, theta, a, ts))
+            assert [r.t for r in rows] == ts and len(audits) == samples
+            for row, audit in zip(rows, audits):
+                omega_t = segment(a, theta, row.t)
+                oracle = surface_gamma(lattice, cone, theta, omega_t)
+                assert _exact(row.gamma) == _exact(oracle.value)
+                assert _audit(audit) == _audit(oracle.audit)
+                irrational += not audit.T.is_rational
+            light += cone.light_cone is not None
+        assert light >= 40 and irrational >= 40
+
+    def test_the_facet_keeps_a_tie_with_the_light_cone(self):
+        # omega_t = (1+2t, 1): facet bound 1/t, light-cone roots 2/(1+t) <= 1/t,
+        # so sigma ties at every t and T at t = 1
+        theta, a = DivClass([3, 1]), DivClass([1, 1])
+        ts = [Fraction(k, 4) for k in range(1, 5)]
+        rows = sample_path(TIE_LATTICE, TIE_CONE, theta, a, 4)
+        audits = list(segment_constants(TIE_LATTICE, TIE_CONE, theta, a, ts))
+        for t, row, audit in zip(ts, rows, audits):
+            assert (audit.sigma, audit.binding_facet_sigma) == (1 / t, "f0")
+            assert audit.T == 2 / (1 + t)
+            assert audit.binding_facet_T == ("f0" if t == 1 else LIGHT_CONE)
+            assert row.gamma == audit.C - 1 / t
+
+    def test_every_check_runs_on_every_point(self):
+        # arbitrary a and t, so omega_t fails each check somewhere: the same
+        # exception class and message as cone_constants on the built class
+        rng = Random(8314)
+        cases = [(TIE_LATTICE, TIE_CONE, DivClass([3, 1]), DivClass([1, 1]))]
+        half_plane = NefConeModel(facets=[DivClass([1, 0])])
+        cases += [(TIE_LATTICE, half_plane, DivClass([2, 0]), DivClass([1, 1])),
+                  (TIE_LATTICE, half_plane, DivClass([2, 0]), DivClass([1, 2]))]
+        for _ in range(60):
+            inst = random_instance(rng)
+            cases.append((inst.lattice, inst.cone, random_class(rng, inst),
+                          random_class(rng, inst)))
+        ts = [Fraction(k, 4) for k in range(-4, 9)]
+        seen = set()
+        for lattice, cone, theta, a in cases:
+            for t in ts:
+                got = _outcome(lambda: next(segment_constants(lattice, cone, theta, a, [t])))
+                want = _outcome(lambda: cone_constants(lattice, cone, theta,
+                                                       segment(a, theta, t)))
+                assert got == want
+                seen.add(got[1] if isinstance(got[0], type) else "ok")
+        assert seen == {"ok", "omega is not interior to the cone model", "omega^2 = 0",
+                        "omega^2 <= 0"}
+
+    def test_rows_pair_nothing(self, monkeypatch):
+        calls = []
+        original = IntersectionLattice.pair
+
+        def counting_pair(lattice, x, y):
+            calls.append(1)
+            return original(lattice, x, y)
+
+        monkeypatch.setattr(IntersectionLattice, "pair", counting_pair)
+        rng = Random(8315)
+        for lattice, cone, theta, a in self._boundary_paths(rng, 2):
+            counts = []
+            for samples in (1, 1000):
+                calls.clear()
+                sample_path(lattice, cone, theta, a, samples)
+                counts.append(len(calls))
+            assert counts[0] == counts[1]
 
 
 class TestStableSubcone:
