@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # seshadri_T/sigma_inf re-exported beside surface_gamma (perfbench's tracer rebinds them)
-from .cones import (ConeConstants, NefConeModel, cone_constants, is_kahler, is_nef,
+from .cones import (ConeConstants, NefConeModel, _constraints, cone_constants, is_kahler,
                     segment_constants, seshadri_T, sigma_inf)  # noqa: F401
 from .errors import (ANotOnBoundary, BadParams, NegativeSelfIntersection,
                      OmegaNotKahler, ThetaNotKahler, ZeroVolume)
@@ -141,8 +141,9 @@ def is_solvable(lattice: IntersectionLattice, cone: NefConeModel,
 
 def _check_boundary_class(lattice: IntersectionLattice, cone: NefConeModel,
                           a: DivClass) -> Fraction:
-    """Validate a nef-but-not-interior class; returns its self-intersection."""
-    if not is_nef(lattice, cone, a) or is_kahler(lattice, cone, a):
+    """Validate a nef-but-not-interior class, pairing it once; returns its self-intersection."""
+    sides = _constraints(lattice, cone, a)
+    if not all(v >= 0 for v in sides) or all(v > 0 for v in sides):
         raise ANotOnBoundary("class must be nef but not interior")
     a2 = as_rat(lattice.self_int(a))
     if a2 < 0:
@@ -236,12 +237,16 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
     through the checks and derivation of cone_constants, fed with omega_t's
     pairings formed from those scalars.  The numerator column is the
     closed-form polynomial at the same t.  analysis, when given, is
-    path_R(lattice, cone, theta, a) and is not computed again.
+    path_R(lattice, cone, theta, a) and is not computed again.  Rows need
+    rational theta and a; an irrational one is refused before any row.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise BadParams(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
     if analysis is None:
         analysis = path_R(lattice, cone, theta, a)
+    for name, cls in (("theta", theta), ("a", a)):
+        if not all(isinstance(x, Fraction) or x.is_rational for x in cls.coords):
+            raise BadParams(f"path rows need rational classes, got {name} = {cls!r}")
     ts = [Fraction(k, samples) for k in range(1, samples + 1)]
     rows = []
     for t, audit in zip(ts, segment_constants(lattice, cone, theta, a, ts)):

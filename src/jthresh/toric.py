@@ -5,32 +5,36 @@ maximal cones; a divisor class is a :class:`DivClass`, one coefficient per
 ray.  The constructor validates: unimodularity of every maximal cone, the
 wall condition (every ridge shared by exactly two maximal cones, lying on
 opposite sides) and that a generic point is covered exactly once; together
-these certify a smooth complete fan with compatible faces.  Validation, the
-rewrite characters and ``canonicalize`` all read one integer fraction-free
-elimination (``_eliminate``), validation once per maximal cone (its dual basis).
+these certify a smooth complete fan with compatible faces.  Validation
+computes each maximal cone's dual basis once, by the one fraction-free
+elimination (``_eliminate``, which ``canonicalize`` also reads), and the
+``Fan`` keeps those bases; it holds no query state.
 
-The intersection engine evaluates products of invariant divisors by the
-standard recursion: distinct rays spanning a cone contribute 1, distinct
-rays not spanning a cone kill the term, and a repeated ray is rewritten
-through a character that is -1 on it and 0 on the other rays of an ambient
-maximal cone.  Orbit-closure integrals seed the recursion at the orbit's cone.
-Each query builds one table over its classes (``_Intersections``) that
-memoizes every orbit integral on (cone as a frozenset, sorted tuple of class
-indices) and every rewrite relation on (ambient maximal cone, ray); the
-:class:`Fan` itself holds no query state.  ``toric_gamma`` derives the
-ampleness checks, T, C and every orbit score from one such table.
+Intersection numbers come from localization at the torus-fixed points
+(Brion; Cox-Little-Schenck, ch. 12-13).  At the fixed point of a maximal cone
+sigma the tangent weights are sigma's dual basis (m_rho) and D = sum a_j D_j
+restricts to sum_{rho in sigma} a_rho m_rho.  For every cone tau and classes
+D_1..D_p, p = dim V(tau), int_{V(tau)} D_1...D_p is the sum over maximal
+sigma containing tau of prod_k <D_k|sigma, c> / prod_{rho in sigma - tau} <m_rho, c>,
+for any c with no <m_rho, c> = 0; c = (1, N, ..., N^(n-1)) with
+N = 1 + max |dual entry| is one, since base-N digits are unique.  One pass
+over (maximal cone, face) pairs gives int_V omega^p and int_V theta omega^(p-1)
+on every orbit closure (``_orbit_integrals``), and ``toric_gamma`` reads the
+ampleness checks, T, C and every orbit score from that one table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 from random import Random
 from typing import Sequence
 
 from .errors import (BadFace, FanInvalid, NonPrimitiveRay, NotComplete,
                      NotSmooth, OmegaNotAmpleOnOrbit, OmegaNotKahler, WrongArity)
+from .exactnum import Scalar
 from .lattice import DivClass
 from .surface import Status
 
@@ -62,14 +66,17 @@ def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[int], int, list[list
     return pivots, d, m
 
 
-def _unimodular_dual(rays: Sequence[Sequence[int]]) -> list[list[int]] | None:
+Dual = tuple[tuple[int, ...], ...]
+
+
+def _unimodular_dual(rays: Sequence[Sequence[int]]) -> Dual | None:
     """Dual basis of n rays in Z^n, <m_k, rays[l]> = [k == l]; None unless |det| = 1."""
     n = len(rays)
     pivots, d, rows = _eliminate([list(col) + [int(i == j) for j in range(n)]
                                   for i, col in enumerate(zip(*rays))])
     if pivots[-1] != n - 1 or abs(d) != 1:
         return None
-    return [[d * x for x in row[n:]] for row in rows]
+    return tuple(tuple(d * x for x in row[n:]) for row in rows)
 
 
 def _dot(m: Sequence[int], u: Sequence[int]) -> int:
@@ -88,10 +95,10 @@ class Fan:
 
     Ray indices are 0-based everywhere, including in documents.  The
     constructor refuses non-integer data and runs :func:`validate_fan`, so
-    every ``Fan`` is valid; it is immutable and holds no query state.
+    every ``Fan`` is valid; it is immutable and keeps the maximal cones' dual bases.
     """
 
-    __slots__ = ("dim", "rays", "max_cones", "_max_cone_sets")
+    __slots__ = ("dim", "rays", "max_cones", "_max_cone_sets", "_duals")
 
     def __init__(self, dim: int, rays: Sequence[Sequence[int]],
                  max_cones: Sequence[Sequence[int]]):
@@ -101,7 +108,7 @@ class Fan:
         init(self, "max_cones", tuple(tuple(sorted(_integer(i, "cone index") for i in cone))
                                       for cone in max_cones))
         init(self, "_max_cone_sets", tuple(frozenset(c) for c in self.max_cones))
-        validate_fan(self)
+        init(self, "_duals", validate_fan(self))
 
     def __setattr__(self, name, value):  # immutable after __init__
         raise AttributeError("Fan is immutable")
@@ -115,24 +122,19 @@ class Fan:
         """True if the index set spans a cone of the fan (simplicial faces)."""
         return any(rays <= mc for mc in self._max_cone_sets)
 
-    def _ambient_max_cone(self, sigma: frozenset[int]) -> tuple[int, ...]:
-        """Deterministic choice: lex-least maximal cone containing sigma."""
-        best = min((c for c, s in zip(self.max_cones, self._max_cone_sets)
-                    if sigma <= s), default=None)
-        if best is None:
-            raise BadFace(f"rays {sorted(sigma)} do not span a cone of the fan")
-        return best
-
     def rewrite_terms(self, sigma: frozenset[int], i: int) -> tuple[tuple[int, int], ...]:
         """Replacement of divisor i, repeated inside sigma, by outside divisors.
 
         Uses the character m with <m, u_i> = -1 and <m, u_k> = 0 for the
-        other rays of the ambient maximal cone (minus u_i's dual vector); the
-        relation sum_j <m,u_j> D_j then expresses D_i through rays outside it.
+        other rays of the ambient maximal cone, the lex-least one containing
+        sigma (minus u_i's dual vector); the relation sum_j <m,u_j> D_j then
+        expresses D_i through rays outside it.
         """
-        smax = self._ambient_max_cone(sigma)
-        dual = _unimodular_dual([self.rays[k] for k in smax])
-        assert dual is not None  # maximal cones are unimodular
+        ambient = min(((c, d) for c, s, d in zip(self.max_cones, self._max_cone_sets,
+                                                 self._duals) if sigma <= s), default=None)
+        if ambient is None:
+            raise BadFace(f"rays {sorted(sigma)} do not span a cone of the fan")
+        smax, dual = ambient
         m = dual[smax.index(i)]
         coeffs = ((j, -_dot(m, self.rays[j])) for j in range(len(self.rays)) if j not in smax)
         return tuple((j, c) for j, c in coeffs if c != 0)
@@ -147,8 +149,8 @@ class Fan:
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
 
-def validate_fan(fan: Fan) -> None:
-    """Smoothness, completeness and face compatibility; ``Fan.__init__`` runs it."""
+def validate_fan(fan: Fan) -> tuple[Dual, ...]:
+    """Smoothness, completeness, face compatibility; the maximal cones' dual bases, in order."""
     n = fan.dim
     if n < 1:
         raise FanInvalid("dimension must be positive")
@@ -163,7 +165,7 @@ def validate_fan(fan: Fan) -> None:
         if g != 1:
             raise NonPrimitiveRay(f"ray {ray} has content {g}")
     used: set[int] = set()
-    duals: dict[tuple[int, ...], list[list[int]]] = {}
+    duals: dict[tuple[int, ...], Dual] = {}
     for cone in fan.max_cones:
         if len(cone) != n or len(set(cone)) != n:
             raise NotSmooth(f"maximal cone {cone} does not have {n} distinct rays")
@@ -196,10 +198,12 @@ def validate_fan(fan: Fan) -> None:
         if _dot(duals[cone][cone.index(drop)], fan.rays[extra]) >= 0:
             raise BadFace(f"maximal cones at ridge {ridge} are on the same side")
 
-    _generic_cover_check(fan, list(duals.values()))
+    bases = tuple(duals.values())  # the cones are distinct: one basis per cone, in order
+    _generic_cover_check(fan, bases)
+    return bases
 
 
-def _generic_cover_check(fan: Fan, duals: Sequence[list[list[int]]]) -> None:
+def _generic_cover_check(fan: Fan, duals: Sequence[Dual]) -> None:
     """A generic point must lie in the interior of exactly one maximal cone.
 
     Combined with the wall condition this pins down degree one everywhere:
@@ -225,57 +229,61 @@ def _generic_cover_check(fan: Fan, duals: Sequence[list[list[int]]]) -> None:
     raise FanInvalid("could not find a generic sample point")  # pragma: no cover
 
 
-class _Intersections:
-    """Orbit integrals of products of one query's classes, memoized.
+Table = dict[tuple[int, ...], tuple[Scalar, Scalar]]
 
-    A word is a sorted tuple of indices into ``classes``; the integral of a
-    word over V(sigma) is memoized on (sigma, word), and each rewrite
-    relation on (ambient maximal cone, ray).  Build one table per query.
+
+def _fixed_points(fan: Fan, classes: Sequence[DivClass]) -> list[tuple]:
+    """(sigma, tangent weights <m_rho, c>, each class's <D|sigma, c>) per maximal cone sigma."""
+    for cls in classes:
+        if len(cls) != len(fan.rays):
+            raise WrongArity("one coefficient per ray required")
+    base = 1 + max(abs(x) for dual in fan._duals for m in dual for x in m)
+    c = [base ** i for i in range(fan.dim)]
+    weights = [[_dot(m, c) for m in dual] for dual in fan._duals]
+    return [(cone, w, [sum(cls.coords[j] * x for j, x in zip(cone, w)) for cls in classes])
+            for cone, w in zip(fan.max_cones, weights)]
+
+
+def _orbit_integrals(fan: Fan, theta: DivClass, omega: DivClass,
+                     sizes: Sequence[int] | None = None) -> Table:
+    """(int_V omega^p, int_V theta omega^(p-1)) on V(tau) for every cone tau, p = dim V(tau).
+
+    tau runs over the cones with len(tau) in ``sizes`` (default: all, the
+    empty cone included); the second entry is 0 when p = 0.  Each maximal
+    cone contributes to each of its faces: one pass, nothing memoized.
     """
+    n = fan.dim
+    table: Table = {}
+    for cone, weights, (t, w) in _fixed_points(fan, [theta, omega]):
+        powers = [Fraction(1)]  # w^p for p = 0..n
+        for _ in range(n):
+            powers.append(powers[-1] * w)
+        for size in range(n + 1) if sizes is None else sizes:
+            p = n - size
+            mixed_power = t * powers[p - 1] if p else Fraction(0)
+            for inside in combinations(range(n), size):  # tau's rays, as positions in sigma
+                tau = tuple(cone[i] for i in inside)
+                normal = prod(x for i, x in enumerate(weights) if i not in inside)
+                vol, mixed = table.get(tau, (0, 0))
+                table[tau] = (vol + powers[p] / normal, mixed + mixed_power / normal)
+    return table
 
-    def __init__(self, fan: Fan, classes: Sequence[DivClass]):
-        for cls in classes:
-            if len(cls) != len(fan.rays):
-                raise WrongArity("one coefficient per ray required")
-        self.fan = fan
-        self.terms = [[(j, c) for j, c in enumerate(cls.coords) if c] for cls in classes]
-        self.c: Fraction | None = None  # C of a (theta, omega) table, see _c_constant_toric
-        self._memo: dict[tuple[frozenset[int], tuple[int, ...]], Fraction] = {}
-        self._relations: dict[tuple[tuple[int, ...], int], tuple[tuple[int, int], ...]] = {}
 
-    def integral(self, sigma: frozenset[int], word: tuple[int, ...]) -> Fraction:
-        """Integral over V(sigma) of the product of the classes in ``word``."""
-        if not word:
-            return Fraction(1)
-        value = self._memo.get((sigma, word))
-        if value is None:
-            value, tail = Fraction(0), word[1:]
-            for i, coeff in self.terms[word[0]]:
-                # a ray already in sigma is first rewritten through rays outside it
-                for j, c in self._relation(sigma, i) if i in sigma else ((i, 1),):
-                    grown = sigma | {j}
-                    if self.fan.is_face(grown):
-                        value += coeff * c * self.integral(grown, tail)
-            self._memo[sigma, word] = value
-        return value
-
-    def _relation(self, sigma: frozenset[int], i: int) -> tuple[tuple[int, int], ...]:
-        key = (self.fan._ambient_max_cone(sigma), i)
-        terms = self._relations.get(key)
-        if terms is None:
-            terms = self._relations[key] = self.fan.rewrite_terms(sigma, i)
-        return terms
-
-    def curve_degrees(self, curves: Sequence[tuple[int, ...]], k: int) -> list[Fraction]:
-        """Degree of class k on each invariant curve."""
-        return [self.integral(frozenset(tau), (k,)) for tau in curves]
+def _curve_degrees(fan: Fan, theta: DivClass, omega: DivClass,
+                   table: Table | None = None) -> tuple[list[Scalar], list[Scalar]]:
+    """Degrees of theta and of omega on each invariant curve V(tau), len(tau) = dim - 1."""
+    if table is None:
+        table = _orbit_integrals(fan, theta, omega, [fan.dim - 1])
+    curves = [degrees for tau, degrees in table.items() if len(tau) == fan.dim - 1]
+    return [t for _, t in curves], [w for w, _ in curves]
 
 
 def intersection_number(fan: Fan, classes: Sequence[DivClass]) -> Fraction:
     """Exact top intersection product of dim-many invariant divisor classes."""
     if len(classes) != fan.dim:
         raise WrongArity(f"expected {fan.dim} classes, got {len(classes)}")
-    return _Intersections(fan, classes).integral(frozenset(), tuple(range(fan.dim)))
+    return sum((prod(chars) / prod(weights) for _, weights, chars in _fixed_points(fan, classes)),
+               Fraction(0))
 
 
 def canonicalize(fan: Fan, cls: DivClass) -> DivClass:
@@ -305,28 +313,22 @@ def enumerate_orbits(fan: Fan) -> list[tuple[int, ...]]:
 
 
 def invariant_curves(fan: Fan) -> list[tuple[int, ...]]:
-    """Cones of dimension dim-1 (the invariant curves of the variety)."""
-    return _curves(fan, enumerate_orbits(fan))
-
-
-def _curves(fan: Fan, orbits: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Cones tau of the invariant curves V(tau): dimension dim-1, so () if dim is 1."""
-    return [()] if fan.dim == 1 else [tau for tau in orbits if len(tau) == fan.dim - 1]
+    return [tau for tau in [()] + enumerate_orbits(fan) if len(tau) == fan.dim - 1]
 
 
 def is_ample(fan: Fan, d: DivClass) -> bool:
     """Strict positivity against every invariant curve (toric Kleiman)."""
-    return all(x > 0 for x in _Intersections(fan, [d]).curve_degrees(invariant_curves(fan), 0))
+    return all(x > 0 for x in _curve_degrees(fan, d, d)[1])
 
 
 def is_nef_toric(fan: Fan, d: DivClass) -> bool:
-    return all(x >= 0 for x in _Intersections(fan, [d]).curve_degrees(invariant_curves(fan), 0))
+    return all(x >= 0 for x in _curve_degrees(fan, d, d)[1])
 
 
 def toric_seshadri_T(fan: Fan, theta: DivClass, omega: DivClass) -> Fraction:
     """sup{delta : theta - delta*omega nef}, from the invariant-curve bounds."""
-    table, curves = _Intersections(fan, [theta, omega]), invariant_curves(fan)
-    return _seshadri_bound(table.curve_degrees(curves, 0), table.curve_degrees(curves, 1))
+    return _seshadri_bound(*_curve_degrees(fan, theta, omega))
 
 
 def _seshadri_bound(theta_deg: list[Fraction], omega_deg: list[Fraction]) -> Fraction:
@@ -366,35 +368,27 @@ class ToricGammaResult:
     caveat: str = AUTOMORPHISM_CAVEAT
 
 
-def _c_constant_toric(fan: Fan, theta: DivClass, omega: DivClass, *,
-                      table: _Intersections | None = None) -> Fraction:
-    """C = n int theta omega^(n-1) / int omega^n, once per (theta, omega) table."""
-    table = table or _Intersections(fan, [theta, omega])
-    if table.c is None:
-        n = fan.dim
-        vol = table.integral(frozenset(), (1,) * n)
-        if vol <= 0:
-            raise OmegaNotKahler(f"omega^n = {vol} <= 0")
-        table.c = n * table.integral(frozenset(), (0,) + (1,) * (n - 1)) / vol
-    return table.c
+def _c_constant_toric(fan: Fan, table: Table) -> Scalar:
+    """C = n int theta omega^(n-1) / int omega^n, read at the table's empty cone."""
+    vol, mixed = table[()]
+    if vol <= 0:
+        raise OmegaNotKahler(f"omega^n = {vol} <= 0")
+    return fan.dim * mixed / vol
 
 
 def subvariety_score(fan: Fan, theta: DivClass, omega: DivClass,
-                     sigma: Sequence[int], *,
-                     table: _Intersections | None = None) -> SubvarietyScore:
+                     sigma: Sequence[int], *, table: Table | None = None) -> SubvarietyScore:
     """Exact score of the orbit closure of sigma; ``table`` is the query's (theta, omega) table."""
-    sigma = tuple(sorted(sigma))
-    cone = frozenset(sigma)
-    if not (1 <= len(sigma) <= fan.dim) or not fan.is_face(cone):
+    sigma, cone = tuple(sorted(sigma)), frozenset(sigma)
+    if not 1 <= len(cone) == len(sigma) <= fan.dim or not fan.is_face(cone):
         raise BadFace(f"rays {list(sigma)} do not span a positive-dimension cone")
-    table = table or _Intersections(fan, [theta, omega])
+    if table is None:
+        table = _orbit_integrals(fan, theta, omega, [0, len(sigma)])
     p = fan.dim - len(sigma)
-    vol = table.integral(cone, (1,) * p)
+    vol, mixed = table[sigma]
     if vol <= 0:
         raise OmegaNotAmpleOnOrbit(f"int_V omega^{p} = {vol} on orbit {sigma}")
-    c = _c_constant_toric(fan, theta, omega, table=table)
-    mixed = table.integral(cone, (0,) + (1,) * (p - 1)) if p >= 1 else Fraction(0)
-    numerator = c * vol - p * mixed
+    numerator = _c_constant_toric(fan, table) * vol - p * mixed
     denominator = (fan.dim - p) * vol
     return SubvarietyScore(cone=sigma, p=p, numerator=numerator,
                            denominator=denominator, value=numerator / denominator)
@@ -409,13 +403,13 @@ def toric_gamma(fan: Fan, theta: DivClass, omega: DivClass) -> ToricGammaResult:
     bound computed from the fan's own invariant curves.  One table serves
     the whole query: curve degrees, C and every orbit score.
     """
-    table, orbits = _Intersections(fan, [theta, omega]), enumerate_orbits(fan)
-    curves = _curves(fan, orbits)
-    theta_deg, omega_deg = table.curve_degrees(curves, 0), table.curve_degrees(curves, 1)
+    table = _orbit_integrals(fan, theta, omega)
+    theta_deg, omega_deg = _curve_degrees(fan, theta, omega, table)
     if not all(x > 0 for x in omega_deg):
         raise OmegaNotKahler("omega is not ample")
-    c = _c_constant_toric(fan, theta, omega, table=table)
-    scores = tuple(subvariety_score(fan, theta, omega, sigma, table=table) for sigma in orbits)
+    c = _c_constant_toric(fan, table)
+    scores = tuple(subvariety_score(fan, theta, omega, sigma, table=table)
+                   for sigma in enumerate_orbits(fan))
     best = min(scores, key=lambda s: s.value)  # first minimum in orbit order
     if all(x > 0 for x in theta_deg):
         status = Status.SOLVABLE if best.value > 0 else Status.EXACT_UNSTABLE

@@ -1,10 +1,12 @@
-"""Shared random-instance generators for the property and acceptance tests.
+"""Shared random-instance generators and test-only oracles.
 
 Instances are drawn from seeded PRNGs so every run is deterministic.  A
 "validated instance" is a lattice of signature (1, r-1) together with a
 cone model that provably contains interior classes; half the instances are
 expressed in a sheared integer basis so the signature routine sees
-non-diagonal matrices.
+non-diagonal matrices.  For toric manifolds, ``RecursionOracle`` is a second
+route to orbit integrals, and ``toric_surface_model`` turns a smooth complete
+fan of dimension 2 into a lattice model of the same surface.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
-                     NefConeModel, diagonal_lattice, is_kahler,
-                     validate_signature)
-from jthresh.toric import _unimodular_dual
+from jthresh import (DivClass, Fan, IntersectionLattice, LightConeFacet,
+                     NefConeModel, canonicalize, diagonal_lattice,
+                     intersection_number, is_kahler, validate_signature)
+from jthresh.toric import _eliminate, _unimodular_dual
 
 
 def rnd_fraction(rng: Random, lo: int = -6, hi: int = 6, max_den: int = 4) -> Fraction:
@@ -120,3 +122,81 @@ def random_class(rng: Random, inst: Instance) -> DivClass:
     """An arbitrary (possibly wildly non-positive) class."""
     rank = inst.lattice.rank
     return inst.to_coords([rnd_fraction(rng, -5, 5, 4) for _ in range(rank)])
+
+
+class RecursionOracle:
+    """Orbit integrals of products of classes by the rewrite recursion.
+
+    Distinct rays spanning a cone contribute 1, distinct rays not spanning a
+    cone kill the term, and a ray already in the cone is first rewritten
+    through rays outside it (``Fan.rewrite_terms``); ``integral(sigma, word)``
+    is the integral over V(sigma) of the classes indexed by ``word``.  It
+    shares nothing with the fixed-point engine but the fan's dual bases.
+    """
+
+    def __init__(self, fan: Fan, classes):
+        self.fan = fan
+        self.terms = [[(j, c) for j, c in enumerate(cls.coords) if c] for cls in classes]
+        self.memo: dict = {}
+
+    def integral(self, sigma: frozenset, word: tuple) -> Fraction:
+        if not word:
+            return Fraction(1)
+        if (sigma, word) not in self.memo:
+            value = Fraction(0)
+            for i, coeff in self.terms[word[0]]:
+                for j, c in self.fan.rewrite_terms(sigma, i) if i in sigma else ((i, 1),):
+                    grown = sigma | {j}
+                    if self.fan.is_face(grown):
+                        value += coeff * c * self.integral(grown, word[1:])
+            self.memo[sigma, word] = value
+        return self.memo[sigma, word]
+
+
+def blowup_fan(rng: Random) -> tuple[Fan, DivClass]:
+    """P^2 or some F_a blown up at 0-5 torus-fixed points, and an ample class on it.
+
+    Blowing up the fixed point of the cone (u_i, u_(i+1)) inserts the ray
+    u_i + u_(i+1) between them; every smooth complete toric surface arises
+    this way (Fulton, section 2.5).  The ample class D = sum a_j D_j becomes
+    2 pi^*D - E, whose coefficient on the new ray is 2 (a_i + a_(i+1)) - 1:
+    doubling makes both edges of D's polygon at that vertex longer than 1.
+    """
+    if rng.random() < 0.2:
+        rays, ample = [(1, 0), (0, 1), (-1, -1)], [1, 0, 0]
+    else:
+        a = rng.randint(0, 3)
+        rays, ample = [(1, 0), (0, 1), (-1, a), (0, -1)], [a + 1, 1, 0, 0]
+    for _ in range(rng.randint(0, 5)):
+        i = rng.randrange(len(rays))
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        e = 2 * (ample[i] + ample[(i + 1) % len(rays)]) - 1
+        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+        ample = [2 * x for x in ample[:i + 1]] + [e] + [2 * x for x in ample[i + 1:]]
+    k = len(rays)
+    return Fan(2, rays, [(i, (i + 1) % k) for i in range(k)]), DivClass(ample)
+
+
+def toric_surface_model(fan: Fan):
+    """(lattice, cone, to_lattice): the surface of a 2-d fan as a lattice model.
+
+    The basis is the D_j of the rays that are not pivots of ``canonicalize``,
+    with Gram entries D_j.D_k; ``to_lattice`` reads a toric class's canonical
+    representative on that basis.  Facet i is D_i, labelled "D<i>", so
+    pair(facet i, x) = D_i.x and, by toric Kleiman, the cone is the nef cone.
+    """
+    pivots = _eliminate([list(col) for col in zip(*fan.rays)])[0]
+    free = [j for j in range(len(fan.rays)) if j not in pivots]
+
+    def ray(j):
+        return DivClass([int(i == j) for i in range(len(fan.rays))])
+
+    def to_lattice(cls: DivClass) -> DivClass:
+        coords = canonicalize(fan, cls).coords
+        return DivClass([coords[j] for j in free])
+
+    lattice = IntersectionLattice([[intersection_number(fan, [ray(j), ray(k)]) for k in free]
+                                   for j in free])
+    cone = NefConeModel(facets=[to_lattice(ray(i)) for i in range(len(fan.rays))],
+                        facet_labels=[f"D{i}" for i in range(len(fan.rays))])
+    return lattice, cone, to_lattice

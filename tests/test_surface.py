@@ -10,11 +10,12 @@ from random import Random
 import pytest
 
 from conftest import random_class, random_instance, random_kahler, rnd_fraction
+from jthresh import surface
 from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
-                     NefConeModel, PerfectCone, QuadNum, Status, c_constant,
-                     csck_criterion, diagonal_lattice, is_kahler, is_solvable,
-                     path_R, sample_path, segment, seshadri_T, stable_subcone,
-                     surface_gamma)
+                     NefConeModel, PerfectCone, QuadNum, Status, build,
+                     c_constant, csck_criterion, diagonal_lattice, is_kahler,
+                     is_solvable, path_R, sample_path, segment, seshadri_T,
+                     stable_subcone, surface_gamma)
 from jthresh.cones import LIGHT_CONE, cone_constants, segment_constants
 from jthresh.errors import (ANotOnBoundary, BadParams, JThreshError, OmegaNotKahler,
                             ThetaNotKahler, ZeroVolume)
@@ -422,6 +423,44 @@ class TestPathOracle:
                 sample_path(lattice, cone, theta, a, samples)
                 counts.append(len(calls))
             assert counts[0] == counts[1]
+
+    def test_one_path_pairs_each_class_once(self, monkeypatch):
+        # path_R pairs theta, a (once, for both the nef and the interior check),
+        # a^2 and theta^2; the rows pair theta, a and a.theta: 4k + 11 pairs
+        # with k facets and a light cone
+        calls, original = [], IntersectionLattice.pair
+
+        def counting_pair(lattice, x, y):
+            calls.append(1)
+            return original(lattice, x, y)
+
+        entry = build("blowup_path", {})
+        named = entry.named_classes
+        paths = [(entry.lattice, entry.cone, named["theta"], named["a"])]
+        paths += [path for path in self._boundary_paths(Random(8316), 4)
+                  if path[1].light_cone is not None]
+        monkeypatch.setattr(IntersectionLattice, "pair", counting_pair)
+        counts = []
+        for lattice, cone, theta, a in paths:
+            calls.clear()
+            sample_path(lattice, cone, theta, a, 7, path_R(lattice, cone, theta, a))
+            counts.append((len(cone.facets), len(calls)))
+        assert counts[0] == (1, 15)
+        assert len(counts) > 4 and all(pairs == 4 * k + 11 for k, pairs in counts)
+
+    def test_irrational_boundary_class_is_refused(self, monkeypatch):
+        entry = build("blowup_path", {})
+        lattice, cone, theta = entry.lattice, entry.cone, entry.named_classes["theta"]
+        a = DivClass([QuadNum(0, 1, 3), 0])  # sqrt(3) H, accepted by path_R
+        assert path_R(lattice, cone, theta, a).a_selfint == 3
+
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(surface, "segment_constants", no_rows)
+        with pytest.raises(BadParams) as info:
+            sample_path(lattice, cone, theta, a, 10)
+        assert str(info.value) == "path rows need rational classes, got a = (sqrt(3), 0)"
 
 
 class TestStableSubcone:

@@ -15,6 +15,7 @@ from random import Random
 
 import pytest
 
+from conftest import RecursionOracle, blowup_fan, toric_surface_model
 from jthresh import toric
 from jthresh import (DivClass, Fan, NefConeModel, QuadNum, Status,
                      canonicalize, classes_equivalent, diagonal_lattice,
@@ -51,6 +52,9 @@ def hirzebruch(a: int) -> Fan:
 
 F1 = hirzebruch(1)
 P1 = Fan(1, [(1,), (-1,)], [(0,), (1,)])
+# P^3 blown up at a point: rays 3 and 4 are -(1,1,1) and the exceptional (1,1,1)
+P3_BLOWUP = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)],
+                [(0, 1, 4), (0, 2, 4), (1, 2, 4), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 F1_H = DivClass([0, 0, 0, 1])
 F1_E = DivClass([0, 1, 0, 0])
@@ -193,8 +197,7 @@ class TestIntersectionNumbers:
     def test_point_blowup_of_threefold(self):
         # classical values: pullback hyperplane H and exceptional divisor E
         # satisfy H^3 = 1, E^3 = 1, mixed products 0, (H - E)^3 = 0
-        fan = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)],
-                  [(0, 1, 4), (0, 2, 4), (1, 2, 4), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        fan = P3_BLOWUP
         h = DivClass([0, 0, 0, 1, 0])
         e = DivClass([0, 0, 0, 0, 1])
         assert intersection_number(fan, [h, h, h]) == 1
@@ -531,31 +534,109 @@ class TestClosedForms:
                 assert s.value == sum(ratio[i] for i in fixed) / len(fixed), s.cone
 
 
+def _small_class(rng: Random, fan: Fan) -> DivClass:
+    return DivClass([Fraction(rng.randint(-3, 4), rng.randint(1, 3)) for _ in fan.rays])
+
+
+class TestFixedPointOracle:
+    """The fixed-point engine against the rewrite recursion of conftest.RecursionOracle.
+
+    Every orbit's int_V omega^p and int_V theta omega^(p-1), and top
+    intersection numbers of random classes, on P^1-P^6, (P^1)^1-(P^1)^5,
+    F_0-F_3, the point blowup of P^3 and seeded blowups of F_a and P^2.
+    """
+
+    FANS = ([projective_space(n) for n in range(1, 7)] + [p1_power(n) for n in range(1, 6)]
+            + [hirzebruch(a) for a in range(4)] + [P3_BLOWUP])
+    NAMES = ([f"P{n}" for n in range(1, 7)] + [f"P1^{n}" for n in range(1, 6)]
+             + [f"F{a}" for a in range(4)] + ["P3_blowup"])
+
+    @staticmethod
+    def _check(rng: Random, fan: Fan):
+        n, theta, omega = fan.dim, _small_class(rng, fan), _small_class(rng, fan)
+        table = toric._orbit_integrals(fan, theta, omega)
+        assert set(table) == {()} | set(enumerate_orbits(fan))
+        oracle = RecursionOracle(fan, [theta, omega])
+        for tau, (vol, mixed) in table.items():
+            p, cone = n - len(tau), frozenset(tau)
+            assert vol == oracle.integral(cone, (1,) * p), tau
+            assert mixed == (oracle.integral(cone, (0,) + (1,) * (p - 1)) if p else 0), tau
+        classes = [_small_class(rng, fan) for _ in range(n)]
+        top = RecursionOracle(fan, classes).integral(frozenset(), tuple(range(n)))
+        assert intersection_number(fan, classes) == top
+
+    @pytest.mark.parametrize("fan", FANS, ids=NAMES)
+    def test_named_fans(self, fan):
+        rng = Random(8900 + len(fan.rays) * 10 + fan.dim)
+        for _ in range(2):
+            self._check(rng, fan)
+
+    def test_random_blowups(self):
+        rng = Random(8901)
+        for _ in range(120):
+            self._check(rng, blowup_fan(rng)[0])
+
+
+class TestSurfaceModels:
+    """Lattice route against toric route on smooth complete toric surfaces.
+
+    conftest.toric_surface_model makes the lattice model of a 2-d fan.  On a
+    surface the orbit points score C/2, which never beats C - sigma, so both
+    routes must agree on value, status, C and T, and the minimum is a curve
+    D_i whose facet binds sigma.
+    """
+
+    def test_blowups_agree(self):
+        rng = Random(8910)
+        statuses = set()
+        for _ in range(220):
+            fan, ample = blowup_fan(rng)
+            assert is_ample(fan, ample)
+            lattice, cone, to_lattice = toric_surface_model(fan)
+            omega = ample.scale(Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+            bumped = omega + _small_class(rng, fan).scale(Fraction(1, 4))
+            omega = bumped if is_ample(fan, bumped) else omega
+            theta = _small_class(rng, fan)
+            if rng.random() < 0.5:
+                theta = theta.scale(Fraction(1, 4)) + ample.scale(rng.randint(0, 2))
+            tor = toric_gamma(fan, theta, omega)
+            theta_l, omega_l = to_lattice(theta), to_lattice(omega)
+            surf = surface_gamma(lattice, cone, theta_l, omega_l)
+            assert (surf.value, surf.status, surf.audit.C) == (tor.value, tor.status, tor.C)
+            assert surf.audit.theta_kahler is (tor.T is None)
+            assert tor.T is None or surf.audit.T == tor.T
+            (i,) = tor.minimizer
+            facet = cone.facets[i]
+            assert lattice.pair(facet, theta_l) / lattice.pair(facet, omega_l) == surf.audit.sigma
+            scores = {s.cone: s.value for s in tor.scores}
+            assert scores[(int(surf.audit.binding_facet_sigma[1:]),)] == tor.value
+            statuses.add(tor.status)
+        assert statuses == set(Status)
+
+
 class TestWorkCounts:
-    """Exact recursion work of one toric_gamma; counters need no tolerance."""
+    """Exact work of one toric_gamma; counters need no tolerance."""
 
-    @pytest.mark.parametrize("fan, theta, omega, faces, relations", [
-        (projective_space(3), [1, -2, 0, -1], [1, 2, 3, 1], 91, 8),
-        (p1_power(3), [1, -1, 0, 2, -3, 1], [1, 1, 2, 1, 1, 2], 235, 18),
+    @pytest.mark.parametrize("fan, theta, omega, orbits", [
+        (projective_space(3), [1, -2, 0, -1], [1, 2, 3, 1], 14),
+        (p1_power(3), [1, -1, 0, 2, -3, 1], [1, 1, 2, 1, 1, 2], 26),
     ])
-    def test_one_query(self, monkeypatch, fan, theta, omega, faces, relations):
-        is_face, rewrite_terms = Fan.is_face, Fan.rewrite_terms
-        asked: list[frozenset[int]] = []
-        solved: list[tuple[tuple[int, ...], int]] = []
+    def test_one_query(self, monkeypatch, fan, theta, omega, orbits):
+        # a built fan's query eliminates nothing and asks is_face once per orbit score
+        calls = {"_eliminate": 0, "rewrite_terms": 0, "is_face": 0}
 
-        def counted_is_face(self, rays):
-            asked.append(rays)
-            return is_face(self, rays)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
 
-        def counted_rewrite_terms(self, sigma, i):
-            solved.append((self._ambient_max_cone(sigma), i))
-            return rewrite_terms(self, sigma, i)
-
-        monkeypatch.setattr(Fan, "is_face", counted_is_face)
-        monkeypatch.setattr(Fan, "rewrite_terms", counted_rewrite_terms)
-        toric_gamma(fan, DivClass(theta), DivClass(omega))
-        assert (len(asked), len(solved)) == (faces, relations)
-        assert len(set(solved)) == len(solved)  # no relation solved twice per query
+        monkeypatch.setattr(toric, "_eliminate", counted("_eliminate", eliminate))
+        for name in ("rewrite_terms", "is_face"):
+            monkeypatch.setattr(Fan, name, counted(name, getattr(Fan, name)))
+        res = toric_gamma(fan, DivClass(theta), DivClass(omega))
+        assert len(res.scores) == orbits
+        assert calls == {"_eliminate": 0, "rewrite_terms": 0, "is_face": orbits}
 
     @pytest.mark.parametrize("fan", [projective_space(3), p1_power(3)])
     def test_validation_eliminates_once_per_maximal_cone(self, monkeypatch, fan):
