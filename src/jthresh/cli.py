@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from . import catalog as catalog_mod
 from .cones import ConeConstants, NefConeModel, seshadri_T, sigma_inf
@@ -44,8 +45,17 @@ def _display_digits() -> int:
     return digits
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose argv errors are diagnostics, not usage text on stderr."""
+
+    def error(self, message: str) -> NoReturn:
+        raise BadParams(message)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="jthresh", description=__doc__)
+    """The argv grammar, built on first use and shared by every later run."""
+    parser = _Parser(prog="jthresh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def doc_command(name: str, **flags: str) -> argparse.ArgumentParser:
@@ -488,13 +498,11 @@ def _dispatch(args: argparse.Namespace, stdin_bytes: bytes,
 def run(argv: list[str], stdin_bytes: bytes = b"",
         stdin_reader: Callable[[], bytes] | None = None) -> tuple[int, bytes]:
     """Execute one CLI invocation; returns (exit_code, stdout bytes)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return (0 if not exc.code else 2), b""
-    try:
+        args = _build_parser().parse_args(argv)
         return 0, _dispatch(args, stdin_bytes, stdin_reader).encode()
+    except SystemExit:  # -h/--help prints its text and exits 0
+        return 0, b""
     except JThreshError as exc:
         message = f"{exc.code}: {exc}".replace("\n", " ")
         return 2, (message + "\n").encode()

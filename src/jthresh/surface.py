@@ -139,13 +139,21 @@ def is_solvable(lattice: IntersectionLattice, cone: NefConeModel,
     return is_kahler(lattice, cone, omega.scale(c) - theta)
 
 
+def _rational_square(lattice: IntersectionLattice, cls: DivClass, name: str) -> Fraction:
+    """cls^2 as a Fraction; an irrational square is refused with BadParams naming it."""
+    square = lattice.self_int(cls)
+    if isinstance(square, QuadNum) and not square.is_rational:
+        raise BadParams(f"{name} needs a rational square, got {name}^2 = {square}")
+    return as_rat(square)
+
+
 def _check_boundary_class(lattice: IntersectionLattice, cone: NefConeModel,
                           a: DivClass) -> Fraction:
     """Validate a nef-but-not-interior class, pairing it once; returns its self-intersection."""
     sides = _constraints(lattice, cone, a)
     if not all(v >= 0 for v in sides) or all(v > 0 for v in sides):
         raise ANotOnBoundary("class must be nef but not interior")
-    a2 = as_rat(lattice.self_int(a))
+    a2 = _rational_square(lattice, a, "a")
     if a2 < 0:
         raise NegativeSelfIntersection(f"a^2 = {a2} < 0")
     return a2
@@ -161,7 +169,7 @@ def path_R(lattice: IntersectionLattice, cone: NefConeModel,
     if not is_kahler(lattice, cone, theta):
         raise ThetaNotKahler("theta must be interior to the cone model")
     a2 = _check_boundary_class(lattice, cone, a)
-    t2 = as_rat(lattice.self_int(theta))
+    t2 = _rational_square(lattice, theta, "theta")
     numerator = RatPoly([-a2, 2 * a2, t2 - a2])
     return PathAnalysis(numerator=numerator, a_selfint=a2, theta_selfint=t2,
                         solvable_set=tuple(_positive_set(numerator)))
@@ -195,7 +203,7 @@ def stable_subcone(lattice: IntersectionLattice, cone: NefConeModel,
     a2 = _check_boundary_class(lattice, cone, a)
     if a2 == 0:
         return PerfectCone()
-    t2 = as_rat(lattice.self_int(theta))
+    t2 = _rational_square(lattice, theta, "theta")
     lam = rat_sqrt(t2 / a2)
     half = Fraction(1, 2)
     ray = (a.scale(lam) + theta).scale(half)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import time
 
 import pytest
 
-from jthresh.cli import run
+from jthresh.cli import DOC_COMMANDS, _build_parser, run
 from jthresh.documents import parse_document
 
 F1_DOC = json.dumps({
@@ -270,6 +271,105 @@ class TestDeterminismAndErrors:
         assert code == 2 and out.decode().startswith("BadParams")
 
 
+class TestSharedParser:
+    """run parses every argv with one parser, built on first use."""
+
+    def test_built_once(self, monkeypatch):
+        run(["validate"], F1_DOC)
+        inits, original = [], argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            inits.append(1)
+            original(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        surface = ["--theta", "theta", "--omega", "omega"]
+        queries = [([command, *surface], F1_DOC)
+                   for command in ("gamma", "seshadri", "sigma", "solvable")]
+        queries += [
+            (["path", "--theta", "theta", "--a", "H", "--samples", "3"], F1_DOC),
+            (["stable-cone", "--theta", "theta", "--a", "H"], F1_DOC),
+            (["toric-gamma", *surface], FAN_DOC),
+            (["csck", "--minus-c1", "mc1", "--omega", "omega", "--alpha", "1"], F1_DOC),
+            (["validate"], F1_DOC),
+            (["catalog", "ross", "--g", "4", "--sC", "2", "--t", "3"], b""),
+        ]
+        assert {argv[0] for argv, _ in queries} == {*DOC_COMMANDS, "catalog"}
+        for argv, stdin in queries:
+            assert run(argv, stdin)[0] == 0, argv
+        assert inits == []
+
+    @staticmethod
+    def fresh(argv, stdin=b""):
+        _build_parser.cache_clear()
+        return run(argv, stdin)
+
+    def test_nothing_carries_over(self):
+        query_doc = _with(F1_DOC, query={"theta": "theta", "a": "H", "samples": 3})
+        path = ["path", "--theta", "theta", "--a", "H", "--samples", "4"]
+        ross = ["catalog", "ross", "--g", "4", "--sC", "2"]
+        hirzebruch = ["catalog", "hirzebruch", "--a", "1"]
+        gamma = ["gamma", "--theta", "theta", "--omega", "omega"]
+        sequences = [
+            ((["path", "--samples", "5", "--format", "json"], query_doc),
+             (["path", "--format", "json"], query_doc)),
+            ((ross + ["--t", "3"], b""), (ross, b"")),
+            ((hirzebruch + ["--export"], b""), (hirzebruch, b"")),
+            ((path + ["--format", "csv"], F1_DOC), (path, F1_DOC)),
+            ((["gamma", "--format", "xml"], F1_DOC), (gamma, F1_DOC)),
+        ]
+        for first, second in sequences:
+            self.fresh(*first)
+            shared = run(*second)
+            assert shared == self.fresh(*second), second
+            assert shared[0] == 0, second
+        # the flags of each first call are gone from its second
+        assert len(json.loads(run(["path", "--format", "json"], query_doc)[1])["rows"]) == 3
+        assert b"exact.value" not in run(ross)[1]
+        assert run(hirzebruch)[1].startswith(b"command: catalog\n")
+        assert run(path, F1_DOC)[1].startswith(b"command: path\n")
+
+    def test_environment_is_read_per_run(self, monkeypatch):
+        argv = ["catalog", "ross", "--g", "4", "--sC", "2", "--t", "3", "--format", "json"]
+        values = []
+        for digits in ("5", "8"):
+            monkeypatch.setenv("JTHRESH_DECIMAL_DIGITS", digits)
+            shared = run(argv)
+            assert shared == self.fresh(argv)
+            values.append(json.loads(shared[1])["decimal"]["value"])
+        assert values == ["1.2000", "1.2000000"]
+
+    def test_threads_share_the_parser(self):
+        import sys
+        import threading
+        queries = [
+            (["path", "--theta", "theta", "--a", "H", "--samples", str(k)], F1_DOC)
+            for k in (2, 3)]
+        queries += [(["catalog", "ross", "--g", "4", "--sC", "2", "--t", "3"], b""),
+                    (["catalog", "ross", "--g", "4", "--sC", "2", "--format", "json"], b""),
+                    (["gamma", "--format", "xml"], F1_DOC)]
+        expected = [self.fresh(*query) for query in queries]
+        results = {i: [] for i in range(len(queries))}
+
+        def worker(i):
+            for _ in range(40):
+                results[i].append(run(*queries[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in results]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, outputs in results.items():
+            assert outputs == [expected[i]] * 40, queries[i][0]
+
+
 class TestProcessEntryPoints:
     def test_module_invocation(self):
         import subprocess
@@ -289,6 +389,17 @@ class TestProcessEntryPoints:
             input=BAD_LATTICE_DOC, capture_output=True, timeout=60)
         assert proc.returncode == 2
         assert proc.stdout.decode().startswith("BadSignature")
+
+    def test_module_invocation_argv_error(self):
+        import subprocess
+        import sys
+        proc = subprocess.run(
+            [sys.executable, "-m", "jthresh.cli", "gamma", "--format", "xml"],
+            capture_output=True, stdin=subprocess.DEVNULL, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == (b"BadParams: argument --format: invalid choice: 'xml' "
+                               b"(choose from 'text', 'json', 'csv')\n")
+        assert proc.stderr == b""
 
 
 # facet-only half-plane x > 0 over diag(1, -1): interior classes of every square
@@ -354,6 +465,11 @@ MALFORMED = {
         "theta": "theta", "a": "H", "samples": 0}), "BadParams"),
     "query_samples_bool": (["path"], _with(F1_DOC, query={
         "theta": "theta", "a": "H", "samples": False}), "BadParams"),
+    # argv errors: one diagnostic line from run, like any other invalid input
+    "unknown_command": (["gamma-ray"], F1_DOC, "BadParams"),
+    "unknown_flag": (["gamma", "--theta", "theta", "--bogus"], F1_DOC, "BadParams"),
+    "bad_format_choice": (["gamma", "--format", "xml"], F1_DOC, "BadParams"),
+    "no_command": ([], F1_DOC, "BadParams"),
 }
 
 
@@ -392,6 +508,26 @@ class TestMalformedInput:
         for name, line in expected.items():
             argv, stdin, _ = MALFORMED[name]
             assert run(argv, stdin) == (2, f"{line}\n".encode()), name
+
+    def test_argv_diagnostics(self):
+        commands = ("'gamma', 'seshadri', 'sigma', 'solvable', 'path', 'stable-cone', "
+                    "'toric-gamma', 'csck', 'validate', 'catalog'")
+        expected = {
+            "unknown_command": f"argument command: invalid choice: 'gamma-ray' "
+                               f"(choose from {commands})",
+            "unknown_flag": "unrecognized arguments: --bogus",
+            "bad_format_choice": "argument --format: invalid choice: 'xml' "
+                                 "(choose from 'text', 'json', 'csv')",
+            "no_command": "the following arguments are required: command",
+        }
+        for name, message in expected.items():
+            argv, stdin, _ = MALFORMED[name]
+            assert run(argv, stdin) == (2, f"BadParams: {message}\n".encode()), name
+
+    def test_help_still_exits_0(self, capsys):
+        for argv in (["-h"], ["gamma", "--help"], ["catalog", "-h"]):
+            assert run(argv) == (0, b"")
+        assert "usage: jthresh" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name, line", [
         ("alpha_exponent", "BadParams: bad rational '1e2000000'"),

@@ -462,6 +462,22 @@ class TestPathOracle:
             sample_path(lattice, cone, theta, a, 10)
         assert str(info.value) == "path rows need rational classes, got a = (sqrt(3), 0)"
 
+    @pytest.mark.parametrize("function", [path_R, stable_subcone])
+    def test_irrational_square_is_refused(self, function):
+        entry = build("blowup_path", {})
+        lattice, cone = entry.lattice, entry.cone
+        theta, a = entry.named_classes["theta"], entry.named_classes["a"]
+        # (1 + sqrt(2)) H is nef but not interior; (2 + sqrt(2)) H - E is interior
+        irrational_a = DivClass([QuadNum(1, 1, 2), 0])
+        irrational_theta = DivClass([QuadNum(2, 1, 2), -1])
+        for args, line in (
+                ((theta, irrational_a), "a needs a rational square, got a^2 = 3 + 2*sqrt(2)"),
+                ((irrational_theta, a),
+                 "theta needs a rational square, got theta^2 = 5 + 4*sqrt(2)")):
+            with pytest.raises(BadParams) as info:
+                function(lattice, cone, *args)
+            assert str(info.value) == line
+
 
 class TestStableSubcone:
     def test_blowup_normalization(self):
