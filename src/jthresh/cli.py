@@ -23,7 +23,7 @@ from .cones import ConeConstants, NefConeModel, seshadri_T, sigma_inf
 from .documents import (InputDocument, document_to_json, parse_document,
                         quad_to_json)
 from .errors import BadDocument, BadParams, JThreshError
-from .exactnum import QuadNum, decimal_str, format_rat, rat
+from .exactnum import MAX_DECIMAL_DIGITS, QuadNum, decimal_str, format_rat, rat
 from .lattice import DivClass, IntersectionLattice
 from .surface import (PerfectCone, csck_criterion, is_solvable, path_R,
                       sample_path, stable_subcone, surface_gamma)
@@ -42,14 +42,27 @@ def _display_digits() -> int:
         raise BadParams(f"JTHRESH_DECIMAL_DIGITS = {raw!r} is not an integer") from None
     if digits < 1:
         raise BadParams("JTHRESH_DECIMAL_DIGITS must be >= 1")
+    if digits > MAX_DECIMAL_DIGITS:
+        raise BadParams(f"JTHRESH_DECIMAL_DIGITS must be <= {MAX_DECIMAL_DIGITS}, got {digits}")
     return digits
 
 
+class _HelpRequested(Exception):
+    """-h/--help: carries the help text back to run instead of printing it."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose argv errors are diagnostics, not usage text on stderr."""
+    """An argparse parser whose argv errors are diagnostics, not usage text on stderr.
+
+    Help is returned through run as well, so the shared parser never writes
+    to the process's streams and keeps no state between calls.
+    """
 
     def error(self, message: str) -> NoReturn:
         raise BadParams(message)
+
+    def print_help(self, file=None) -> NoReturn:
+        raise _HelpRequested(self.format_help())
 
 
 @functools.cache
@@ -501,8 +514,8 @@ def run(argv: list[str], stdin_bytes: bytes = b"",
     try:
         args = _build_parser().parse_args(argv)
         return 0, _dispatch(args, stdin_bytes, stdin_reader).encode()
-    except SystemExit:  # -h/--help prints its text and exits 0
-        return 0, b""
+    except _HelpRequested as exc:  # -h/--help: exit 0 with the help text
+        return 0, str(exc).encode()
     except JThreshError as exc:
         message = f"{exc.code}: {exc}".replace("\n", " ")
         return 2, (message + "\n").encode()

@@ -9,10 +9,12 @@ smallest delta making delta*omega - theta interior.
 Every surface constant comes from one table of pairings, built once per
 (theta, omega) by :func:`cone_constants`: theta.f and omega.f for each
 facet f, theta^2, theta.omega and omega^2, and, with a light-cone facet,
-theta.H and omega.H for its reference class H.  The Kahler checks, C, T,
-sigma and their binding facets are read off those scalars, so along a
-segment of omegas (:func:`segment_constants`) the table is formed from
-scalars and nothing is paired per point."""
+theta.H and omega.H for its reference class H.  The table is written in
+integers over one common denominator, and the Kahler checks, C, T, sigma
+and their binding facets are read off those integers by cross-multiplication;
+only the reported C, T and sigma become Fractions.  Along a segment of
+omegas (:func:`segment_constants`) each point's table is formed from the
+integers of its two ends, and nothing is paired per point."""
 
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadConeModel, BadSignature, OmegaNotKahler, ZeroVolume
-from .exactnum import QuadNum, Scalar, as_rat, rat_sqrt
+from .exactnum import (QuadNum, Scalar, _sign, as_rat, scale_to_integers,
+                       squarefree_decompose)
 from .lattice import DivClass, IntersectionLattice
 
 LIGHT_CONE = "light-cone"
@@ -107,19 +110,35 @@ def is_kahler(lattice: IntersectionLattice, cone: NefConeModel, d: DivClass) -> 
     return all(v > 0 for v in _constraints(lattice, cone, d))
 
 
-def _light_cone_roots(tw: Fraction, tt: Fraction, ww: Fraction) -> tuple[QuadNum, QuadNum]:
-    """Roots of (theta - delta*omega)^2 = 0 in delta, smaller first.
+def _radical(tw: int, tt: int, ww: int) -> tuple[int, int]:
+    """(r, d) with tw^2 - tt*ww = r^2 d and d square-free, for integer tw, tt, ww.
 
-    Takes theta.omega, theta^2 and omega^2; requires omega^2 > 0.  The
-    discriminant is non-negative for every validated hyperbolic lattice
+    The discriminant is non-negative for every validated hyperbolic lattice
     (Hodge index), so a negative value means the lattice was never validated.
     """
     disc = tw * tw - tt * ww
     if disc < 0:
         raise BadSignature("negative light-cone discriminant; lattice signature is not (1, r-1)")
-    r = rat_sqrt(disc)
-    return (QuadNum((tw - r.a) / ww, -r.b / ww, r.d),
-            QuadNum((tw + r.a) / ww, r.b / ww, r.d))
+    return squarefree_decompose(disc)
+
+
+def _root(n: int, tw: int, ww: int, r: int, d: int) -> QuadNum:
+    """The light-cone root n(tw + r sqrt(d))/ww: the larger one, or the smaller one for -r."""
+    if d <= 1:  # a square discriminant (r = 0 when d = 0): the root is rational
+        return QuadNum(Fraction(n * (tw + r), ww))
+    return QuadNum(Fraction(n * tw, ww), Fraction(n * r, ww), d)
+
+
+def _light_cone_roots(tw: Scalar, tt: Scalar, ww: Scalar) -> tuple[QuadNum, QuadNum]:
+    """Roots of (theta - delta*omega)^2 = 0 in delta, smaller first.
+
+    Takes theta.omega, theta^2 and omega^2 (rational, omega^2 > 0), writes
+    them over their common denominator and takes the roots as _constants
+    does with n = 1.
+    """
+    _, (tw, tt, ww) = scale_to_integers([as_rat(tw), as_rat(tt), as_rat(ww)])
+    r, d = _radical(tw, tt, ww)
+    return _root(1, tw, ww, -r, d), _root(1, tw, ww, r, d)
 
 
 def cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
@@ -140,33 +159,45 @@ def cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
     tw = as_rat(lattice.pair(theta, omega))
     tt = _square(lattice, cone, theta, theta_sides)
     ww = _square(lattice, cone, omega, omega_sides)
-    return _constants(cone, theta_sides, omega_sides, tt, tw, ww)
+    m = len(theta_sides)
+    _, ints = scale_to_integers(theta_sides + omega_sides + [tt, tw, ww])
+    return _constants(cone, ints[:m], ints[m:2 * m], *ints[2 * m:])
 
 
 def segment_constants(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClass,
                       a: DivClass, ts: Iterable[Fraction]) -> Iterator[ConeConstants]:
     """cone_constants(theta, omega_t) for omega_t = (1-t)a + t*theta at each t.
 
-    a and theta are paired once; every pairing of omega_t is then a
-    polynomial in t (omega_t.f, omega_t.H and theta.omega_t affine, omega_t^2
-    quadratic), so each t costs only Fraction arithmetic and no pairing, and
-    goes through the same checks and derivation as cone_constants.
+    a and theta are paired once and written over one common denominator L.
+    At t = j/n every pairing of omega_t = ((n-j)a + j*theta)/n is then an
+    integer over L*n (omega_t^2 over L*n^2), formed from those integers, and
+    the discriminant of the light-cone roots is (n-j)^2 times that of a and
+    theta, so its square-free part is found once per segment.  Each t costs
+    integer arithmetic and no pairing, and goes through the same checks and
+    derivation as cone_constants.
     """
     k = len(cone.facets)
     theta_sides, a_sides = _sides(lattice, cone, theta), _sides(lattice, cone, a)
     at = as_rat(lattice.pair(a, theta))
     tt, aa = _square(lattice, cone, theta, theta_sides), _square(lattice, cone, a, a_sides)
-    # omega_t.x = a.x + t (theta - a).x, and
-    # omega_t^2 = a^2 + t (2 a.theta - 2 a^2) + t^2 (a^2 - 2 a.theta + theta^2)
-    slopes = [y - x for x, y in zip(a_sides, theta_sides)]
-    tw1, ww1, ww2 = tt - at, 2 * (at - aa), aa - 2 * at + tt
+    m = len(theta_sides)
+    _, ints = scale_to_integers(theta_sides + a_sides + [tt, at, aa])
+    theta_sides, a_sides, (tt, at, aa) = ints[:m], ints[m:2 * m], ints[2 * m:]
+    # a negative discriminant is left to each point, where _constants refuses it
+    # after omega's checks (at t = 1 it is 0)
+    radical = None
+    if cone.light_cone is not None and at * at - tt * aa >= 0:
+        radical = _radical(at, tt, aa)
     for t in ts:
-        omega_sides = [x + t * dx for x, dx in zip(a_sides, slopes)]
-        tw = at + t * tw1
-        ww = aa + t * (ww1 + t * ww2)
+        j, n = t.numerator, t.denominator
+        b = n - j
+        omega_sides = [b * x + j * y for x, y in zip(a_sides, theta_sides)]
+        tw = b * at + j * tt
+        ww = b * (b * aa + 2 * j * at) + j * j * tt
         if cone.light_cone is not None:
             omega_sides[k] = ww  # the light-cone side is omega_t^2, not an affine blend
-        yield _constants(cone, theta_sides, omega_sides, tt, tw, ww)
+        yield _constants(cone, theta_sides, omega_sides, tt, tw, ww, n,
+                         None if radical is None else (abs(b) * radical[0], radical[1]))
 
 
 def _sides(lattice: IntersectionLattice, cone: NefConeModel, d: DivClass) -> list[Fraction]:
@@ -181,13 +212,21 @@ def _square(lattice: IntersectionLattice, cone: NefConeModel, d: DivClass,
     return sides[len(cone.facets)]
 
 
-def _constants(cone: NefConeModel, theta_sides: list[Fraction], omega_sides: list[Fraction],
-               tt: Fraction, tw: Fraction, ww: Fraction) -> ConeConstants:
-    """The checks and the derivation of cone_constants, from paired values only.
+def _constants(cone: NefConeModel, theta_sides: list[int], omega_sides: list[int],
+               tt: int, tw: int, ww: int, n: int = 1,
+               radical: tuple[int, int] | None = None) -> ConeConstants:
+    """The checks and the derivation of cone_constants, in integers.
 
-    Takes theta's and omega's sides (see _constraints), theta^2, theta.omega
-    and omega^2.  Linear bounds compare as Fractions; each light-cone root
-    enters with one strict comparison, so on a tie the facet keeps it.
+    The scalars are integers over one denominator L > 0 and a point t = j/n:
+    theta's sides (see _constraints) are theta_sides/L, omega's sides are
+    omega_sides/(L*n) (its light-cone side, omega^2, only up to a positive
+    factor), theta^2 = tt/L, theta.omega = tw/(L*n) and omega^2 = ww/(L*n^2).
+    L cancels from every result: facet f bounds delta at n*theta_f/omega_f,
+    the light-cone roots are n(tw -+ r sqrt(d))/ww with (r, d) = radical, by
+    default _radical(tw, tt, ww), and C = 2n*tw/ww.  Bounds compare by
+    cross-multiplication and a root against a bound by the sign of one
+    a + b sqrt(d); each root enters with one strict comparison, so on a tie
+    the facet keeps it.  Only the reported C, T and sigma become Fractions.
     """
     if not all(v > 0 for v in omega_sides):
         raise OmegaNotKahler("omega is not interior to the cone model")
@@ -195,25 +234,29 @@ def _constants(cone: NefConeModel, theta_sides: list[Fraction], omega_sides: lis
         raise ZeroVolume("omega^2 = 0")
     if ww < 0:
         raise OmegaNotKahler("omega^2 <= 0")
-    lower = upper = None
+    lower = upper = None  # (theta side, omega side) of the facets binding T and sigma
     t_facet = s_facet = LIGHT_CONE
     for t, w, name in zip(theta_sides, omega_sides, cone.facet_labels):
-        bound = t / w
-        if lower is None or bound < lower:
-            lower, t_facet = bound, name
-        if upper is None or bound > upper:
-            upper, s_facet = bound, name
-    T = QuadNum(lower) if lower is not None else None
-    sigma = QuadNum(upper) if upper is not None else None
+        # omega's sides are positive, so t/w < t'/w' is t*w' < t'*w
+        if lower is None or t * lower[1] < lower[0] * w:
+            lower, t_facet = (t, w), name
+        if upper is None or t * upper[1] > upper[0] * w:
+            upper, s_facet = (t, w), name
+    T = sigma = None
     if cone.light_cone is not None:
-        lo, hi = _light_cone_roots(tw, tt, ww)
-        if T is None or lo < T:
-            T, t_facet = lo, LIGHT_CONE
-        if sigma is None or hi > sigma:
-            sigma, s_facet = hi, LIGHT_CONE
+        r, d = _radical(tw, tt, ww) if radical is None else radical
+        # n(tw -+ r sqrt(d))/ww against n*t/w: the sign of (tw*w - t*ww) -+ r*w sqrt(d)
+        if lower is None or _sign(tw * lower[1] - lower[0] * ww, -r * lower[1], d) < 0:
+            T, t_facet = _root(n, tw, ww, -r, d), LIGHT_CONE
+        if upper is None or _sign(tw * upper[1] - upper[0] * ww, r * upper[1], d) > 0:
+            sigma, s_facet = _root(n, tw, ww, r, d), LIGHT_CONE
     if T is None:
-        raise BadConeModel("no facets and no light-cone facet")
-    return ConeConstants(C=2 * tw / ww, sigma=sigma, T=T,
+        if lower is None:
+            raise BadConeModel("no facets and no light-cone facet")
+        T = QuadNum(Fraction(n * lower[0], lower[1]))
+    if sigma is None:
+        sigma = QuadNum(Fraction(n * upper[0], upper[1]))
+    return ConeConstants(C=Fraction(2 * n * tw, ww), sigma=sigma, T=T,
                          theta_kahler=all(v > 0 for v in theta_sides),
                          binding_facet_sigma=s_facet, binding_facet_T=t_facet)
 

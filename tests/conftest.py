@@ -4,9 +4,11 @@ Instances are drawn from seeded PRNGs so every run is deterministic.  A
 "validated instance" is a lattice of signature (1, r-1) together with a
 cone model that provably contains interior classes; half the instances are
 expressed in a sheared integer basis so the signature routine sees
-non-diagonal matrices.  For toric manifolds, ``RecursionOracle`` is a second
-route to orbit integrals, and ``toric_surface_model`` turns a smooth complete
-fan of dimension 2 into a lattice model of the same surface.
+non-diagonal matrices.  For surfaces, ``fraction_cone_constants`` is a
+second route to the cone constants in Fraction arithmetic.  For toric
+manifolds, ``RecursionOracle`` is a second route to orbit integrals, and
+``toric_surface_model`` turns a smooth complete fan of dimension 2 into a
+lattice model of the same surface.
 """
 
 from __future__ import annotations
@@ -14,9 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from jthresh import (DivClass, Fan, IntersectionLattice, LightConeFacet,
-                     NefConeModel, canonicalize, diagonal_lattice,
-                     intersection_number, is_kahler, validate_signature)
+from jthresh import (ConeConstants, DivClass, Fan, IntersectionLattice, LightConeFacet,
+                     NefConeModel, QuadNum, canonicalize, diagonal_lattice,
+                     intersection_number, is_kahler, rat_sqrt, validate_signature)
+from jthresh.cones import LIGHT_CONE
+from jthresh.errors import (BadConeModel, BadSignature, JThreshError, OmegaNotKahler,
+                            ZeroVolume)
+from jthresh.exactnum import as_rat
 from jthresh.toric import _eliminate, _unimodular_dual
 
 
@@ -122,6 +128,68 @@ def random_class(rng: Random, inst: Instance) -> DivClass:
     """An arbitrary (possibly wildly non-positive) class."""
     rank = inst.lattice.rank
     return inst.to_coords([rnd_fraction(rng, -5, 5, 4) for _ in range(rank)])
+
+
+def fraction_cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
+                            theta: DivClass, omega: DivClass) -> ConeConstants:
+    """cone_constants in Fraction arithmetic: the same checks, in the same order.
+
+    Each facet's bound is the Fraction theta.f / omega.f, the light-cone
+    roots are (theta.omega -+ sqrt(disc)) / omega^2 with the root taken by
+    ``rat_sqrt``, and C = 2 theta.omega / omega^2.  It shares nothing with
+    the integer derivation but the pairing and QuadNum.
+    """
+    def sides(d):
+        vals = [lattice.pair(f, d) for f in cone.facets]
+        if cone.light_cone is not None:
+            vals += [lattice.self_int(d), lattice.pair(d, cone.light_cone.reference_kahler)]
+        return [as_rat(v) for v in vals]
+
+    theta_sides, omega_sides = sides(theta), sides(omega)
+    tt, tw, ww = (as_rat(lattice.pair(x, y))
+                  for x, y in ((theta, theta), (theta, omega), (omega, omega)))
+    if not all(v > 0 for v in omega_sides):
+        raise OmegaNotKahler("omega is not interior to the cone model")
+    if ww == 0:
+        raise ZeroVolume("omega^2 = 0")
+    if ww < 0:
+        raise OmegaNotKahler("omega^2 <= 0")
+    lower = upper = None
+    t_facet = s_facet = LIGHT_CONE
+    for t, w, name in zip(theta_sides, omega_sides, cone.facet_labels):
+        bound = t / w
+        if lower is None or bound < lower:
+            lower, t_facet = bound, name
+        if upper is None or bound > upper:
+            upper, s_facet = bound, name
+    T = QuadNum(lower) if lower is not None else None
+    sigma = QuadNum(upper) if upper is not None else None
+    if cone.light_cone is not None:
+        disc = tw * tw - tt * ww
+        if disc < 0:
+            raise BadSignature("negative light-cone discriminant; lattice signature is not (1, r-1)")
+        r = rat_sqrt(disc)
+        lo = QuadNum((tw - r.a) / ww, -r.b / ww, r.d)
+        hi = QuadNum((tw + r.a) / ww, r.b / ww, r.d)
+        if T is None or lo < T:
+            T, t_facet = lo, LIGHT_CONE
+        if sigma is None or hi > sigma:
+            sigma, s_facet = hi, LIGHT_CONE
+    if T is None:
+        raise BadConeModel("no facets and no light-cone facet")
+    return ConeConstants(C=2 * tw / ww, sigma=sigma, T=T,
+                         theta_kahler=all(v > 0 for v in theta_sides),
+                         binding_facet_sigma=s_facet, binding_facet_T=t_facet)
+
+
+def constants_outcome(compute) -> tuple:
+    """compute()'s ConeConstants as exact tuples, or its JThreshError's class and message."""
+    try:
+        cc = compute()
+    except JThreshError as exc:
+        return type(exc), str(exc)
+    return (cc.C, (cc.sigma.a, cc.sigma.b, cc.sigma.d), (cc.T.a, cc.T.b, cc.T.d),
+            cc.theta_kahler, cc.binding_facet_sigma, cc.binding_facet_T)
 
 
 class RecursionOracle:

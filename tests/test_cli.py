@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import time
 
 import pytest
 
-from jthresh.cli import DOC_COMMANDS, _build_parser, run
+from jthresh.cli import DOC_COMMANDS, MAX_DECIMAL_DIGITS, _build_parser, run
 from jthresh.documents import parse_document
 
 F1_DOC = json.dumps({
@@ -149,6 +150,21 @@ class TestPathCommand:
         assert iv["lo"] == {"rat": "-1/2", "coef": "1/2", "rad": 3}
         assert iv["hi"] == "1" and iv["hi_closed"] is True
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "21d315a74d8f641b98c0396220d7f2f8776835530a6c429fc5f6400ff502bbdc"),
+        ("json", "bd88183d2e8c352ea9a3553e3b897d1fd18fb4e1a98ccf7cda066a5b5735e799"),
+    ])
+    def test_blowup_sweep_is_pinned(self, monkeypatch, fmt, digest):
+        # sha256 of the 1000-row sweep on the blowup_path export as the Fraction
+        # derivation of the rows printed it; the integer derivation prints the same bytes
+        monkeypatch.delenv("JTHRESH_DECIMAL_DIGITS", raising=False)
+        code, doc = run(["catalog", "blowup_path", "--export"])
+        assert code == 0
+        code, out = run(["path", "--theta", "theta", "--a", "a", "--samples", "1000",
+                         "--format", fmt], doc)
+        assert code == 0 and len(out.splitlines()) > 1000
+        assert hashlib.sha256(out).hexdigest() == digest
+
     def test_csv_only_for_path(self):
         code, out = run(["gamma", "--theta", "theta", "--omega", "omega",
                          "--format", "csv"], F1_DOC)
@@ -269,6 +285,20 @@ class TestDeterminismAndErrors:
         monkeypatch.setenv("JTHRESH_DECIMAL_DIGITS", "zero")
         code, out = run(["catalog", "ross", "--g", "4", "--sC", "2", "--t", "3"])
         assert code == 2 and out.decode().startswith("BadParams")
+
+    def test_env_digits_cap(self, monkeypatch):
+        argv = ["catalog", "ross", "--g", "4", "--sC", "2", "--t", "3"]
+        monkeypatch.setenv("JTHRESH_DECIMAL_DIGITS", str(MAX_DECIMAL_DIGITS))
+        payload = run_json(argv)
+        assert payload["decimal"] == {"value": "1.2" + "0" * (MAX_DECIMAL_DIGITS - 2),
+                                      "digits": MAX_DECIMAL_DIGITS}
+        for digits in (MAX_DECIMAL_DIGITS + 1, 3_000_000):
+            monkeypatch.setenv("JTHRESH_DECIMAL_DIGITS", str(digits))
+            start = time.perf_counter()
+            result = run(argv)
+            assert time.perf_counter() - start < 1.0
+            assert result == (2, f"BadParams: JTHRESH_DECIMAL_DIGITS must be <= "
+                                 f"{MAX_DECIMAL_DIGITS}, got {digits}\n".encode())
 
 
 class TestSharedParser:
@@ -526,8 +556,9 @@ class TestMalformedInput:
 
     def test_help_still_exits_0(self, capsys):
         for argv in (["-h"], ["gamma", "--help"], ["catalog", "-h"]):
-            assert run(argv) == (0, b"")
-        assert "usage: jthresh" in capsys.readouterr().out
+            code, out = run(argv)
+            assert code == 0 and out.startswith(b"usage: jthresh")
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("name, line", [
         ("alpha_exponent", "BadParams: bad rational '1e2000000'"),

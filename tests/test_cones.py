@@ -12,11 +12,13 @@ from random import Random
 
 import pytest
 
-from conftest import random_class, random_instance, random_kahler
+from conftest import (constants_outcome, fraction_cone_constants, random_class,
+                      random_instance, random_kahler, rnd_fraction)
 from jthresh import (DivClass, LightConeFacet, NefConeModel, QuadNum,
                      cone_constants, diagonal_lattice, is_kahler, is_nef,
                      segment, seshadri_T, sigma_inf, validate_cone)
-from jthresh.errors import BadConeModel, OmegaNotKahler
+from jthresh.cones import LIGHT_CONE
+from jthresh.errors import BadConeModel, BadSignature, OmegaNotKahler, ZeroVolume
 
 F1_LATTICE = diagonal_lattice([1, -1], labels=["H", "E"])
 F1_CONE = NefConeModel(facets=[DivClass([0, 1]), DivClass([1, -1])],
@@ -231,3 +233,60 @@ class TestReciprocityAndPathIdentities:
         cc = cone_constants(F1_LATTICE, F1_CONE, theta, omega)
         assert cc.T == Fraction(1, 4) and cc.sigma == 1
         assert cc.binding_facet_T == "F" and cc.binding_facet_sigma == "E"
+
+
+class TestFractionOracle:
+    """cone_constants' integer derivation against the Fraction route of conftest."""
+
+    def _cases(self, rng: Random):
+        cases = []
+        for i in range(240):
+            inst = random_instance(rng, light_cone=i % 3 != 0)
+            theta = random_class(rng, inst) if i % 2 else random_kahler(rng, inst)
+            omega = random_class(rng, inst) if i % 5 == 0 else random_kahler(rng, inst)
+            cases.append((inst.lattice, inst.cone, theta, omega))
+        # rank 2 with one facet that may cut into the light cone
+        for _ in range(60):
+            lattice = diagonal_lattice([1, -rng.randint(1, 4)])
+            cone = NefConeModel(facets=[DivClass([1, rnd_fraction(rng, -2, 2, 3)])],
+                                light_cone=LightConeFacet(DivClass([1, 0])))
+            theta = DivClass([rnd_fraction(rng), rnd_fraction(rng)])
+            omega = DivClass([rng.randint(2, 6), rnd_fraction(rng, -1, 1, 2)])
+            cases.append((lattice, cone, theta, omega))
+        # an unvalidated positive-definite lattice: negative discriminants
+        definite = diagonal_lattice([1, 2])
+        cone = NefConeModel(facets=[], light_cone=LightConeFacet(DivClass([1, 0])))
+        cases += [(definite, cone, DivClass([1, y]), DivClass([2, 1])) for y in (-3, 0, 2)]
+        # ties: two copies of one facet, and a facet through the light cone's null ray
+        lat = diagonal_lattice([1, -1])
+        twins = NefConeModel(facets=[DivClass([1, -1]), DivClass([1, -1])],
+                             facet_labels=["first", "second"])
+        touching = NefConeModel(facets=[DivClass([1, 1])],
+                                light_cone=LightConeFacet(DivClass([1, 0])))
+        cases += [(lat, twins, DivClass([2, -1]), DivClass([3, -1])),
+                  (lat, touching, DivClass([3, 1]), DivClass([2, 1])),
+                  (lat, touching, DivClass([3, 1]), DivClass([3, 1])),
+                  (lat, NefConeModel(facets=[DivClass([1, 0])]), DivClass([2, 0]),
+                   DivClass([1, 1])),  # omega^2 = 0
+                  (lat, NefConeModel(facets=[]), DivClass([2, -1]), DivClass([5, -1]))]
+        return cases
+
+    def test_cone_constants_match_the_oracle(self):
+        rng = Random(8209)
+        seen = {"facet-only": 0, "irrational": 0, "light-cone binds": 0,
+                "facet beats light cone": 0}
+        errors = set()
+        for lattice, cone, theta, omega in self._cases(rng):
+            got = constants_outcome(lambda: cone_constants(lattice, cone, theta, omega))
+            want = constants_outcome(lambda: fraction_cone_constants(lattice, cone, theta, omega))
+            assert got == want
+            if isinstance(got[0], type):
+                errors.add(got[0])
+                continue
+            seen["facet-only"] += cone.light_cone is None
+            seen["irrational"] += got[1][1] != 0 or got[2][1] != 0
+            seen["light-cone binds"] += LIGHT_CONE in got[4:]
+            seen["facet beats light cone"] += (cone.light_cone is not None
+                                               and got[4:] != (LIGHT_CONE, LIGHT_CONE))
+        assert min(seen.values()) >= 10, seen
+        assert errors == {OmegaNotKahler, ZeroVolume, BadSignature, BadConeModel}

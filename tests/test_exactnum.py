@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import time
-from decimal import Decimal, getcontext
+from decimal import Context, Decimal, getcontext
 from fractions import Fraction
 from math import isqrt
 from random import Random
@@ -13,7 +13,7 @@ from random import Random
 import pytest
 
 from jthresh.errors import BadParams, MixedRadicands, ZeroPolynomial
-from jthresh.exactnum import (QuadNum, RatPoly, decimal_str, format_rat,
+from jthresh.exactnum import (MAX_DECIMAL_DIGITS, QuadNum, RatPoly, decimal_str, format_rat,
                               poly_roots_quadratic, rat, rat_sqrt,
                               squarefree_decompose)
 
@@ -277,6 +277,18 @@ class TestRendering:
         assert decimal_str(QuadNum(0, 1, 3), 12) == "1.73205080757"
         assert decimal_str(Fraction(0), 12) == "0"
         assert decimal_str(Fraction(6, 5), 5) == "1.2000"
+
+    def test_digits_are_capped(self):
+        root3 = QuadNum(0, 1, 3)
+        text = decimal_str(root3, MAX_DECIMAL_DIGITS)
+        assert len(text.replace(".", "")) == MAX_DECIMAL_DIGITS
+        assert Decimal(text) == Context(prec=MAX_DECIMAL_DIGITS).sqrt(Decimal(3))
+        for digits in (MAX_DECIMAL_DIGITS + 1, 3_000_000):
+            start = time.perf_counter()
+            with pytest.raises(BadParams) as info:
+                decimal_str(root3, digits)
+            assert time.perf_counter() - start < 0.1
+            assert str(info.value) == f"digits must be at most {MAX_DECIMAL_DIGITS}, got {digits}"
 
     def test_repr_is_readable(self):
         assert repr(QuadNum(Fraction(-1, 2), Fraction(1, 2), 3)) == "-1/2 + 1/2*sqrt(3)"

@@ -9,12 +9,13 @@ from random import Random
 
 import pytest
 
-from conftest import random_class, random_instance, random_kahler, rnd_fraction
+from conftest import (fraction_cone_constants, random_class, random_instance, random_kahler,
+                      rnd_fraction)
 from jthresh import surface
 from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
                      NefConeModel, PerfectCone, QuadNum, Status, build,
                      c_constant, csck_criterion, diagonal_lattice, is_kahler,
-                     is_solvable, path_R, sample_path, segment, seshadri_T,
+                     is_solvable, path_R, rat_sqrt, sample_path, segment, seshadri_T,
                      stable_subcone, surface_gamma)
 from jthresh.cones import LIGHT_CONE, cone_constants, segment_constants
 from jthresh.errors import (ANotOnBoundary, BadParams, JThreshError, OmegaNotKahler,
@@ -405,6 +406,81 @@ class TestPathOracle:
                 seen.add(got[1] if isinstance(got[0], type) else "ok")
         assert seen == {"ok", "omega is not interior to the cone model", "omega^2 = 0",
                         "omega^2 <= 0"}
+
+    def test_segment_constants_match_the_fraction_oracle(self):
+        # t with denominators up to 10^9, t <= 0, t > 1 and the TIE_CONE ties,
+        # against the Fraction route on the built omega_t.  Along a segment
+        # the light-cone discriminant is (1-t)^2 times that of a and theta;
+        # when it is not a square the oracle factors it by trial division up
+        # to the denominators' prime factors, so those segments are compared
+        # at denominators up to 10^4 (the null-root test takes them to 10^9)
+        rng = Random(8317)
+        cases = [(TIE_LATTICE, TIE_CONE, DivClass([3, 1]), DivClass([1, 1])),
+                 (TIE_LATTICE, NefConeModel(facets=[DivClass([1, 0])]), DivClass([2, 0]),
+                  DivClass([1, 1]))]  # omega_0^2 = 0
+        for i in range(90):
+            inst = random_instance(rng, light_cone=i % 3 != 0)
+            theta = random_kahler(rng, inst) if i % 4 else random_class(rng, inst)
+            a = random_kahler(rng, inst) if i % 5 else random_class(rng, inst)
+            cases.append((inst.lattice, inst.cone, theta, a))
+        seen, errors = set(), set()
+        for lattice, cone, theta, a in cases:
+            disc = lattice.pair(a, theta) ** 2 - lattice.self_int(a) * lattice.self_int(theta)
+            irrational = (cone.light_cone is not None and disc > 0
+                          and not rat_sqrt(disc).is_rational)
+            ts = [Fraction(k, 4) for k in range(-4, 9)] + [Fraction(-7, 3), Fraction(10, 3)]
+            for exponent in range(4 if irrational else 9):
+                den = rng.randint(10 ** exponent, 10 ** (exponent + 1))
+                ts += [Fraction(rng.randint(-den, 2 * den), den) for _ in range(2)]
+            for t in ts:
+                got = _outcome(lambda: next(segment_constants(lattice, cone, theta, a, [t])))
+                want = _outcome(lambda: fraction_cone_constants(lattice, cone, theta,
+                                                                segment(a, theta, t)))
+                assert got == want
+                if isinstance(got[0], type):
+                    errors.add(got[0])
+                    continue
+                seen.add("t <= 0" if t <= 0 else "t > 1" if t > 1 else "0 < t <= 1")
+                seen.add(f"denominator 10^{min(len(str(t.denominator)) - 1, 8)}+")
+                seen.add(got[5] if got[5] == LIGHT_CONE else "facet")
+                seen.add("irrational" if got[2][1] else "rational")
+        assert {"t <= 0", "t > 1", "0 < t <= 1", "denominator 10^8+", LIGHT_CONE, "facet",
+                "irrational"} <= seen
+        assert errors == {OmegaNotKahler, ZeroVolume}
+
+    def test_numerator_column_is_the_polynomial(self):
+        # the rows evaluate path_R's numerator in integers; it must agree with
+        # the RatPoly at every t, and solvable with its sign
+        rng = Random(8319)
+        distinct = 0
+        for lattice, cone, theta, a in self._boundary_paths(rng, 10):
+            analysis = path_R(lattice, cone, theta, a)
+            coeffs = analysis.numerator.coeffs
+            distinct += len(set(coeffs)) == len(coeffs) == 3
+            for row in sample_path(lattice, cone, theta, a, rng.choice([7, 12, 1000])):
+                assert row.r_numerator == analysis.numerator(row.t)
+                assert row.solvable == (row.r_numerator > 0)
+        assert distinct >= 10
+
+    def test_light_cone_roots_at_large_denominators_are_null(self):
+        # segments whose roots are irrational, at t with denominators near
+        # 10^9: T and sigma from the light cone are null directions, and
+        # C = 2 theta.omega_t / omega_t^2
+        rng = Random(8318)
+        checked = 0
+        for lattice, cone, theta, a in self._boundary_paths(rng, 6):
+            for _ in range(6):
+                den = rng.randint(10 ** 8, 10 ** 9)
+                t = Fraction(rng.randint(1, den), den)
+                omega_t = segment(a, theta, t)
+                audit = next(segment_constants(lattice, cone, theta, a, [t]))
+                assert audit.C == 2 * lattice.pair(theta, omega_t) / lattice.self_int(omega_t)
+                for value, facet in ((audit.T, audit.binding_facet_T),
+                                     (audit.sigma, audit.binding_facet_sigma)):
+                    if facet == LIGHT_CONE:
+                        assert lattice.self_int(theta - omega_t.scale(value)) == 0
+                        checked += not value.is_rational
+        assert checked >= 20
 
     def test_rows_pair_nothing(self, monkeypatch):
         calls = []
