@@ -3,7 +3,10 @@
 One JSON document in (file argument or stdin), one deterministic rendering
 out.  Exit codes: 0 on success (unstable/indeterminate results included),
 2 on invalid input with a single diagnostic line naming the failed
-validation, 1 on internal errors.
+validation, 1 on internal errors.  A document command reports the first
+fault in this order: the document part it computes on, each class label
+given (in argv or the document's query), each other option, each label
+defined in the document.
 """
 
 from __future__ import annotations
@@ -15,19 +18,18 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Any, Callable, NoReturn
 
 from . import catalog as catalog_mod
-from .cones import ConeConstants, NefConeModel, seshadri_T, sigma_inf
+from .cones import ConeConstants, seshadri_T, sigma_inf
 from .documents import (InputDocument, document_to_json, parse_document,
                         quad_to_json)
 from .errors import BadDocument, BadParams, JThreshError
 from .exactnum import MAX_DECIMAL_DIGITS, QuadNum, decimal_str, format_rat, rat
-from .lattice import DivClass, IntersectionLattice
 from .surface import (PerfectCone, csck_criterion, is_solvable, path_R,
                       sample_path, stable_subcone, surface_gamma)
-from .toric import Fan, enumerate_orbits, toric_gamma
+from .toric import enumerate_orbits, toric_gamma
 
 DEFAULT_DIGITS = 12
 
@@ -65,79 +67,25 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argv grammar, built on first use and shared by every later run."""
-    parser = _Parser(prog="jthresh", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def doc_command(name: str, **flags: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name)
-        p.add_argument("doc", nargs="?", default=None,
-                       help="input document path ('-' or absent: stdin)")
-        for flag, help_text in flags.items():
-            p.add_argument(f"--{flag}", default=None, help=help_text)
-        p.add_argument("--format", default="text", choices=["text", "json", "csv"])
-        return p
-
-    doc_command("gamma", theta="twist class label", omega="polarization label")
-    doc_command("seshadri", theta="twist class label", omega="polarization label")
-    doc_command("sigma", theta="twist class label", omega="polarization label")
-    doc_command("solvable", theta="twist class label", omega="polarization label")
-    path_p = doc_command("path", theta="twist class label", a="boundary class label")
-    path_p.add_argument("--samples", default=None, help="grid size N; rows at t=k/N")
-    doc_command("stable-cone", theta="twist class label", a="boundary class label")
-    doc_command("toric-gamma", theta="twist class label", omega="polarization label")
-    csck_p = doc_command("csck", omega="polarization label",
-                         alpha="integrability exponent (exact rational)")
-    csck_p.add_argument("--minus-c1", dest="minus_c1", default=None,
-                        help="label of the minus-first-Chern class")
-    doc_command("validate")
-
-    cat = sub.add_parser("catalog")
-    cat.add_argument("name", help="ross | hirzebruch | perfect_lightcone | blowup_path")
-    cat.add_argument("--g", default=None, help="genus (ross)")
-    cat.add_argument("--sC", default=None, help="ample threshold s_C (ross)")
-    cat.add_argument("--t", default=None, help="evaluate ross at polarization L_t")
-    cat.add_argument("--a", default=None,
-                     help="negative-section self-intersection parameter (hirzebruch)")
-    cat.add_argument("--rank", default=None, help="lattice rank (perfect_lightcone)")
-    cat.add_argument("--export", action="store_true",
-                     help="print the entry as an input document (always JSON)")
-    cat.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    return parser
-
-
 # --- rendering ------------------------------------------------------------
 
 
-def _render_json(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _text_lines(value: Any, prefix: str) -> list[str]:
+    """One 'path.to.key: value' line per leaf; a list of scalars is one JSON leaf."""
     if isinstance(value, dict):
-        lines: list[str] = []
-        for key, sub in value.items():
-            lines.extend(_text_lines(sub, f"{prefix}.{key}" if prefix else str(key)))
-        return lines
-    if isinstance(value, list):
-        if all(not isinstance(v, (dict, list)) for v in value):
-            return [f"{prefix}: {json.dumps(value)}"]
-        lines = []
-        for i, item in enumerate(value):
-            lines.extend(_text_lines(item, f"{prefix}.{i}"))
-        return lines
-    if isinstance(value, bool):
-        return [f"{prefix}: {'true' if value else 'false'}"]
-    if value is None:
-        return [f"{prefix}: null"]
-    return [f"{prefix}: {value}"]
+        items = value.items()
+    elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+        items = enumerate(value)
+    else:
+        leaf = json.dumps(value) if value is None or isinstance(value, (bool, list)) else value
+        return [f"{prefix}: {leaf}"]
+    return [line for key, sub in items
+            for line in _text_lines(sub, f"{prefix}.{key}" if prefix else str(key))]
 
 
 def _render(payload: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
-        return _render_json(payload)
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     return "\n".join(_text_lines(payload, "")) + "\n"
 
 
@@ -146,11 +94,9 @@ def _render(payload: dict[str, Any], fmt: str) -> str:
 
 def _load_document(args: argparse.Namespace, stdin_bytes: bytes,
                    stdin_reader: Callable[[], bytes] | None) -> InputDocument:
-    path = getattr(args, "doc", None)
+    path = args.doc
     if path in (None, "-"):
-        data = stdin_bytes
-        if not data and stdin_reader is not None:
-            data = stdin_reader()
+        data = stdin_bytes or (stdin_reader() if stdin_reader is not None else b"")
         if not data:
             raise BadDocument("no input document: pass a path or pipe JSON on stdin")
     else:
@@ -167,119 +113,21 @@ def _load_document(args: argparse.Namespace, stdin_bytes: bytes,
     return parse_document(data)
 
 
-def _option(args: argparse.Namespace, doc: InputDocument, name: str) -> str:
-    value = getattr(args, name, None)
-    if value is None:
-        value = doc.query.get(name)
-    if value is None:
-        raise BadParams(f"missing required option --{name.replace('_', '-')}")
-    return str(value)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _surface_inputs(doc: InputDocument) -> tuple[IntersectionLattice, NefConeModel]:
-    if doc.lattice is None or doc.cone is None:
-        raise BadDocument("this command needs a document with lattice and cone")
-    return doc.lattice, doc.cone
+def _option(args: argparse.Namespace, doc: InputDocument, name: str,
+            default: Any = None) -> Any:
+    """An option from argv, else from the document's query, else default; else an error."""
+    for value in (getattr(args, name), doc.query.get(name), default):
+        if value is not None:
+            return value
+    raise BadParams(f"missing required option {_flag(name)}")
 
 
-def _lattice_class(doc: InputDocument, label: str) -> DivClass:
-    if label not in doc.classes:
-        raise BadDocument(f"unknown class label {label!r}")
-    return doc.classes[label]
-
-
-def _toric_inputs(doc: InputDocument) -> Fan:
-    if doc.fan is None:
-        raise BadDocument("this command needs a document with a fan")
-    return doc.fan
-
-
-def _toric_class(doc: InputDocument, label: str) -> DivClass:
-    if label not in doc.toric_classes:
-        raise BadDocument(f"unknown toric class label {label!r}")
-    return doc.toric_classes[label]
-
-
-# --- command handlers -------------------------------------------------------
-
-
-def _audit_json(audit: ConeConstants) -> dict[str, Any]:
-    return {
-        "C": format_rat(audit.C),
-        "sigma": quad_to_json(audit.sigma),
-        "T": quad_to_json(audit.T),
-        "theta_kahler": audit.theta_kahler,
-        "binding_facet_sigma": audit.binding_facet_sigma,
-        "binding_facet_T": audit.binding_facet_T,
-    }
-
-
-def _cmd_gamma(doc: InputDocument, args: argparse.Namespace, digits: int) -> dict[str, Any]:
-    lattice, cone = _surface_inputs(doc)
-    theta_label = _option(args, doc, "theta")
-    omega_label = _option(args, doc, "omega")
-    res = surface_gamma(lattice, cone, _lattice_class(doc, theta_label),
-                        _lattice_class(doc, omega_label))
-    return {
-        "command": "gamma",
-        "theta": theta_label,
-        "omega": omega_label,
-        "exact": {"value": quad_to_json(res.value)},
-        "decimal": {"value": decimal_str(res.value, digits), "digits": digits},
-        "status": res.status.value,
-        "audit": _audit_json(res.audit),
-        "caveats": [],
-    }
-
-
-def _cmd_cone_constant(doc: InputDocument, args: argparse.Namespace,
-                       digits: int) -> dict[str, Any]:
-    """`seshadri` prints T and `sigma` prints sigma, each with its binding facet."""
-    lattice, cone = _surface_inputs(doc)
-    theta_label = _option(args, doc, "theta")
-    omega_label = _option(args, doc, "omega")
-    project = {"seshadri": seshadri_T, "sigma": sigma_inf}[args.command]
-    value, facet = project(lattice, cone, _lattice_class(doc, theta_label),
-                           _lattice_class(doc, omega_label))
-    return {
-        "command": args.command,
-        "theta": theta_label,
-        "omega": omega_label,
-        "exact": {"value": quad_to_json(value)},
-        "decimal": {"value": decimal_str(value, digits), "digits": digits},
-        "binding_facet": facet,
-        "caveats": [],
-    }
-
-
-def _cmd_solvable(doc: InputDocument, args: argparse.Namespace, digits: int) -> dict[str, Any]:
-    lattice, cone = _surface_inputs(doc)
-    theta_label = _option(args, doc, "theta")
-    omega_label = _option(args, doc, "omega")
-    ok = is_solvable(lattice, cone, _lattice_class(doc, theta_label),
-                     _lattice_class(doc, omega_label))
-    return {"command": "solvable", "theta": theta_label, "omega": omega_label,
-            "solvable": ok, "caveats": []}
-
-
-def _scalar_json(x) -> Any:
-    if isinstance(x, QuadNum):
-        return quad_to_json(x)
-    return format_rat(Fraction(x))
-
-
-def _interval_json(interval) -> dict[str, Any]:
-    return {"lo": quad_to_json(interval.lo), "hi": quad_to_json(interval.hi),
-            "hi_closed": interval.hi_closed}
-
-
-def _samples(args: argparse.Namespace, doc: InputDocument) -> int:
-    """--samples, else the document's query.samples, else 100; a JSON bool is refused."""
-    raw = getattr(args, "samples", None)
-    if raw is None:
-        raw = doc.query.get("samples")
-    if raw is None:
-        return 100
+def _samples(raw: Any) -> int:
+    """A grid size from argv or the document's query; a JSON bool is refused."""
     if not isinstance(raw, bool):
         try:
             return int(str(raw))
@@ -288,133 +136,164 @@ def _samples(args: argparse.Namespace, doc: InputDocument) -> int:
     raise BadParams(f"--samples must be an integer, got {raw!r}")
 
 
-def _cmd_path(doc: InputDocument, args: argparse.Namespace,
-              digits: int) -> dict[str, Any] | str:
-    """The sweep as a payload, or as finished CSV text under --format csv."""
-    lattice, cone = _surface_inputs(doc)
-    theta_label = _option(args, doc, "theta")
-    a_label = _option(args, doc, "a")
-    samples = _samples(args, doc)
-    theta = _lattice_class(doc, theta_label)
-    a = _lattice_class(doc, a_label)
+@dataclass(frozen=True)
+class _Part:
+    """A document part a command computes on: its InputDocument fields, the diagnostic
+    when one is absent, the field holding its labelled classes and the unknown-label one."""
+
+    fields: tuple[str, ...]
+    missing: str
+    classes: str
+    unknown: str
+
+
+_SURFACE = _Part(("lattice", "cone"), "this command needs a document with lattice and cone",
+                 "classes", "unknown class label")
+_FAN = _Part(("fan",), "this command needs a document with a fan",
+             "toric_classes", "unknown toric class label")
+
+_LABEL_HELP = {
+    "theta": "twist class label",
+    "omega": "polarization label",
+    "a": "boundary class label",
+    "minus_c1": "label of the minus-first-Chern class",
+}
+
+
+@dataclass(frozen=True)
+class _Option:
+    """A non-label option: help, parser, and the raw value used when absent (None: required)."""
+
+    help: str
+    parse: Callable[[Any], Any]
+    default: Any = None
+
+
+@dataclass(frozen=True)
+class _DocCommand:
+    """One document command.  Its handler gets the part's fields (the document when
+    part is None), each label's class, each option's value and digits as keywords,
+    and returns its own payload fields; render_csv turns a payload into CSV."""
+
+    handler: Callable[..., dict[str, Any]]
+    part: _Part | None
+    labels: tuple[str, ...] = ()
+    options: dict[str, _Option] = field(default_factory=dict)
+    render_csv: Callable[[dict[str, Any]], str] | None = None
+
+
+# --- command handlers -------------------------------------------------------
+
+
+def _decimal(digits: int, **values) -> dict[str, Any]:
+    """A payload's decimal block: each value to digits significant digits."""
+    return {**{key: decimal_str(x, digits) for key, x in values.items()}, "digits": digits}
+
+
+def _value(x: QuadNum, digits: int) -> dict[str, Any]:
+    """The exact and decimal blocks of a payload that reports one value."""
+    return {"exact": {"value": quad_to_json(x)}, "decimal": _decimal(digits, value=x)}
+
+
+def _audit_json(audit: ConeConstants) -> dict[str, Any]:
+    return {"C": format_rat(audit.C), "sigma": quad_to_json(audit.sigma),
+            "T": quad_to_json(audit.T), "theta_kahler": audit.theta_kahler,
+            "binding_facet_sigma": audit.binding_facet_sigma,
+            "binding_facet_T": audit.binding_facet_T}
+
+
+def _cmd_gamma(lattice, cone, theta, omega, digits) -> dict[str, Any]:
+    res = surface_gamma(lattice, cone, theta, omega)
+    return {**_value(res.value, digits), "status": res.status.value,
+            "audit": _audit_json(res.audit), "caveats": []}
+
+
+def _cmd_seshadri(lattice, cone, theta, omega, digits) -> dict[str, Any]:
+    value, facet = seshadri_T(lattice, cone, theta, omega)
+    return {**_value(value, digits), "binding_facet": facet, "caveats": []}
+
+
+def _cmd_sigma(lattice, cone, theta, omega, digits) -> dict[str, Any]:
+    value, facet = sigma_inf(lattice, cone, theta, omega)
+    return {**_value(value, digits), "binding_facet": facet, "caveats": []}
+
+
+def _cmd_solvable(lattice, cone, theta, omega, digits) -> dict[str, Any]:
+    return {"solvable": is_solvable(lattice, cone, theta, omega), "caveats": []}
+
+
+_PATH_COLUMNS = ("t", "R_numerator", "gamma_value", "solvable", "decimal_approx")
+
+
+def _cmd_path(lattice, cone, theta, a, samples, digits) -> dict[str, Any]:
     analysis = path_R(lattice, cone, theta, a)
     rows = sample_path(lattice, cone, theta, a, samples, analysis)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "R_numerator", "gamma_value", "solvable", "decimal_approx"])
-        for row in rows:
-            gv = quad_to_json(row.gamma)
-            writer.writerow([
-                format_rat(row.t),
-                format_rat(row.r_numerator),
-                gv if isinstance(gv, str) else json.dumps(gv, sort_keys=True),
-                1 if row.solvable else 0,
-                decimal_str(row.gamma, digits),
-            ])
-        return buf.getvalue()
-    payload = {
-        "command": "path",
-        "theta": theta_label,
-        "a": a_label,
+    return {
         "samples": samples,
         "numerator_coeffs": [format_rat(c) for c in analysis.numerator.coeffs],
         "a_selfint": format_rat(analysis.a_selfint),
         "theta_selfint": format_rat(analysis.theta_selfint),
-        "solvable_set": [_interval_json(iv) for iv in analysis.solvable_set],
-        "rows": [{
-            "t": format_rat(row.t),
-            "R_numerator": format_rat(row.r_numerator),
-            "gamma_value": quad_to_json(row.gamma),
-            "solvable": row.solvable,
-            "decimal_approx": decimal_str(row.gamma, digits),
-        } for row in rows],
+        "solvable_set": [{"lo": quad_to_json(iv.lo), "hi": quad_to_json(iv.hi),
+                          "hi_closed": iv.hi_closed} for iv in analysis.solvable_set],
+        "rows": [dict(zip(_PATH_COLUMNS, (
+            format_rat(row.t), format_rat(row.r_numerator), quad_to_json(row.gamma),
+            row.solvable, decimal_str(row.gamma, digits)))) for row in rows],
         "decimal_digits": digits,
         "caveats": [],
     }
-    return payload
 
 
-def _cmd_stable_cone(doc: InputDocument, args: argparse.Namespace,
-                     digits: int) -> dict[str, Any]:
-    lattice, cone = _surface_inputs(doc)
-    theta_label = _option(args, doc, "theta")
-    a_label = _option(args, doc, "a")
-    res = stable_subcone(lattice, cone, _lattice_class(doc, theta_label),
-                         _lattice_class(doc, a_label))
-    payload: dict[str, Any] = {"command": "stable-cone", "theta": theta_label,
-                               "a": a_label, "caveats": []}
+def _path_csv(payload: dict[str, Any]) -> str:
+    """The sweep's rows as CSV: an irrational value as compact JSON, solvable as 0/1."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_PATH_COLUMNS)
+    for t, r, value, solvable, approx in map(dict.values, payload["rows"]):
+        value = value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+        writer.writerow([t, r, value, int(solvable), approx])
+    return buf.getvalue()
+
+
+def _cmd_stable_cone(lattice, cone, theta, a, digits) -> dict[str, Any]:
+    res = stable_subcone(lattice, cone, theta, a)
     if isinstance(res, PerfectCone):
-        payload["perfect"] = True
-        payload["note"] = res.note
-        return payload
-    payload["perfect"] = False
-    payload["exact"] = {
-        "boundary_t": format_rat(res.boundary_t),
-        "normalization": quad_to_json(res.normalization),
-        "boundary_ray": [_scalar_json(c) for c in res.boundary_ray.coords],
-    }
-    payload["decimal"] = {"normalization": decimal_str(res.normalization, digits),
-                          "digits": digits}
-    return payload
+        return {"caveats": [], "perfect": True, "note": res.note}
+    ray = [quad_to_json(c) if isinstance(c, QuadNum) else format_rat(c)
+           for c in res.boundary_ray.coords]
+    return {"caveats": [], "perfect": False,
+            "exact": {"boundary_t": format_rat(res.boundary_t),
+                      "normalization": quad_to_json(res.normalization), "boundary_ray": ray},
+            "decimal": _decimal(digits, normalization=res.normalization)}
 
 
-def _cmd_toric_gamma(doc: InputDocument, args: argparse.Namespace,
-                     digits: int) -> dict[str, Any]:
-    fan = _toric_inputs(doc)
-    theta_label = _option(args, doc, "theta")
-    omega_label = _option(args, doc, "omega")
-    res = toric_gamma(fan, _toric_class(doc, theta_label),
-                      _toric_class(doc, omega_label))
+def _cmd_toric_gamma(fan, theta, omega, digits) -> dict[str, Any]:
+    res = toric_gamma(fan, theta, omega)
     return {
-        "command": "toric-gamma",
-        "theta": theta_label,
-        "omega": omega_label,
         "exact": {"value": format_rat(res.value)},
-        "decimal": {"value": decimal_str(res.value, digits), "digits": digits},
+        "decimal": _decimal(digits, value=res.value),
         "status": res.status.value,
         "minimizer": list(res.minimizer),
-        "audit": {
-            "C": format_rat(res.C),
-            "T": None if res.T is None else format_rat(res.T),
-            "orbits": len(res.scores),
-        },
-        "scores": [{
-            "cone": list(s.cone),
-            "p": s.p,
-            "numerator": format_rat(s.numerator),
-            "denominator": format_rat(s.denominator),
-            "value": format_rat(s.value),
-        } for s in res.scores],
+        "audit": {"C": format_rat(res.C), "T": None if res.T is None else format_rat(res.T),
+                  "orbits": len(res.scores)},
+        "scores": [{"cone": list(s.cone), "p": s.p, "numerator": format_rat(s.numerator),
+                    "denominator": format_rat(s.denominator), "value": format_rat(s.value)}
+                   for s in res.scores],
         "caveats": [res.caveat],
     }
 
 
-def _cmd_csck(doc: InputDocument, args: argparse.Namespace, digits: int) -> dict[str, Any]:
-    lattice, cone = _surface_inputs(doc)
-    mc1_label = _option(args, doc, "minus_c1")
-    omega_label = _option(args, doc, "omega")
-    alpha = rat(_option(args, doc, "alpha"))
-    report = csck_criterion(lattice, cone, _lattice_class(doc, mc1_label),
-                            _lattice_class(doc, omega_label), alpha)
-    return {
-        "command": "csck",
-        "minus_c1": mc1_label,
-        "omega": omega_label,
-        "alpha": format_rat(alpha),
-        "holds": report.holds,
-        "exact": {"lhs": quad_to_json(report.lhs), "rhs": format_rat(report.rhs)},
-        "decimal": {"lhs": decimal_str(report.lhs, digits), "digits": digits},
-        "caveats": [report.caveat],
-    }
+def _cmd_csck(lattice, cone, minus_c1, omega, alpha, digits) -> dict[str, Any]:
+    report = csck_criterion(lattice, cone, minus_c1, omega, alpha)
+    return {"alpha": format_rat(alpha), "holds": report.holds,
+            "exact": {"lhs": quad_to_json(report.lhs), "rhs": format_rat(report.rhs)},
+            "decimal": _decimal(digits, lhs=report.lhs), "caveats": [report.caveat]}
 
 
-def _cmd_validate(doc: InputDocument, args: argparse.Namespace,
-                  digits: int) -> dict[str, Any]:
+def _cmd_validate(doc: InputDocument, digits: int) -> dict[str, Any]:
     # parse_document already validated everything; report what was checked
-    payload: dict[str, Any] = {"command": "validate", "ok": True}
+    payload: dict[str, Any] = {"ok": True}
     if doc.lattice is not None:
-        pos, neg, zero = doc.lattice.signature()
+        pos, neg, _ = doc.lattice.signature()
         payload["lattice"] = {"rank": doc.lattice.rank, "signature": [pos, neg]}
     if doc.cone is not None:
         payload["cone"] = {"facets": len(doc.cone.facets),
@@ -428,68 +307,110 @@ def _cmd_validate(doc: InputDocument, args: argparse.Namespace,
     return payload
 
 
-def _entry_document(entry: catalog_mod.CatalogEntry,
-                    extra_classes: dict[str, DivClass] | None = None) -> dict[str, Any]:
-    doc = InputDocument(lattice=entry.lattice, cone=entry.cone, fan=entry.fan,
-                        classes={**entry.named_classes, **(extra_classes or {})},
-                        toric_classes=dict(entry.named_toric_classes or {}))
-    return document_to_json(doc)
+# flag -> (catalog parameter, help)
+_CATALOG_FLAGS = {
+    "g": ("g", "genus (ross)"),
+    "sC": ("s_C", "ample threshold s_C (ross)"),
+    "a": ("a", "negative-section self-intersection parameter (hirzebruch)"),
+    "rank": ("rank", "lattice rank (perfect_lightcone)"),
+}
 
 
 def _cmd_catalog(args: argparse.Namespace, digits: int) -> dict[str, Any]:
-    params: dict[str, str] = {}
-    for flag, key in (("g", "g"), ("sC", "s_C"), ("a", "a"), ("rank", "rank")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            params[key] = value
+    params = {key: getattr(args, flag) for flag, (key, _) in _CATALOG_FLAGS.items()
+              if getattr(args, flag) is not None}
     entry = catalog_mod.build(args.name, params)
-    extra: dict[str, DivClass] = {}
-    if args.name == "ross" and args.t is not None:
-        extra["L_t"] = catalog_mod.ross_polarization(args.t)
+    t = rat(args.t) if args.name == "ross" and args.t is not None else None
+    classes = dict(entry.named_classes)
+    if t is not None:
+        classes["L_t"] = catalog_mod.ross_polarization(t)
     if args.export:
-        return _entry_document(entry, extra)
+        return document_to_json(InputDocument(
+            lattice=entry.lattice, cone=entry.cone, fan=entry.fan, classes=classes,
+            toric_classes=dict(entry.named_toric_classes or {})))
     payload: dict[str, Any] = {
-        "command": "catalog",
-        "name": entry.name,
+        "command": "catalog", "name": entry.name,
         "params": {k: format_rat(v) for k, v in sorted(entry.params.items())},
         "lattice": {"rank": entry.lattice.rank, "labels": list(entry.lattice.labels)},
         "cone": {"facets": list(entry.cone.facet_labels),
                  "light_cone": entry.cone.light_cone is not None},
-        "classes": sorted(entry.named_classes),
-        "caveats": list(entry.notes),
-    }
+        "classes": sorted(entry.named_classes), "caveats": list(entry.notes)}
     if entry.fan is not None:
-        payload["fan"] = {"rays": len(entry.fan.rays),
-                          "max_cones": len(entry.fan.max_cones)}
-    if args.name == "ross" and args.t is not None:
-        t = rat(args.t)
-        theta = entry.named_classes["K"]
-        omega = extra["L_t"]
-        res = surface_gamma(entry.lattice, entry.cone, theta, omega)
+        payload["fan"] = {"rays": len(entry.fan.rays), "max_cones": len(entry.fan.max_cones)}
+    if t is not None:
+        res = surface_gamma(entry.lattice, entry.cone, classes["K"], classes["L_t"])
         closed = catalog_mod.ross_gamma_closed_form(args.g, args.sC, t)
         payload["t"] = format_rat(t)
-        payload["exact"] = {"value": quad_to_json(res.value),
-                            "closed_form": format_rat(closed)}
-        payload["decimal"] = {"value": decimal_str(res.value, digits), "digits": digits}
-        payload["status"] = res.status.value
-        payload["audit"] = _audit_json(res.audit)
+        payload.update(_value(res.value, digits), status=res.status.value,
+                       audit=_audit_json(res.audit))
+        payload["exact"]["closed_form"] = format_rat(closed)
     return payload
 
 
-# Commands that read a document.  A handler returns the payload to render,
-# or finished text when its format has no payload form (path's CSV).
-DOC_COMMANDS: dict[str, Callable[[InputDocument, argparse.Namespace, int],
-                                 dict[str, Any] | str]] = {
-    "gamma": _cmd_gamma,
-    "seshadri": _cmd_cone_constant,
-    "sigma": _cmd_cone_constant,
-    "solvable": _cmd_solvable,
-    "path": _cmd_path,
-    "stable-cone": _cmd_stable_cone,
-    "toric-gamma": _cmd_toric_gamma,
-    "csck": _cmd_csck,
-    "validate": _cmd_validate,
+# Every command that reads a document, declared once: the argv grammar, the
+# document checks and the label lookup are all read from this table.
+DOC_COMMANDS: dict[str, _DocCommand] = {
+    "gamma": _DocCommand(_cmd_gamma, _SURFACE, ("theta", "omega")),
+    "seshadri": _DocCommand(_cmd_seshadri, _SURFACE, ("theta", "omega")),
+    "sigma": _DocCommand(_cmd_sigma, _SURFACE, ("theta", "omega")),
+    "solvable": _DocCommand(_cmd_solvable, _SURFACE, ("theta", "omega")),
+    "path": _DocCommand(_cmd_path, _SURFACE, ("theta", "a"), {
+        "samples": _Option("grid size N; rows at t=k/N", _samples, default=100)},
+        render_csv=_path_csv),
+    "stable-cone": _DocCommand(_cmd_stable_cone, _SURFACE, ("theta", "a")),
+    "toric-gamma": _DocCommand(_cmd_toric_gamma, _FAN, ("theta", "omega")),
+    "csck": _DocCommand(_cmd_csck, _SURFACE, ("minus_c1", "omega"), {
+        "alpha": _Option("integrability exponent (exact rational)", lambda raw: rat(str(raw)))}),
+    "validate": _DocCommand(_cmd_validate, None),
 }
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argv grammar, built on first use and shared by every later run."""
+    parser = _Parser(prog="jthresh", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    formats = ["text", "json", "csv"]
+    for name, command in DOC_COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("doc", nargs="?", default=None,
+                       help="input document path ('-' or absent: stdin)")
+        for label in command.labels:
+            p.add_argument(_flag(label), default=None, help=_LABEL_HELP[label])
+        for option, spec in command.options.items():
+            p.add_argument(_flag(option), default=None, help=spec.help)
+        p.add_argument("--format", default="text", choices=formats)
+    cat = sub.add_parser("catalog")
+    cat.add_argument("name", help=" | ".join(catalog_mod._BUILDERS))
+    for flag, (_, help_text) in _CATALOG_FLAGS.items():
+        cat.add_argument(f"--{flag}", default=None, help=help_text)
+    cat.add_argument("--t", default=None, help="evaluate ross at polarization L_t")
+    cat.add_argument("--export", action="store_true",
+                     help="print the entry as an input document (always JSON)")
+    cat.add_argument("--format", default="text", choices=formats)
+    return parser
+
+
+def _resolve(command: _DocCommand, args: argparse.Namespace, doc: InputDocument,
+             digits: int) -> dict[str, Any]:
+    """Check a command's inputs in one order (document part, each label given, each
+    other option parsed, each label known), then run its handler and head its payload."""
+    part = command.part
+    if part is None:
+        inputs: dict[str, Any] = {"doc": doc}
+    else:
+        inputs = {key: getattr(doc, key) for key in part.fields}
+        if any(value is None for value in inputs.values()):
+            raise BadDocument(part.missing)
+    labels = {key: str(_option(args, doc, key)) for key in command.labels}
+    for key, option in command.options.items():
+        inputs[key] = option.parse(_option(args, doc, key, option.default))
+    for key, label in labels.items():
+        known = getattr(doc, part.classes)
+        if label not in known:
+            raise BadDocument(f"{part.unknown} {label!r}")
+        inputs[key] = known[label]
+    return {"command": args.command, **labels, **command.handler(**inputs, digits=digits)}
 
 
 # --- entry points ------------------------------------------------------------
@@ -498,14 +419,14 @@ DOC_COMMANDS: dict[str, Callable[[InputDocument, argparse.Namespace, int],
 def _dispatch(args: argparse.Namespace, stdin_bytes: bytes,
               stdin_reader: Callable[[], bytes] | None) -> str:
     digits = _display_digits()
-    fmt = getattr(args, "format", "text")
-    if fmt == "csv" and args.command != "path":
+    command = DOC_COMMANDS.get(args.command)
+    if args.format == "csv" and (command is None or command.render_csv is None):
         raise BadParams("csv output is only defined for the 'path' command")
-    if args.command == "catalog":
-        return _render(_cmd_catalog(args, digits), "json" if args.export else fmt)
+    if command is None:  # catalog
+        return _render(_cmd_catalog(args, digits), "json" if args.export else args.format)
     doc = _load_document(args, stdin_bytes, stdin_reader)
-    out = DOC_COMMANDS[args.command](doc, args, digits)
-    return out if isinstance(out, str) else _render(out, fmt)
+    payload = _resolve(command, args, doc, digits)
+    return command.render_csv(payload) if args.format == "csv" else _render(payload, args.format)
 
 
 def run(argv: list[str], stdin_bytes: bytes = b"",
@@ -525,9 +446,7 @@ def run(argv: list[str], stdin_bytes: bytes = b"",
 
 def main(argv: list[str] | None = None) -> None:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    reader = None
-    if not sys.stdin.isatty():
-        reader = sys.stdin.buffer.read
+    reader = None if sys.stdin.isatty() else sys.stdin.buffer.read
     code, out = run(argv, stdin_reader=reader)
     sys.stdout.buffer.write(out)
     sys.stdout.buffer.flush()

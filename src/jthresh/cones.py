@@ -152,16 +152,9 @@ def cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
     feasible component containing delta -> -infinity, where theta - delta*omega
     is deep inside the forward cone) and the larger root to sigma.  T is the
     least bound and sigma the greatest; ties break to the lowest facet index,
-    light-cone last.
+    light-cone last.  This is segment_constants at t = 0 with a = omega.
     """
-    theta_sides = _sides(lattice, cone, theta)
-    omega_sides = _sides(lattice, cone, omega)
-    tw = as_rat(lattice.pair(theta, omega))
-    tt = _square(lattice, cone, theta, theta_sides)
-    ww = _square(lattice, cone, omega, omega_sides)
-    m = len(theta_sides)
-    _, ints = scale_to_integers(theta_sides + omega_sides + [tt, tw, ww])
-    return _constants(cone, ints[:m], ints[m:2 * m], *ints[2 * m:])
+    return next(segment_constants(lattice, cone, theta, omega, [Fraction(0)]))
 
 
 def segment_constants(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClass,
@@ -213,8 +206,8 @@ def _square(lattice: IntersectionLattice, cone: NefConeModel, d: DivClass,
 
 
 def _constants(cone: NefConeModel, theta_sides: list[int], omega_sides: list[int],
-               tt: int, tw: int, ww: int, n: int = 1,
-               radical: tuple[int, int] | None = None) -> ConeConstants:
+               tt: int, tw: int, ww: int, n: int,
+               radical: tuple[int, int] | None) -> ConeConstants:
     """The checks and the derivation of cone_constants, in integers.
 
     The scalars are integers over one denominator L > 0 and a point t = j/n:

@@ -64,7 +64,12 @@ def format_rat(value: Fraction) -> str:
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n >= 0 as s*s*d with d square-free; returns (s, d)."""
+    """Write n >= 0 as s*s*d with d square-free; returns (s, d).
+
+    Trial division takes each p out of the unfactored part m completely and
+    stops once p^3 > m.  m then has at most two prime factors, all >= p, so it
+    is square-free unless it is a square: at most about n^(1/3)/2 divisions.
+    """
     if n < 0:
         raise ValueError("radicand must be non-negative")
     if n == 0:
@@ -72,13 +77,20 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     r = isqrt(n)
     if r * r == n:
         return r, 1
-    s, d, p = 1, n, 2
-    while p * p <= d:
-        while d % (p * p) == 0:
-            d //= p * p
-            s *= p
+    s, d, m, p = 1, 1, n, 2
+    while p * p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            s *= p ** (e // 2)
+            d *= p ** (e % 2)
         p += 1 if p == 2 else 2
-    return s, d
+    r = isqrt(m)
+    if r * r == m:
+        return s * r, d
+    return s, d * m
 
 
 def rat_sqrt(x: Fraction) -> "QuadNum":
@@ -145,6 +157,15 @@ class QuadNum:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction, d: int) -> "QuadNum":
+        """a + b*sqrt(d) for a d already square-free (an operand's): nothing to factor."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "a", a)
+        object.__setattr__(q, "b", b)
+        object.__setattr__(q, "d", d if b else 0)
+        return q
+
     def __setattr__(self, name, value):  # immutable after __init__
         raise AttributeError("QuadNum is immutable")
 
@@ -189,13 +210,12 @@ class QuadNum:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self._join_radicand(o)
-        return QuadNum(self.a + o.a, self.b + o.b, d)
+        return QuadNum._of(self.a + o.a, self.b + o.b, self._join_radicand(o))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadNum":
-        return QuadNum(-self.a, -self.b, self.d)
+        return QuadNum._of(-self.a, -self.b, self.d)
 
     def __sub__(self, other: Scalar) -> "QuadNum":
         o = self._coerce(other)
@@ -211,8 +231,7 @@ class QuadNum:
         if o is NotImplemented:
             return NotImplemented
         d = self._join_radicand(o)
-        return QuadNum(self.a * o.a + self.b * o.b * d,
-                       self.a * o.b + self.b * o.a, d)
+        return QuadNum._of(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
 
     __rmul__ = __mul__
 
@@ -223,10 +242,10 @@ class QuadNum:
         if o.sign() == 0:
             raise ZeroDivisionError("division by zero QuadNum")
         if o.b == 0:
-            return QuadNum(self.a / o.a, self.b / o.a, self.d)
+            return QuadNum._of(self.a / o.a, self.b / o.a, self.d)
         # multiply by the conjugate; norm = a^2 - b^2 d is nonzero
         norm = o.a * o.a - o.b * o.b * o.d
-        conj = QuadNum(o.a, -o.b, o.d)
+        conj = QuadNum._of(o.a, -o.b, o.d)
         return (self * conj) / QuadNum(norm)
 
     def __rtruediv__(self, other: Scalar) -> "QuadNum":

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .cones import (ConeConstants, NefConeModel, _constraints, cone_constants, is_kahler,
                     segment_constants, seshadri_T, sigma_inf)  # noqa: F401
 from .errors import (ANotOnBoundary, BadParams, NegativeSelfIntersection,
-                     OmegaNotKahler, ThetaNotKahler, ZeroVolume)
+                     ThetaNotKahler, ZeroVolume)
 from .exactnum import (QuadNum, RatPoly, as_rat, poly_roots_quadratic, rat_sqrt,
                        scale_to_integers)
 from .lattice import DivClass, IntersectionLattice
@@ -130,16 +130,14 @@ def surface_gamma(lattice: IntersectionLattice, cone: NefConeModel,
 
 def is_solvable(lattice: IntersectionLattice, cone: NefConeModel,
                 theta: DivClass, omega: DivClass) -> bool:
-    """Solvability criterion: C*omega - theta interior to the cone.
+    """Solvability criterion: theta interior and the formula value C - sigma positive.
 
-    Agrees with the sign of the formula value; both classes must be interior.
+    For a Kahler omega this is C*omega - theta interior to the cone.  omega is
+    checked as surface_gamma checks it, after theta.
     """
     if not is_kahler(lattice, cone, theta):
         raise ThetaNotKahler("theta is not interior to the cone model")
-    if not is_kahler(lattice, cone, omega):
-        raise OmegaNotKahler("omega is not interior to the cone model")
-    c = c_constant(lattice, theta, omega)
-    return is_kahler(lattice, cone, omega.scale(c) - theta)
+    return surface_gamma(lattice, cone, theta, omega).value > 0
 
 
 def _rational_square(lattice: IntersectionLattice, cls: DivClass, name: str) -> Fraction:

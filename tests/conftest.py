@@ -5,7 +5,8 @@ Instances are drawn from seeded PRNGs so every run is deterministic.  A
 cone model that provably contains interior classes; half the instances are
 expressed in a sheared integer basis so the signature routine sees
 non-diagonal matrices.  For surfaces, ``fraction_cone_constants`` is a
-second route to the cone constants in Fraction arithmetic.  For toric
+second route to the cone constants in Fraction arithmetic, and
+``ample_difference_solvable`` a second route to solvability.  For toric
 manifolds, ``RecursionOracle`` is a second route to orbit integrals, and
 ``toric_surface_model`` turns a smooth complete fan of dimension 2 into a
 lattice model of the same surface.
@@ -17,7 +18,7 @@ from fractions import Fraction
 from random import Random
 
 from jthresh import (ConeConstants, DivClass, Fan, IntersectionLattice, LightConeFacet,
-                     NefConeModel, QuadNum, canonicalize, diagonal_lattice,
+                     NefConeModel, QuadNum, c_constant, canonicalize, diagonal_lattice,
                      intersection_number, is_kahler, rat_sqrt, validate_signature)
 from jthresh.cones import LIGHT_CONE
 from jthresh.errors import (BadConeModel, BadSignature, JThreshError, OmegaNotKahler,
@@ -180,6 +181,18 @@ def fraction_cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
     return ConeConstants(C=2 * tw / ww, sigma=sigma, T=T,
                          theta_kahler=all(v > 0 for v in theta_sides),
                          binding_facet_sigma=s_facet, binding_facet_T=t_facet)
+
+
+def ample_difference_solvable(lattice: IntersectionLattice, cone: NefConeModel,
+                              theta: DivClass, omega: DivClass) -> bool:
+    """Solvability as C*omega - theta interior to the cone, for Kahler theta and omega.
+
+    It reads C from ``c_constant`` and asks ``is_kahler`` about the difference
+    class, so it shares nothing with the sign of the formula value C - sigma.
+    """
+    assert is_kahler(lattice, cone, theta) and is_kahler(lattice, cone, omega)
+    c = c_constant(lattice, theta, omega)
+    return is_kahler(lattice, cone, omega.scale(c) - theta)
 
 
 def constants_outcome(compute) -> tuple:

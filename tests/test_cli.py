@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -554,6 +556,38 @@ class TestMalformedInput:
             argv, stdin, _ = MALFORMED[name]
             assert run(argv, stdin) == (2, f"BadParams: {message}\n".encode()), name
 
+    # two faults per input: the document part is checked first, then that every
+    # label is given, then the other options, and last that each label is known
+    @pytest.mark.parametrize("argv, stdin, line", [
+        (["gamma"], FAN_DOC, "BadDocument: this command needs a document with lattice and cone"),
+        (["seshadri", "--omega", "nope"], F1_DOC, "BadParams: missing required option --theta"),
+        (["sigma", "--theta", "nope"], F1_DOC, "BadParams: missing required option --omega"),
+        (["solvable", "--theta", "nope", "--omega", "nada"], F1_DOC,
+         "BadDocument: unknown class label 'nope'"),
+        (["path", "--theta", "nope", "--a", "H", "--samples", "x"], F1_DOC,
+         "BadParams: --samples must be an integer, got 'x'"),
+        (["path", "--a", "H"], _with(F1_DOC, query={"theta": "nope", "samples": True}),
+         "BadParams: --samples must be an integer, got True"),
+        (["stable-cone", "--theta", "theta"], _with(F1_DOC, cone=None),
+         "BadDocument: this command needs a document with lattice and cone"),
+        (["toric-gamma", "--theta", "nope"], F1_DOC,
+         "BadDocument: this command needs a document with a fan"),
+        (["toric-gamma", "--theta", "nope", "--omega", "nada"], FAN_DOC,
+         "BadDocument: unknown toric class label 'nope'"),
+        (["csck", "--minus-c1", "nope", "--omega", "omega", "--alpha", "zz"], F1_DOC,
+         "BadParams: bad rational 'zz': Invalid literal for Fraction: 'zz'"),
+        (["csck", "--minus-c1", "nope", "--omega", "omega"], F1_DOC,
+         "BadParams: missing required option --alpha"),
+        (["csck", "--omega", "omega", "--alpha", "zz"], F1_DOC,
+         "BadParams: missing required option --minus-c1"),
+        (["path", "--theta", "theta", "--samples", "0"], F1_DOC,
+         "BadParams: missing required option --a"),
+        (["validate", "--format", "csv"], b"",
+         "BadParams: csv output is only defined for the 'path' command"),
+    ])
+    def test_first_of_two_faults_is_reported(self, argv, stdin, line):
+        assert run(argv, stdin) == (2, f"{line}\n".encode())
+
     def test_help_still_exits_0(self, capsys):
         for argv in (["-h"], ["gamma", "--help"], ["catalog", "-h"]):
             code, out = run(argv)
@@ -585,3 +619,39 @@ class TestMalformedInput:
             else:
                 argv = [command, "--theta", "theta", "--omega", omega]
             assert run(argv, HALF_PLANE_DOC) == (2, line.encode())
+
+    def test_solvable_checks_omega_like_gamma(self):
+        # omega = (1, 2) on the half-plane has omega^2 = -3; solvable once answered false
+        for omega, line in (("outside", "OmegaNotKahler: omega is not interior to the cone model"),
+                            ("null", "ZeroVolume: omega^2 = 0"),
+                            ("negative", "OmegaNotKahler: omega^2 <= 0")):
+            argv = ["solvable", "--theta", "theta", "--omega", omega]
+            assert run(argv, HALF_PLANE_DOC) == (2, f"{line}\n".encode())
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    line = re.search(r"^Subcommands: (.*?)\.$", readme, re.M | re.S).group(1)
+    assert re.findall(r"`([^`]+)`", line) == [*DOC_COMMANDS, "catalog"]
+
+
+def test_large_prime_denominator_is_quick():
+    # theta = (2, 1/p) puts p^2 into the light-cone discriminant; factoring it
+    # by trial division to its square root once took about a second per query
+    p = 10000019
+    doc = json.dumps({"lattice": {"matrix": [["1", "0"], ["0", "-2"]]},
+                      "cone": {"facets": [], "light_cone": {"H": ["1", "0"]}},
+                      "classes": {"theta": ["2", f"1/{p}"], "omega": ["3", "1"]}}).encode()
+    start = time.perf_counter()
+    code, out = run(["gamma", "--theta", "theta", "--omega", "omega"], doc)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out.decode().splitlines()) == (0, [
+        "command: gamma", "theta: theta", "omega: omega",
+        "exact.value.rat: 60000112/70000133", "exact.value.coef: -20000035/70000133",
+        "exact.value.rad: 2", "decimal.value: 0.453081871360", "decimal.digits: 12",
+        "status: Solvable", "audit.C: 120000224/70000133",
+        "audit.sigma.rat: 60000112/70000133", "audit.sigma.coef: 20000035/70000133",
+        "audit.sigma.rad: 2", "audit.T.rat: 60000112/70000133",
+        "audit.T.coef: -20000035/70000133", "audit.T.rad: 2", "audit.theta_kahler: true",
+        "audit.binding_facet_sigma: light-cone", "audit.binding_facet_T: light-cone",
+        "caveats: []"])

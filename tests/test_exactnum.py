@@ -12,6 +12,7 @@ from random import Random
 
 import pytest
 
+from jthresh import exactnum
 from jthresh.errors import BadParams, MixedRadicands, ZeroPolynomial
 from jthresh.exactnum import (MAX_DECIMAL_DIGITS, QuadNum, RatPoly, decimal_str, format_rat,
                               poly_roots_quadratic, rat, rat_sqrt,
@@ -127,6 +128,24 @@ class TestQuadArithmetic:
                 with pytest.raises(AttributeError):
                     clone.b = Fraction(0)
 
+    def test_arithmetic_does_not_factor_radicands(self, monkeypatch):
+        d = 10**13 + 37  # prime: factoring it by trial division is slow
+        q, r = QuadNum(1, 2, d), QuadNum(Fraction(1, 3), -5, d)
+        expected = [QuadNum(Fraction(4, 3), -3, d), QuadNum(Fraction(2, 3), 7, d),
+                    QuadNum(Fraction(1, 3) - 10 * d, Fraction(-13, 3), d), QuadNum(-1, -2, d),
+                    QuadNum(2, 2, d), QuadNum(3, 6, d), QuadNum(0, -2, d), QuadNum(0)]
+        calls = []
+        original = exactnum.squarefree_decompose
+        monkeypatch.setattr(exactnum, "squarefree_decompose",
+                            lambda n: calls.append(n) or original(n))
+        results = [q + r, q - r, q * r, -q, q + 1, 3 * q, 1 - q, q - q]
+        quotient = (q / r) * r
+        comparisons = [q < r, q <= q + 1, q == quotient, q > 1, q >= r, q != r]
+        assert calls == []
+        assert [(x.a, x.b, x.d) for x in results] == [(x.a, x.b, x.d) for x in expected]
+        assert comparisons == [False, True, True, True, True, True]
+        assert (q - q).d == 0 and (q * QuadNum(1, -2, d)).d == 0
+
     def test_comparison_with_other_types_is_refused(self):
         x = QuadNum(1, 1, 2)
         for other in (1.5, "1"):
@@ -145,6 +164,44 @@ class TestSquarefree:
             if n > 0:
                 for p in range(2, isqrt(d) + 1):
                     assert d % (p * p) != 0
+
+    def test_matches_trial_division_to_the_square_root(self):
+        def by_square_root(n):  # the reference: trial division while p^2 <= what is left
+            s, d, p = 1, n, 2
+            while p * p <= d:
+                while d % (p * p) == 0:
+                    d //= p * p
+                    s *= p
+                p += 1 if p == 2 else 2
+            return s, d
+
+        rng = Random(7010)
+        primes = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
+        cases = [rng.randint(1, 10**8) for _ in range(1500)]
+        for _ in range(1500):
+            # p^2, p*q, p^2*q and p^3 with p, q near the cube root of what is left
+            p, q = rng.sample(primes, 2)
+            cases += [p * p, p * q, p * p * q, p ** 3, p ** 3 * q,
+                      rng.choice(primes[:10]) * p * p * q]
+        for n in cases:
+            assert squarefree_decompose(n) == by_square_root(n), n
+
+    def test_large_prime_factors(self):
+        # factorizations built from known primes; (s, d) read off the exponents
+        rng = Random(7011)
+        large = [21529, 21557, 46337, 46349, 999983, 1000003, 10000019]
+        for _ in range(200):
+            exponents = {p: rng.randint(1, 4) for p in rng.sample(range(2, 60), 3)
+                         if all(p % q for q in range(2, p))}
+            exponents.update({p: rng.randint(1, 2) for p in rng.sample(large, 1)})
+            n = s = d = 1
+            for p, e in exponents.items():
+                n, s, d = n * p ** e, s * p ** (e // 2), d * p ** (e % 2)
+            assert squarefree_decompose(n) == (s, d), n
+        start = time.perf_counter()
+        assert squarefree_decompose(10**13 + 37) == (1, 10**13 + 37)
+        assert squarefree_decompose(3 * 10000019**2) == (10000019, 3)
+        assert time.perf_counter() - start < 0.5
 
     def test_rat_sqrt_squares_back(self):
         rng = Random(7008)

@@ -9,8 +9,8 @@ from random import Random
 
 import pytest
 
-from conftest import (fraction_cone_constants, random_class, random_instance, random_kahler,
-                      rnd_fraction)
+from conftest import (ample_difference_solvable, fraction_cone_constants, random_class,
+                      random_instance, random_kahler, rnd_fraction)
 from jthresh import surface
 from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
                      NefConeModel, PerfectCone, QuadNum, Status, build,
@@ -152,7 +152,9 @@ class TestSurfaceGamma:
             omega = random_kahler(rng, inst)
             res = surface_gamma(inst.lattice, inst.cone, theta, omega)
             assert res.audit.theta_kahler
-            assert is_solvable(inst.lattice, inst.cone, theta, omega) == (res.value > 0)
+            solvable = ample_difference_solvable(inst.lattice, inst.cone, theta, omega)
+            assert solvable == (res.value > 0)
+            assert is_solvable(inst.lattice, inst.cone, theta, omega) == solvable
             assert res.status in (Status.SOLVABLE, Status.EXACT_UNSTABLE)
 
     def test_is_solvable_examples_and_errors(self):
