@@ -320,7 +320,9 @@ def _cmd_catalog(args: argparse.Namespace, digits: int) -> dict[str, Any]:
     params = {key: getattr(args, flag) for flag, (key, _) in _CATALOG_FLAGS.items()
               if getattr(args, flag) is not None}
     entry = catalog_mod.build(args.name, params)
-    t = rat(args.t) if args.name == "ross" and args.t is not None else None
+    if args.t is not None and args.name != "ross":
+        raise BadParams(f"unexpected parameters ['t'] for {args.name}")
+    t = rat(args.t) if args.t is not None else None
     classes = dict(entry.named_classes)
     if t is not None:
         classes["L_t"] = catalog_mod.ross_polarization(t)

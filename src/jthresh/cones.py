@@ -129,18 +129,6 @@ def _root(n: int, tw: int, ww: int, r: int, d: int) -> QuadNum:
     return QuadNum(Fraction(n * tw, ww), Fraction(n * r, ww), d)
 
 
-def _light_cone_roots(tw: Scalar, tt: Scalar, ww: Scalar) -> tuple[QuadNum, QuadNum]:
-    """Roots of (theta - delta*omega)^2 = 0 in delta, smaller first.
-
-    Takes theta.omega, theta^2 and omega^2 (rational, omega^2 > 0), writes
-    them over their common denominator and takes the roots as _constants
-    does with n = 1.
-    """
-    _, (tw, tt, ww) = scale_to_integers([as_rat(tw), as_rat(tt), as_rat(ww)])
-    r, d = _radical(tw, tt, ww)
-    return _root(1, tw, ww, -r, d), _root(1, tw, ww, r, d)
-
-
 def cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
                    theta: DivClass, omega: DivClass) -> ConeConstants:
     """C, T, sigma, their binding facets and theta's interiority, in one pass.

@@ -68,7 +68,7 @@ def quad_from_json(value: Any) -> QuadNum:
         if missing:
             raise BadDocument(f"quadratic number missing fields {sorted(missing)}")
         rad = value["rad"]
-        if not isinstance(rad, int) or rad < 0:
+        if isinstance(rad, bool) or not isinstance(rad, int) or rad < 0:
             raise BadDocument(f"bad radicand {rad!r}")
         return QuadNum(parse_rat(value["rat"]), parse_rat(value["coef"]), rad)
     return QuadNum(parse_rat(value))

@@ -55,11 +55,6 @@ class DivClass:
                                for c in self.coords) + ")"
 
 
-def segment(a: DivClass, b: DivClass, t: Scalar) -> DivClass:
-    """The class (1-t)*a + t*b."""
-    return a.scale(1 - t) + b.scale(t)
-
-
 class IntersectionLattice:
     """Symmetric rational pairing on coordinate vectors of fixed rank."""
 

@@ -43,6 +43,13 @@ class Status(str, enum.Enum):
     CONDITIONAL_EXACT = "ConditionalExact"
     INDETERMINATE = "Indeterminate"
 
+    @classmethod
+    def of(cls, value: QuadNum | Fraction, T: QuadNum | Fraction | None = None) -> "Status":
+        """The status of a value: T is None for an interior twist, else the bound T."""
+        if T is None:
+            return cls.SOLVABLE if value > 0 else cls.EXACT_UNSTABLE
+        return cls.CONDITIONAL_EXACT if value < T else cls.INDETERMINATE
+
 
 @dataclass(frozen=True)
 class ThresholdResult:
@@ -121,10 +128,7 @@ def surface_gamma(lattice: IntersectionLattice, cone: NefConeModel,
     """Formula value C - sigma with its certification status and audit data."""
     audit = cone_constants(lattice, cone, theta, omega)
     value = QuadNum(audit.C) - audit.sigma
-    if audit.theta_kahler:
-        status = Status.SOLVABLE if value > 0 else Status.EXACT_UNSTABLE
-    else:
-        status = Status.CONDITIONAL_EXACT if value < audit.T else Status.INDETERMINATE
+    status = Status.of(value, None if audit.theta_kahler else audit.T)
     return ThresholdResult(value=value, status=status, audit=audit)
 
 

@@ -7,8 +7,8 @@ wall condition (every ridge shared by exactly two maximal cones, lying on
 opposite sides) and that a generic point is covered exactly once; together
 these certify a smooth complete fan with compatible faces.  Validation
 computes each maximal cone's dual basis once, by the one fraction-free
-elimination (``_eliminate``, which ``canonicalize`` also reads), and the
-``Fan`` keeps those bases; it holds no query state.
+elimination (``_eliminate``), and the ``Fan`` keeps those bases; it holds no
+query state.
 
 Intersection numbers come from localization at the torus-fixed points
 (Brion; Cox-Little-Schenck, ch. 12-13).  At the fixed point of a maximal cone
@@ -269,13 +269,9 @@ def _orbit_integrals(fan: Fan, theta: DivClass, omega: DivClass,
     return table
 
 
-def _curve_degrees(fan: Fan, theta: DivClass, omega: DivClass,
-                   table: Table | None = None) -> tuple[list[Scalar], list[Scalar]]:
-    """Degrees of theta and of omega on each invariant curve V(tau), len(tau) = dim - 1."""
-    if table is None:
-        table = _orbit_integrals(fan, theta, omega, [fan.dim - 1])
-    curves = [degrees for tau, degrees in table.items() if len(tau) == fan.dim - 1]
-    return [t for _, t in curves], [w for w, _ in curves]
+def _curve_degrees(fan: Fan, theta: DivClass, omega: DivClass) -> list[tuple[Scalar, Scalar]]:
+    """(omega, theta) degrees on each invariant curve V(tau), len(tau) = dim - 1."""
+    return list(_orbit_integrals(fan, theta, omega, [fan.dim - 1]).values())
 
 
 def intersection_number(fan: Fan, classes: Sequence[DivClass]) -> Fraction:
@@ -284,23 +280,6 @@ def intersection_number(fan: Fan, classes: Sequence[DivClass]) -> Fraction:
         raise WrongArity(f"expected {fan.dim} classes, got {len(classes)}")
     return sum((prod(chars) / prod(weights) for _, weights, chars in _fixed_points(fan, classes)),
                Fraction(0))
-
-
-def canonicalize(fan: Fan, cls: DivClass) -> DivClass:
-    """Canonical representative: zero on the first dim-many independent rays.
-
-    They are the pivot columns of the ray matrix; ray j is sum_r rows[r][j] / d
-    times the r-th of them, so adding the character that is -cls on them zeroes cls there.
-    """
-    basis, d, rows = _eliminate(list(zip(*fan.rays)))
-    c = cls.coords
-    return DivClass([c[j] - sum(c[b] * row[j] for b, row in zip(basis, rows)) / d
-                     for j in range(len(fan.rays))])
-
-
-def classes_equivalent(fan: Fan, x: DivClass, y: DivClass) -> bool:
-    """Linear equivalence of invariant divisor classes."""
-    return canonicalize(fan, x) == canonicalize(fan, y)
 
 
 def enumerate_orbits(fan: Fan) -> list[tuple[int, ...]]:
@@ -319,22 +298,18 @@ def invariant_curves(fan: Fan) -> list[tuple[int, ...]]:
 
 def is_ample(fan: Fan, d: DivClass) -> bool:
     """Strict positivity against every invariant curve (toric Kleiman)."""
-    return all(x > 0 for x in _curve_degrees(fan, d, d)[1])
-
-
-def is_nef_toric(fan: Fan, d: DivClass) -> bool:
-    return all(x >= 0 for x in _curve_degrees(fan, d, d)[1])
+    return all(w > 0 for w, _ in _curve_degrees(fan, d, d))
 
 
 def toric_seshadri_T(fan: Fan, theta: DivClass, omega: DivClass) -> Fraction:
     """sup{delta : theta - delta*omega nef}, from the invariant-curve bounds."""
-    return _seshadri_bound(*_curve_degrees(fan, theta, omega))
+    return _seshadri_bound(_curve_degrees(fan, theta, omega))
 
 
-def _seshadri_bound(theta_deg: list[Fraction], omega_deg: list[Fraction]) -> Fraction:
-    if not all(x > 0 for x in omega_deg):
+def _seshadri_bound(curves: list[tuple[Scalar, Scalar]]) -> Fraction:
+    if not all(w > 0 for w, _ in curves):
         raise OmegaNotKahler("omega is not ample")
-    return min(t / w for t, w in zip(theta_deg, omega_deg))
+    return min(t / w for w, t in curves)
 
 
 @dataclass(frozen=True)
@@ -368,30 +343,35 @@ class ToricGammaResult:
     caveat: str = AUTOMORPHISM_CAVEAT
 
 
-def _c_constant_toric(fan: Fan, table: Table) -> Scalar:
-    """C = n int theta omega^(n-1) / int omega^n, read at the table's empty cone."""
-    vol, mixed = table[()]
+def _c_constant_toric(n: int, vol: Scalar, mixed: Scalar) -> Scalar:
+    """C = n int theta omega^(n-1) / int omega^n, from the empty cone's row."""
     if vol <= 0:
         raise OmegaNotKahler(f"omega^n = {vol} <= 0")
-    return fan.dim * mixed / vol
+    return n * mixed / vol
+
+
+def _score(n: int, c: Scalar, tau: tuple[int, ...], vol: Scalar,
+           mixed: Scalar) -> SubvarietyScore:
+    """The score of V(tau) from C and its row (int_V omega^p, int_V theta omega^(p-1))."""
+    p = n - len(tau)
+    numerator = c * vol - p * mixed
+    denominator = len(tau) * vol
+    return SubvarietyScore(cone=tau, p=p, numerator=numerator,
+                           denominator=denominator, value=numerator / denominator)
 
 
 def subvariety_score(fan: Fan, theta: DivClass, omega: DivClass,
-                     sigma: Sequence[int], *, table: Table | None = None) -> SubvarietyScore:
-    """Exact score of the orbit closure of sigma; ``table`` is the query's (theta, omega) table."""
+                     sigma: Sequence[int]) -> SubvarietyScore:
+    """Exact score of the orbit closure of sigma."""
     sigma, cone = tuple(sorted(sigma)), frozenset(sigma)
     if not 1 <= len(cone) == len(sigma) <= fan.dim or not fan.is_face(cone):
         raise BadFace(f"rays {list(sigma)} do not span a positive-dimension cone")
-    if table is None:
-        table = _orbit_integrals(fan, theta, omega, [0, len(sigma)])
-    p = fan.dim - len(sigma)
+    table = _orbit_integrals(fan, theta, omega, [0, len(sigma)])
     vol, mixed = table[sigma]
     if vol <= 0:
+        p = fan.dim - len(sigma)
         raise OmegaNotAmpleOnOrbit(f"int_V omega^{p} = {vol} on orbit {sigma}")
-    numerator = _c_constant_toric(fan, table) * vol - p * mixed
-    denominator = (fan.dim - p) * vol
-    return SubvarietyScore(cone=sigma, p=p, numerator=numerator,
-                           denominator=denominator, value=numerator / denominator)
+    return _score(fan.dim, _c_constant_toric(fan.dim, *table[()]), sigma, vol, mixed)
 
 
 def toric_gamma(fan: Fan, theta: DivClass, omega: DivClass) -> ToricGammaResult:
@@ -401,22 +381,16 @@ def toric_gamma(fan: Fan, theta: DivClass, omega: DivClass) -> ToricGammaResult:
     of the cone, then lex ray indices), so results are deterministic.
     For a non-ample twist the value is compared against the Seshadri-type
     bound computed from the fan's own invariant curves.  One table serves
-    the whole query: curve degrees, C and every orbit score.
+    the whole query: curve degrees, C and every orbit score.  An ample omega
+    is ample on every orbit closure, so no orbit volume needs a check.
     """
     table = _orbit_integrals(fan, theta, omega)
-    theta_deg, omega_deg = _curve_degrees(fan, theta, omega, table)
-    if not all(x > 0 for x in omega_deg):
+    curves = [degrees for tau, degrees in table.items() if len(tau) == fan.dim - 1]
+    if not all(w > 0 for w, _ in curves):
         raise OmegaNotKahler("omega is not ample")
-    c = _c_constant_toric(fan, table)
-    scores = tuple(subvariety_score(fan, theta, omega, sigma, table=table)
-                   for sigma in enumerate_orbits(fan))
+    c = _c_constant_toric(fan.dim, *table[()])
+    scores = tuple(_score(fan.dim, c, tau, *table[tau]) for tau in enumerate_orbits(fan))
     best = min(scores, key=lambda s: s.value)  # first minimum in orbit order
-    if all(x > 0 for x in theta_deg):
-        status = Status.SOLVABLE if best.value > 0 else Status.EXACT_UNSTABLE
-        t_bound: Fraction | None = None
-    else:
-        t_bound = _seshadri_bound(theta_deg, omega_deg)
-        status = (Status.CONDITIONAL_EXACT if best.value < t_bound
-                  else Status.INDETERMINATE)
+    t_bound = None if all(t > 0 for _, t in curves) else _seshadri_bound(curves)
     return ToricGammaResult(value=best.value, minimizer=best.cone, scores=scores,
-                            status=status, C=c, T=t_bound)
+                            status=Status.of(best.value, t_bound), C=c, T=t_bound)

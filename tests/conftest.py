@@ -9,7 +9,9 @@ second route to the cone constants in Fraction arithmetic, and
 ``ample_difference_solvable`` a second route to solvability.  For toric
 manifolds, ``RecursionOracle`` is a second route to orbit integrals, and
 ``toric_surface_model`` turns a smooth complete fan of dimension 2 into a
-lattice model of the same surface.
+lattice model of the same surface.  ``segment``, ``light_cone_roots``,
+``canonicalize``, ``classes_equivalent`` and ``is_nef_toric`` are small
+helpers that only tests need.
 """
 
 from __future__ import annotations
@@ -17,14 +19,20 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from jthresh import (ConeConstants, DivClass, Fan, IntersectionLattice, LightConeFacet,
-                     NefConeModel, QuadNum, c_constant, canonicalize, diagonal_lattice,
-                     intersection_number, is_kahler, rat_sqrt, validate_signature)
-from jthresh.cones import LIGHT_CONE
+from jthresh import (DivClass, Fan, IntersectionLattice, LightConeFacet, NefConeModel,
+                     QuadNum, diagonal_lattice, intersection_number)
+from jthresh.cones import LIGHT_CONE, ConeConstants, _radical, _root, is_kahler
 from jthresh.errors import (BadConeModel, BadSignature, JThreshError, OmegaNotKahler,
                             ZeroVolume)
-from jthresh.exactnum import as_rat
-from jthresh.toric import _eliminate, _unimodular_dual
+from jthresh.exactnum import Scalar, as_rat, rat_sqrt, scale_to_integers
+from jthresh.lattice import validate_signature
+from jthresh.surface import c_constant
+from jthresh.toric import _curve_degrees, _eliminate, _unimodular_dual
+
+
+def segment(a: DivClass, b: DivClass, t: Scalar) -> DivClass:
+    """The class (1-t)*a + t*b."""
+    return a.scale(1 - t) + b.scale(t)
 
 
 def rnd_fraction(rng: Random, lo: int = -6, hi: int = 6, max_den: int = 4) -> Fraction:
@@ -205,6 +213,18 @@ def constants_outcome(compute) -> tuple:
             cc.theta_kahler, cc.binding_facet_sigma, cc.binding_facet_T)
 
 
+def light_cone_roots(tw: Scalar, tt: Scalar, ww: Scalar) -> tuple[QuadNum, QuadNum]:
+    """Roots of (theta - delta*omega)^2 = 0 in delta, smaller first.
+
+    Takes theta.omega, theta^2 and omega^2 (rational, omega^2 > 0), writes
+    them over their common denominator and takes the roots as
+    ``cones._constants`` does with n = 1.
+    """
+    _, (tw, tt, ww) = scale_to_integers([as_rat(tw), as_rat(tt), as_rat(ww)])
+    r, d = _radical(tw, tt, ww)
+    return _root(1, tw, ww, -r, d), _root(1, tw, ww, r, d)
+
+
 class RecursionOracle:
     """Orbit integrals of products of classes by the rewrite recursion.
 
@@ -256,6 +276,28 @@ def blowup_fan(rng: Random) -> tuple[Fan, DivClass]:
         ample = [2 * x for x in ample[:i + 1]] + [e] + [2 * x for x in ample[i + 1:]]
     k = len(rays)
     return Fan(2, rays, [(i, (i + 1) % k) for i in range(k)]), DivClass(ample)
+
+
+def canonicalize(fan: Fan, cls: DivClass) -> DivClass:
+    """Canonical representative: zero on the first dim-many independent rays.
+
+    They are the pivot columns of the ray matrix; ray j is sum_r rows[r][j] / d
+    times the r-th of them, so adding the character that is -cls on them zeroes cls there.
+    """
+    basis, d, rows = _eliminate(list(zip(*fan.rays)))
+    c = cls.coords
+    return DivClass([c[j] - sum(c[b] * row[j] for b, row in zip(basis, rows)) / d
+                     for j in range(len(fan.rays))])
+
+
+def classes_equivalent(fan: Fan, x: DivClass, y: DivClass) -> bool:
+    """Linear equivalence of invariant divisor classes."""
+    return canonicalize(fan, x) == canonicalize(fan, y)
+
+
+def is_nef_toric(fan: Fan, d: DivClass) -> bool:
+    """Non-negativity against every invariant curve (toric Kleiman)."""
+    return all(w >= 0 for w, _ in _curve_degrees(fan, d, d))
 
 
 def toric_surface_model(fan: Fan):

@@ -13,14 +13,15 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from conftest import random_class, random_instance, random_kahler
+from conftest import random_class, random_instance, random_kahler, segment
 from jthresh import (DivClass, Fan, LightConeFacet, NefConeModel, QuadNum,
                      Status, build, csck_criterion,
                      diagonal_lattice, intersection_number, is_solvable,
-                     path_R, ross_gamma_closed_form, ross_polarization,
-                     segment, seshadri_T, sigma_inf, subvariety_score,
+                     ross_gamma_closed_form, ross_polarization, subvariety_score,
                      surface_gamma, toric_gamma)
 from jthresh.catalog import hirzebruch_fan
+from jthresh.cones import seshadri_T, sigma_inf
+from jthresh.surface import path_R
 from jthresh.toric import enumerate_orbits, is_ample
 
 _SUITE_START = time.perf_counter()

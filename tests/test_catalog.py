@@ -7,9 +7,10 @@ from random import Random
 
 import pytest
 
-from jthresh import (PerfectCone, Status, build, intersection_number,
-                     is_kahler, is_nef, ross_gamma_closed_form,
+from jthresh import (Status, build, intersection_number, ross_gamma_closed_form,
                      ross_polarization, stable_subcone, surface_gamma)
+from jthresh.cones import is_kahler, is_nef
+from jthresh.surface import PerfectCone
 from jthresh.errors import BadParams, OutOfDomain, UnknownName
 
 

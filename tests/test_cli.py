@@ -470,6 +470,10 @@ MALFORMED = {
                         "--alpha", "1e2000000"], F1_DOC, "BadParams"),
     "ross_t_exponent": (["catalog", "ross", "--g", "4", "--sC", "2", "--t", "1e3000000"],
                         b"", "BadParams"),
+    # --t evaluates ross only; other families once ignored it, even as text
+    "hirzebruch_t": (["catalog", "hirzebruch", "--a", "2", "--t", "abc"], b"", "BadParams"),
+    "blowup_path_t_export": (["catalog", "blowup_path", "--t", "3", "--export"], b"",
+                             "BadParams"),
     "class_exponent": (["gamma", "--theta", "theta", "--omega", "omega"], _with(
         F1_DOC, classes={"theta": ["2", "-1"], "omega": ["1e3000000", "-1"]}), "BadDocument"),
     "toric_class_scalar": (["validate"], _with(FAN_DOC, toric_classes={"x": 5}),
@@ -540,6 +544,16 @@ class TestMalformedInput:
         for name, line in expected.items():
             argv, stdin, _ = MALFORMED[name]
             assert run(argv, stdin) == (2, f"{line}\n".encode()), name
+
+    def test_catalog_t_diagnostics(self):
+        # build() accepts the family first, then --t is refused in build()'s words
+        for name, family in (("hirzebruch_t", "hirzebruch"),
+                             ("blowup_path_t_export", "blowup_path")):
+            argv, stdin, _ = MALFORMED[name]
+            line = f"BadParams: unexpected parameters ['t'] for {family}\n"
+            assert run(argv, stdin) == (2, line.encode()), name
+        assert run(["catalog", "hirzebruch", "--rank", "3", "--t", "1"]) == (
+            2, b"BadParams: unexpected parameters ['rank'] for hirzebruch\n")
 
     def test_argv_diagnostics(self):
         commands = ("'gamma', 'seshadri', 'sigma', 'solvable', 'path', 'stable-cone', "

@@ -12,12 +12,11 @@ from random import Random
 
 import pytest
 
-from conftest import (constants_outcome, fraction_cone_constants, random_class,
-                      random_instance, random_kahler, rnd_fraction)
+from conftest import (constants_outcome, fraction_cone_constants, light_cone_roots,
+                      random_class, random_instance, random_kahler, rnd_fraction, segment)
 from jthresh import (DivClass, LightConeFacet, NefConeModel, QuadNum,
-                     cone_constants, diagonal_lattice, is_kahler, is_nef,
-                     segment, seshadri_T, sigma_inf, validate_cone)
-from jthresh.cones import LIGHT_CONE
+                     cone_constants, diagonal_lattice)
+from jthresh.cones import LIGHT_CONE, is_kahler, is_nef, seshadri_T, sigma_inf, validate_cone
 from jthresh.errors import BadConeModel, BadSignature, OmegaNotKahler, ZeroVolume
 
 F1_LATTICE = diagonal_lattice([1, -1], labels=["H", "E"])
@@ -197,10 +196,9 @@ class TestReciprocityAndPathIdentities:
             inst = random_instance(rng, light_cone=True)
             theta = random_class(rng, inst)
             omega = random_kahler(rng, inst)
-            from jthresh.cones import _light_cone_roots
-            lo, hi = _light_cone_roots(inst.lattice.pair(theta, omega),
-                                       inst.lattice.self_int(theta),
-                                       inst.lattice.self_int(omega))
+            lo, hi = light_cone_roots(inst.lattice.pair(theta, omega),
+                                      inst.lattice.self_int(theta),
+                                      inst.lattice.self_int(omega))
             expected = 2 * inst.lattice.pair(theta, omega) / inst.lattice.self_int(omega)
             assert lo + hi == QuadNum(expected)
             # both roots are genuine null directions

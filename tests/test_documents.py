@@ -106,3 +106,6 @@ class TestRoundTrip:
             quad_from_json({"rat": "1", "coef": "2"})
         with pytest.raises(BadDocument):
             quad_from_json({"rat": "1", "coef": "2", "rad": -3})
+        # True is an int to isinstance, and once decoded as radicand 1
+        with pytest.raises(BadDocument, match=r"^bad radicand True$"):
+            quad_from_json({"rat": "1", "coef": "1", "rad": True})

@@ -10,8 +10,8 @@ from random import Random
 import pytest
 
 from conftest import random_class, random_instance, random_kahler
-from jthresh import (DivClass, IntersectionLattice, diagonal_lattice,
-                     validate_signature)
+from jthresh import DivClass, IntersectionLattice, diagonal_lattice
+from jthresh.lattice import validate_signature
 from jthresh.errors import BadSignature, DimensionMismatch
 
 

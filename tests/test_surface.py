@@ -10,17 +10,18 @@ from random import Random
 import pytest
 
 from conftest import (ample_difference_solvable, fraction_cone_constants, random_class,
-                      random_instance, random_kahler, rnd_fraction)
+                      random_instance, random_kahler, rnd_fraction, segment)
 from jthresh import surface
 from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
-                     NefConeModel, PerfectCone, QuadNum, Status, build,
-                     c_constant, csck_criterion, diagonal_lattice, is_kahler,
-                     is_solvable, path_R, rat_sqrt, sample_path, segment, seshadri_T,
+                     NefConeModel, QuadNum, Status, build,
+                     csck_criterion, diagonal_lattice,
+                     is_solvable, sample_path,
                      stable_subcone, surface_gamma)
-from jthresh.cones import LIGHT_CONE, cone_constants, segment_constants
+from jthresh.cones import LIGHT_CONE, cone_constants, is_kahler, segment_constants, seshadri_T
 from jthresh.errors import (ANotOnBoundary, BadParams, JThreshError, OmegaNotKahler,
                             ThetaNotKahler, ZeroVolume)
-from jthresh.surface import CSCK_CAVEAT, MAX_SAMPLES
+from jthresh.exactnum import rat_sqrt
+from jthresh.surface import CSCK_CAVEAT, MAX_SAMPLES, PerfectCone, c_constant, path_R
 
 F1_LATTICE = diagonal_lattice([1, -1], labels=["H", "E"])
 F1_CONE = NefConeModel(facets=[DivClass([0, 1]), DivClass([1, -1])],

@@ -15,13 +15,14 @@ from random import Random
 
 import pytest
 
-from conftest import RecursionOracle, blowup_fan, toric_surface_model
+from conftest import (RecursionOracle, blowup_fan, canonicalize, classes_equivalent,
+                      is_nef_toric, toric_surface_model)
 from jthresh import toric
 from jthresh import (DivClass, Fan, NefConeModel, QuadNum, Status,
-                     canonicalize, classes_equivalent, diagonal_lattice,
-                     enumerate_orbits, intersection_number, invariant_curves,
-                     is_ample, is_nef_toric, subvariety_score, surface_gamma,
-                     toric_gamma, toric_seshadri_T, validate_fan)
+                     diagonal_lattice, intersection_number, subvariety_score,
+                     surface_gamma, toric_gamma)
+from jthresh.toric import (enumerate_orbits, invariant_curves, is_ample, toric_seshadri_T,
+                           validate_fan)
 from jthresh.errors import (BadFace, DimensionMismatch, FanInvalid, NonPrimitiveRay,
                             NotComplete, NotSmooth, OmegaNotAmpleOnOrbit,
                             OmegaNotKahler, WrongArity)
@@ -452,6 +453,18 @@ class TestToricGamma:
                 gh = toric_gamma(fan, half, omega).value
                 assert g0 == 2 * gh - 1
 
+    def test_scores_match_subvariety_score(self):
+        # the query's one table gives every orbit the score a lone call computes
+        rng = Random(8406)
+        cases = [(fan, _random_ample(rng, fan)) for fan in (projective_space(3), p1_power(3))]
+        cases += [blowup_fan(rng) for _ in range(6)]
+        for fan, omega in cases:
+            theta = _small_class(rng, fan)
+            res = toric_gamma(fan, theta, omega)
+            assert [s.cone for s in res.scores] == enumerate_orbits(fan)
+            for score in res.scores:
+                assert score == subvariety_score(fan, theta, omega, score.cone)
+
 
 class TestCanonicalForm:
     def test_canonical_zeroes_first_basis(self):
@@ -622,8 +635,10 @@ class TestWorkCounts:
         (p1_power(3), [1, -1, 0, 2, -3, 1], [1, 1, 2, 1, 1, 2], 26),
     ])
     def test_one_query(self, monkeypatch, fan, theta, omega, orbits):
-        # a built fan's query eliminates nothing and asks is_face once per orbit score
-        calls = {"_eliminate": 0, "rewrite_terms": 0, "is_face": 0}
+        # a built fan's query eliminates nothing, builds one table, derives C
+        # once and scores every orbit from the table without asking is_face
+        calls = dict.fromkeys(["_eliminate", "_orbit_integrals", "_c_constant_toric",
+                               "rewrite_terms", "is_face"], 0)
 
         def counted(name, fn):
             def wrapper(*args):
@@ -631,12 +646,14 @@ class TestWorkCounts:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(toric, "_eliminate", counted("_eliminate", eliminate))
+        for name in ("_eliminate", "_orbit_integrals", "_c_constant_toric"):
+            monkeypatch.setattr(toric, name, counted(name, getattr(toric, name)))
         for name in ("rewrite_terms", "is_face"):
             monkeypatch.setattr(Fan, name, counted(name, getattr(Fan, name)))
         res = toric_gamma(fan, DivClass(theta), DivClass(omega))
         assert len(res.scores) == orbits
-        assert calls == {"_eliminate": 0, "rewrite_terms": 0, "is_face": orbits}
+        assert calls == {"_eliminate": 0, "_orbit_integrals": 1, "_c_constant_toric": 1,
+                         "rewrite_terms": 0, "is_face": 0}
 
     @pytest.mark.parametrize("fan", [projective_space(3), p1_power(3)])
     def test_validation_eliminates_once_per_maximal_cone(self, monkeypatch, fan):
