@@ -44,7 +44,7 @@ class Status(str, enum.Enum):
     INDETERMINATE = "Indeterminate"
 
     @classmethod
-    def of(cls, value: QuadNum | Fraction, T: QuadNum | Fraction | None = None) -> "Status":
+    def of(cls, value: QuadNum | Fraction, T: QuadNum | Fraction | None) -> "Status":
         """The status of a value: T is None for an interior twist, else the bound T."""
         if T is None:
             return cls.SOLVABLE if value > 0 else cls.EXACT_UNSTABLE

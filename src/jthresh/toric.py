@@ -307,6 +307,7 @@ def toric_seshadri_T(fan: Fan, theta: DivClass, omega: DivClass) -> Fraction:
 
 
 def _seshadri_bound(curves: list[tuple[Scalar, Scalar]]) -> Fraction:
+    """min theta.C / omega.C over the (omega, theta) curve degrees; omega must be ample."""
     if not all(w > 0 for w, _ in curves):
         raise OmegaNotKahler("omega is not ample")
     return min(t / w for w, t in curves)
@@ -385,12 +386,10 @@ def toric_gamma(fan: Fan, theta: DivClass, omega: DivClass) -> ToricGammaResult:
     is ample on every orbit closure, so no orbit volume needs a check.
     """
     table = _orbit_integrals(fan, theta, omega)
-    curves = [degrees for tau, degrees in table.items() if len(tau) == fan.dim - 1]
-    if not all(w > 0 for w, _ in curves):
-        raise OmegaNotKahler("omega is not ample")
+    bound = _seshadri_bound([row for tau, row in table.items() if len(tau) == fan.dim - 1])
     c = _c_constant_toric(fan.dim, *table[()])
     scores = tuple(_score(fan.dim, c, tau, *table[tau]) for tau in enumerate_orbits(fan))
     best = min(scores, key=lambda s: s.value)  # first minimum in orbit order
-    t_bound = None if all(t > 0 for _, t in curves) else _seshadri_bound(curves)
+    t_bound = None if bound > 0 else bound  # bound > 0 exactly when theta is ample
     return ToricGammaResult(value=best.value, minimizer=best.cone, scores=scores,
                             status=Status.of(best.value, t_bound), C=c, T=t_bound)

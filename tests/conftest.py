@@ -9,9 +9,12 @@ second route to the cone constants in Fraction arithmetic, and
 ``ample_difference_solvable`` a second route to solvability.  For toric
 manifolds, ``RecursionOracle`` is a second route to orbit integrals, and
 ``toric_surface_model`` turns a smooth complete fan of dimension 2 into a
-lattice model of the same surface.  ``segment``, ``light_cone_roots``,
-``canonicalize``, ``classes_equivalent`` and ``is_nef_toric`` are small
-helpers that only tests need.
+lattice model of the same surface.  ``light_cone_roots`` (through
+``poly_roots_quadratic``) and ``is_nef_toric`` (through
+``intersection_number`` on each invariant curve) are second routes built on
+public functions only.  ``segment``, ``canonicalize`` and
+``classes_equivalent`` are helpers that only tests need; ``canonicalize``
+reuses ``toric._eliminate``, so it is not an oracle.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ from random import Random
 
 from jthresh import (DivClass, Fan, IntersectionLattice, LightConeFacet, NefConeModel,
                      QuadNum, diagonal_lattice, intersection_number)
-from jthresh.cones import LIGHT_CONE, ConeConstants, _radical, _root, is_kahler
+from jthresh.cones import LIGHT_CONE, ConeConstants, is_kahler
 from jthresh.errors import (BadConeModel, BadSignature, JThreshError, OmegaNotKahler,
                             ZeroVolume)
-from jthresh.exactnum import Scalar, as_rat, rat_sqrt, scale_to_integers
+from jthresh.exactnum import RatPoly, Scalar, as_rat, poly_roots_quadratic, rat_sqrt
 from jthresh.lattice import validate_signature
 from jthresh.surface import c_constant
-from jthresh.toric import _curve_degrees, _eliminate, _unimodular_dual
+from jthresh.toric import _eliminate, _unimodular_dual, invariant_curves
 
 
 def segment(a: DivClass, b: DivClass, t: Scalar) -> DivClass:
@@ -214,15 +217,12 @@ def constants_outcome(compute) -> tuple:
 
 
 def light_cone_roots(tw: Scalar, tt: Scalar, ww: Scalar) -> tuple[QuadNum, QuadNum]:
-    """Roots of (theta - delta*omega)^2 = 0 in delta, smaller first.
+    """Roots of (theta - delta*omega)^2 = 0 in delta, smaller first (twice if double).
 
-    Takes theta.omega, theta^2 and omega^2 (rational, omega^2 > 0), writes
-    them over their common denominator and takes the roots as
-    ``cones._constants`` does with n = 1.
+    Takes theta.omega, theta^2 and omega^2 (rational, omega^2 > 0).
     """
-    _, (tw, tt, ww) = scale_to_integers([as_rat(tw), as_rat(tt), as_rat(ww)])
-    r, d = _radical(tw, tt, ww)
-    return _root(1, tw, ww, -r, d), _root(1, tw, ww, r, d)
+    roots = poly_roots_quadratic(RatPoly([tt, -2 * tw, ww]))
+    return roots[0], roots[-1]
 
 
 class RecursionOracle:
@@ -296,8 +296,15 @@ def classes_equivalent(fan: Fan, x: DivClass, y: DivClass) -> bool:
 
 
 def is_nef_toric(fan: Fan, d: DivClass) -> bool:
-    """Non-negativity against every invariant curve (toric Kleiman)."""
-    return all(w >= 0 for w, _ in _curve_degrees(fan, d, d))
+    """Non-negativity against every invariant curve (toric Kleiman).
+
+    The curve V(tau) is the product of the D_j, j in tau (the fan is smooth).
+    """
+    def ray(j):
+        return DivClass([int(i == j) for i in range(len(fan.rays))])
+
+    return all(intersection_number(fan, [d] + [ray(j) for j in tau]) >= 0
+               for tau in invariant_curves(fan))
 
 
 def toric_surface_model(fan: Fan):
