@@ -6,15 +6,12 @@ reference interior class fixing the forward component.  T(theta, omega) is
 the largest delta with theta - delta*omega still in the cone; sigma is the
 smallest delta making delta*omega - theta interior.
 
-Every surface constant comes from one table of pairings, built once per
-(theta, omega) by :func:`cone_constants`: theta.f and omega.f for each
-facet f, theta^2, theta.omega and omega^2, and, with a light-cone facet,
-theta.H and omega.H for its reference class H.  The table is written in
-integers over one common denominator, and the Kahler checks, C, T, sigma
-and their binding facets are read off those integers by cross-multiplication;
-only the reported C, T and sigma become Fractions.  Along a segment of
-omegas (:func:`segment_constants`) each point's table is formed from the
-integers of its two ends, and nothing is paired per point."""
+Every surface query pairs its two classes, theta and omega (or a path's
+boundary class a), once, into one table: theta.f and omega.f for each facet f,
+theta^2, theta.omega and omega^2, and theta.H and omega.H for a light cone's
+reference class H.  Every surface command reads its checks from that table;
+C, T, sigma and their binding facets are read from its integers over one
+common denominator, and along a path from the integers of its two ends."""
 
 from __future__ import annotations
 
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadConeModel, BadSignature, OmegaNotKahler, ZeroVolume
+from .errors import BadConeModel, BadParams, BadSignature, OmegaNotKahler, ZeroVolume
 from .exactnum import (QuadNum, Scalar, _sign, as_rat, scale_to_integers,
                        squarefree_decompose)
 from .lattice import DivClass, IntersectionLattice
@@ -92,7 +89,7 @@ def validate_cone(lattice: IntersectionLattice, cone: NefConeModel) -> None:
 
 def _constraints(lattice: IntersectionLattice, cone: NefConeModel,
                  d: DivClass) -> list[Scalar]:
-    """d.f per facet f, then d^2 and d.H with a light cone; cone_constants reads it too."""
+    """d.f per facet f, then d^2 and d.H with a light cone: d's sides of the cone."""
     vals: list[Scalar] = [lattice.pair(f, d) for f in cone.facets]
     if cone.light_cone is not None:
         vals.append(lattice.self_int(d))
@@ -142,27 +139,43 @@ def cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
     least bound and sigma the greatest; ties break to the lowest facet index,
     light-cone last.  This is segment_constants at t = 0 with a = omega.
     """
-    return next(segment_constants(lattice, cone, theta, omega, [Fraction(0)]))
+    return next(_table_rows(cone, _pairing_table(lattice, cone, theta, omega), [Fraction(0)]))
 
 
 def segment_constants(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClass,
                       a: DivClass, ts: Iterable[Fraction]) -> Iterator[ConeConstants]:
-    """cone_constants(theta, omega_t) for omega_t = (1-t)a + t*theta at each t.
+    """cone_constants(theta, omega_t) for omega_t = (1-t)a + t*theta at each t."""
+    return _table_rows(cone, _pairing_table(lattice, cone, theta, a), ts)
 
-    a and theta are paired once and written over one common denominator L.
-    At t = j/n every pairing of omega_t = ((n-j)a + j*theta)/n is then an
-    integer over L*n (omega_t^2 over L*n^2), formed from those integers, and
-    the discriminant of the light-cone roots is (n-j)^2 times that of a and
-    theta, so its square-free part is found once per segment.  Each t costs
-    integer arithmetic and no pairing, and goes through the same checks and
-    derivation as cone_constants.
+
+def _pairing_table(lattice: IntersectionLattice, cone: NefConeModel,
+                   theta: DivClass, a: DivClass) -> tuple:
+    """(theta's sides, a's sides, theta^2, a.theta, a^2): sides as _constraints lists
+    them, and with a light cone the two squares read from its sides."""
+    theta_sides, a_sides = _constraints(lattice, cone, theta), _constraints(lattice, cone, a)
+    at = lattice.pair(a, theta)
+    if cone.light_cone is None:
+        return theta_sides, a_sides, lattice.self_int(theta), at, lattice.self_int(a)
+    return theta_sides, a_sides, theta_sides[-2], at, a_sides[-2]
+
+
+def _table_rows(cone: NefConeModel, table: tuple,
+                ts: Iterable[Fraction]) -> Iterator[ConeConstants]:
+    """cone_constants(theta, omega_t) at each t, from the pairing table of theta and a.
+
+    The table is written over one common denominator L; an irrational entry is
+    refused with BadParams naming theta, or omega for a's entries and a.theta.
+    At t = j/n every pairing of omega_t = ((n-j)a + j*theta)/n is an integer
+    over L*n (omega_t^2 over L*n^2) formed from those integers, and the
+    light-cone discriminant is (n-j)^2 times that of a and theta, so its
+    square-free part is found once.  Each t then costs integer arithmetic only.
     """
-    k = len(cone.facets)
-    theta_sides, a_sides = _sides(lattice, cone, theta), _sides(lattice, cone, a)
-    at = as_rat(lattice.pair(a, theta))
-    tt, aa = _square(lattice, cone, theta, theta_sides), _square(lattice, cone, a, a_sides)
-    m = len(theta_sides)
-    _, ints = scale_to_integers(theta_sides + a_sides + [tt, at, aa])
+    theta_sides, a_sides, tt, at, aa = table
+    for owner, values in (("theta", theta_sides + [tt]), ("omega", a_sides + [at, aa])):
+        if irrational := [v for v in values if isinstance(v, QuadNum) and not v.is_rational]:
+            raise BadParams(f"{owner} needs rational pairings, got {irrational[0]}")
+    m, k = len(theta_sides), len(cone.facets)
+    _, ints = scale_to_integers([as_rat(v) for v in theta_sides + a_sides + [tt, at, aa]])
     theta_sides, a_sides, (tt, at, aa) = ints[:m], ints[m:2 * m], ints[2 * m:]
     # a negative discriminant is left to each point, where _constants refuses it
     # after omega's checks (at t = 1 it is 0)
@@ -179,18 +192,6 @@ def segment_constants(lattice: IntersectionLattice, cone: NefConeModel, theta: D
             omega_sides[k] = ww  # the light-cone side is omega_t^2, not an affine blend
         yield _constants(cone, theta_sides, omega_sides, tt, tw, ww, n,
                          None if radical is None else (abs(b) * radical[0], radical[1]))
-
-
-def _sides(lattice: IntersectionLattice, cone: NefConeModel, d: DivClass) -> list[Fraction]:
-    return [as_rat(v) for v in _constraints(lattice, cone, d)]
-
-
-def _square(lattice: IntersectionLattice, cone: NefConeModel, d: DivClass,
-            sides: list[Fraction]) -> Fraction:
-    """d^2, read from d's sides when the light cone already paired it."""
-    if cone.light_cone is None:
-        return as_rat(lattice.self_int(d))
-    return sides[len(cone.facets)]
 
 
 def _constants(cone: NefConeModel, theta_sides: list[int], omega_sides: list[int],

@@ -49,11 +49,18 @@ def _int_rows(value: Any, what: str) -> list[list[int]]:
     return [[_json_int(x, f"{what} entry") for x in row] for row in value]
 
 
-def _labelled(data: dict[str, Any], key: str) -> dict[str, Any]:
-    value = data.get(key) or {}
+def _object(data: dict[str, Any], key: str, message: str) -> dict[str, Any]:
+    """data[key] as an object: only an absent field or null means an empty one."""
+    value = data.get(key)
+    if value is None:
+        return {}
     if not isinstance(value, dict):
-        raise BadDocument(f"{key} must be an object mapping labels to classes")
+        raise BadDocument(message)
     return value
+
+
+def _labelled(data: dict[str, Any], key: str) -> dict[str, Any]:
+    return _object(data, key, f"{key} must be an object mapping labels to classes")
 
 
 def quad_to_json(x: QuadNum) -> Any:
@@ -167,10 +174,7 @@ def parse_document(data: Any) -> InputDocument:
         if len(coeffs) != len(doc.fan.rays):
             raise BadDocument(f"toric class {label!r} needs one coefficient per ray")
         doc.toric_classes[str(label)] = DivClass(coeffs)
-    query = data.get("query") or {}
-    if not isinstance(query, dict):
-        raise BadDocument("query must be an object")
-    doc.query = dict(query)
+    doc.query = dict(_object(data, "query", "query must be an object"))
     return doc
 
 

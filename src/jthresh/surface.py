@@ -11,15 +11,15 @@ rationals in, rationals or quadratic irrationals out.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 # seshadri_T/sigma_inf re-exported beside surface_gamma (perfbench's tracer rebinds them)
-from .cones import (ConeConstants, NefConeModel, _constraints, cone_constants, is_kahler,
-                    segment_constants, seshadri_T, sigma_inf)  # noqa: F401
+from .cones import (ConeConstants, NefConeModel, _pairing_table, _table_rows, cone_constants,
+                    seshadri_T, sigma_inf)  # noqa: F401
 from .errors import (ANotOnBoundary, BadParams, NegativeSelfIntersection,
                      ThetaNotKahler, ZeroVolume)
-from .exactnum import (QuadNum, RatPoly, as_rat, poly_roots_quadratic, rat_sqrt,
+from .exactnum import (QuadNum, RatPoly, Scalar, as_rat, poly_roots_quadratic, rat_sqrt,
                        scale_to_integers)
 from .lattice import DivClass, IntersectionLattice
 
@@ -84,6 +84,7 @@ class PathAnalysis:
     a_selfint: Fraction
     theta_selfint: Fraction
     solvable_set: tuple[Interval, ...]
+    pairings: tuple = field(repr=False, compare=False)  # the table read, for sample_path
 
 
 @dataclass(frozen=True)
@@ -137,31 +138,34 @@ def is_solvable(lattice: IntersectionLattice, cone: NefConeModel,
     """Solvability criterion: theta interior and the formula value C - sigma positive.
 
     For a Kahler omega this is C*omega - theta interior to the cone.  omega is
-    checked as surface_gamma checks it, after theta.
+    checked as surface_gamma checks it, after theta, on the same pairing table.
     """
-    if not is_kahler(lattice, cone, theta):
+    table = _pairing_table(lattice, cone, theta, omega)
+    if not all(v > 0 for v in table[0]):
         raise ThetaNotKahler("theta is not interior to the cone model")
-    return surface_gamma(lattice, cone, theta, omega).value > 0
+    audit = next(_table_rows(cone, table, [Fraction(0)]))
+    return audit.sigma < audit.C
 
 
-def _rational_square(lattice: IntersectionLattice, cls: DivClass, name: str) -> Fraction:
-    """cls^2 as a Fraction; an irrational square is refused with BadParams naming it."""
-    square = lattice.self_int(cls)
+def _rational_square(square: Scalar, name: str) -> Fraction:
+    """A table's square as a Fraction; an irrational square is refused with BadParams."""
     if isinstance(square, QuadNum) and not square.is_rational:
         raise BadParams(f"{name} needs a rational square, got {name}^2 = {square}")
     return as_rat(square)
 
 
-def _check_boundary_class(lattice: IntersectionLattice, cone: NefConeModel,
-                          a: DivClass) -> Fraction:
-    """Validate a nef-but-not-interior class, pairing it once; returns its self-intersection."""
-    sides = _constraints(lattice, cone, a)
-    if not all(v >= 0 for v in sides) or all(v > 0 for v in sides):
+def _boundary_path(lattice: IntersectionLattice, cone: NefConeModel,
+                   theta: DivClass, a: DivClass) -> tuple[tuple, Fraction]:
+    """The pairing table of theta and a, and a^2, after a path's checks on them."""
+    theta_sides, a_sides, _, _, aa = table = _pairing_table(lattice, cone, theta, a)
+    if not all(v > 0 for v in theta_sides):
+        raise ThetaNotKahler("theta must be interior to the cone model")
+    if not all(v >= 0 for v in a_sides) or all(v > 0 for v in a_sides):
         raise ANotOnBoundary("class must be nef but not interior")
-    a2 = _rational_square(lattice, a, "a")
+    a2 = _rational_square(aa, "a")
     if a2 < 0:
         raise NegativeSelfIntersection(f"a^2 = {a2} < 0")
-    return a2
+    return table, a2
 
 
 def path_R(lattice: IntersectionLattice, cone: NefConeModel,
@@ -169,15 +173,13 @@ def path_R(lattice: IntersectionLattice, cone: NefConeModel,
     """Numerator of the value along omega_t = (1-t)a + t*theta, and its sign set.
 
     The numerator is (theta^2 - a^2) t^2 + 2 a^2 t - a^2; the set where the
-    equation is solvable is {t in (0,1] : numerator > 0}.
+    equation is solvable is {t in (0,1] : numerator > 0}.  It keeps its pairings.
     """
-    if not is_kahler(lattice, cone, theta):
-        raise ThetaNotKahler("theta must be interior to the cone model")
-    a2 = _check_boundary_class(lattice, cone, a)
-    t2 = _rational_square(lattice, theta, "theta")
+    table, a2 = _boundary_path(lattice, cone, theta, a)
+    t2 = _rational_square(table[2], "theta")
     numerator = RatPoly([-a2, 2 * a2, t2 - a2])
     return PathAnalysis(numerator=numerator, a_selfint=a2, theta_selfint=t2,
-                        solvable_set=tuple(_positive_set(numerator)))
+                        solvable_set=tuple(_positive_set(numerator)), pairings=table)
 
 
 def _positive_set(poly: RatPoly) -> list[Interval]:
@@ -203,13 +205,10 @@ def stable_subcone(lattice: IntersectionLattice, cone: NefConeModel,
     t in (1/2, 1]; the returned ray is the class at t = 1/2.  A boundary
     class with zero square yields the distinguished PerfectCone outcome.
     """
-    if not is_kahler(lattice, cone, theta):
-        raise ThetaNotKahler("theta must be interior to the cone model")
-    a2 = _check_boundary_class(lattice, cone, a)
+    table, a2 = _boundary_path(lattice, cone, theta, a)
     if a2 == 0:
         return PerfectCone()
-    t2 = _rational_square(lattice, theta, "theta")
-    lam = rat_sqrt(t2 / a2)
+    lam = rat_sqrt(_rational_square(table[2], "theta") / a2)
     half = Fraction(1, 2)
     ray = (a.scale(lam) + theta).scale(half)
     return StableSubcone(boundary_t=half, normalization=lam, boundary_ray=ray)
@@ -246,13 +245,13 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
                 a: DivClass, samples: int, analysis: PathAnalysis | None = None) -> list[PathSample]:
     """Evaluate the path at t = k/samples, k = 1..samples, in order.
 
-    a and theta are paired once; each row's gamma = C - sigma then goes
-    through the checks and derivation of cone_constants, fed with omega_t's
-    pairings formed in integers from those scalars.  The numerator column is
-    the closed-form polynomial at the same t, also in integers; a row builds
-    Fractions only for the values it reports.  analysis, when given, is
-    path_R(lattice, cone, theta, a) and is not computed again.  Rows need
-    rational theta and a; an irrational one is refused before any row.
+    analysis, when given, is path_R(lattice, cone, theta, a); the rows read its
+    pairing table, so theta and a are paired once.  Each row's gamma = C - sigma
+    goes through the checks and derivation of cone_constants, fed with omega_t's
+    pairings formed in integers from that table.  The numerator column is the
+    closed-form polynomial at the same t, also in integers; a row builds
+    Fractions only for the values it reports.  Rows need rational theta and a;
+    an irrational one is refused before any row.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise BadParams(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
@@ -266,7 +265,7 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
     m, coeffs = scale_to_integers(analysis.numerator.coeffs)
     c0, c1, c2 = coeffs + [0] * (3 - len(coeffs))
     rows = []
-    for t, audit in zip(ts, segment_constants(lattice, cone, theta, a, ts)):
+    for t, audit in zip(ts, _table_rows(cone, analysis.pairings, ts)):
         k, n = t.numerator, t.denominator
         num = c0 * n * n + (c1 * n + c2 * k) * k
         sigma = audit.sigma

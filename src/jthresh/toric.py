@@ -90,6 +90,14 @@ def _integer(value: object, what: str) -> int:
     return value
 
 
+def _rows(value: object, what: str) -> Sequence[Sequence[object]]:
+    """A list or tuple of lists or tuples; anything else is refused, never iterated."""
+    sequence = (list, tuple)
+    if not isinstance(value, sequence) or not all(isinstance(row, sequence) for row in value):
+        raise FanInvalid(f"fan {what} must be a list of integer lists, got {value!r}")
+    return value
+
+
 class Fan:
     """Rays and maximal cones of a smooth complete fan, certified when built.
 
@@ -104,9 +112,10 @@ class Fan:
                  max_cones: Sequence[Sequence[int]]):
         init = object.__setattr__
         init(self, "dim", _integer(dim, "dim"))
-        init(self, "rays", tuple(tuple(_integer(x, "ray entry") for x in ray) for ray in rays))
+        init(self, "rays", tuple(tuple(_integer(x, "ray entry") for x in ray)
+                                 for ray in _rows(rays, "rays")))
         init(self, "max_cones", tuple(tuple(sorted(_integer(i, "cone index") for i in cone))
-                                      for cone in max_cones))
+                                      for cone in _rows(max_cones, "max_cones")))
         init(self, "_max_cone_sets", tuple(frozenset(c) for c in self.max_cones))
         init(self, "_duals", validate_fan(self))
 

@@ -13,6 +13,7 @@ import pytest
 
 from jthresh.cli import DOC_COMMANDS, MAX_DECIMAL_DIGITS, _build_parser, run
 from jthresh.documents import parse_document
+from jthresh.lattice import IntersectionLattice
 
 F1_DOC = json.dumps({
     "lattice": {"rank": 2, "matrix": [["1", "0"], ["0", "-1"]], "labels": ["H", "E"]},
@@ -506,6 +507,11 @@ MALFORMED = {
     "unknown_flag": (["gamma", "--theta", "theta", "--bogus"], F1_DOC, "BadParams"),
     "bad_format_choice": (["gamma", "--format", "xml"], F1_DOC, "BadParams"),
     "no_command": ([], F1_DOC, "BadParams"),
+    # falsy non-objects once passed as empty; only an absent field or null does
+    **{f"{key}_as_{kind}": (["validate"], _with(doc, **{key: value}), "BadDocument")
+       for key, doc in (("classes", F1_DOC), ("toric_classes", FAN_DOC), ("query", F1_DOC))
+       for kind, value in (("empty_list", []), ("zero", 0), ("empty_string", ""),
+                           ("false", False))},
 }
 
 
@@ -535,6 +541,17 @@ class TestMalformedInput:
         for name, message in expected.items():
             argv, stdin, _ = MALFORMED[name]
             assert run(argv, stdin) == (2, f"BadDocument: {message}\n".encode()), name
+
+    def test_falsy_non_objects_are_refused(self):
+        expected = {"classes": "classes must be an object mapping labels to classes",
+                    "toric_classes": "toric_classes must be an object mapping labels to classes",
+                    "query": "query must be an object"}
+        for key, message in expected.items():
+            for kind in ("empty_list", "zero", "empty_string", "false"):
+                argv, stdin, _ = MALFORMED[f"{key}_as_{kind}"]
+                assert run(argv, stdin) == (2, f"BadDocument: {message}\n".encode()), kind
+            for doc in (F1_DOC, FAN_DOC):  # null is an empty object
+                assert run(["validate"], _with(doc, **{key: None}))[0] == 0
 
     def test_query_sample_count_diagnostics(self):
         expected = {
@@ -669,3 +686,50 @@ def test_large_prime_denominator_is_quick():
         "audit.T.coef: -20000035/70000133", "audit.T.rad: 2", "audit.theta_kahler: true",
         "audit.binding_facet_sigma: light-cone", "audit.binding_facet_T: light-cone",
         "caveats: []"])
+
+
+# rank 3 with a light cone and two facets: a is on f0 with a^2 = 3, null on the light cone
+LIGHT_DOC = json.dumps({
+    "lattice": {"matrix": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]},
+    "cone": {"facets": [["1", "2", "0"], ["1", "0", "2"]], "light_cone": {"H": ["1", "0", "0"]}},
+    "classes": {"theta": ["3", "0", "0"], "omega": ["4", "1", "1"], "a": ["2", "1", "0"],
+                "null": ["1", "0", "-1"]},
+}).encode()
+
+
+@pytest.mark.parametrize("doc, a, null", [
+    (F1_DOC, "H", "F"),
+    (_with(run(["catalog", "blowup_path", "--export"])[1], classes={
+        "theta": ["2", "-1"], "omega": ["3", "-1"], "a": ["1", "0"], "null": ["1", "-1"]}),
+     "a", "null"),
+    (LIGHT_DOC, "a", "null"),
+])
+def test_every_surface_query_pairs_its_classes_once(monkeypatch, doc, a, null):
+    # beyond the document's own validation, each surface query pairs its two
+    # classes into one table: each with every facet (k of them), then a.theta
+    # and the two squares, and with a light cone each class with its reference
+    # class: 2k + 5 pairs with a light cone, 2k + 3 without, whatever the rows
+    calls, original = [], IntersectionLattice.pair
+
+    def counting_pair(lattice, x, y):
+        calls.append(1)
+        return original(lattice, x, y)
+
+    monkeypatch.setattr(IntersectionLattice, "pair", counting_pair)
+    parsed = parse_document(json.loads(doc))
+    validation = len(calls)
+    k = len(parsed.cone.facets)
+    expected = 2 * k + (5 if parsed.cone.light_cone else 3)
+    queries = [[command, "--theta", "theta", "--omega", "omega"]
+               for command in ("gamma", "seshadri", "sigma", "solvable")]
+    queries += [["csck", "--minus-c1", "theta", "--omega", "omega", "--alpha", "1"],
+                ["path", "--theta", "theta", "--a", a, "--samples", "1"],
+                ["path", "--theta", "theta", "--a", a, "--samples", "1000"],
+                ["stable-cone", "--theta", "theta", "--a", a],
+                ["stable-cone", "--theta", "theta", "--a", null]]
+    for argv in queries:
+        calls.clear()
+        code, out = run(argv, doc)
+        assert code == 0, out
+        assert len(calls) - validation == expected, argv
+    assert b"perfect: true" in run(queries[-1], doc)[1]

@@ -17,9 +17,11 @@ from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
                      csck_criterion, diagonal_lattice,
                      is_solvable, sample_path,
                      stable_subcone, surface_gamma)
-from jthresh.cones import LIGHT_CONE, cone_constants, is_kahler, segment_constants, seshadri_T
-from jthresh.errors import (ANotOnBoundary, BadParams, JThreshError, OmegaNotKahler,
-                            ThetaNotKahler, ZeroVolume)
+from jthresh.cli import run
+from jthresh.cones import (LIGHT_CONE, cone_constants, is_kahler, segment_constants, seshadri_T,
+                           sigma_inf)
+from jthresh.errors import (ANotOnBoundary, BadParams, JThreshError, NegativeSelfIntersection,
+                            OmegaNotKahler, ThetaNotKahler, ZeroVolume)
 from jthresh.exactnum import rat_sqrt
 from jthresh.surface import CSCK_CAVEAT, MAX_SAMPLES, PerfectCone, c_constant, path_R
 
@@ -504,9 +506,9 @@ class TestPathOracle:
             assert counts[0] == counts[1]
 
     def test_one_path_pairs_each_class_once(self, monkeypatch):
-        # path_R pairs theta, a (once, for both the nef and the interior check),
-        # a^2 and theta^2; the rows pair theta, a and a.theta: 4k + 11 pairs
-        # with k facets and a light cone
+        # path_R pairs theta and a into one table (each with every facet, its
+        # square and the light cone's reference class, then a.theta), and the
+        # rows read that table: 2k + 5 pairs with k facets and a light cone
         calls, original = [], IntersectionLattice.pair
 
         def counting_pair(lattice, x, y):
@@ -524,8 +526,8 @@ class TestPathOracle:
             calls.clear()
             sample_path(lattice, cone, theta, a, 7, path_R(lattice, cone, theta, a))
             counts.append((len(cone.facets), len(calls)))
-        assert counts[0] == (1, 15)
-        assert len(counts) > 4 and all(pairs == 4 * k + 11 for k, pairs in counts)
+        assert counts[0] == (1, 7)
+        assert len(counts) > 4 and all(pairs == 2 * k + 5 for k, pairs in counts)
 
     def test_irrational_boundary_class_is_refused(self, monkeypatch):
         entry = build("blowup_path", {})
@@ -536,7 +538,7 @@ class TestPathOracle:
         def no_rows(*args):
             raise AssertionError("a row was built")
 
-        monkeypatch.setattr(surface, "segment_constants", no_rows)
+        monkeypatch.setattr(surface, "_table_rows", no_rows)
         with pytest.raises(BadParams) as info:
             sample_path(lattice, cone, theta, a, 10)
         assert str(info.value) == "path rows need rational classes, got a = (sqrt(3), 0)"
@@ -622,3 +624,99 @@ class TestCsck:
     def test_alpha_validation(self):
         with pytest.raises(BadParams):
             csck_criterion(F1_LATTICE, F1_CONE, F1_THETA, F1_OMEGA, Fraction(0))
+
+
+# the blowup model with a light cone: facet E, reference class 2H - E
+BLOWUP = build("blowup_path", {})
+HALF_PLANE = NefConeModel(facets=[DivClass([1, 0])])
+IRRATIONAL_THETA = DivClass([QuadNum(2, 1, 2), -1])  # interior, theta^2 = 5 + 4 sqrt(2)
+
+
+class TestDiagnosticOrder:
+    """Inputs with two faults: the first check in the documented order reports.
+
+    theta interior, then a nef but not interior, then a^2 rational and >= 0
+    (stable_subcone answers PerfectCone here for a^2 = 0), then theta^2
+    rational, then omega's checks; sample_path checks its count first.
+    """
+
+    @pytest.mark.parametrize("lattice, cone", [(F1_LATTICE, F1_CONE),
+                                               (BLOWUP.lattice, BLOWUP.cone)])
+    @pytest.mark.parametrize("function, theta, a, outcome", [
+        # theta not interior, a interior
+        (path_R, DivClass([1, 0]), DivClass([3, -1]),
+         (ThetaNotKahler, "theta must be interior to the cone model")),
+        (stable_subcone, DivClass([1, 0]), DivClass([3, -1]),
+         (ThetaNotKahler, "theta must be interior to the cone model")),
+        # a interior, theta^2 irrational
+        (path_R, IRRATIONAL_THETA, DivClass([3, -1]),
+         (ANotOnBoundary, "class must be nef but not interior")),
+        (stable_subcone, IRRATIONAL_THETA, DivClass([3, -1]),
+         (ANotOnBoundary, "class must be nef but not interior")),
+        # a^2 = 0 on the boundary, theta^2 irrational
+        (path_R, IRRATIONAL_THETA, DivClass([1, -1]),
+         (BadParams, "theta needs a rational square, got theta^2 = 5 + 4*sqrt(2)")),
+        (stable_subcone, IRRATIONAL_THETA, DivClass([1, -1]), PerfectCone()),
+        # a^2 irrational, theta^2 irrational
+        (path_R, IRRATIONAL_THETA, DivClass([QuadNum(1, 1, 2), 0]),
+         (BadParams, "a needs a rational square, got a^2 = 3 + 2*sqrt(2)")),
+        # theta not interior, a^2 irrational
+        (stable_subcone, DivClass([1, 0]), DivClass([QuadNum(1, 1, 2), 0]),
+         (ThetaNotKahler, "theta must be interior to the cone model")),
+    ])
+    def test_path_checks(self, lattice, cone, function, theta, a, outcome):
+        assert _first_fault(lambda: function(lattice, cone, theta, a)) == outcome
+
+    def test_negative_square_before_irrational_theta_square(self):
+        lattice = diagonal_lattice([1, -1])
+        theta = DivClass([QuadNum(1, 1, 2), 0])  # on the half plane, theta^2 = 3 + 2 sqrt(2)
+        for function in (path_R, stable_subcone):
+            assert _first_fault(lambda: function(lattice, HALF_PLANE, theta, DivClass([0, 1]))) \
+                == (NegativeSelfIntersection, "a^2 = -1 < 0")
+
+    @pytest.mark.parametrize("lattice, cone", [(F1_LATTICE, F1_CONE),
+                                               (BLOWUP.lattice, BLOWUP.cone)])
+    def test_theta_before_omega(self, lattice, cone):
+        # theta on the boundary and omega outside the cone, or omega null
+        for omega in (DivClass([1, 0]), DivClass([0, 1]), DivClass([1, -1])):
+            assert _first_fault(lambda: is_solvable(lattice, cone, DivClass([1, 0]), omega)) \
+                == (ThetaNotKahler, "theta is not interior to the cone model")
+
+    def test_sample_count_before_theta(self):
+        # the library checks the count first; the CLI's path command runs path_R first
+        line = "samples must be between 1 and 100000, got 0"
+        for lattice, cone in ((F1_LATTICE, F1_CONE), (BLOWUP.lattice, BLOWUP.cone)):
+            assert _first_fault(lambda: sample_path(lattice, cone, DivClass([1, 0]),
+                                                    DivClass([1, 0]), 0)) == (BadParams, line)
+        argv = ["path", "--theta", "H", "--a", "a", "--samples", "0"]
+        document = run(["catalog", "blowup_path", "--export"])[1]
+        assert run(argv, document) == (
+            2, b"ThetaNotKahler: theta must be interior to the cone model\n")
+
+
+IRRATIONAL_OMEGA = DivClass([QuadNum(3, 1, 2), -1])  # omega^2 = 10 + 6 sqrt(2)
+
+
+@pytest.mark.parametrize("function", [
+    surface_gamma, cone_constants, is_solvable, seshadri_T, sigma_inf,
+    lambda lattice, cone, theta, omega: csck_criterion(lattice, cone, theta, omega, Fraction(1))])
+def test_irrational_pairings_are_refused(function):
+    # the pairing table is written in integers once; an irrational entry is
+    # refused there, naming its class, where it once raised a bare ValueError
+    lattice, cone = BLOWUP.lattice, BLOWUP.cone
+    theta, a = BLOWUP.named_classes["theta"], BLOWUP.named_classes["a"]
+    ray = stable_subcone(lattice, cone, theta, a).boundary_ray  # (1 + sqrt(3)/2, -1/2)
+    for args, line in (
+            ((theta, IRRATIONAL_OMEGA), "omega needs rational pairings, got 10 + 6*sqrt(2)"),
+            ((theta, ray + theta), "omega needs rational pairings, got 15/2 + 3*sqrt(3)"),
+            ((IRRATIONAL_OMEGA, DivClass([3, -1])),
+             "theta needs rational pairings, got 10 + 6*sqrt(2)")):
+        assert _first_fault(lambda: function(lattice, cone, *args)) == (BadParams, line)
+
+
+def _first_fault(compute):
+    try:
+        result = compute()
+    except JThreshError as exc:
+        return type(exc), str(exc)
+    return result

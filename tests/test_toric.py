@@ -141,6 +141,19 @@ class TestValidateFan:
             Fan(dim, rays, cones)
         assert type(info.value) is FanInvalid and str(info.value) == message
 
+    @pytest.mark.parametrize("rays, cones, message", [
+        ([5, [0, 1]], [[0, 1]], "fan rays must be a list of integer lists, got [5, [0, 1]]"),
+        (P2_RAYS, [0, 1], "fan max_cones must be a list of integer lists, got [0, 1]"),
+        (None, P2_CONES, "fan rays must be a list of integer lists, got None"),
+        (P2_RAYS, [(0, 1), None, (0, 2)],
+         "fan max_cones must be a list of integer lists, got [(0, 1), None, (0, 2)]"),
+    ])
+    def test_rows_that_are_not_lists_are_refused(self, rays, cones, message):
+        # each once raised TypeError while the constructor iterated it
+        with pytest.raises(FanInvalid) as info:
+            Fan(2, rays, cones)
+        assert type(info.value) is FanInvalid and str(info.value) == message
+
     @pytest.mark.parametrize("name", ["dim", "rays", "max_cones", "_max_cone_sets", "extra"])
     def test_fan_is_immutable(self, name):
         fan = hirzebruch(1)
