@@ -7,16 +7,18 @@ the largest delta with theta - delta*omega still in the cone; sigma is the
 smallest delta making delta*omega - theta interior.
 
 Every surface query pairs its two classes, theta and omega (or a path's
-boundary class a), once, into one table: theta.f and omega.f for each facet f,
-theta^2, theta.omega and omega^2, and theta.H and omega.H for a light cone's
-reference class H.  Every surface command reads its checks from that table;
-C, T, sigma and their binding facets are read from its integers over one
-common denominator, and along a path from the integers of its two ends."""
+boundary class a), into one table, each entry once and when first read:
+theta.f and omega.f for each facet f, theta^2, theta.omega and omega^2, and
+theta.H and omega.H for a light cone's reference class H.  Every surface
+command reads its checks from that table in order; C, T, sigma and their
+binding facets are read from its integers over one common denominator, and
+along a path from the integers of its two ends."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadConeModel, BadParams, BadSignature, OmegaNotKahler, ZeroVolume
@@ -137,46 +139,54 @@ def cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
     feasible component containing delta -> -infinity, where theta - delta*omega
     is deep inside the forward cone) and the larger root to sigma.  T is the
     least bound and sigma the greatest; ties break to the lowest facet index,
-    light-cone last.  This is segment_constants at t = 0 with a = omega.
+    light-cone last.  This is the path row of theta and a = omega at t = 0.
     """
-    return next(_table_rows(cone, _pairing_table(lattice, cone, theta, omega), [Fraction(0)]))
+    return next(_table_rows(PairingTable(lattice, cone, theta, omega), [Fraction(0)]))
 
 
-def segment_constants(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClass,
-                      a: DivClass, ts: Iterable[Fraction]) -> Iterator[ConeConstants]:
-    """cone_constants(theta, omega_t) for omega_t = (1-t)a + t*theta at each t."""
-    return _table_rows(cone, _pairing_table(lattice, cone, theta, a), ts)
+@dataclass(frozen=True)
+class PairingTable:
+    """The pairings of theta and a one surface query reads, each paired once, when first
+    read: each class's sides (see _constraints), theta^2, a.theta and a^2 (tt, at, aa)."""
+
+    lattice: IntersectionLattice
+    cone: NefConeModel
+    theta: DivClass
+    a: DivClass
+
+    theta_sides = cached_property(lambda self: _constraints(self.lattice, self.cone, self.theta))
+    a_sides = cached_property(lambda self: _constraints(self.lattice, self.cone, self.a))
+    tt = cached_property(lambda self: self.theta_sides[-2] if self.cone.light_cone
+                         else self.lattice.self_int(self.theta))
+    at = cached_property(lambda self: self.lattice.pair(self.a, self.theta))
+    aa = cached_property(lambda self: self.a_sides[-2] if self.cone.light_cone
+                         else self.lattice.self_int(self.a))
 
 
-def _pairing_table(lattice: IntersectionLattice, cone: NefConeModel,
-                   theta: DivClass, a: DivClass) -> tuple:
-    """(theta's sides, a's sides, theta^2, a.theta, a^2): sides as _constraints lists
-    them, and with a light cone the two squares read from its sides."""
-    theta_sides, a_sides = _constraints(lattice, cone, theta), _constraints(lattice, cone, a)
-    at = lattice.pair(a, theta)
-    if cone.light_cone is None:
-        return theta_sides, a_sides, lattice.self_int(theta), at, lattice.self_int(a)
-    return theta_sides, a_sides, theta_sides[-2], at, a_sides[-2]
+def _rational(v: Scalar, refusal: str) -> Fraction:
+    """v as a Fraction; an irrational v is refused with BadParams(refusal + v)."""
+    if isinstance(v, QuadNum) and not v.is_rational:
+        raise BadParams(f"{refusal}{v}")
+    return as_rat(v)
 
 
-def _table_rows(cone: NefConeModel, table: tuple,
-                ts: Iterable[Fraction]) -> Iterator[ConeConstants]:
-    """cone_constants(theta, omega_t) at each t, from the pairing table of theta and a.
+def _table_rows(table: PairingTable, ts: Iterable[Fraction]) -> Iterator[ConeConstants]:
+    """cone_constants(theta, omega_t) for omega_t = (1-t)a + t*theta at each t.
 
-    The table is written over one common denominator L; an irrational entry is
-    refused with BadParams naming theta, or omega for a's entries and a.theta.
-    At t = j/n every pairing of omega_t = ((n-j)a + j*theta)/n is an integer
-    over L*n (omega_t^2 over L*n^2) formed from those integers, and the
-    light-cone discriminant is (n-j)^2 times that of a and theta, so its
-    square-free part is found once.  Each t then costs integer arithmetic only.
+    The table is read (theta's sides, a's sides, a.theta, theta^2, a^2) and
+    written over one common denominator L; an irrational entry is refused as
+    it is read, naming theta, or omega for a's entries and a.theta.  At t = j/n
+    every pairing of omega_t is an integer over L*n (omega_t^2 over L*n^2)
+    formed from those integers, and the light-cone discriminant is (n-j)^2
+    times that of a and theta, so its square-free part is found once.
     """
-    theta_sides, a_sides, tt, at, aa = table
-    for owner, values in (("theta", theta_sides + [tt]), ("omega", a_sides + [at, aa])):
-        if irrational := [v for v in values if isinstance(v, QuadNum) and not v.is_rational]:
-            raise BadParams(f"{owner} needs rational pairings, got {irrational[0]}")
-    m, k = len(theta_sides), len(cone.facets)
-    _, ints = scale_to_integers([as_rat(v) for v in theta_sides + a_sides + [tt, at, aa]])
-    theta_sides, a_sides, (tt, at, aa) = ints[:m], ints[m:2 * m], ints[2 * m:]
+    cone, m, k = table.cone, len(table.theta_sides), len(table.cone.facets)
+    theta, omega = "theta needs rational pairings, got ", "omega needs rational pairings, got "
+    values = [_rational(v, theta) for v in table.theta_sides]
+    values += [_rational(v, omega) for v in table.a_sides]
+    values += [_rational(table.at, omega), _rational(table.tt, theta), _rational(table.aa, omega)]
+    _, ints = scale_to_integers(values)
+    theta_sides, a_sides, (at, tt, aa) = ints[:m], ints[m:2 * m], ints[2 * m:]
     # a negative discriminant is left to each point, where _constants refuses it
     # after omega's checks (at t = 1 it is 0)
     radical = None

@@ -15,18 +15,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 # seshadri_T/sigma_inf re-exported beside surface_gamma (perfbench's tracer rebinds them)
-from .cones import (ConeConstants, NefConeModel, _pairing_table, _table_rows, cone_constants,
-                    seshadri_T, sigma_inf)  # noqa: F401
-from .errors import (ANotOnBoundary, BadParams, NegativeSelfIntersection,
-                     ThetaNotKahler, ZeroVolume)
-from .exactnum import (QuadNum, RatPoly, Scalar, as_rat, poly_roots_quadratic, rat_sqrt,
-                       scale_to_integers)
+from .cones import (ConeConstants, NefConeModel, PairingTable, _rational, _table_rows,
+                    cone_constants, seshadri_T, sigma_inf)  # noqa: F401
+from .errors import ANotOnBoundary, BadParams, NegativeSelfIntersection, ThetaNotKahler, ZeroVolume
+from .exactnum import QuadNum, RatPoly, as_rat, poly_roots_quadratic, rat_sqrt, scale_to_integers
 from .lattice import DivClass, IntersectionLattice
 
 CSCK_CAVEAT = "requires discrete automorphism group"
 # largest path grid; a row is one integer derivation plus its rendering, and
 # 100 000 csv rows take about 5 s (Intel Xeon, Python 3.11)
 MAX_SAMPLES = 100_000
+THETA_SQUARE = "theta needs a rational square, got theta^2 = "
 
 
 class Status(str, enum.Enum):
@@ -84,7 +83,7 @@ class PathAnalysis:
     a_selfint: Fraction
     theta_selfint: Fraction
     solvable_set: tuple[Interval, ...]
-    pairings: tuple = field(repr=False, compare=False)  # the table read, for sample_path
+    pairings: PairingTable = field(repr=False, compare=False)  # read again by sample_path
 
 
 @dataclass(frozen=True)
@@ -140,29 +139,22 @@ def is_solvable(lattice: IntersectionLattice, cone: NefConeModel,
     For a Kahler omega this is C*omega - theta interior to the cone.  omega is
     checked as surface_gamma checks it, after theta, on the same pairing table.
     """
-    table = _pairing_table(lattice, cone, theta, omega)
-    if not all(v > 0 for v in table[0]):
+    table = PairingTable(lattice, cone, theta, omega)
+    if not all(v > 0 for v in table.theta_sides):
         raise ThetaNotKahler("theta is not interior to the cone model")
-    audit = next(_table_rows(cone, table, [Fraction(0)]))
+    audit = next(_table_rows(table, [Fraction(0)]))
     return audit.sigma < audit.C
 
 
-def _rational_square(square: Scalar, name: str) -> Fraction:
-    """A table's square as a Fraction; an irrational square is refused with BadParams."""
-    if isinstance(square, QuadNum) and not square.is_rational:
-        raise BadParams(f"{name} needs a rational square, got {name}^2 = {square}")
-    return as_rat(square)
-
-
 def _boundary_path(lattice: IntersectionLattice, cone: NefConeModel,
-                   theta: DivClass, a: DivClass) -> tuple[tuple, Fraction]:
+                   theta: DivClass, a: DivClass) -> tuple[PairingTable, Fraction]:
     """The pairing table of theta and a, and a^2, after a path's checks on them."""
-    theta_sides, a_sides, _, _, aa = table = _pairing_table(lattice, cone, theta, a)
-    if not all(v > 0 for v in theta_sides):
+    table = PairingTable(lattice, cone, theta, a)
+    if not all(v > 0 for v in table.theta_sides):
         raise ThetaNotKahler("theta must be interior to the cone model")
-    if not all(v >= 0 for v in a_sides) or all(v > 0 for v in a_sides):
+    if not all(v >= 0 for v in table.a_sides) or all(v > 0 for v in table.a_sides):
         raise ANotOnBoundary("class must be nef but not interior")
-    a2 = _rational_square(aa, "a")
+    a2 = _rational(table.aa, "a needs a rational square, got a^2 = ")
     if a2 < 0:
         raise NegativeSelfIntersection(f"a^2 = {a2} < 0")
     return table, a2
@@ -176,7 +168,7 @@ def path_R(lattice: IntersectionLattice, cone: NefConeModel,
     equation is solvable is {t in (0,1] : numerator > 0}.  It keeps its pairings.
     """
     table, a2 = _boundary_path(lattice, cone, theta, a)
-    t2 = _rational_square(table[2], "theta")
+    t2 = _rational(table.tt, THETA_SQUARE)
     numerator = RatPoly([-a2, 2 * a2, t2 - a2])
     return PathAnalysis(numerator=numerator, a_selfint=a2, theta_selfint=t2,
                         solvable_set=tuple(_positive_set(numerator)), pairings=table)
@@ -208,7 +200,7 @@ def stable_subcone(lattice: IntersectionLattice, cone: NefConeModel,
     table, a2 = _boundary_path(lattice, cone, theta, a)
     if a2 == 0:
         return PerfectCone()
-    lam = rat_sqrt(_rational_square(table[2], "theta") / a2)
+    lam = rat_sqrt(_rational(table.tt, THETA_SQUARE) / a2)
     half = Fraction(1, 2)
     ray = (a.scale(lam) + theta).scale(half)
     return StableSubcone(boundary_t=half, normalization=lam, boundary_ray=ray)
@@ -245,13 +237,11 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
                 a: DivClass, samples: int, analysis: PathAnalysis | None = None) -> list[PathSample]:
     """Evaluate the path at t = k/samples, k = 1..samples, in order.
 
-    analysis, when given, is path_R(lattice, cone, theta, a); the rows read its
-    pairing table, so theta and a are paired once.  Each row's gamma = C - sigma
-    goes through the checks and derivation of cone_constants, fed with omega_t's
-    pairings formed in integers from that table.  The numerator column is the
-    closed-form polynomial at the same t, also in integers; a row builds
-    Fractions only for the values it reports.  Rows need rational theta and a;
-    an irrational one is refused before any row.
+    analysis, when given, is path_R(lattice, cone, theta, a), and the rows read
+    the pairing table it kept.  Each row's gamma = C - sigma is cone_constants
+    at omega_t, from that table in integers; so is the numerator column, the
+    closed-form polynomial at the same t.  Rows need rational theta and a; an
+    irrational one is refused before any row.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise BadParams(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
@@ -265,7 +255,7 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
     m, coeffs = scale_to_integers(analysis.numerator.coeffs)
     c0, c1, c2 = coeffs + [0] * (3 - len(coeffs))
     rows = []
-    for t, audit in zip(ts, _table_rows(cone, analysis.pairings, ts)):
+    for t, audit in zip(ts, _table_rows(analysis.pairings, ts)):
         k, n = t.numerator, t.denominator
         num = c0 * n * n + (c1 * n + c2 * k) * k
         sigma = audit.sigma

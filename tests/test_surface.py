@@ -18,8 +18,8 @@ from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
                      is_solvable, sample_path,
                      stable_subcone, surface_gamma)
 from jthresh.cli import run
-from jthresh.cones import (LIGHT_CONE, cone_constants, is_kahler, segment_constants, seshadri_T,
-                           sigma_inf)
+from jthresh.cones import (LIGHT_CONE, PairingTable, _table_rows, cone_constants, is_kahler,
+                           seshadri_T, sigma_inf)
 from jthresh.errors import (ANotOnBoundary, BadParams, JThreshError, NegativeSelfIntersection,
                             OmegaNotKahler, ThetaNotKahler, ZeroVolume)
 from jthresh.exactnum import rat_sqrt
@@ -30,6 +30,11 @@ F1_CONE = NefConeModel(facets=[DivClass([0, 1]), DivClass([1, -1])],
                        facet_labels=["E", "F"])
 F1_THETA = DivClass([2, -1])
 F1_OMEGA = DivClass([5, -1])
+
+
+def segment_constants(lattice, cone, theta, a, ts):
+    """cone_constants(theta, omega_t) along omega_t = (1-t)a + t*theta: the path rows."""
+    return _table_rows(PairingTable(lattice, cone, theta, a), ts)
 
 
 def ross_model(g: int, s_c: Fraction):
@@ -630,6 +635,7 @@ class TestCsck:
 BLOWUP = build("blowup_path", {})
 HALF_PLANE = NefConeModel(facets=[DivClass([1, 0])])
 IRRATIONAL_THETA = DivClass([QuadNum(2, 1, 2), -1])  # interior, theta^2 = 5 + 4 sqrt(2)
+IRRATIONAL_OMEGA = DivClass([QuadNum(3, 1, 2), -1])  # omega^2 = 10 + 6 sqrt(2)
 
 
 class TestDiagnosticOrder:
@@ -693,8 +699,46 @@ class TestDiagnosticOrder:
         assert run(argv, document) == (
             2, b"ThetaNotKahler: theta must be interior to the cone model\n")
 
+    @pytest.mark.parametrize("other", [DivClass([QuadNum(0, 1, 2), QuadNum(0, 1, 3)]),
+                                       DivClass([3, -1, 0])])
+    def test_theta_before_the_other_class_is_paired(self, other):
+        # a class with two radicands, or of the wrong length, cannot be paired;
+        # theta on the boundary is reported before it is
+        for lattice, cone, theta in ((BLOWUP.lattice, BLOWUP.cone, DivClass([1, 0])),
+                                     (diagonal_lattice([1, -1]), HALF_PLANE, DivClass([0, 1]))):
+            for function, line in ((is_solvable, "theta is not interior to the cone model"),
+                                   (path_R, "theta must be interior to the cone model"),
+                                   (stable_subcone, "theta must be interior to the cone model")):
+                assert _first_fault(lambda: function(lattice, cone, theta, other)) \
+                    == (ThetaNotKahler, line)
 
-IRRATIONAL_OMEGA = DivClass([QuadNum(3, 1, 2), -1])  # omega^2 = 10 + 6 sqrt(2)
+    def test_a_theta_is_paired_only_by_the_rows(self):
+        # theta and a with two radicands: a.theta cannot be paired, and only
+        # the rows need it, so the path's checks and numerator are answered
+        theta, a = DivClass([QuadNum(0, 2, 2), -1]), DivClass([QuadNum(0, 1, 3), 0])
+        analysis = path_R(BLOWUP.lattice, BLOWUP.cone, theta, a)
+        assert (analysis.a_selfint, analysis.theta_selfint) == (3, 7)
+        assert _first_fault(lambda: sample_path(BLOWUP.lattice, BLOWUP.cone, theta, a, 3)) == (
+            BadParams, "path rows need rational classes, got theta = (2*sqrt(2), -1)")
+
+    def test_a_before_theta_square_without_a_light_cone(self):
+        # theta^2 mixes sqrt(2) and sqrt(3); it is paired only after a's checks
+        lattice, theta = diagonal_lattice([1, -1]), DivClass([QuadNum(1, 1, 2), QuadNum(0, 1, 3)])
+        for a, outcome in (
+                (DivClass([3, 1]), (ANotOnBoundary, "class must be nef but not interior")),
+                (DivClass([0, 1]), (NegativeSelfIntersection, "a^2 = -1 < 0"))):
+            assert _first_fault(lambda: path_R(lattice, HALF_PLANE, theta, a)) == outcome
+
+    def test_irrational_theta_before_omega_is_paired(self):
+        # theta's pairings are refused before omega (of the wrong length) is paired
+        omega = DivClass([3, -1, 0])
+        for lattice, cone, line in (
+                (BLOWUP.lattice, BLOWUP.cone, "theta needs rational pairings, got 10 + 6*sqrt(2)"),
+                (diagonal_lattice([1, -1]), HALF_PLANE,
+                 "theta needs rational pairings, got 3 + sqrt(2)")):
+            assert _first_fault(lambda: cone_constants(lattice, cone, IRRATIONAL_OMEGA, omega)) \
+                == (BadParams, line)
+
 
 
 @pytest.mark.parametrize("function", [
