@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import pickle
 from fractions import Fraction
 from math import factorial, prod
@@ -21,6 +22,7 @@ from jthresh import toric
 from jthresh import (DivClass, Fan, NefConeModel, QuadNum, Status,
                      diagonal_lattice, intersection_number, subvariety_score,
                      surface_gamma, toric_gamma)
+from jthresh.cli import run
 from jthresh.toric import (enumerate_orbits, invariant_curves, is_ample, toric_seshadri_T,
                            validate_fan)
 from jthresh.errors import (BadFace, DimensionMismatch, FanInvalid, NonPrimitiveRay,
@@ -95,7 +97,73 @@ BAD_FANS = {
 }
 
 
+# Fans with two faults each, and the first diagnostic line of `validate`: the
+# checks meet their faults per cone in cone order (arity, then indices, then
+# unimodularity), then duplicate cones, unused rays, walls in ridge order and
+# the cover sample, however the cones are reached while they are certified.
+RAYS_P1P1 = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+RAYS_BENT = [(1, 0), (1, 2), (-1, 0), (0, -1)]  # cones (0, 1) and (1, 2) have det 2
+TWO_FAULT_FANS = {
+    "not_unimodular_before_arity": (
+        2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (1,), (0, 2)],
+        "NotSmooth: maximal cone (0, 1) is not unimodular"),
+    "arity_before_not_unimodular": (
+        2, [(1, 0), (1, 2), (-1, -1)], [(1,), (0, 1), (0, 2)],
+        "NotSmooth: maximal cone (1,) does not have 2 distinct rays"),
+    "indices_before_not_unimodular": (
+        2, [(1, 0), (1, 2), (-1, -1)], [(0, 2), (1, 7), (0, 1)],
+        "FanInvalid: cone (1, 7) references missing rays"),
+    # the wall (0,) leads from the first cone to (0, 1) before (1, 2)'s turn
+    "adjacent_not_unimodular_after_its_turn": (
+        2, RAYS_BENT, [(0, 3), (1, 2), (2, 3), (0, 1)],
+        "NotSmooth: maximal cone (1, 2) is not unimodular"),
+    "wall_reaches_later_cone_first": (
+        2, RAYS_BENT, [(2, 3), (0, 1), (1, 2), (0, 3)],
+        "NotSmooth: maximal cone (0, 1) is not unimodular"),
+    "arity_behind_a_reached_cone": (
+        2, RAYS_BENT, [(2, 3), (1,), (1, 2), (0, 3), (0, 1)],
+        "NotSmooth: maximal cone (1,) does not have 2 distinct rays"),
+    "first_cone_not_unimodular": (
+        3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (1, 0, -2)],
+        [(a, b, c) for a in (3, 0) for b in (4, 1) for c in (5, 2)],
+        "NotSmooth: maximal cone (3, 4, 5) is not unimodular"),
+    "same_side_before_boundary": (
+        2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2)],
+        "BadFace: maximal cones at ridge (1,) are on the same side"),
+    "boundary_before_same_side": (
+        2, [(1, 0), (0, 1), (1, 1)], [(1, 2), (0, 1)],
+        "NotComplete: ridge (2,) lies on the boundary of the support"),
+    "duplicate_and_unused": (
+        2, P2_RAYS + [(1, 1)], P2_CONES + [(0, 1)], "FanInvalid: duplicate maximal cones"),
+    "duplicate_and_boundary": (
+        2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2), (0, 1)],
+        "FanInvalid: duplicate maximal cones"),
+    "duplicate_before_not_unimodular": (
+        2, P2_RAYS + [(1, 2)], [(0, 1), (0, 1), (1, 2), (0, 2), (0, 3)],
+        "NotSmooth: maximal cone (0, 3) is not unimodular"),
+    "two_components_second_not_unimodular": (
+        2, [(1, 0), (0, 1), (-1, 0), (1, -2)], [(0, 1), (2, 3)],
+        "NotSmooth: maximal cone (2, 3) is not unimodular"),
+    "two_components_with_boundaries": (
+        2, RAYS_P1P1, [(0, 1), (2, 3)],
+        "NotComplete: ridge (1,) lies on the boundary of the support"),
+    "two_closed_components": (
+        2, P2_RAYS + [(-1, 0), (0, -1), (1, 1)], P2_CONES + [(3, 4), (4, 5), (3, 5)],
+        "BadFace: maximal cones overlap in their interiors"),
+}
+
+
 class TestValidateFan:
+    @pytest.mark.parametrize("name", sorted(TWO_FAULT_FANS) + sorted(BAD_FANS))
+    def test_first_diagnostic_line(self, name):
+        if name in TWO_FAULT_FANS:
+            dim, rays, cones, line = TWO_FAULT_FANS[name]
+        else:
+            dim, rays, cones, error, message = BAD_FANS[name]
+            line = f"{error.__name__}: {message}"
+        doc = {"fan": {"dim": dim, "rays": rays, "max_cones": cones}}
+        assert run(["validate"], json.dumps(doc).encode()) == (2, (line + "\n").encode())
+
     def test_classic_fans_pass(self):
         for fan in (P2, P1P1, P1CUBE, F1, hirzebruch(2), hirzebruch(3)):
             validate_fan(fan)
