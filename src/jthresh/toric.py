@@ -5,10 +5,12 @@ maximal cones; a divisor class is a :class:`DivClass`, one coefficient per
 ray.  The constructor validates: unimodularity of every maximal cone, the
 wall condition (every ridge shared by exactly two maximal cones, lying on
 opposite sides) and that a generic point is covered exactly once; together
-these certify a smooth complete fan with compatible faces.  Validation
-computes each maximal cone's dual basis once, by the one fraction-free
-elimination (``_eliminate``), and the ``Fan`` keeps those bases; it holds no
-query state.
+these certify a smooth complete fan with compatible faces.  Validation finds
+every maximal cone's dual basis with one elimination per fan (the
+fraction-free ``_eliminate``, once per connected component), then one update
+per wall crossing (Cox-Little-Schenck, 6.4), which also decides that wall's
+unimodularity and sides (``_wall_walk``).  The ``Fan`` keeps those bases; it
+holds no query state.
 
 Intersection numbers come from localization at the torus-fixed points
 (Brion; Cox-Little-Schenck, ch. 12-13).  At the fixed point of a maximal cone
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import gcd, lcm, prod
 from random import Random
 from typing import Sequence
@@ -159,7 +161,12 @@ class Fan:
 
 
 def validate_fan(fan: Fan) -> tuple[Dual, ...]:
-    """Smoothness, completeness, face compatibility; the maximal cones' dual bases, in order."""
+    """Smoothness, completeness, face compatibility; the maximal cones' dual bases, in order.
+
+    The first fault is reported: rays, then per cone in cone order its
+    arity, indices and unimodularity, duplicate cones, unused rays, walls in
+    ridge order and last the generic-cover sample.
+    """
     n = fan.dim
     if n < 1:
         raise FanInvalid("dimension must be positive")
@@ -173,43 +180,87 @@ def validate_fan(fan: Fan) -> tuple[Dual, ...]:
         g = gcd(*ray)
         if g != 1:
             raise NonPrimitiveRay(f"ray {ray} has content {g}")
+    # certify the cones up to the first one of the wrong arity or with a
+    # missing ray: an earlier cone that is not unimodular is met first
+    cones = list(takewhile(lambda c: len(c) == len(set(c)) == n
+                           and all(0 <= i < len(fan.rays) for i in c), fan.max_cones))
+    ridges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for cone in cones:
+        for p, drop in enumerate(cone):
+            ridges.setdefault(cone[:p] + cone[p + 1:], []).append((cone, drop))
+    duals, sides = _wall_walk(fan.rays, cones, ridges)
     used: set[int] = set()
-    duals: dict[tuple[int, ...], Dual] = {}
     for cone in fan.max_cones:
         if len(cone) != n or len(set(cone)) != n:
             raise NotSmooth(f"maximal cone {cone} does not have {n} distinct rays")
         if not all(0 <= i < len(fan.rays) for i in cone):
             raise FanInvalid(f"cone {cone} references missing rays")
         used.update(cone)
-        dual = _unimodular_dual([fan.rays[i] for i in cone])
-        if dual is None:
+        if duals[cone] is None:
             raise NotSmooth(f"maximal cone {cone} is not unimodular")
-        duals[cone] = dual
     if len(set(fan.max_cones)) != len(fan.max_cones):
         raise FanInvalid("duplicate maximal cones")
     if used != set(range(len(fan.rays))):
         raise FanInvalid("unused rays")
 
     # Wall condition: every ridge in exactly two maximal cones, opposite sides.
-    ridges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for cone in fan.max_cones:
-        for drop in cone:
-            ridge = tuple(i for i in cone if i != drop)
-            ridges.setdefault(ridge, []).append((cone, drop))
     for ridge, owners in ridges.items():
         if len(owners) == 1:
             raise NotComplete(f"ridge {ridge} lies on the boundary of the support")
         if len(owners) > 2:
             raise BadFace(f"ridge {ridge} shared by {len(owners)} maximal cones")
-        # Opposite sides: the second owner's extra ray, in the first owner's
-        # basis, has a negative coordinate on the first owner's dropped ray.
-        (cone, drop), (_, extra) = owners
-        if _dot(duals[cone][cone.index(drop)], fan.rays[extra]) >= 0:
+        if sides[ridge] >= 0:
             raise BadFace(f"maximal cones at ridge {ridge} are on the same side")
 
-    bases = tuple(duals.values())  # the cones are distinct: one basis per cone, in order
+    bases = tuple(duals[cone] for cone in cones)
     _generic_cover_check(fan, bases)
     return bases
+
+
+def _wall_walk(rays: Sequence[Sequence[int]], cones: Sequence[tuple[int, ...]],
+               ridges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]
+               ) -> tuple[dict[tuple[int, ...], Dual | None], dict[tuple[int, ...], int]]:
+    """Each cone's dual basis (None if not unimodular), and a_d at each wall of two cones.
+
+    One elimination starts each connected component; every other cone is
+    reached across a wall.  At the wall tau of sigma = tau + u_d and
+    sigma' = tau + u_e, let a_k = <m_k, u_e> in sigma's basis: |det sigma'| = |a_d|,
+    so sigma' is unimodular exactly when a_d = +-1, and then its basis is
+    m'_e = a_d m_d, m'_k = m_k - a_d a_k m_d.  Unimodular cones lie on opposite
+    sides exactly when a_d = -1.  A wall into a cone that has its basis needs
+    a_d alone.  Raises nothing: the caller reports the faults in its own order.
+    """
+    duals: dict[tuple[int, ...], Dual | None] = {}
+    sides: dict[tuple[int, ...], int] = {}
+    for start in cones:
+        if start in duals:
+            continue
+        duals[start] = _unimodular_dual([rays[i] for i in start])
+        stack = [start] if duals[start] is not None else []
+        while stack:
+            cone = stack.pop()
+            dual = duals[cone]
+            for p, drop in enumerate(cone):
+                ridge = cone[:p] + cone[p + 1:]
+                owners = ridges[ridge]
+                if len(owners) != 2 or ridge in sides:
+                    continue
+                other, extra = owners[owners[0] == (cone, drop)]
+                u, m_d = rays[extra], dual[p]
+                if other in duals:
+                    sides[ridge] = _dot(m_d, u)
+                    continue
+                a = [_dot(m, u) for m in dual]
+                a_d = sides[ridge] = a[p]
+                if abs(a_d) != 1:
+                    duals[other] = None
+                    continue
+                basis = {i: tuple(x - a_d * a_k * y for x, y in zip(m, m_d))
+                         for i, m, a_k in zip(cone, dual, a)}
+                basis[extra] = tuple(a_d * y for y in m_d)
+                duals[other] = tuple(basis[i] for i in other)
+                stack.append(other)
+    return duals, sides
 
 
 def _generic_cover_check(fan: Fan, duals: Sequence[Dual]) -> None:
@@ -291,18 +342,19 @@ def intersection_number(fan: Fan, classes: Sequence[DivClass]) -> Fraction:
                Fraction(0))
 
 
+def _cones_of_size(fan: Fan, size: int) -> list[tuple[int, ...]]:
+    """Every cone with ``size`` rays, once, in lex order of ray indices."""
+    return sorted({tau for cone in fan.max_cones for tau in combinations(cone, size)})
+
+
 def enumerate_orbits(fan: Fan) -> list[tuple[int, ...]]:
     """Every positive-dimension cone, once, ordered by (dim, lex ray indices)."""
-    seen: set[tuple[int, ...]] = set()
-    for cone in fan.max_cones:
-        for mask in range(1, 1 << len(cone)):
-            seen.add(tuple(cone[i] for i in range(len(cone)) if mask >> i & 1))
-    return sorted(seen, key=lambda f: (len(f), f))
+    return [tau for size in range(1, fan.dim + 1) for tau in _cones_of_size(fan, size)]
 
 
 def invariant_curves(fan: Fan) -> list[tuple[int, ...]]:
     """Cones tau of the invariant curves V(tau): dimension dim-1, so () if dim is 1."""
-    return [tau for tau in [()] + enumerate_orbits(fan) if len(tau) == fan.dim - 1]
+    return _cones_of_size(fan, fan.dim - 1)
 
 
 def is_ample(fan: Fan, d: DivClass) -> bool:

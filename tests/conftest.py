@@ -12,7 +12,8 @@ manifolds, ``RecursionOracle`` is a second route to orbit integrals, and
 lattice model of the same surface.  ``light_cone_roots`` (through
 ``poly_roots_quadratic``) and ``is_nef_toric`` (through
 ``intersection_number`` on each invariant curve) are second routes built on
-public functions only.  ``segment``, ``canonicalize`` and
+public functions only, and ``per_cone_validation`` is a second route to fan
+validation that eliminates every maximal cone on its own.  ``segment``, ``canonicalize`` and
 ``classes_equivalent`` are helpers that only tests need; ``canonicalize``
 reuses ``toric._eliminate``, so it is not an oracle.
 """
@@ -20,17 +21,21 @@ reuses ``toric._eliminate``, so it is not an oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from random import Random
+from types import SimpleNamespace
 
 from jthresh import (DivClass, Fan, IntersectionLattice, LightConeFacet, NefConeModel,
                      QuadNum, diagonal_lattice, intersection_number)
 from jthresh.cones import LIGHT_CONE, ConeConstants, is_kahler
-from jthresh.errors import (BadConeModel, BadSignature, JThreshError, OmegaNotKahler,
+from jthresh.errors import (BadConeModel, BadFace, BadSignature, FanInvalid, JThreshError,
+                            NonPrimitiveRay, NotComplete, NotSmooth, OmegaNotKahler,
                             ZeroVolume)
 from jthresh.exactnum import RatPoly, Scalar, as_rat, poly_roots_quadratic, rat_sqrt
 from jthresh.lattice import validate_signature
 from jthresh.surface import c_constant
-from jthresh.toric import _eliminate, _unimodular_dual, invariant_curves
+from jthresh.toric import (_eliminate, _generic_cover_check, _unimodular_dual,
+                           invariant_curves)
 
 
 def segment(a: DivClass, b: DivClass, t: Scalar) -> DivClass:
@@ -330,3 +335,57 @@ def toric_surface_model(fan: Fan):
     cone = NefConeModel(facets=[to_lattice(ray(i)) for i in range(len(fan.rays))],
                         facet_labels=[f"D{i}" for i in range(len(fan.rays))])
     return lattice, cone, to_lattice
+
+
+def per_cone_validation(dim: int, rays, max_cones) -> tuple:
+    """The maximal cones' dual bases by one elimination per cone, in ``validate_fan``'s order.
+
+    Rays and cones are read as ``Fan`` reads them.  Each cone's basis comes
+    from its own ``_unimodular_dual``, and each wall's sides from the first
+    owner's basis; the checks run in the order ``validate_fan`` promises,
+    so a faulty fan raises the same first error.  It shares only the
+    elimination and the generic-cover sample with ``validate_fan``.
+    """
+    n, rays = dim, tuple(tuple(ray) for ray in rays)
+    max_cones = tuple(tuple(sorted(cone)) for cone in max_cones)
+    if n < 1:
+        raise FanInvalid("dimension must be positive")
+    if len(set(rays)) != len(rays):
+        raise FanInvalid("duplicate rays")
+    for ray in rays:
+        if len(ray) != n:
+            raise FanInvalid(f"ray {ray} has wrong length")
+        if all(x == 0 for x in ray):
+            raise NonPrimitiveRay("zero ray")
+        if gcd(*ray) != 1:
+            raise NonPrimitiveRay(f"ray {ray} has content {gcd(*ray)}")
+    duals: dict = {}
+    for cone in max_cones:
+        if len(cone) != n or len(set(cone)) != n:
+            raise NotSmooth(f"maximal cone {cone} does not have {n} distinct rays")
+        if not all(0 <= i < len(rays) for i in cone):
+            raise FanInvalid(f"cone {cone} references missing rays")
+        duals[cone] = _unimodular_dual([rays[i] for i in cone])
+        if duals[cone] is None:
+            raise NotSmooth(f"maximal cone {cone} is not unimodular")
+    if len(duals) != len(max_cones):
+        raise FanInvalid("duplicate maximal cones")
+    if {i for cone in max_cones for i in cone} != set(range(len(rays))):
+        raise FanInvalid("unused rays")
+    ridges: dict = {}
+    for cone in max_cones:
+        for drop in cone:
+            ridges.setdefault(tuple(i for i in cone if i != drop), []).append((cone, drop))
+    for ridge, owners in ridges.items():
+        if len(owners) == 1:
+            raise NotComplete(f"ridge {ridge} lies on the boundary of the support")
+        if len(owners) > 2:
+            raise BadFace(f"ridge {ridge} shared by {len(owners)} maximal cones")
+        # opposite sides: the second owner's extra ray has a negative
+        # coordinate on the first owner's dropped ray
+        (cone, drop), (_, extra) = owners
+        if sum(c * x for c, x in zip(duals[cone][cone.index(drop)], rays[extra])) >= 0:
+            raise BadFace(f"maximal cones at ridge {ridge} are on the same side")
+    bases = tuple(duals.values())
+    _generic_cover_check(SimpleNamespace(dim=n, rays=rays), bases)
+    return bases

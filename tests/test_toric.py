@@ -17,7 +17,8 @@ from random import Random
 import pytest
 
 from conftest import (RecursionOracle, blowup_fan, canonicalize, classes_equivalent,
-                      is_nef_toric, toric_surface_model)
+                      is_nef_toric, per_cone_validation, toric_surface_model,
+                      unimodular_shear)
 from jthresh import toric
 from jthresh import (DivClass, Fan, NefConeModel, QuadNum, Status,
                      diagonal_lattice, intersection_number, subvariety_score,
@@ -25,8 +26,8 @@ from jthresh import (DivClass, Fan, NefConeModel, QuadNum, Status,
 from jthresh.cli import run
 from jthresh.toric import (enumerate_orbits, invariant_curves, is_ample, toric_seshadri_T,
                            validate_fan)
-from jthresh.errors import (BadFace, DimensionMismatch, FanInvalid, NonPrimitiveRay,
-                            NotComplete, NotSmooth, OmegaNotAmpleOnOrbit,
+from jthresh.errors import (BadFace, DimensionMismatch, FanInvalid, JThreshError,
+                            NonPrimitiveRay, NotComplete, NotSmooth, OmegaNotAmpleOnOrbit,
                             OmegaNotKahler, WrongArity)
 
 eliminate = toric._eliminate
@@ -153,7 +154,48 @@ TWO_FAULT_FANS = {
 }
 
 
+SEEDED_FANS = {**{f"P{n}": lambda n=n: projective_space(n) for n in range(1, 9)},
+               **{f"P1^{n}": lambda n=n: p1_power(n) for n in range(1, 7)},
+               **{f"F{a}": lambda a=a: hirzebruch(a) for a in range(4)}}
+
+
+def _validation_outcome(dim, rays, cones, validate):
+    try:
+        return validate(dim, rays, cones)
+    except JThreshError as exc:
+        return type(exc), str(exc)
+
+
+def _mutations(rng: Random, rays: list, cones: list):
+    """The fan itself, then one flipped ray sign, swapped rays, dropped and duplicated cones."""
+    yield rays, cones
+    i, j = rng.sample(range(len(rays)), 2)
+    yield [tuple(-x for x in ray) if k == i else ray for k, ray in enumerate(rays)], cones
+    yield [rays[j] if k == i else rays[i] if k == j else ray for k, ray in enumerate(rays)], cones
+    k = rng.randrange(len(cones))
+    yield rays, cones[:k] + cones[k + 1:]
+    yield rays, cones[:k] + [cones[rng.randrange(len(cones))]] + cones[k:]
+
+
 class TestValidateFan:
+    @pytest.mark.parametrize("name", list(SEEDED_FANS))
+    def test_duals_match_the_per_cone_oracle(self, name):
+        # the fan, its images under random GL_n(Z) maps and their mutations
+        fan = SEEDED_FANS[name]()
+        n, rng = fan.dim, Random(f"per-cone {name}")
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        for shear in [identity] + [unimodular_shear(rng, n) for _ in range(3)]:
+            rays = [tuple(sum(a * x for a, x in zip(row, ray)) for row in shear)
+                    for ray in fan.rays]
+            for rays, cones in _mutations(rng, rays, list(fan.max_cones)):
+                built = _validation_outcome(n, rays, cones, lambda *a: Fan(*a)._duals)
+                assert built == _validation_outcome(n, rays, cones, per_cone_validation)
+
+    def test_diagnostic_grid_matches_the_per_cone_oracle(self):
+        for dim, rays, cones, *_ in [*TWO_FAULT_FANS.values(), *BAD_FANS.values()]:
+            assert (_validation_outcome(dim, rays, cones, lambda *a: Fan(*a)._duals)
+                    == _validation_outcome(dim, rays, cones, per_cone_validation))
+
     @pytest.mark.parametrize("name", sorted(TWO_FAULT_FANS) + sorted(BAD_FANS))
     def test_first_diagnostic_line(self, name):
         if name in TWO_FAULT_FANS:
@@ -737,8 +779,8 @@ class TestWorkCounts:
                          "rewrite_terms": 0, "is_face": 0}
 
     @pytest.mark.parametrize("fan", [projective_space(3), p1_power(3)])
-    def test_validation_eliminates_once_per_maximal_cone(self, monkeypatch, fan):
-        # the wall condition and the generic sample read the stored dual bases
+    def test_validation_eliminates_once_per_component(self, monkeypatch, fan):
+        # one elimination starts the walk; every other basis is a wall update
         calls = []
 
         def counted(rows):
@@ -747,7 +789,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(toric, "_eliminate", counted)
         validate_fan(fan)
-        assert len(calls) == len(fan.max_cones)
+        assert len(calls) == 1
 
 
     def test_query_on_a_built_fan_does_not_revalidate(self, monkeypatch):
