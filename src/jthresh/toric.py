@@ -203,7 +203,7 @@ def validate_fan(fan: Fan) -> tuple[Dual, ...]:
     if used != set(range(len(fan.rays))):
         raise FanInvalid("unused rays")
 
-    # Wall condition: every ridge in exactly two maximal cones, opposite sides.
+    # Wall condition: every ridge in exactly two maximal cones, opposite sides (a_d < 0).
     for ridge, owners in ridges.items():
         if len(owners) == 1:
             raise NotComplete(f"ridge {ridge} lies on the boundary of the support")

@@ -13,9 +13,9 @@ lattice model of the same surface.  ``light_cone_roots`` (through
 ``poly_roots_quadratic``) and ``is_nef_toric`` (through
 ``intersection_number`` on each invariant curve) are second routes built on
 public functions only, and ``per_cone_validation`` is a second route to fan
-validation that eliminates every maximal cone on its own.  ``segment``, ``canonicalize`` and
-``classes_equivalent`` are helpers that only tests need; ``canonicalize``
-reuses ``toric._eliminate``, so it is not an oracle.
+validation that eliminates every maximal cone on its own.  ``segment``,
+``canonicalize`` and ``classes_equivalent`` are helpers that only tests need;
+``canonicalize`` reuses ``toric._eliminate``, so it is not an oracle.
 """
 
 from __future__ import annotations

@@ -187,9 +187,9 @@ class TestValidateFan:
         for shear in [identity] + [unimodular_shear(rng, n) for _ in range(3)]:
             rays = [tuple(sum(a * x for a, x in zip(row, ray)) for row in shear)
                     for ray in fan.rays]
-            for rays, cones in _mutations(rng, rays, list(fan.max_cones)):
-                built = _validation_outcome(n, rays, cones, lambda *a: Fan(*a)._duals)
-                assert built == _validation_outcome(n, rays, cones, per_cone_validation)
+            for case in _mutations(rng, rays, list(fan.max_cones)):
+                built = _validation_outcome(n, *case, lambda *a: Fan(*a)._duals)
+                assert built == _validation_outcome(n, *case, per_cone_validation)
 
     @pytest.mark.parametrize("name", sorted(TWO_FAULT_FANS) + sorted(BAD_FANS))
     def test_first_diagnostic_line(self, name):
@@ -785,6 +785,19 @@ class TestWorkCounts:
         monkeypatch.setattr(toric, "_eliminate", counted)
         validate_fan(fan)
         assert len(calls) == 1
+
+    def test_each_component_starts_with_one_elimination(self, monkeypatch):
+        dim, rays, cones, line = TWO_FAULT_FANS["two_closed_components"]
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return eliminate(rows)
+
+        monkeypatch.setattr(toric, "_eliminate", counted)
+        with pytest.raises(BadFace):
+            Fan(dim, rays, cones)
+        assert len(calls) == 2
 
 
     def test_query_on_a_built_fan_does_not_revalidate(self, monkeypatch):
