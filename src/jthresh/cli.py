@@ -292,9 +292,8 @@ def _cmd_csck(lattice, cone, minus_c1, omega, alpha, digits) -> dict[str, Any]:
 def _cmd_validate(doc: InputDocument, digits: int) -> dict[str, Any]:
     # parse_document already validated everything; report what was checked
     payload: dict[str, Any] = {"ok": True}
-    if doc.lattice is not None:
-        pos, neg, _ = doc.lattice.signature()
-        payload["lattice"] = {"rank": doc.lattice.rank, "signature": [pos, neg]}
+    if doc.lattice is not None:  # validated to have signature (1, rank - 1)
+        payload["lattice"] = {"rank": doc.lattice.rank, "signature": [1, doc.lattice.rank - 1]}
     if doc.cone is not None:
         payload["cone"] = {"facets": len(doc.cone.facets),
                            "light_cone": doc.cone.light_cone is not None}

@@ -11,15 +11,24 @@ boundary class a), into one table, each entry once and when first read:
 theta.f and omega.f for each facet f, theta^2, theta.omega and omega^2, and
 theta.H and omega.H for a light cone's reference class H.  Every surface
 command reads its checks from that table in order; C, T, sigma and their
-binding facets are read from its integers over one common denominator, and
-along a path from the integers of its two ends."""
+binding facets are read from its integers over one common denominator.
+
+Along a path omega_t = (1-t)a + t*theta from a nef, non-interior a to an
+interior theta, sigma(theta, omega_t) = 1/t for t in (0, 1], so path rows need
+no derivation here (see surface.sample_path).  delta*omega_t - theta =
+delta(1-t)a + (delta*t - 1)theta is interior for delta > 1/t: a positive
+multiple of theta plus a class of the closed cone.  At delta = 1/t it is
+((1-t)/t)a, not interior, and no smaller delta works: adding the closed-cone
+class (1/t - delta)omega_t would make ((1-t)/t)a interior.  Both steps need a
+convex cone: any facet model, or a light cone on a lattice of signature
+(1, r-1), which documents and catalog entries are validated to have."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import BadConeModel, BadParams, BadSignature, OmegaNotKahler, ZeroVolume
 from .exactnum import (QuadNum, Scalar, _sign, as_rat, scale_to_integers,
@@ -109,23 +118,35 @@ def is_kahler(lattice: IntersectionLattice, cone: NefConeModel, d: DivClass) -> 
     return all(v > 0 for v in _constraints(lattice, cone, d))
 
 
-def _radical(tw: int, tt: int, ww: int) -> tuple[int, int]:
-    """(r, d) with tw^2 - tt*ww = r^2 d and d square-free, for integer tw, tt, ww.
+NOT_INTERIOR = "omega is not interior to the cone model"
 
-    The discriminant is non-negative for every validated hyperbolic lattice
-    (Hodge index), so a negative value means the lattice was never validated.
+
+def _check_omega(cone: NefConeModel, tw: int, tt: int, ww: int) -> int:
+    """omega^2's checks, then the light-cone discriminant tw^2 - tt*ww (0 without one).
+
+    tw, tt, ww are theta.omega, theta^2, omega^2 as integers over one L > 0, for
+    an omega whose other sides are positive.  The discriminant is non-negative
+    on every validated hyperbolic lattice (Hodge index).
     """
+    if cone.light_cone is None:
+        if ww == 0:
+            raise ZeroVolume("omega^2 = 0")
+        if ww < 0:
+            raise OmegaNotKahler("omega^2 <= 0")
+        return 0
+    if ww <= 0:
+        raise OmegaNotKahler(NOT_INTERIOR)
     disc = tw * tw - tt * ww
     if disc < 0:
         raise BadSignature("negative light-cone discriminant; lattice signature is not (1, r-1)")
-    return squarefree_decompose(disc)
+    return disc
 
 
-def _root(n: int, tw: int, ww: int, r: int, d: int) -> QuadNum:
-    """The light-cone root n(tw + r sqrt(d))/ww: the larger one, or the smaller one for -r."""
+def _root(tw: int, ww: int, r: int, d: int) -> QuadNum:
+    """The light-cone root (tw + r sqrt(d))/ww: the larger one, or the smaller one for -r."""
     if d <= 1:  # a square discriminant (r = 0 when d = 0): the root is rational
-        return QuadNum(Fraction(n * (tw + r), ww))
-    return QuadNum(Fraction(n * tw, ww), Fraction(n * r, ww), d)
+        return QuadNum(Fraction(tw + r, ww))
+    return QuadNum._of(Fraction(tw, ww), Fraction(r, ww), d)
 
 
 def cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
@@ -139,9 +160,9 @@ def cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
     feasible component containing delta -> -infinity, where theta - delta*omega
     is deep inside the forward cone) and the larger root to sigma.  T is the
     least bound and sigma the greatest; ties break to the lowest facet index,
-    light-cone last.  This is the path row of theta and a = omega at t = 0.
+    light-cone last.
     """
-    return next(_table_rows(PairingTable(lattice, cone, theta, omega), [Fraction(0)]))
+    return _constants(PairingTable(lattice, cone, theta, omega))
 
 
 @dataclass(frozen=True)
@@ -162,6 +183,19 @@ class PairingTable:
     aa = cached_property(lambda self: self.a_sides[-2] if self.cone.light_cone
                          else self.lattice.self_int(self.a))
 
+    @cached_property
+    def integers(self) -> tuple[int, list[int], list[int], int, int, int]:
+        """(L, theta's sides, a's sides, at, tt, aa), as integers over L > 0, their least
+        common denominator; read in that order, an irrational entry is refused as
+        it is read, naming theta, or omega for a's entries and a.theta."""
+        m = len(self.theta_sides)
+        theta, omega = "theta needs rational pairings, got ", "omega needs rational pairings, got "
+        values = [_rational(v, theta) for v in self.theta_sides]
+        values += [_rational(v, omega) for v in self.a_sides]
+        values += [_rational(self.at, omega), _rational(self.tt, theta), _rational(self.aa, omega)]
+        den, ints = scale_to_integers(values)
+        return (den, ints[:m], ints[m:2 * m], *ints[2 * m:])
+
 
 def _rational(v: Scalar, refusal: str) -> Fraction:
     """v as a Fraction; an irrational v is refused with BadParams(refusal + v)."""
@@ -170,62 +204,22 @@ def _rational(v: Scalar, refusal: str) -> Fraction:
     return as_rat(v)
 
 
-def _table_rows(table: PairingTable, ts: Iterable[Fraction]) -> Iterator[ConeConstants]:
-    """cone_constants(theta, omega_t) for omega_t = (1-t)a + t*theta at each t.
+def _constants(table: PairingTable) -> ConeConstants:
+    """The checks and the derivation of cone_constants for theta and omega = table.a.
 
-    The table is read (theta's sides, a's sides, a.theta, theta^2, a^2) and
-    written over one common denominator L; an irrational entry is refused as
-    it is read, naming theta, or omega for a's entries and a.theta.  At t = j/n
-    every pairing of omega_t is an integer over L*n (omega_t^2 over L*n^2)
-    formed from those integers, and the light-cone discriminant is (n-j)^2
-    times that of a and theta, so its square-free part is found once.
+    The table's integers are over one denominator L > 0, which cancels from
+    every result: facet f bounds delta at theta_f/omega_f, the light-cone roots
+    are (tw -+ r sqrt(d))/ww with tw^2 - tt*ww = r^2 d, d square-free, and
+    C = 2tw/ww.  Bounds compare by cross-multiplication and a root against a
+    bound by the sign of one a + b sqrt(d); each root enters with one strict
+    comparison, so on a tie the facet keeps it.  Only the reported C, T and
+    sigma become Fractions.
     """
-    cone, m, k = table.cone, len(table.theta_sides), len(table.cone.facets)
-    theta, omega = "theta needs rational pairings, got ", "omega needs rational pairings, got "
-    values = [_rational(v, theta) for v in table.theta_sides]
-    values += [_rational(v, omega) for v in table.a_sides]
-    values += [_rational(table.at, omega), _rational(table.tt, theta), _rational(table.aa, omega)]
-    _, ints = scale_to_integers(values)
-    theta_sides, a_sides, (at, tt, aa) = ints[:m], ints[m:2 * m], ints[2 * m:]
-    # a negative discriminant is left to each point, where _constants refuses it
-    # after omega's checks (at t = 1 it is 0)
-    radical = None
-    if cone.light_cone is not None and at * at - tt * aa >= 0:
-        radical = _radical(at, tt, aa)
-    for t in ts:
-        j, n = t.numerator, t.denominator
-        b = n - j
-        omega_sides = [b * x + j * y for x, y in zip(a_sides, theta_sides)]
-        tw = b * at + j * tt
-        ww = b * (b * aa + 2 * j * at) + j * j * tt
-        if cone.light_cone is not None:
-            omega_sides[k] = ww  # the light-cone side is omega_t^2, not an affine blend
-        yield _constants(cone, theta_sides, omega_sides, tt, tw, ww, n,
-                         None if radical is None else (abs(b) * radical[0], radical[1]))
-
-
-def _constants(cone: NefConeModel, theta_sides: list[int], omega_sides: list[int],
-               tt: int, tw: int, ww: int, n: int,
-               radical: tuple[int, int] | None) -> ConeConstants:
-    """The checks and the derivation of cone_constants, in integers.
-
-    The scalars are integers over one denominator L > 0 and a point t = j/n:
-    theta's sides (see _constraints) are theta_sides/L, omega's sides are
-    omega_sides/(L*n) (its light-cone side, omega^2, only up to a positive
-    factor), theta^2 = tt/L, theta.omega = tw/(L*n) and omega^2 = ww/(L*n^2).
-    L cancels from every result: facet f bounds delta at n*theta_f/omega_f,
-    the light-cone roots are n(tw -+ r sqrt(d))/ww with (r, d) = radical, by
-    default _radical(tw, tt, ww), and C = 2n*tw/ww.  Bounds compare by
-    cross-multiplication and a root against a bound by the sign of one
-    a + b sqrt(d); each root enters with one strict comparison, so on a tie
-    the facet keeps it.  Only the reported C, T and sigma become Fractions.
-    """
+    cone = table.cone
+    _, theta_sides, omega_sides, tw, tt, ww = table.integers
     if not all(v > 0 for v in omega_sides):
-        raise OmegaNotKahler("omega is not interior to the cone model")
-    if ww == 0:
-        raise ZeroVolume("omega^2 = 0")
-    if ww < 0:
-        raise OmegaNotKahler("omega^2 <= 0")
+        raise OmegaNotKahler(NOT_INTERIOR)
+    disc = _check_omega(cone, tw, tt, ww)
     lower = upper = None  # (theta side, omega side) of the facets binding T and sigma
     t_facet = s_facet = LIGHT_CONE
     for t, w, name in zip(theta_sides, omega_sides, cone.facet_labels):
@@ -236,19 +230,19 @@ def _constants(cone: NefConeModel, theta_sides: list[int], omega_sides: list[int
             upper, s_facet = (t, w), name
     T = sigma = None
     if cone.light_cone is not None:
-        r, d = _radical(tw, tt, ww) if radical is None else radical
-        # n(tw -+ r sqrt(d))/ww against n*t/w: the sign of (tw*w - t*ww) -+ r*w sqrt(d)
+        r, d = squarefree_decompose(disc)
+        # (tw -+ r sqrt(d))/ww against t/w: the sign of (tw*w - t*ww) -+ r*w sqrt(d)
         if lower is None or _sign(tw * lower[1] - lower[0] * ww, -r * lower[1], d) < 0:
-            T, t_facet = _root(n, tw, ww, -r, d), LIGHT_CONE
+            T, t_facet = _root(tw, ww, -r, d), LIGHT_CONE
         if upper is None or _sign(tw * upper[1] - upper[0] * ww, r * upper[1], d) > 0:
-            sigma, s_facet = _root(n, tw, ww, r, d), LIGHT_CONE
+            sigma, s_facet = _root(tw, ww, r, d), LIGHT_CONE
     if T is None:
         if lower is None:
             raise BadConeModel("no facets and no light-cone facet")
-        T = QuadNum(Fraction(n * lower[0], lower[1]))
+        T = QuadNum(Fraction(*lower))
     if sigma is None:
-        sigma = QuadNum(Fraction(n * upper[0], upper[1]))
-    return ConeConstants(C=Fraction(2 * n * tw, ww), sigma=sigma, T=T,
+        sigma = QuadNum(Fraction(*upper))
+    return ConeConstants(C=Fraction(2 * tw, ww), sigma=sigma, T=T,
                          theta_kahler=all(v > 0 for v in theta_sides),
                          binding_facet_sigma=s_facet, binding_facet_T=t_facet)
 

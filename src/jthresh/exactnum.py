@@ -1,6 +1,6 @@
 """Exact scalar arithmetic: rationals, real quadratic irrationals, polynomials.
 
-Rationals are plain :class:`fractions.Fraction` (aliased ``Rat``).  A
+Rationals are plain :class:`fractions.Fraction`.  A
 :class:`QuadNum` is a real number ``a + b*sqrt(d)`` with rational ``a, b``
 and a square-free integer radicand ``d >= 0``; its ordering is the ordering
 of the real numbers it denotes, decided exactly by integer arithmetic.
@@ -18,8 +18,6 @@ from math import isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import BadParams, MixedRadicands, ZeroPolynomial
-
-Rat = Fraction
 
 RatLike = Union[int, Fraction]
 Scalar = Union[int, Fraction, "QuadNum"]
@@ -101,7 +99,7 @@ def rat_sqrt(x: Fraction) -> "QuadNum":
     coeff = Fraction(s, x.denominator)
     if d in (0, 1):
         return QuadNum(coeff * (1 if d else 0))
-    return QuadNum(0, coeff, d)
+    return QuadNum._of(Fraction(0), coeff, d)
 
 
 def scale_to_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:

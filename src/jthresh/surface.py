@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 # seshadri_T/sigma_inf re-exported beside surface_gamma (perfbench's tracer rebinds them)
-from .cones import (ConeConstants, NefConeModel, PairingTable, _rational, _table_rows,
-                    cone_constants, seshadri_T, sigma_inf)  # noqa: F401
+from .cones import (ConeConstants, NefConeModel, PairingTable, _check_omega, _constants,
+                    _rational, cone_constants, seshadri_T, sigma_inf)  # noqa: F401
 from .errors import ANotOnBoundary, BadParams, NegativeSelfIntersection, ThetaNotKahler, ZeroVolume
-from .exactnum import QuadNum, RatPoly, as_rat, poly_roots_quadratic, rat_sqrt, scale_to_integers
+from .exactnum import QuadNum, RatPoly, as_rat, poly_roots_quadratic, rat_sqrt
 from .lattice import DivClass, IntersectionLattice
 
 CSCK_CAVEAT = "requires discrete automorphism group"
@@ -142,7 +142,7 @@ def is_solvable(lattice: IntersectionLattice, cone: NefConeModel,
     table = PairingTable(lattice, cone, theta, omega)
     if not all(v > 0 for v in table.theta_sides):
         raise ThetaNotKahler("theta is not interior to the cone model")
-    audit = next(_table_rows(table, [Fraction(0)]))
+    audit = _constants(table)
     return audit.sigma < audit.C
 
 
@@ -238,10 +238,14 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
     """Evaluate the path at t = k/samples, k = 1..samples, in order.
 
     analysis, when given, is path_R(lattice, cone, theta, a), and the rows read
-    the pairing table it kept.  Each row's gamma = C - sigma is cone_constants
-    at omega_t, from that table in integers; so is the numerator column, the
-    closed-form polynomial at the same t.  Rows need rational theta and a; an
-    irrational one is refused before any row.
+    the pairing table it kept.  sigma(theta, omega_t) = 1/t along the path (see
+    cones), so gamma(t) = C(t) - 1/t = R(t)/(t*omega_t^2) with R path_R's
+    numerator: at t = k/n, with b = n - k and tt, at, aa the table's theta^2,
+    a.theta and a^2 over its denominator L, L*n^2*omega_t^2 = b(b*aa + 2k*at)
+    + k^2*tt and L*n^2*R(t) = k^2*tt - b^2*aa.  omega_t's other sides are
+    positive, so a row runs cone_constants' checks of omega_t^2 and, with a
+    light cone, of the discriminant.  Rows need rational theta and a and
+    rational table entries; an irrational one is refused before any row.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise BadParams(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
@@ -250,16 +254,13 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
     for name, cls in (("theta", theta), ("a", a)):
         if not all(isinstance(x, Fraction) or x.is_rational for x in cls.coords):
             raise BadParams(f"path rows need rational classes, got {name} = {cls!r}")
-    ts = [Fraction(k, samples) for k in range(1, samples + 1)]
-    # the numerator (degree <= 2) at t = k/n, as one integer over m*n^2
-    m, coeffs = scale_to_integers(analysis.numerator.coeffs)
-    c0, c1, c2 = coeffs + [0] * (3 - len(coeffs))
-    rows = []
-    for t, audit in zip(ts, _table_rows(analysis.pairings, ts)):
-        k, n = t.numerator, t.denominator
-        num = c0 * n * n + (c1 * n + c2 * k) * k
-        sigma = audit.sigma
-        rows.append(PathSample(t=t, r_numerator=Fraction(num, m * n * n),
-                               gamma=QuadNum(audit.C - sigma.a, -sigma.b, sigma.d),
-                               solvable=num > 0))
+    L, _, _, at, tt, aa = analysis.pairings.integers
+    n, rows = samples, []
+    for k in range(1, n + 1):
+        b = n - k
+        ww = b * (b * aa + 2 * k * at) + k * k * tt
+        _check_omega(analysis.pairings.cone, b * at + k * tt, tt, ww)
+        num = k * k * tt - b * b * aa
+        rows.append(PathSample(t=Fraction(k, n), r_numerator=Fraction(num, L * n * n),
+                               gamma=QuadNum(Fraction(n * num, k * ww)), solvable=num > 0))
     return rows

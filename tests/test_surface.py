@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 from fractions import Fraction
 from random import Random
@@ -11,17 +12,18 @@ import pytest
 
 from conftest import (ample_difference_solvable, fraction_cone_constants, random_class,
                       random_instance, random_kahler, rnd_fraction, segment)
-from jthresh import surface
+from jthresh import cones, exactnum, surface
 from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
                      NefConeModel, QuadNum, Status, build,
                      csck_criterion, diagonal_lattice,
                      is_solvable, sample_path,
                      stable_subcone, surface_gamma)
 from jthresh.cli import run
-from jthresh.cones import (LIGHT_CONE, PairingTable, _table_rows, cone_constants, is_kahler,
-                           seshadri_T, sigma_inf)
-from jthresh.errors import (ANotOnBoundary, BadParams, JThreshError, NegativeSelfIntersection,
-                            OmegaNotKahler, ThetaNotKahler, ZeroVolume)
+from jthresh.documents import parse_document
+from jthresh.cones import (LIGHT_CONE, PairingTable, cone_constants, is_kahler, seshadri_T,
+                           sigma_inf)
+from jthresh.errors import (ANotOnBoundary, BadParams, BadSignature, JThreshError,
+                            NegativeSelfIntersection, OmegaNotKahler, ThetaNotKahler, ZeroVolume)
 from jthresh.exactnum import rat_sqrt
 from jthresh.surface import CSCK_CAVEAT, MAX_SAMPLES, PerfectCone, c_constant, path_R
 
@@ -30,11 +32,6 @@ F1_CONE = NefConeModel(facets=[DivClass([0, 1]), DivClass([1, -1])],
                        facet_labels=["E", "F"])
 F1_THETA = DivClass([2, -1])
 F1_OMEGA = DivClass([5, -1])
-
-
-def segment_constants(lattice, cone, theta, a, ts):
-    """cone_constants(theta, omega_t) along omega_t = (1-t)a + t*theta: the path rows."""
-    return _table_rows(PairingTable(lattice, cone, theta, a), ts)
 
 
 def ross_model(g: int, s_c: Fraction):
@@ -362,68 +359,148 @@ class TestPathOracle:
         found.append((TIE_LATTICE, TIE_CONE, DivClass([3, 1]), DivClass([1, 1])))
         return found
 
+    def _faulty_paths(self, rng: Random, count: int):
+        """(kind, lattice, cone, theta, a, samples) for paths whose rows raise somewhere.
+
+        "volume": a facet model with theta^2 < 0 and a null a, so omega_t^2 is
+        0 at t0 = 2a.theta/(2a.theta - theta^2) and negative after it; most
+        grids hold t0.  "signature": a light cone on a lattice not of signature
+        (1, r-1), with (a.theta)^2 < a^2 theta^2, and one null a with
+        a.theta < 0, where omega_t^2 < 0 at the first row.  "irrational": a
+        boundary path with a facet, or the light cone's reference class, moved
+        by a multiple of sqrt(2) so that theta pairs irrationally with it.
+        Each a lies on a facet through it, and each input passes path_R's checks.
+        """
+        def path(diag, theta, a, light):
+            # the Euclidean projection of theta off a, read as a covector: f.a = 0 < f.theta
+            aa, ta = (sum(x * y for x, y in zip(a.coords, v.coords)) for v in (a, theta))
+            f = DivClass([(x * aa - ta * y) / m for x, y, m in zip(theta.coords, a.coords, diag)])
+            h = LightConeFacet(DivClass([1] + [0] * (len(diag) - 1))) if light else None
+            return diagonal_lattice(diag), NefConeModel(facets=[f], light_cone=h), theta, a
+
+        found = [("signature", *path([1, 1, -1], DivClass([2, -1, Fraction(1, 2)]),
+                                     DivClass([0, 1, 1]), True), 4)]
+        while len(found) < count:
+            if len(found) % 2:
+                diag = [1, -1, -rng.randint(1, 4)]
+                a = DivClass([1, 1, 0])
+            else:
+                diag = [1] + [rng.choice([1, 2, 3, -1, -2]) for _ in range(rng.randint(1, 2))]
+                a = DivClass([1] + [rnd_fraction(rng, -2, 2, 3) for _ in diag[1:]])
+            theta = DivClass([rnd_fraction(rng, -4, 4, 3) for _ in diag])
+            lattice, cone, _, _ = args = path(diag, theta, a, light=len(found) % 2 == 0)
+            tt, at = lattice.self_int(theta), lattice.pair(a, theta)
+            if cone.light_cone is None:
+                if not tt < 0 < at:
+                    continue
+                t0 = 2 * at / (2 * at - tt)
+                kind, samples = "volume", t0.denominator * rng.randint(1, 3) + rng.choice([0, 1])
+            elif at * at < lattice.self_int(a) * tt:
+                kind, samples = "signature", rng.randint(1, 4)
+            else:
+                continue
+            if samples <= 200 and isinstance(_first_fault(lambda: path_R(*args)),
+                                             surface.PathAnalysis):
+                found.append((kind, *args, samples))
+        for lattice, cone, theta, a in self._boundary_paths(rng, count // 4):
+            eps = QuadNum(0, Fraction(1, rng.randint(2, 9)), 2)
+            shift = DivClass([eps if i == 1 else 0 for i in range(lattice.rank)])
+            if cone.light_cone is not None and (not cone.facets or rng.random() < 0.5):
+                h = cone.light_cone.reference_kahler + shift
+                cone = NefConeModel(cone.facets, LightConeFacet(h), cone.facet_labels)
+                moved = h
+            else:
+                moved = cone.facets[0] + shift
+                cone = NefConeModel((moved,) + cone.facets[1:], cone.light_cone,
+                                    cone.facet_labels)
+            side = lattice.pair(moved, theta)
+            if side > 0 and not side.is_rational and lattice.pair(moved, a) >= 0:
+                found.append(("irrational", lattice, cone, theta, a, rng.randint(1, 5)))
+        return found
+
     def test_rows_match_the_per_row_pipeline(self):
+        # sample_path's rows, or its first (class, message), against the per-row
+        # route: build omega_t and ask surface_gamma, stopping at the first t
+        # that raises; the numerator column is path_R's polynomial
+        irrational_T = []
+
+        def rows(lattice, cone, theta, a, samples):
+            return [(r.t, r.r_numerator, _exact(r.gamma), r.solvable)
+                    for r in sample_path(lattice, cone, theta, a, samples)]
+
+        def per_row(lattice, cone, theta, a, samples):
+            numerator, out = path_R(lattice, cone, theta, a).numerator, []
+            for k in range(1, samples + 1):
+                t = Fraction(k, samples)
+                res = surface_gamma(lattice, cone, theta, segment(a, theta, t))
+                irrational_T.append(not res.audit.T.is_rational)
+                out.append((t, numerator(t), _exact(res.value), numerator(t) > 0))
+            return out
+
         rng = Random(8313)
-        light = irrational = 0
-        for lattice, cone, theta, a in self._boundary_paths(rng, 40):
-            samples = rng.choice([1, 2, 3, 5, 8, 13])
-            ts = [Fraction(k, samples) for k in range(1, samples + 1)]
-            rows = sample_path(lattice, cone, theta, a, samples)
-            audits = list(segment_constants(lattice, cone, theta, a, ts))
-            assert [r.t for r in rows] == ts and len(audits) == samples
-            for row, audit in zip(rows, audits):
-                omega_t = segment(a, theta, row.t)
-                oracle = surface_gamma(lattice, cone, theta, omega_t)
-                assert _exact(row.gamma) == _exact(oracle.value)
-                assert _audit(audit) == _audit(oracle.audit)
-                irrational += not audit.T.is_rational
-            light += cone.light_cone is not None
-        assert light >= 40 and irrational >= 40
+        inputs = [("boundary", *path, rng.choice([1, 2, 3, 5, 8, 13]))
+                  for path in self._boundary_paths(rng, 40)]
+        assert sum(path[2].light_cone is not None for path in inputs) >= 40
+        seen = set()
+        for kind, *args in inputs + self._faulty_paths(rng, 80):
+            got = _first_fault(lambda: rows(*args))
+            assert got == _first_fault(lambda: per_row(*args)), (kind, args)
+            seen.add((kind, got[0] if isinstance(got[0], type) else "ok"))
+            if got[0] is OmegaNotKahler:
+                seen.add((kind, got[1]))
+        assert {("boundary", "ok"), ("volume", ZeroVolume), ("volume", "omega^2 <= 0"),
+                ("signature", BadSignature), ("signature", "ok"),
+                ("signature", "omega is not interior to the cone model"),
+                ("irrational", BadParams)} <= seen
+        assert sum(irrational_T) >= 40
+
+    def test_one_factorization_per_path_query(self, monkeypatch):
+        # path_R's numerator roots are factored once; the rows factor nothing,
+        # even where every omega_t has an irrational T
+        calls, original = [], exactnum.squarefree_decompose
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        for module in (exactnum, cones):
+            monkeypatch.setattr(module, "squarefree_decompose", counting)
+        blowup = run(["catalog", "blowup_path", "--export"])[1]
+        data = {"lattice": {"matrix": [["1", "0"], ["0", "-3"]]},
+                "cone": {"facets": [["0", "-1"]], "light_cone": {"H": ["2", "1/3"]}},
+                "classes": {"theta": ["2", "1/3"], "a": ["1", "0"]}}
+        doc, irrational_t = parse_document(data), json.dumps(data).encode()
+        theta, a = doc.classes["theta"], doc.classes["a"]
+        omega = segment(a, theta, Fraction(1, 2))
+        assert not seshadri_T(doc.lattice, doc.cone, theta, omega)[0].is_rational
+        counts = []
+        for document, samples in ((blowup, 100), (irrational_t, 1), (irrational_t, 10),
+                                  (irrational_t, 1000)):
+            calls.clear()
+            argv = ["path", "--theta", "theta", "--a", "a", "--samples", str(samples)]
+            assert run(argv, document)[0] == 0
+            counts.append(len(calls))
+        assert counts == [1, 1, 1, 1]
 
     def test_the_facet_keeps_a_tie_with_the_light_cone(self):
         # omega_t = (1+2t, 1): facet bound 1/t, light-cone roots 2/(1+t) <= 1/t,
         # so sigma ties at every t and T at t = 1
         theta, a = DivClass([3, 1]), DivClass([1, 1])
-        ts = [Fraction(k, 4) for k in range(1, 5)]
-        rows = sample_path(TIE_LATTICE, TIE_CONE, theta, a, 4)
-        audits = list(segment_constants(TIE_LATTICE, TIE_CONE, theta, a, ts))
-        for t, row, audit in zip(ts, rows, audits):
+        for row in sample_path(TIE_LATTICE, TIE_CONE, theta, a, 4):
+            t = row.t
+            audit = cone_constants(TIE_LATTICE, TIE_CONE, theta, segment(a, theta, t))
             assert (audit.sigma, audit.binding_facet_sigma) == (1 / t, "f0")
             assert audit.T == 2 / (1 + t)
             assert audit.binding_facet_T == ("f0" if t == 1 else LIGHT_CONE)
             assert row.gamma == audit.C - 1 / t
 
-    def test_every_check_runs_on_every_point(self):
-        # arbitrary a and t, so omega_t fails each check somewhere: the same
-        # exception class and message as cone_constants on the built class
-        rng = Random(8314)
-        cases = [(TIE_LATTICE, TIE_CONE, DivClass([3, 1]), DivClass([1, 1]))]
-        half_plane = NefConeModel(facets=[DivClass([1, 0])])
-        cases += [(TIE_LATTICE, half_plane, DivClass([2, 0]), DivClass([1, 1])),
-                  (TIE_LATTICE, half_plane, DivClass([2, 0]), DivClass([1, 2]))]
-        for _ in range(60):
-            inst = random_instance(rng)
-            cases.append((inst.lattice, inst.cone, random_class(rng, inst),
-                          random_class(rng, inst)))
-        ts = [Fraction(k, 4) for k in range(-4, 9)]
-        seen = set()
-        for lattice, cone, theta, a in cases:
-            for t in ts:
-                got = _outcome(lambda: next(segment_constants(lattice, cone, theta, a, [t])))
-                want = _outcome(lambda: cone_constants(lattice, cone, theta,
-                                                       segment(a, theta, t)))
-                assert got == want
-                seen.add(got[1] if isinstance(got[0], type) else "ok")
-        assert seen == {"ok", "omega is not interior to the cone model", "omega^2 = 0",
-                        "omega^2 <= 0"}
-
-    def test_segment_constants_match_the_fraction_oracle(self):
-        # t with denominators up to 10^9, t <= 0, t > 1 and the TIE_CONE ties,
-        # against the Fraction route on the built omega_t.  Along a segment
-        # the light-cone discriminant is (1-t)^2 times that of a and theta;
-        # when it is not a square the oracle factors it by trial division up
-        # to the denominators' prime factors, so those segments are compared
-        # at denominators up to 10^4 (the null-root test takes them to 10^9)
+    def test_constants_along_segments_match_the_fraction_oracle(self):
+        # cone_constants at omega_t = (1-t)a + t*theta for t with denominators
+        # up to 10^9, t <= 0, t > 1 and the TIE_CONE ties, against the Fraction
+        # route on the same class.  Along a segment the light-cone discriminant
+        # is (1-t)^2 times that of a and theta; when it is not a square both
+        # routes factor it by trial division up to the denominators' prime
+        # factors, so those segments are compared at denominators up to 10^4
         rng = Random(8317)
         cases = [(TIE_LATTICE, TIE_CONE, DivClass([3, 1]), DivClass([1, 1])),
                  (TIE_LATTICE, NefConeModel(facets=[DivClass([1, 0])]), DivClass([2, 0]),
@@ -443,9 +520,9 @@ class TestPathOracle:
                 den = rng.randint(10 ** exponent, 10 ** (exponent + 1))
                 ts += [Fraction(rng.randint(-den, 2 * den), den) for _ in range(2)]
             for t in ts:
-                got = _outcome(lambda: next(segment_constants(lattice, cone, theta, a, [t])))
-                want = _outcome(lambda: fraction_cone_constants(lattice, cone, theta,
-                                                                segment(a, theta, t)))
+                omega_t = segment(a, theta, t)
+                got = _outcome(lambda: cone_constants(lattice, cone, theta, omega_t))
+                want = _outcome(lambda: fraction_cone_constants(lattice, cone, theta, omega_t))
                 assert got == want
                 if isinstance(got[0], type):
                     errors.add(got[0])
@@ -483,7 +560,7 @@ class TestPathOracle:
                 den = rng.randint(10 ** 8, 10 ** 9)
                 t = Fraction(rng.randint(1, den), den)
                 omega_t = segment(a, theta, t)
-                audit = next(segment_constants(lattice, cone, theta, a, [t]))
+                audit = cone_constants(lattice, cone, theta, omega_t)
                 assert audit.C == 2 * lattice.pair(theta, omega_t) / lattice.self_int(omega_t)
                 for value, facet in ((audit.T, audit.binding_facet_T),
                                      (audit.sigma, audit.binding_facet_sigma)):
@@ -540,10 +617,10 @@ class TestPathOracle:
         a = DivClass([QuadNum(0, 1, 3), 0])  # sqrt(3) H, accepted by path_R
         assert path_R(lattice, cone, theta, a).a_selfint == 3
 
-        def no_rows(*args):
-            raise AssertionError("a row was built")
+        def no_rows(table):
+            raise AssertionError("the rows read the pairing table")
 
-        monkeypatch.setattr(surface, "_table_rows", no_rows)
+        monkeypatch.setattr(PairingTable, "integers", property(no_rows))
         with pytest.raises(BadParams) as info:
             sample_path(lattice, cone, theta, a, 10)
         assert str(info.value) == "path rows need rational classes, got a = (sqrt(3), 0)"
