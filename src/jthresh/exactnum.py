@@ -65,18 +65,16 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n >= 0 as s*s*d with d square-free; returns (s, d).
 
     Trial division takes each p out of the unfactored part m completely and
-    stops once p^3 > m.  m then has at most two prime factors, all >= p, so it
-    is square-free unless it is a square: at most about n^(1/3)/2 divisions.
+    stops once m is a square or p^3 > m.  Then m has at most two prime
+    factors, all >= p, so it is square-free unless it is a square: at most
+    about n^(1/3)/2 divisions, and far fewer when m becomes a square early.
     """
     if n < 0:
         raise ValueError("radicand must be non-negative")
     if n == 0:
         return 0, 0
-    r = isqrt(n)
-    if r * r == n:
-        return r, 1
-    s, d, m, p = 1, 1, n, 2
-    while p * p * p <= m:
+    s, d, m, p, r = 1, 1, n, 2, isqrt(n)
+    while r * r != m and p * p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -84,8 +82,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
                 e += 1
             s *= p ** (e // 2)
             d *= p ** (e % 2)
+            r = isqrt(m)
         p += 1 if p == 2 else 2
-    r = isqrt(m)
     if r * r == m:
         return s * r, d
     return s, d * m

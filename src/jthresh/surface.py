@@ -17,8 +17,9 @@ from fractions import Fraction
 # seshadri_T/sigma_inf re-exported beside surface_gamma (perfbench's tracer rebinds them)
 from .cones import (ConeConstants, NefConeModel, PairingTable, _check_omega, _constants,
                     _rational, cone_constants, seshadri_T, sigma_inf)  # noqa: F401
-from .errors import ANotOnBoundary, BadParams, NegativeSelfIntersection, ThetaNotKahler, ZeroVolume
-from .exactnum import QuadNum, RatPoly, as_rat, poly_roots_quadratic, rat_sqrt
+from .errors import (ANotOnBoundary, BadConeModel, BadParams, NegativeSelfIntersection,
+                     ThetaNotKahler, ZeroVolume)
+from .exactnum import QuadNum, RatPoly, as_rat, rat_sqrt
 from .lattice import DivClass, IntersectionLattice
 
 CSCK_CAVEAT = "requires discrete automorphism group"
@@ -164,40 +165,34 @@ def path_R(lattice: IntersectionLattice, cone: NefConeModel,
            theta: DivClass, a: DivClass) -> PathAnalysis:
     """Numerator of the value along omega_t = (1-t)a + t*theta, and its sign set.
 
-    The numerator is (theta^2 - a^2) t^2 + 2 a^2 t - a^2; the set where the
-    equation is solvable is {t in (0,1] : numerator > 0}.  It keeps its pairings.
+    R(t) = t^2 theta^2 - (1-t)^2 a^2 is positive on (0, 1] exactly where
+    t*sqrt(theta^2) > (1-t)*sqrt(a^2): nowhere when theta^2 <= 0, everywhere when
+    a^2 = 0, else on (1/(1+lambda), 1] for lambda = sqrt(theta^2/a^2).  It keeps its pairings.
     """
     table, a2 = _boundary_path(lattice, cone, theta, a)
     t2 = _rational(table.tt, THETA_SQUARE)
-    numerator = RatPoly([-a2, 2 * a2, t2 - a2])
-    return PathAnalysis(numerator=numerator, a_selfint=a2, theta_selfint=t2,
-                        solvable_set=tuple(_positive_set(numerator)), pairings=table)
-
-
-def _positive_set(poly: RatPoly) -> list[Interval]:
-    """{t in (0,1] : poly(t) > 0} as exact intervals with QuadNum endpoints."""
-    if poly.is_zero:
-        return []
-    zero, one = QuadNum(0), QuadNum(1)
-    cuts = [zero] + [r for r in poly_roots_quadratic(poly) if 0 < r < 1] + [one]
-    out = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = (lo + hi) / 2
-        if poly(mid) > 0:
-            hi_closed = hi == one and poly(Fraction(1)) > 0
-            out.append(Interval(lo=lo, hi=hi, hi_closed=hi_closed))
-    return out
+    solvable_set = ()
+    if t2 > 0:
+        lo = QuadNum(0) if a2 == 0 else 1 / (1 + rat_sqrt(t2 / a2))
+        solvable_set = (Interval(lo=lo, hi=QuadNum(1), hi_closed=True),)
+    return PathAnalysis(numerator=RatPoly([-a2, 2 * a2, t2 - a2]), a_selfint=a2,
+                        theta_selfint=t2, solvable_set=solvable_set, pairings=table)
 
 
 def stable_subcone(lattice: IntersectionLattice, cone: NefConeModel,
                    theta: DivClass, a: DivClass) -> StableSubcone | PerfectCone:
     """Boundary data of the solvable subcone spanned between theta and a.
 
-    After rescaling a so that (lambda*a)^2 = theta^2, the solvable segment is
-    t in (1/2, 1]; the returned ray is the class at t = 1/2.  A boundary
-    class with zero square yields the distinguished PerfectCone outcome.
+    With lambda = sqrt(theta^2/a^2), (lambda*a)^2 = theta^2 and the segment from
+    lambda*a to theta is solvable for t in (1/2, 1]; the ray is its class at t = 1/2,
+    (lambda*a + theta)/2 = (1+lambda)/2 omega_t at path_R's endpoint t = 1/(1+lambda).
+    A boundary class with zero square yields the distinguished PerfectCone outcome;
+    theta^2 <= 0 (a facet model allows it) leaves nothing solvable: BadConeModel.
     """
     table, a2 = _boundary_path(lattice, cone, theta, a)
+    if not table.tt > 0:
+        raise BadConeModel(f"theta^2 = {table.tt} <= 0 although theta is interior"
+                           " to the cone model")
     if a2 == 0:
         return PerfectCone()
     lam = rat_sqrt(_rational(table.tt, THETA_SQUARE) / a2)

@@ -9,10 +9,11 @@ second route to the cone constants in Fraction arithmetic, and
 ``ample_difference_solvable`` a second route to solvability.  For toric
 manifolds, ``RecursionOracle`` is a second route to orbit integrals, and
 ``toric_surface_model`` turns a smooth complete fan of dimension 2 into a
-lattice model of the same surface.  ``light_cone_roots`` (through
-``poly_roots_quadratic``) and ``is_nef_toric`` (through
-``intersection_number`` on each invariant curve) are second routes built on
-public functions only, and ``per_cone_validation`` is a second route to fan
+lattice model of the same surface.  ``light_cone_roots`` and
+``positive_set`` (the sign set of a path numerator, cut at its roots) go
+through ``poly_roots_quadratic``, and ``is_nef_toric`` through
+``intersection_number`` on each invariant curve: second routes built on
+public functions only.  ``per_cone_validation`` is a second route to fan
 validation that eliminates every maximal cone on its own.  ``segment``,
 ``canonicalize`` and ``classes_equivalent`` are helpers that only tests need;
 ``canonicalize`` reuses ``toric._eliminate``, so it is not an oracle.
@@ -33,7 +34,7 @@ from jthresh.errors import (BadConeModel, BadFace, BadSignature, FanInvalid, JTh
                             ZeroVolume)
 from jthresh.exactnum import RatPoly, Scalar, as_rat, poly_roots_quadratic, rat_sqrt
 from jthresh.lattice import validate_signature
-from jthresh.surface import c_constant
+from jthresh.surface import Interval, c_constant
 from jthresh.toric import (_eliminate, _generic_cover_check, _unimodular_dual,
                            invariant_curves)
 
@@ -228,6 +229,24 @@ def light_cone_roots(tw: Scalar, tt: Scalar, ww: Scalar) -> tuple[QuadNum, QuadN
     """
     roots = poly_roots_quadratic(RatPoly([tt, -2 * tw, ww]))
     return roots[0], roots[-1]
+
+
+def positive_set(poly: RatPoly) -> list[Interval]:
+    """{t in (0,1] : poly(t) > 0} as exact intervals with QuadNum endpoints.
+
+    The generic route: cut (0, 1] at the real roots of poly and keep each
+    piece on which poly is positive at the midpoint.
+    """
+    if poly.is_zero:
+        return []
+    zero, one = QuadNum(0), QuadNum(1)
+    cuts = [zero] + [r for r in poly_roots_quadratic(poly) if 0 < r < 1] + [one]
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if poly((lo + hi) / 2) > 0:
+            hi_closed = hi == one and poly(Fraction(1)) > 0
+            out.append(Interval(lo=lo, hi=hi, hi_closed=hi_closed))
+    return out
 
 
 class RecursionOracle:

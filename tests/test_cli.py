@@ -656,6 +656,20 @@ class TestMalformedInput:
             argv = ["solvable", "--theta", "theta", "--omega", omega]
             assert run(argv, HALF_PLANE_DOC) == (2, f"{line}\n".encode())
 
+    def test_stable_cone_refuses_an_interior_theta_without_positive_square(self):
+        # a facet model admits an interior theta with theta^2 <= 0; then no
+        # t is solvable, and stable-cone once exited 1 (a square root of -3),
+        # printed normalization 0 or answered perfect for a null a
+        doc = json.dumps({"lattice": {"matrix": [["1", "0"], ["0", "-1"]]},
+                          "cone": {"facets": [["0", "-1"], ["1", "0"]], "facet_labels": ["E", "F"]},
+                          "classes": {"theta": ["1", "2"], "null_theta": ["1", "1"],
+                                      "a": ["1", "0"], "zero": ["0", "0"]}}).encode()
+        line = "BadConeModel: theta^2 = {} <= 0 although theta is interior to the cone model\n"
+        for theta, a, square in (("theta", "a", "-3"), ("null_theta", "a", "0"),
+                                 ("theta", "zero", "-3")):
+            argv = ["stable-cone", "--theta", theta, "--a", a]
+            assert run(argv, doc) == (2, line.format(square).encode())
+
 
 def test_readme_lists_every_subcommand():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -707,8 +721,8 @@ def test_every_surface_query_pairs_its_classes_once(monkeypatch, doc, a, null):
     # and the two squares, and with a light cone each class with its reference
     # class: 2k + 5 pairs with a light cone, 2k + 3 without, whatever the rows.
     # stable-cone never reads a.theta, and with a light cone it reads both
-    # squares from the classes' sides: 2k + 4, or 2k + 2 without (2k + 1 when
-    # a^2 = 0 answers before theta^2)
+    # squares from the classes' sides: 2k + 4, or 2k + 2 without (theta^2's
+    # sign is read before a^2 = 0 answers PerfectCone)
     calls, original = [], IntersectionLattice.pair
 
     def counting_pair(lattice, x, y):
@@ -726,7 +740,7 @@ def test_every_surface_query_pairs_its_classes_once(monkeypatch, doc, a, null):
         ["path", "--theta", "theta", "--a", a, "--samples", "1"],
         ["path", "--theta", "theta", "--a", a, "--samples", "1000"])]
     queries += [(["stable-cone", "--theta", "theta", "--a", a], 2 * k + (4 if light else 2)),
-                (["stable-cone", "--theta", "theta", "--a", null], 2 * k + (4 if light else 1))]
+                (["stable-cone", "--theta", "theta", "--a", null], 2 * k + (4 if light else 2))]
     for argv, expected in queries:
         calls.clear()
         code, out = run(argv, doc)

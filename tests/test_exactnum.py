@@ -203,6 +203,21 @@ class TestSquarefree:
         assert squarefree_decompose(3 * 10000019**2) == (10000019, 3)
         assert time.perf_counter() - start < 0.5
 
+    def test_square_cofactors_end_the_search(self):
+        # small primes times the square of large ones, as a common denominator
+        # squared puts it into a radicand: once the part left is a square the
+        # search ends, where trial division to its cube root took 0.5 s for
+        # 3 * 10000000019^2 alone
+        big = 10000000019 * 1000000007
+        cases = {3 * 10000000019**2: (10000000019, 3),
+                 18 * 10000000019**2: (3 * 10000000019, 2),
+                 2 * 3**3 * 5 * big**2: (3 * big, 30),
+                 7**5 * 998244353**2 * 1000000009**2: (49 * 998244353 * 1000000009, 7)}
+        start = time.perf_counter()
+        for n, expected in cases.items():
+            assert squarefree_decompose(n) == expected, n
+        assert time.perf_counter() - start < 0.05
+
     def test_rat_sqrt_squares_back(self):
         rng = Random(7008)
         for _ in range(200):

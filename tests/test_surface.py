@@ -10,8 +10,8 @@ from random import Random
 
 import pytest
 
-from conftest import (ample_difference_solvable, fraction_cone_constants, random_class,
-                      random_instance, random_kahler, rnd_fraction, segment)
+from conftest import (ample_difference_solvable, fraction_cone_constants, positive_set,
+                      random_class, random_instance, random_kahler, rnd_fraction, segment)
 from jthresh import cones, exactnum, surface
 from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
                      NefConeModel, QuadNum, Status, build,
@@ -22,7 +22,7 @@ from jthresh.cli import run
 from jthresh.documents import parse_document
 from jthresh.cones import (LIGHT_CONE, PairingTable, cone_constants, is_kahler, seshadri_T,
                            sigma_inf)
-from jthresh.errors import (ANotOnBoundary, BadParams, BadSignature, JThreshError,
+from jthresh.errors import (ANotOnBoundary, BadConeModel, BadParams, BadSignature, JThreshError,
                             NegativeSelfIntersection, OmegaNotKahler, ThetaNotKahler, ZeroVolume)
 from jthresh.exactnum import rat_sqrt
 from jthresh.surface import CSCK_CAVEAT, MAX_SAMPLES, PerfectCone, c_constant, path_R
@@ -455,8 +455,8 @@ class TestPathOracle:
         assert sum(irrational_T) >= 40
 
     def test_one_factorization_per_path_query(self, monkeypatch):
-        # path_R's numerator roots are factored once; the rows factor nothing,
-        # even where every omega_t has an irrational T
+        # path_R factors theta^2/a^2 once for its endpoint; the rows factor
+        # nothing, even where every omega_t has an irrational T
         calls, original = [], exactnum.squarefree_decompose
 
         def counting(n):
@@ -548,6 +548,46 @@ class TestPathOracle:
                 assert row.r_numerator == analysis.numerator(row.t)
                 assert row.solvable == (row.r_numerator > 0)
         assert distinct >= 10
+
+    def test_solvable_set_matches_the_root_search(self):
+        # path_R's closed form against positive_set, the generic search over
+        # the numerator's roots and midpoints, endpoint by exact form; omega at
+        # the endpoint 1/(1+lambda) is stable_subcone's ray times 2/(1+lambda),
+        # and stable_subcone refuses theta^2 <= 0 where the set is empty
+        def exact(intervals):
+            return [(_exact(iv.lo), _exact(iv.hi), iv.hi_closed) for iv in intervals]
+
+        rng = Random(8320)
+        paths = self._boundary_paths(rng, 20)
+        # the volume paths have theta^2 < 0; the irrational ones repeat boundary paths
+        paths += [args for kind, *args, _ in self._faulty_paths(rng, 40) if kind != "irrational"]
+        facets = NefConeModel(facets=[DivClass([0, -1]), DivClass([1, 0])])
+        equal = NefConeModel(facets=[DivClass([3, 4, 0])],
+                             light_cone=LightConeFacet(DivClass([3, -1, -1])))
+        paths += [(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, -1])),  # a^2 = 0
+                  (diagonal_lattice([1, -1, -1]), equal, DivClass([3, -1, -1]),
+                   DivClass([4, 3, 0]))]  # theta^2 = a^2 = 7
+        paths += [(TIE_LATTICE, facets, DivClass(theta), DivClass(a))  # theta^2 = 0 or < 0
+                  for theta in ([1, 1], [1, 2]) for a in ([1, 0], [0, 0])]
+        seen = set()
+        for lattice, cone, theta, a in paths:
+            analysis = path_R(lattice, cone, theta, a)
+            t2, a2 = analysis.theta_selfint, analysis.a_selfint
+            assert exact(analysis.solvable_set) == exact(positive_set(analysis.numerator))
+            subcone = _first_fault(lambda: stable_subcone(lattice, cone, theta, a))
+            if t2 <= 0:
+                seen.add("theta^2 = 0" if t2 == 0 else "theta^2 < 0")
+                assert subcone == (BadConeModel, f"theta^2 = {t2} <= 0 although theta is"
+                                                 " interior to the cone model")
+            elif a2 == 0:
+                seen.add("a^2 = 0")
+                assert subcone == PerfectCone()
+            else:
+                lo, lam = analysis.solvable_set[0].lo, subcone.normalization
+                seen.add("theta^2 = a^2" if t2 == a2 else f"rational lambda: {lam.is_rational}")
+                assert segment(a, theta, lo) == subcone.boundary_ray.scale(2 / (1 + lam))
+        assert seen == {"theta^2 = 0", "theta^2 < 0", "a^2 = 0", "theta^2 = a^2",
+                        "rational lambda: True", "rational lambda: False"}
 
     def test_light_cone_roots_at_large_denominators_are_null(self):
         # segments whose roots are irrational, at t with denominators near
@@ -718,9 +758,11 @@ IRRATIONAL_OMEGA = DivClass([QuadNum(3, 1, 2), -1])  # omega^2 = 10 + 6 sqrt(2)
 class TestDiagnosticOrder:
     """Inputs with two faults: the first check in the documented order reports.
 
-    theta interior, then a nef but not interior, then a^2 rational and >= 0
-    (stable_subcone answers PerfectCone here for a^2 = 0), then theta^2
-    rational, then omega's checks; sample_path checks its count first.
+    theta interior, then a nef but not interior, then a^2 rational and >= 0,
+    then theta^2 rational, then omega's checks; sample_path checks its count
+    first.  After a^2's checks stable_subcone reads theta^2 > 0 from the
+    pairing table, where an irrational theta^2 passes, and answers
+    PerfectCone for a^2 = 0 before it asks for a rational theta^2.
     """
 
     @pytest.mark.parametrize("lattice, cone", [(F1_LATTICE, F1_CONE),
