@@ -258,8 +258,7 @@ def _cmd_stable_cone(lattice, cone, theta, a, digits) -> dict[str, Any]:
     res = stable_subcone(lattice, cone, theta, a)
     if isinstance(res, PerfectCone):
         return {"caveats": [], "perfect": True, "note": res.note}
-    ray = [quad_to_json(c) if isinstance(c, QuadNum) else format_rat(c)
-           for c in res.boundary_ray.coords]
+    ray = [quad_to_json(c) for c in res.boundary_ray]
     return {"caveats": [], "perfect": False,
             "exact": {"boundary_t": format_rat(res.boundary_t),
                       "normalization": quad_to_json(res.normalization), "boundary_ray": ray},

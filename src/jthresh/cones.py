@@ -30,9 +30,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import BadConeModel, BadParams, BadSignature, OmegaNotKahler, ZeroVolume
-from .exactnum import (QuadNum, Scalar, _sign, as_rat, scale_to_integers,
-                       squarefree_decompose)
+from .errors import BadConeModel, BadSignature, OmegaNotKahler, ZeroVolume
+from .exactnum import QuadNum, _sign, scale_to_integers, squarefree_decompose
 from .lattice import DivClass, IntersectionLattice
 
 LIGHT_CONE = "light-cone"
@@ -99,9 +98,9 @@ def validate_cone(lattice: IntersectionLattice, cone: NefConeModel) -> None:
 
 
 def _constraints(lattice: IntersectionLattice, cone: NefConeModel,
-                 d: DivClass) -> list[Scalar]:
+                 d: DivClass) -> list[Fraction]:
     """d.f per facet f, then d^2 and d.H with a light cone: d's sides of the cone."""
-    vals: list[Scalar] = [lattice.pair(f, d) for f in cone.facets]
+    vals = [lattice.pair(f, d) for f in cone.facets]
     if cone.light_cone is not None:
         vals.append(lattice.self_int(d))
         vals.append(lattice.pair(d, cone.light_cone.reference_kahler))
@@ -186,22 +185,11 @@ class PairingTable:
     @cached_property
     def integers(self) -> tuple[int, list[int], list[int], int, int, int]:
         """(L, theta's sides, a's sides, at, tt, aa), as integers over L > 0, their least
-        common denominator; read in that order, an irrational entry is refused as
-        it is read, naming theta, or omega for a's entries and a.theta."""
+        common denominator, read in that order."""
         m = len(self.theta_sides)
-        theta, omega = "theta needs rational pairings, got ", "omega needs rational pairings, got "
-        values = [_rational(v, theta) for v in self.theta_sides]
-        values += [_rational(v, omega) for v in self.a_sides]
-        values += [_rational(self.at, omega), _rational(self.tt, theta), _rational(self.aa, omega)]
-        den, ints = scale_to_integers(values)
+        den, ints = scale_to_integers([*self.theta_sides, *self.a_sides,
+                                       self.at, self.tt, self.aa])
         return (den, ints[:m], ints[m:2 * m], *ints[2 * m:])
-
-
-def _rational(v: Scalar, refusal: str) -> Fraction:
-    """v as a Fraction; an irrational v is refused with BadParams(refusal + v)."""
-    if isinstance(v, QuadNum) and not v.is_rational:
-        raise BadParams(f"{refusal}{v}")
-    return as_rat(v)
 
 
 def _constants(table: PairingTable) -> ConeConstants:

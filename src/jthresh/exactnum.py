@@ -289,13 +289,6 @@ class QuadNum:
         return f"{format_rat(self.a)} {op} {tail}"
 
 
-def as_rat(x: Scalar) -> Fraction:
-    """Coerce a scalar known to be rational down to a Fraction."""
-    if isinstance(x, QuadNum):
-        return x.to_rat()
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class RatPoly:
     """Univariate polynomial with rational coefficients, lowest degree first.

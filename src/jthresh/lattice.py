@@ -2,8 +2,11 @@
 
 An :class:`IntersectionLattice` is a rank-r symmetric rational pairing
 expected to have signature (1, r-1); a :class:`DivClass` is a coordinate
-vector in the chosen basis.  Lattices are user data: nothing here derives
-them from geometry.  Both types are immutable and safe to share.
+vector in the chosen basis.  Matrix entries and coordinates are exact
+rationals: ints or Fractions, held as Fractions, so every pairing is a
+Fraction.  Anything else, a QuadNum included, is refused with one BadParams
+line.  Lattices are user data: nothing here derives them from geometry.
+Both types are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -12,19 +15,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadSignature, DimensionMismatch
-from .exactnum import QuadNum, RatLike, Scalar
+from .errors import BadParams, BadSignature, DimensionMismatch
+from .exactnum import RatLike, format_rat
+
+
+def _exact(x: object, what: str) -> Fraction:
+    """x as a Fraction if it is an int (not a bool) or a Fraction; else one BadParams line."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise BadParams(f"{what} must be int or Fraction, got {x!r}")
 
 
 @dataclass(frozen=True)
 class DivClass:
-    """A (1,1)-class as a coordinate vector; entries rational or QuadNum."""
+    """A (1,1)-class as a coordinate vector of Fractions; ints are taken as Fractions."""
 
-    coords: tuple[Scalar, ...]
+    coords: tuple[Fraction, ...]
 
-    def __init__(self, coords: Sequence[RatLike | QuadNum]):
-        object.__setattr__(self, "coords", tuple(
-            c if isinstance(c, QuadNum) else Fraction(c) for c in coords))
+    def __init__(self, coords: Sequence[RatLike]):
+        object.__setattr__(self, "coords", tuple(_exact(c, "class coordinates") for c in coords))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -40,10 +51,10 @@ class DivClass:
     def __neg__(self) -> "DivClass":
         return DivClass([-x for x in self.coords])
 
-    def scale(self, c: Scalar) -> "DivClass":
+    def scale(self, c: RatLike) -> "DivClass":
         return DivClass([c * x for x in self.coords])
 
-    def __rmul__(self, c: Scalar) -> "DivClass":
+    def __rmul__(self, c: RatLike) -> "DivClass":
         return self.scale(c)
 
     @property
@@ -51,8 +62,7 @@ class DivClass:
         return all(x == 0 for x in self.coords)
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(repr(QuadNum(c) if isinstance(c, Fraction) else c)
-                               for c in self.coords) + ")"
+        return "(" + ", ".join(map(format_rat, self.coords)) + ")"
 
 
 class IntersectionLattice:
@@ -62,7 +72,7 @@ class IntersectionLattice:
 
     def __init__(self, matrix: Sequence[Sequence[RatLike]],
                  labels: Sequence[str] | None = None):
-        rows = [tuple(Fraction(x) for x in row) for row in matrix]
+        rows = [tuple(_exact(x, "lattice entries") for x in row) for row in matrix]
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise DimensionMismatch("pairing matrix must be square and non-empty")
@@ -88,23 +98,23 @@ class IntersectionLattice:
         if len(x) != self.rank:
             raise DimensionMismatch(f"class of length {len(x)} in rank {self.rank}")
 
-    def pair(self, x: DivClass, y: DivClass) -> Scalar:
-        """Exact bilinear pairing x^T M y; QuadNum coordinates allowed."""
+    def pair(self, x: DivClass, y: DivClass) -> Fraction:
+        """Exact bilinear pairing x^T M y, a Fraction."""
         self.check_class(x)
         self.check_class(y)
-        total: Scalar = Fraction(0)
+        total = Fraction(0)
         for i, xi in enumerate(x.coords):
             if xi == 0:
                 continue
             row = self.matrix[i]
-            inner: Scalar = Fraction(0)
+            inner = Fraction(0)
             for j, yj in enumerate(y.coords):
                 if yj != 0 and row[j] != 0:
                     inner = inner + row[j] * yj
             total = total + xi * inner
         return total
 
-    def self_int(self, x: DivClass) -> Scalar:
+    def self_int(self, x: DivClass) -> Fraction:
         return self.pair(x, x)
 
     def signature(self) -> tuple[int, int, int]:
@@ -180,6 +190,5 @@ def diagonal_lattice(entries: Sequence[RatLike],
                      labels: Sequence[str] | None = None) -> IntersectionLattice:
     """Convenience constructor for diag(entries)."""
     n = len(entries)
-    rows = [[Fraction(entries[i]) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
+    rows = [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
     return IntersectionLattice(rows, labels)

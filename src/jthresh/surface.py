@@ -16,17 +16,16 @@ from fractions import Fraction
 
 # seshadri_T/sigma_inf re-exported beside surface_gamma (perfbench's tracer rebinds them)
 from .cones import (ConeConstants, NefConeModel, PairingTable, _check_omega, _constants,
-                    _rational, cone_constants, seshadri_T, sigma_inf)  # noqa: F401
+                    cone_constants, seshadri_T, sigma_inf)  # noqa: F401
 from .errors import (ANotOnBoundary, BadConeModel, BadParams, NegativeSelfIntersection,
                      ThetaNotKahler, ZeroVolume)
-from .exactnum import QuadNum, RatPoly, as_rat, rat_sqrt
+from .exactnum import QuadNum, RatPoly, rat_sqrt
 from .lattice import DivClass, IntersectionLattice
 
 CSCK_CAVEAT = "requires discrete automorphism group"
 # largest path grid; a row is one integer derivation plus its rendering, and
 # 100 000 csv rows take about 5 s (Intel Xeon, Python 3.11)
 MAX_SAMPLES = 100_000
-THETA_SQUARE = "theta needs a rational square, got theta^2 = "
 
 
 class Status(str, enum.Enum):
@@ -89,11 +88,15 @@ class PathAnalysis:
 
 @dataclass(frozen=True)
 class StableSubcone:
-    """Solvable polarizations between the twist and a positive boundary class."""
+    """Solvable polarizations between the twist and a positive boundary class.
+
+    boundary_ray holds the coordinates of (lambda*a + theta)/2 as QuadNums: lambda
+    may be irrational, and a DivClass holds Fractions only.
+    """
 
     boundary_t: Fraction
     normalization: QuadNum
-    boundary_ray: DivClass
+    boundary_ray: tuple[QuadNum, ...]
 
 
 @dataclass(frozen=True)
@@ -118,10 +121,10 @@ class CsckReport:
 def c_constant(lattice: IntersectionLattice, theta: DivClass,
                omega: DivClass) -> Fraction:
     """The topological constant 2 (theta.omega) / omega^2."""
-    vol = as_rat(lattice.self_int(omega))
+    vol = lattice.self_int(omega)
     if vol == 0:
         raise ZeroVolume("omega^2 = 0")
-    return 2 * as_rat(lattice.pair(theta, omega)) / vol
+    return 2 * lattice.pair(theta, omega) / vol
 
 
 def surface_gamma(lattice: IntersectionLattice, cone: NefConeModel,
@@ -148,17 +151,16 @@ def is_solvable(lattice: IntersectionLattice, cone: NefConeModel,
 
 
 def _boundary_path(lattice: IntersectionLattice, cone: NefConeModel,
-                   theta: DivClass, a: DivClass) -> tuple[PairingTable, Fraction]:
-    """The pairing table of theta and a, and a^2, after a path's checks on them."""
+                   theta: DivClass, a: DivClass) -> PairingTable:
+    """The pairing table of theta and a, after a path's checks on them."""
     table = PairingTable(lattice, cone, theta, a)
     if not all(v > 0 for v in table.theta_sides):
         raise ThetaNotKahler("theta must be interior to the cone model")
     if not all(v >= 0 for v in table.a_sides) or all(v > 0 for v in table.a_sides):
         raise ANotOnBoundary("class must be nef but not interior")
-    a2 = _rational(table.aa, "a needs a rational square, got a^2 = ")
-    if a2 < 0:
-        raise NegativeSelfIntersection(f"a^2 = {a2} < 0")
-    return table, a2
+    if table.aa < 0:
+        raise NegativeSelfIntersection(f"a^2 = {table.aa} < 0")
+    return table
 
 
 def path_R(lattice: IntersectionLattice, cone: NefConeModel,
@@ -169,9 +171,8 @@ def path_R(lattice: IntersectionLattice, cone: NefConeModel,
     t*sqrt(theta^2) > (1-t)*sqrt(a^2): nowhere when theta^2 <= 0, everywhere when
     a^2 = 0, else on (1/(1+lambda), 1] for lambda = sqrt(theta^2/a^2).  It keeps its pairings.
     """
-    table, a2 = _boundary_path(lattice, cone, theta, a)
-    t2 = _rational(table.tt, THETA_SQUARE)
-    solvable_set = ()
+    table = _boundary_path(lattice, cone, theta, a)
+    t2, a2, solvable_set = table.tt, table.aa, ()
     if t2 > 0:
         lo = QuadNum(0) if a2 == 0 else 1 / (1 + rat_sqrt(t2 / a2))
         solvable_set = (Interval(lo=lo, hi=QuadNum(1), hi_closed=True),)
@@ -189,15 +190,15 @@ def stable_subcone(lattice: IntersectionLattice, cone: NefConeModel,
     A boundary class with zero square yields the distinguished PerfectCone outcome;
     theta^2 <= 0 (a facet model allows it) leaves nothing solvable: BadConeModel.
     """
-    table, a2 = _boundary_path(lattice, cone, theta, a)
+    table = _boundary_path(lattice, cone, theta, a)
     if not table.tt > 0:
         raise BadConeModel(f"theta^2 = {table.tt} <= 0 although theta is interior"
                            " to the cone model")
-    if a2 == 0:
+    if table.aa == 0:
         return PerfectCone()
-    lam = rat_sqrt(_rational(table.tt, THETA_SQUARE) / a2)
+    lam = rat_sqrt(table.tt / table.aa)
     half = Fraction(1, 2)
-    ray = (a.scale(lam) + theta).scale(half)
+    ray = tuple(half * (lam * x + y) for x, y in zip(a.coords, theta.coords))
     return StableSubcone(boundary_t=half, normalization=lam, boundary_ray=ray)
 
 
@@ -239,16 +240,12 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
     a.theta and a^2 over its denominator L, L*n^2*omega_t^2 = b(b*aa + 2k*at)
     + k^2*tt and L*n^2*R(t) = k^2*tt - b^2*aa.  omega_t's other sides are
     positive, so a row runs cone_constants' checks of omega_t^2 and, with a
-    light cone, of the discriminant.  Rows need rational theta and a and
-    rational table entries; an irrational one is refused before any row.
+    light cone, of the discriminant.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise BadParams(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
     if analysis is None:
         analysis = path_R(lattice, cone, theta, a)
-    for name, cls in (("theta", theta), ("a", a)):
-        if not all(isinstance(x, Fraction) or x.is_rational for x in cls.coords):
-            raise BadParams(f"path rows need rational classes, got {name} = {cls!r}")
     L, _, _, at, tt, aa = analysis.pairings.integers
     n, rows = samples, []
     for k in range(1, n + 1):

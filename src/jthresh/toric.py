@@ -36,7 +36,6 @@ from typing import Sequence
 
 from .errors import (BadFace, FanInvalid, NonPrimitiveRay, NotComplete,
                      NotSmooth, OmegaNotAmpleOnOrbit, OmegaNotKahler, WrongArity)
-from .exactnum import Scalar
 from .lattice import DivClass
 from .surface import Status
 
@@ -289,7 +288,7 @@ def _generic_cover_check(fan: Fan, duals: Sequence[Dual]) -> None:
     raise FanInvalid("could not find a generic sample point")  # pragma: no cover
 
 
-Table = dict[tuple[int, ...], tuple[Scalar, Scalar]]
+Table = dict[tuple[int, ...], tuple[Fraction, Fraction]]
 
 
 def _fixed_points(fan: Fan, classes: Sequence[DivClass]) -> list[tuple]:
@@ -329,7 +328,8 @@ def _orbit_integrals(fan: Fan, theta: DivClass, omega: DivClass,
     return table
 
 
-def _curve_degrees(fan: Fan, theta: DivClass, omega: DivClass) -> list[tuple[Scalar, Scalar]]:
+def _curve_degrees(fan: Fan, theta: DivClass,
+                   omega: DivClass) -> list[tuple[Fraction, Fraction]]:
     """(omega, theta) degrees on each invariant curve V(tau), len(tau) = dim - 1."""
     return list(_orbit_integrals(fan, theta, omega, [fan.dim - 1]).values())
 
@@ -367,7 +367,7 @@ def toric_seshadri_T(fan: Fan, theta: DivClass, omega: DivClass) -> Fraction:
     return _seshadri_bound(_curve_degrees(fan, theta, omega))
 
 
-def _seshadri_bound(curves: list[tuple[Scalar, Scalar]]) -> Fraction:
+def _seshadri_bound(curves: list[tuple[Fraction, Fraction]]) -> Fraction:
     """min theta.C / omega.C over the (omega, theta) curve degrees; omega must be ample."""
     if not all(w > 0 for w, _ in curves):
         raise OmegaNotKahler("omega is not ample")
@@ -405,15 +405,15 @@ class ToricGammaResult:
     caveat: str = AUTOMORPHISM_CAVEAT
 
 
-def _c_constant_toric(n: int, vol: Scalar, mixed: Scalar) -> Scalar:
+def _c_constant_toric(n: int, vol: Fraction, mixed: Fraction) -> Fraction:
     """C = n int theta omega^(n-1) / int omega^n, from the empty cone's row."""
     if vol <= 0:
         raise OmegaNotKahler(f"omega^n = {vol} <= 0")
     return n * mixed / vol
 
 
-def _score(n: int, c: Scalar, tau: tuple[int, ...], vol: Scalar,
-           mixed: Scalar) -> SubvarietyScore:
+def _score(n: int, c: Fraction, tau: tuple[int, ...], vol: Fraction,
+           mixed: Fraction) -> SubvarietyScore:
     """The score of V(tau) from C and its row (int_V omega^p, int_V theta omega^(p-1))."""
     p = n - len(tau)
     numerator = c * vol - p * mixed

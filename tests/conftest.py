@@ -16,7 +16,10 @@ through ``poly_roots_quadratic``, and ``is_nef_toric`` through
 public functions only.  ``per_cone_validation`` is a second route to fan
 validation that eliminates every maximal cone on its own.  ``segment``,
 ``canonicalize`` and ``classes_equivalent`` are helpers that only tests need;
-``canonicalize`` reuses ``toric._eliminate``, so it is not an oracle.
+``canonicalize`` reuses ``toric._eliminate``, so it is not an oracle.  A
+``DivClass`` holds Fractions only, so the oracles that step to an irrational
+bound build that class as a tuple of QuadNums with ``quad_coords`` and pair
+it with ``quad_pair``, or read its cone sides with ``quad_sides``.
 """
 
 from __future__ import annotations
@@ -32,16 +35,38 @@ from jthresh.cones import LIGHT_CONE, ConeConstants, is_kahler
 from jthresh.errors import (BadConeModel, BadFace, BadSignature, FanInvalid, JThreshError,
                             NonPrimitiveRay, NotComplete, NotSmooth, OmegaNotKahler,
                             ZeroVolume)
-from jthresh.exactnum import RatPoly, Scalar, as_rat, poly_roots_quadratic, rat_sqrt
+from jthresh.exactnum import RatPoly, Scalar, poly_roots_quadratic, rat_sqrt
 from jthresh.lattice import validate_signature
 from jthresh.surface import Interval, c_constant
 from jthresh.toric import (_eliminate, _generic_cover_check, _unimodular_dual,
                            invariant_curves)
 
 
-def segment(a: DivClass, b: DivClass, t: Scalar) -> DivClass:
+def segment(a: DivClass, b: DivClass, t: Fraction) -> DivClass:
     """The class (1-t)*a + t*b."""
     return a.scale(1 - t) + b.scale(t)
+
+
+def quad_coords(*terms: tuple[Scalar, DivClass]) -> tuple[QuadNum, ...]:
+    """The coordinates of sum c*x over (c, x) terms, as QuadNums: c may be irrational."""
+    rank = len(terms[0][1])
+    return tuple(sum((c * cls.coords[i] for c, cls in terms), QuadNum(0)) for i in range(rank))
+
+
+def quad_pair(lattice: IntersectionLattice, x, y) -> QuadNum:
+    """x^T M y for coordinate tuples x, y whose entries may be QuadNums."""
+    return sum((xi * mij * yj for xi, row in zip(x, lattice.matrix)
+                for mij, yj in zip(row, y)), QuadNum(0))
+
+
+def quad_sides(lattice: IntersectionLattice, cone: NefConeModel, x) -> list[QuadNum]:
+    """The cone sides of a coordinate tuple x with QuadNum entries, in cones._constraints'
+    order: x.f per facet f, then x^2 and x.H with a light cone."""
+    vals = [quad_pair(lattice, f.coords, x) for f in cone.facets]
+    if cone.light_cone is not None:
+        vals += [quad_pair(lattice, x, x),
+                 quad_pair(lattice, x, cone.light_cone.reference_kahler.coords)]
+    return vals
 
 
 def rnd_fraction(rng: Random, lo: int = -6, hi: int = 6, max_den: int = 4) -> Fraction:
@@ -161,11 +186,10 @@ def fraction_cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
         vals = [lattice.pair(f, d) for f in cone.facets]
         if cone.light_cone is not None:
             vals += [lattice.self_int(d), lattice.pair(d, cone.light_cone.reference_kahler)]
-        return [as_rat(v) for v in vals]
+        return vals
 
     theta_sides, omega_sides = sides(theta), sides(omega)
-    tt, tw, ww = (as_rat(lattice.pair(x, y))
-                  for x, y in ((theta, theta), (theta, omega), (omega, omega)))
+    tt, tw, ww = (lattice.pair(x, y) for x, y in ((theta, theta), (theta, omega), (omega, omega)))
     if not all(v > 0 for v in omega_sides):
         raise OmegaNotKahler("omega is not interior to the cone model")
     if ww == 0:

@@ -13,7 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from conftest import random_class, random_instance, random_kahler, segment
+from conftest import (quad_coords, quad_pair, random_class, random_instance, random_kahler,
+                      segment)
 from jthresh import (DivClass, Fan, LightConeFacet, NefConeModel, QuadNum,
                      Status, build, csck_criterion,
                      diagonal_lattice, intersection_number, is_solvable,
@@ -143,7 +144,8 @@ def test_criterion_6_perfect_lightcone_models():
             t, t_facet = seshadri_T(inst.lattice, inst.cone, theta, omega)
             assert t_facet == "light-cone"
             assert res.value == t  # value == smaller root == T
-            assert inst.lattice.self_int(theta - omega.scale(t)) == 0
+            null = quad_coords((1, theta), (-t, omega))
+            assert quad_pair(inst.lattice, null, null) == 0
             assert is_solvable(inst.lattice, inst.cone, theta, omega)
             assert res.status is Status.SOLVABLE
         lattices += 1

@@ -13,7 +13,8 @@ from random import Random
 import pytest
 
 from conftest import (constants_outcome, fraction_cone_constants, light_cone_roots,
-                      random_class, random_instance, random_kahler, rnd_fraction, segment)
+                      quad_coords, quad_pair, quad_sides, random_class, random_instance,
+                      random_kahler, rnd_fraction, segment)
 from jthresh import (DivClass, LightConeFacet, NefConeModel, QuadNum,
                      cone_constants, diagonal_lattice)
 from jthresh.cones import LIGHT_CONE, is_kahler, is_nef, seshadri_T, sigma_inf, validate_cone
@@ -134,10 +135,11 @@ class TestBoundaryOracle:
             theta = random_class(rng, inst)
             omega = random_kahler(rng, inst)
             t, _ = seshadri_T(inst.lattice, inst.cone, theta, omega)
-            assert is_nef(inst.lattice, inst.cone, theta - omega.scale(t))
+            critical = quad_coords((1, theta), (-t, omega))
+            assert all(v >= 0 for v in quad_sides(inst.lattice, inst.cone, critical))
             for eps in (Fraction(1, 1000), Fraction(1, 7)):
-                stepped = theta - omega.scale(t + eps)
-                assert not is_nef(inst.lattice, inst.cone, stepped)
+                stepped = quad_coords((1, theta), (-(t + eps), omega))
+                assert not all(v >= 0 for v in quad_sides(inst.lattice, inst.cone, stepped))
 
     def test_sigma_boundary_optimality(self):
         rng = Random(8203)
@@ -146,10 +148,11 @@ class TestBoundaryOracle:
             theta = random_class(rng, inst)
             omega = random_kahler(rng, inst)
             s, _ = sigma_inf(inst.lattice, inst.cone, theta, omega)
-            assert not is_kahler(inst.lattice, inst.cone, omega.scale(s) - theta)
+            critical = quad_coords((s, omega), (-1, theta))
+            assert not all(v > 0 for v in quad_sides(inst.lattice, inst.cone, critical))
             for eps in (Fraction(1, 1000), Fraction(2, 5)):
-                stepped = omega.scale(s + eps) - theta
-                assert is_kahler(inst.lattice, inst.cone, stepped)
+                stepped = quad_coords((s + eps, omega), (-1, theta))
+                assert all(v > 0 for v in quad_sides(inst.lattice, inst.cone, stepped))
 
     def test_light_cone_root_is_null(self):
         rng = Random(8204)
@@ -161,8 +164,8 @@ class TestBoundaryOracle:
             omega = random_kahler(rng, inst)
             t, facet = seshadri_T(inst.lattice, inst.cone, theta, omega)
             assert facet == "light-cone"
-            critical = theta - omega.scale(t)
-            assert inst.lattice.self_int(critical) == 0
+            critical = quad_coords((1, theta), (-t, omega))
+            assert quad_pair(inst.lattice, critical, critical) == 0
 
 
 class TestReciprocityAndPathIdentities:
@@ -202,8 +205,9 @@ class TestReciprocityAndPathIdentities:
             expected = 2 * inst.lattice.pair(theta, omega) / inst.lattice.self_int(omega)
             assert lo + hi == QuadNum(expected)
             # both roots are genuine null directions
-            assert inst.lattice.self_int(theta - omega.scale(lo)) == 0
-            assert inst.lattice.self_int(theta - omega.scale(hi)) == 0
+            for root in (lo, hi):
+                null = quad_coords((1, theta), (-root, omega))
+                assert quad_pair(inst.lattice, null, null) == 0
 
     def test_superadditivity(self):
         # T(theta + nu, omega) >= T(theta, omega) for nef nu.  Stated via
@@ -215,7 +219,8 @@ class TestReciprocityAndPathIdentities:
             nu = random_kahler(rng, inst)
             omega = random_kahler(rng, inst)
             base, _ = seshadri_T(inst.lattice, inst.cone, theta, omega)
-            assert is_nef(inst.lattice, inst.cone, theta + nu - omega.scale(base))
+            moved = quad_coords((1, theta + nu), (-base, omega))
+            assert all(v >= 0 for v in quad_sides(inst.lattice, inst.cone, moved))
             if inst.cone.light_cone is None:  # rational bounds: compare directly
                 bumped, _ = seshadri_T(inst.lattice, inst.cone, theta + nu, omega)
                 assert bumped >= base

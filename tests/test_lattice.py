@@ -10,9 +10,9 @@ from random import Random
 import pytest
 
 from conftest import random_class, random_instance, random_kahler
-from jthresh import DivClass, IntersectionLattice, diagonal_lattice
+from jthresh import DivClass, IntersectionLattice, QuadNum, diagonal_lattice
 from jthresh.lattice import validate_signature
-from jthresh.errors import BadSignature, DimensionMismatch
+from jthresh.errors import BadParams, BadSignature, DimensionMismatch
 
 
 def naive_pair(matrix, x, y):
@@ -176,3 +176,34 @@ class TestDivClass:
     def test_mismatched_addition(self):
         with pytest.raises(DimensionMismatch):
             DivClass([1]) + DivClass([1, 2])
+
+    def test_coordinates_and_pairings_are_fractions(self):
+        x, y = DivClass([1, Fraction(1, 2)]), DivClass([3, -1])
+        lat = IntersectionLattice([[1, Fraction(1, 3)], [Fraction(1, 3), -1]])
+        values = (*x.coords, *(x + y).coords, *x.scale(2).coords, lat.pair(x, y), lat.self_int(y))
+        assert {type(v) for v in values} == {Fraction}
+
+
+@pytest.mark.parametrize("build, line", [
+    (lambda: DivClass([0.1, 0]), "class coordinates must be int or Fraction, got 0.1"),
+    (lambda: DivClass(["1/2", True]), "class coordinates must be int or Fraction, got '1/2'"),
+    (lambda: DivClass([Fraction(1, 2), True]),
+     "class coordinates must be int or Fraction, got True"),
+    (lambda: DivClass("12"), "class coordinates must be int or Fraction, got '1'"),
+    (lambda: DivClass([QuadNum(0, 1, 2), 0]),
+     "class coordinates must be int or Fraction, got sqrt(2)"),
+    (lambda: DivClass([2, -1]).scale(QuadNum(0, 1, 3)),
+     "class coordinates must be int or Fraction, got 2*sqrt(3)"),
+    (lambda: IntersectionLattice([["1", 0], [0, -1.0]]),
+     "lattice entries must be int or Fraction, got '1'"),
+    (lambda: IntersectionLattice([[1, 0], [0, -1.0]]),
+     "lattice entries must be int or Fraction, got -1.0"),
+    (lambda: diagonal_lattice([True, -1]), "lattice entries must be int or Fraction, got True"),
+    (lambda: diagonal_lattice([1, QuadNum(0, 1, 2)]),
+     "lattice entries must be int or Fraction, got sqrt(2)"),
+], ids=["float", "string", "bool", "string-class", "quadnum", "scale-by-quadnum",
+        "lattice-string", "lattice-float", "diagonal-bool", "diagonal-quadnum"])
+def test_non_exact_entries_are_refused_with_one_line(build, line):
+    with pytest.raises(BadParams) as info:
+        build()
+    assert f"{info.value.code}: {info.value}" == f"BadParams: {line}"

@@ -11,7 +11,8 @@ from random import Random
 import pytest
 
 from conftest import (ample_difference_solvable, fraction_cone_constants, positive_set,
-                      random_class, random_instance, random_kahler, rnd_fraction, segment)
+                      quad_coords, quad_pair, random_class, random_instance, random_kahler,
+                      rnd_fraction, segment)
 from jthresh import cones, exactnum, surface
 from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
                      NefConeModel, QuadNum, Status, build,
@@ -20,11 +21,10 @@ from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
                      stable_subcone, surface_gamma)
 from jthresh.cli import run
 from jthresh.documents import parse_document
-from jthresh.cones import (LIGHT_CONE, PairingTable, cone_constants, is_kahler, seshadri_T,
-                           sigma_inf)
+from jthresh.cones import LIGHT_CONE, cone_constants, is_kahler, seshadri_T
 from jthresh.errors import (ANotOnBoundary, BadConeModel, BadParams, BadSignature, JThreshError,
                             NegativeSelfIntersection, OmegaNotKahler, ThetaNotKahler, ZeroVolume)
-from jthresh.exactnum import rat_sqrt
+from jthresh.exactnum import RatPoly, rat_sqrt
 from jthresh.surface import CSCK_CAVEAT, MAX_SAMPLES, PerfectCone, c_constant, path_R
 
 F1_LATTICE = diagonal_lattice([1, -1], labels=["H", "E"])
@@ -41,6 +41,16 @@ def ross_model(g: int, s_c: Fraction):
                 DivClass([Fraction(1, 2), Fraction(1, 2)])],
         facet_labels=["w_low", "w_up"])
     return lat, cone, DivClass([2 * g - 2, 0])
+
+
+def _normalized_numerator(lattice, theta, a, lam, t):
+    """The path numerator at t along omega_t = (1-t)*lam*a + t*theta, lam possibly irrational.
+
+    By definition R(t) = t*omega_t^2*gamma(t), with gamma = C - 1/t and
+    C = 2 theta.omega_t / omega_t^2, so R(t) = 2t theta.omega_t - omega_t^2.
+    """
+    omega_t = quad_coords(((1 - t) * lam, a), (t, theta))
+    return 2 * t * quad_pair(lattice, theta.coords, omega_t) - quad_pair(lattice, omega_t, omega_t)
 
 
 class TestCConstant:
@@ -204,15 +214,19 @@ class TestPathAnalysis:
         assert iv.lo == 0 and iv.hi == 1 and iv.hi_closed
 
     def test_equal_squares_give_half_threshold(self):
-        # normalized boundary class with a^2 = theta^2 = 3: the numerator
-        # collapses to a^2 (2t - 1) and the solvable set to (1/2, 1]
+        # normalized boundary class lambda*a with (lambda*a)^2 = theta^2 = 3: the
+        # numerator collapses to a^2 (2t - 1) and the solvable set to (1/2, 1]
         res = stable_subcone(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, 0]))
-        scaled_a = DivClass([res.normalization, 0])
-        assert F1_LATTICE.self_int(scaled_a) == 3
-        analysis = path_R(F1_LATTICE, F1_CONE, F1_THETA, scaled_a)
-        assert analysis.numerator.coeffs == (Fraction(-3), Fraction(6))
-        assert len(analysis.solvable_set) == 1
-        iv = analysis.solvable_set[0]
+        scaled_a = quad_coords((res.normalization, DivClass([1, 0])))
+        assert quad_pair(F1_LATTICE, scaled_a, scaled_a) == 3
+        numerator = RatPoly([-3, 6])
+        for k in range(11):
+            t = Fraction(k, 10)
+            assert _normalized_numerator(F1_LATTICE, F1_THETA, DivClass([1, 0]),
+                                         res.normalization, t) == numerator(t)
+        solvable_set = positive_set(numerator)
+        assert len(solvable_set) == 1
+        iv = solvable_set[0]
         assert iv.lo == Fraction(1, 2) and iv.hi == 1 and iv.hi_closed
 
     def test_equal_squares_rational_instance(self):
@@ -366,10 +380,8 @@ class TestPathOracle:
         0 at t0 = 2a.theta/(2a.theta - theta^2) and negative after it; most
         grids hold t0.  "signature": a light cone on a lattice not of signature
         (1, r-1), with (a.theta)^2 < a^2 theta^2, and one null a with
-        a.theta < 0, where omega_t^2 < 0 at the first row.  "irrational": a
-        boundary path with a facet, or the light cone's reference class, moved
-        by a multiple of sqrt(2) so that theta pairs irrationally with it.
-        Each a lies on a facet through it, and each input passes path_R's checks.
+        a.theta < 0, where omega_t^2 < 0 at the first row.  Each a lies on a
+        facet through it, and each input passes path_R's checks.
         """
         def path(diag, theta, a, light):
             # the Euclidean projection of theta off a, read as a covector: f.a = 0 < f.theta
@@ -402,20 +414,6 @@ class TestPathOracle:
             if samples <= 200 and isinstance(_first_fault(lambda: path_R(*args)),
                                              surface.PathAnalysis):
                 found.append((kind, *args, samples))
-        for lattice, cone, theta, a in self._boundary_paths(rng, count // 4):
-            eps = QuadNum(0, Fraction(1, rng.randint(2, 9)), 2)
-            shift = DivClass([eps if i == 1 else 0 for i in range(lattice.rank)])
-            if cone.light_cone is not None and (not cone.facets or rng.random() < 0.5):
-                h = cone.light_cone.reference_kahler + shift
-                cone = NefConeModel(cone.facets, LightConeFacet(h), cone.facet_labels)
-                moved = h
-            else:
-                moved = cone.facets[0] + shift
-                cone = NefConeModel((moved,) + cone.facets[1:], cone.light_cone,
-                                    cone.facet_labels)
-            side = lattice.pair(moved, theta)
-            if side > 0 and not side.is_rational and lattice.pair(moved, a) >= 0:
-                found.append(("irrational", lattice, cone, theta, a, rng.randint(1, 5)))
         return found
 
     def test_rows_match_the_per_row_pipeline(self):
@@ -450,8 +448,7 @@ class TestPathOracle:
                 seen.add((kind, got[1]))
         assert {("boundary", "ok"), ("volume", ZeroVolume), ("volume", "omega^2 <= 0"),
                 ("signature", BadSignature), ("signature", "ok"),
-                ("signature", "omega is not interior to the cone model"),
-                ("irrational", BadParams)} <= seen
+                ("signature", "omega is not interior to the cone model")} <= seen
         assert sum(irrational_T) >= 40
 
     def test_one_factorization_per_path_query(self, monkeypatch):
@@ -559,8 +556,8 @@ class TestPathOracle:
 
         rng = Random(8320)
         paths = self._boundary_paths(rng, 20)
-        # the volume paths have theta^2 < 0; the irrational ones repeat boundary paths
-        paths += [args for kind, *args, _ in self._faulty_paths(rng, 40) if kind != "irrational"]
+        # the volume paths have theta^2 < 0
+        paths += [args for _, *args, _ in self._faulty_paths(rng, 40)]
         facets = NefConeModel(facets=[DivClass([0, -1]), DivClass([1, 0])])
         equal = NefConeModel(facets=[DivClass([3, 4, 0])],
                              light_cone=LightConeFacet(DivClass([3, -1, -1])))
@@ -585,7 +582,8 @@ class TestPathOracle:
             else:
                 lo, lam = analysis.solvable_set[0].lo, subcone.normalization
                 seen.add("theta^2 = a^2" if t2 == a2 else f"rational lambda: {lam.is_rational}")
-                assert segment(a, theta, lo) == subcone.boundary_ray.scale(2 / (1 + lam))
+                assert quad_coords((1 - lo, a), (lo, theta)) \
+                    == tuple(2 / (1 + lam) * x for x in subcone.boundary_ray)
         assert seen == {"theta^2 = 0", "theta^2 < 0", "a^2 = 0", "theta^2 = a^2",
                         "rational lambda: True", "rational lambda: False"}
 
@@ -605,7 +603,8 @@ class TestPathOracle:
                 for value, facet in ((audit.T, audit.binding_facet_T),
                                      (audit.sigma, audit.binding_facet_sigma)):
                     if facet == LIGHT_CONE:
-                        assert lattice.self_int(theta - omega_t.scale(value)) == 0
+                        null = quad_coords((1, theta), (-value, omega_t))
+                        assert quad_pair(lattice, null, null) == 0
                         checked += not value.is_rational
         assert checked >= 20
 
@@ -651,51 +650,20 @@ class TestPathOracle:
         assert counts[0] == (1, 7)
         assert len(counts) > 4 and all(pairs == 2 * k + 5 for k, pairs in counts)
 
-    def test_irrational_boundary_class_is_refused(self, monkeypatch):
-        entry = build("blowup_path", {})
-        lattice, cone, theta = entry.lattice, entry.cone, entry.named_classes["theta"]
-        a = DivClass([QuadNum(0, 1, 3), 0])  # sqrt(3) H, accepted by path_R
-        assert path_R(lattice, cone, theta, a).a_selfint == 3
-
-        def no_rows(table):
-            raise AssertionError("the rows read the pairing table")
-
-        monkeypatch.setattr(PairingTable, "integers", property(no_rows))
-        with pytest.raises(BadParams) as info:
-            sample_path(lattice, cone, theta, a, 10)
-        assert str(info.value) == "path rows need rational classes, got a = (sqrt(3), 0)"
-
-    @pytest.mark.parametrize("function", [path_R, stable_subcone])
-    def test_irrational_square_is_refused(self, function):
-        entry = build("blowup_path", {})
-        lattice, cone = entry.lattice, entry.cone
-        theta, a = entry.named_classes["theta"], entry.named_classes["a"]
-        # (1 + sqrt(2)) H is nef but not interior; (2 + sqrt(2)) H - E is interior
-        irrational_a = DivClass([QuadNum(1, 1, 2), 0])
-        irrational_theta = DivClass([QuadNum(2, 1, 2), -1])
-        for args, line in (
-                ((theta, irrational_a), "a needs a rational square, got a^2 = 3 + 2*sqrt(2)"),
-                ((irrational_theta, a),
-                 "theta needs a rational square, got theta^2 = 5 + 4*sqrt(2)")):
-            with pytest.raises(BadParams) as info:
-                function(lattice, cone, *args)
-            assert str(info.value) == line
-
 
 class TestStableSubcone:
     def test_blowup_normalization(self):
         res = stable_subcone(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, 0]))
         assert res.normalization == QuadNum(0, 1, 3)
         assert res.boundary_t == Fraction(1, 2)
-        expected_ray = DivClass([QuadNum(1, Fraction(1, 2), 3), Fraction(-1, 2)])
-        assert res.boundary_ray == expected_ray
+        assert res.boundary_ray == (QuadNum(1, Fraction(1, 2), 3), Fraction(-1, 2))
         # self-pairing of the ray equals the segment value at t = 1/2
-        lam = res.normalization
-        omega_half = segment(DivClass([lam, 0]), F1_THETA, Fraction(1, 2))
-        assert F1_LATTICE.self_int(res.boundary_ray) == F1_LATTICE.self_int(omega_half)
+        lam, half = res.normalization, Fraction(1, 2)
+        omega_half = quad_coords((half * lam, DivClass([1, 0])), (half, F1_THETA))
+        assert quad_pair(F1_LATTICE, res.boundary_ray, res.boundary_ray) \
+            == quad_pair(F1_LATTICE, omega_half, omega_half)
         # path numerator on the normalized segment vanishes exactly at 1/2
-        analysis = path_R(F1_LATTICE, F1_CONE, F1_THETA, DivClass([lam, 0]))
-        assert analysis.numerator(Fraction(1, 2)) == 0
+        assert _normalized_numerator(F1_LATTICE, F1_THETA, DivClass([1, 0]), lam, half) == 0
 
     def test_already_normalized(self):
         # theta and a share self-intersection 7: lambda = 1, ray = (a+theta)/2
@@ -707,7 +675,7 @@ class TestStableSubcone:
         assert is_kahler(lat, cone, theta)
         res = stable_subcone(lat, cone, theta, a)
         assert res.normalization == 1
-        assert res.boundary_ray == (a + theta).scale(Fraction(1, 2))
+        assert res.boundary_ray == (a + theta).scale(Fraction(1, 2)).coords
 
     def test_zero_square_gives_perfect(self):
         res = stable_subcone(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, -1]))
@@ -751,18 +719,14 @@ class TestCsck:
 # the blowup model with a light cone: facet E, reference class 2H - E
 BLOWUP = build("blowup_path", {})
 HALF_PLANE = NefConeModel(facets=[DivClass([1, 0])])
-IRRATIONAL_THETA = DivClass([QuadNum(2, 1, 2), -1])  # interior, theta^2 = 5 + 4 sqrt(2)
-IRRATIONAL_OMEGA = DivClass([QuadNum(3, 1, 2), -1])  # omega^2 = 10 + 6 sqrt(2)
 
 
 class TestDiagnosticOrder:
     """Inputs with two faults: the first check in the documented order reports.
 
-    theta interior, then a nef but not interior, then a^2 rational and >= 0,
-    then theta^2 rational, then omega's checks; sample_path checks its count
-    first.  After a^2's checks stable_subcone reads theta^2 > 0 from the
-    pairing table, where an irrational theta^2 passes, and answers
-    PerfectCone for a^2 = 0 before it asks for a rational theta^2.
+    theta interior, then a nef but not interior, then a^2 >= 0, then omega's
+    checks; sample_path checks its count first.  After a^2's checks
+    stable_subcone refuses theta^2 <= 0, then answers PerfectCone for a^2 = 0.
     """
 
     @pytest.mark.parametrize("lattice, cone", [(F1_LATTICE, F1_CONE),
@@ -773,31 +737,24 @@ class TestDiagnosticOrder:
          (ThetaNotKahler, "theta must be interior to the cone model")),
         (stable_subcone, DivClass([1, 0]), DivClass([3, -1]),
          (ThetaNotKahler, "theta must be interior to the cone model")),
-        # a interior, theta^2 irrational
-        (path_R, IRRATIONAL_THETA, DivClass([3, -1]),
+        # a not nef, a^2 < 0
+        (path_R, F1_THETA, DivClass([0, 1]),
          (ANotOnBoundary, "class must be nef but not interior")),
-        (stable_subcone, IRRATIONAL_THETA, DivClass([3, -1]),
+        (stable_subcone, F1_THETA, DivClass([0, 1]),
          (ANotOnBoundary, "class must be nef but not interior")),
-        # a^2 = 0 on the boundary, theta^2 irrational
-        (path_R, IRRATIONAL_THETA, DivClass([1, -1]),
-         (BadParams, "theta needs a rational square, got theta^2 = 5 + 4*sqrt(2)")),
-        (stable_subcone, IRRATIONAL_THETA, DivClass([1, -1]), PerfectCone()),
-        # a^2 irrational, theta^2 irrational
-        (path_R, IRRATIONAL_THETA, DivClass([QuadNum(1, 1, 2), 0]),
-         (BadParams, "a needs a rational square, got a^2 = 3 + 2*sqrt(2)")),
-        # theta not interior, a^2 irrational
-        (stable_subcone, DivClass([1, 0]), DivClass([QuadNum(1, 1, 2), 0]),
+        # theta not interior, a not nef
+        (path_R, DivClass([1, 0]), DivClass([0, 1]),
+         (ThetaNotKahler, "theta must be interior to the cone model")),
+        (stable_subcone, DivClass([1, 0]), DivClass([0, 1]),
+         (ThetaNotKahler, "theta must be interior to the cone model")),
+        # theta not interior, a^2 = 0 on the boundary
+        (path_R, DivClass([1, 0]), DivClass([1, -1]),
+         (ThetaNotKahler, "theta must be interior to the cone model")),
+        (stable_subcone, DivClass([1, 0]), DivClass([1, -1]),
          (ThetaNotKahler, "theta must be interior to the cone model")),
     ])
     def test_path_checks(self, lattice, cone, function, theta, a, outcome):
         assert _first_fault(lambda: function(lattice, cone, theta, a)) == outcome
-
-    def test_negative_square_before_irrational_theta_square(self):
-        lattice = diagonal_lattice([1, -1])
-        theta = DivClass([QuadNum(1, 1, 2), 0])  # on the half plane, theta^2 = 3 + 2 sqrt(2)
-        for function in (path_R, stable_subcone):
-            assert _first_fault(lambda: function(lattice, HALF_PLANE, theta, DivClass([0, 1]))) \
-                == (NegativeSelfIntersection, "a^2 = -1 < 0")
 
     @pytest.mark.parametrize("lattice, cone", [(F1_LATTICE, F1_CONE),
                                                (BLOWUP.lattice, BLOWUP.cone)])
@@ -818,11 +775,10 @@ class TestDiagnosticOrder:
         assert run(argv, document) == (
             2, b"ThetaNotKahler: theta must be interior to the cone model\n")
 
-    @pytest.mark.parametrize("other", [DivClass([QuadNum(0, 1, 2), QuadNum(0, 1, 3)]),
-                                       DivClass([3, -1, 0])])
+    @pytest.mark.parametrize("other", [DivClass([3]), DivClass([3, -1, 0])])
     def test_theta_before_the_other_class_is_paired(self, other):
-        # a class with two radicands, or of the wrong length, cannot be paired;
-        # theta on the boundary is reported before it is
+        # a class of the wrong length cannot be paired; theta on the boundary
+        # is reported before it is
         for lattice, cone, theta in ((BLOWUP.lattice, BLOWUP.cone, DivClass([1, 0])),
                                      (diagonal_lattice([1, -1]), HALF_PLANE, DivClass([0, 1]))):
             for function, line in ((is_solvable, "theta is not interior to the cone model"),
@@ -831,50 +787,18 @@ class TestDiagnosticOrder:
                 assert _first_fault(lambda: function(lattice, cone, theta, other)) \
                     == (ThetaNotKahler, line)
 
-    def test_a_theta_is_paired_only_by_the_rows(self):
-        # theta and a with two radicands: a.theta cannot be paired, and only
-        # the rows need it, so the path's checks and numerator are answered
-        theta, a = DivClass([QuadNum(0, 2, 2), -1]), DivClass([QuadNum(0, 1, 3), 0])
-        analysis = path_R(BLOWUP.lattice, BLOWUP.cone, theta, a)
-        assert (analysis.a_selfint, analysis.theta_selfint) == (3, 7)
-        assert _first_fault(lambda: sample_path(BLOWUP.lattice, BLOWUP.cone, theta, a, 3)) == (
-            BadParams, "path rows need rational classes, got theta = (2*sqrt(2), -1)")
-
     def test_a_before_theta_square_without_a_light_cone(self):
-        # theta^2 mixes sqrt(2) and sqrt(3); it is paired only after a's checks
-        lattice, theta = diagonal_lattice([1, -1]), DivClass([QuadNum(1, 1, 2), QuadNum(0, 1, 3)])
-        for a, outcome in (
-                (DivClass([3, 1]), (ANotOnBoundary, "class must be nef but not interior")),
-                (DivClass([0, 1]), (NegativeSelfIntersection, "a^2 = -1 < 0"))):
-            assert _first_fault(lambda: path_R(lattice, HALF_PLANE, theta, a)) == outcome
-
-    def test_irrational_theta_before_omega_is_paired(self):
-        # theta's pairings are refused before omega (of the wrong length) is paired
-        omega = DivClass([3, -1, 0])
-        for lattice, cone, line in (
-                (BLOWUP.lattice, BLOWUP.cone, "theta needs rational pairings, got 10 + 6*sqrt(2)"),
-                (diagonal_lattice([1, -1]), HALF_PLANE,
-                 "theta needs rational pairings, got 3 + sqrt(2)")):
-            assert _first_fault(lambda: cone_constants(lattice, cone, IRRATIONAL_OMEGA, omega)) \
-                == (BadParams, line)
-
-
-
-@pytest.mark.parametrize("function", [
-    surface_gamma, cone_constants, is_solvable, seshadri_T, sigma_inf,
-    lambda lattice, cone, theta, omega: csck_criterion(lattice, cone, theta, omega, Fraction(1))])
-def test_irrational_pairings_are_refused(function):
-    # the pairing table is written in integers once; an irrational entry is
-    # refused there, naming its class, where it once raised a bare ValueError
-    lattice, cone = BLOWUP.lattice, BLOWUP.cone
-    theta, a = BLOWUP.named_classes["theta"], BLOWUP.named_classes["a"]
-    ray = stable_subcone(lattice, cone, theta, a).boundary_ray  # (1 + sqrt(3)/2, -1/2)
-    for args, line in (
-            ((theta, IRRATIONAL_OMEGA), "omega needs rational pairings, got 10 + 6*sqrt(2)"),
-            ((theta, ray + theta), "omega needs rational pairings, got 15/2 + 3*sqrt(3)"),
-            ((IRRATIONAL_OMEGA, DivClass([3, -1])),
-             "theta needs rational pairings, got 10 + 6*sqrt(2)")):
-        assert _first_fault(lambda: function(lattice, cone, *args)) == (BadParams, line)
+        # theta on the half plane has theta^2 = -3; a's checks come first, and
+        # stable_subcone refuses theta^2 <= 0 only after them
+        lattice, theta = diagonal_lattice([1, -1]), DivClass([1, 2])
+        not_nef = (ANotOnBoundary, "class must be nef but not interior")
+        negative = (NegativeSelfIntersection, "a^2 = -1 < 0")
+        for function, a, outcome in (
+                (path_R, DivClass([3, 1]), not_nef), (stable_subcone, DivClass([3, 1]), not_nef),
+                (path_R, DivClass([0, 1]), negative), (stable_subcone, DivClass([0, 1]), negative),
+                (stable_subcone, DivClass([0, 0]), (BadConeModel, "theta^2 = -3 <= 0 although"
+                                                    " theta is interior to the cone model"))):
+            assert _first_fault(lambda: function(lattice, HALF_PLANE, theta, a)) == outcome
 
 
 def _first_fault(compute):
