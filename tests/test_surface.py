@@ -787,15 +787,21 @@ class TestDiagnosticOrder:
                 assert _first_fault(lambda: function(lattice, cone, theta, other)) \
                     == (ThetaNotKahler, line)
 
+    def test_negative_square_before_irrational_theta_square(self):
+        # a class holds no irrational coordinate, so the theta^2 that a^2 < 0
+        # is reported before is one stable_subcone refuses: theta^2 = -3
+        lattice, theta = diagonal_lattice([1, -1]), DivClass([1, 2])
+        for function in (path_R, stable_subcone):
+            assert _first_fault(lambda: function(lattice, HALF_PLANE, theta, DivClass([0, 1]))) \
+                == (NegativeSelfIntersection, "a^2 = -1 < 0")
+
     def test_a_before_theta_square_without_a_light_cone(self):
         # theta on the half plane has theta^2 = -3; a's checks come first, and
         # stable_subcone refuses theta^2 <= 0 only after them
         lattice, theta = diagonal_lattice([1, -1]), DivClass([1, 2])
         not_nef = (ANotOnBoundary, "class must be nef but not interior")
-        negative = (NegativeSelfIntersection, "a^2 = -1 < 0")
         for function, a, outcome in (
                 (path_R, DivClass([3, 1]), not_nef), (stable_subcone, DivClass([3, 1]), not_nef),
-                (path_R, DivClass([0, 1]), negative), (stable_subcone, DivClass([0, 1]), negative),
                 (stable_subcone, DivClass([0, 0]), (BadConeModel, "theta^2 = -3 <= 0 although"
                                                     " theta is interior to the cone model"))):
             assert _first_fault(lambda: function(lattice, HALF_PLANE, theta, a)) == outcome
