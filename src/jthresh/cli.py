@@ -236,7 +236,7 @@ def _cmd_path(lattice, cone, theta, a, samples, digits) -> dict[str, Any]:
         "solvable_set": [{"lo": quad_to_json(iv.lo), "hi": quad_to_json(iv.hi),
                           "hi_closed": iv.hi_closed} for iv in analysis.solvable_set],
         "rows": [dict(zip(_PATH_COLUMNS, (
-            format_rat(row.t), format_rat(row.r_numerator), quad_to_json(row.gamma),
+            format_rat(row.t), format_rat(row.r_numerator), format_rat(row.gamma),
             row.solvable, decimal_str(row.gamma, digits)))) for row in rows],
         "decimal_digits": digits,
         "caveats": [],
@@ -244,12 +244,11 @@ def _cmd_path(lattice, cone, theta, a, samples, digits) -> dict[str, Any]:
 
 
 def _path_csv(payload: dict[str, Any]) -> str:
-    """The sweep's rows as CSV: an irrational value as compact JSON, solvable as 0/1."""
+    """The sweep's rows as CSV, solvable as 0/1."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_PATH_COLUMNS)
     for t, r, value, solvable, approx in map(dict.values, payload["rows"]):
-        value = value if isinstance(value, str) else json.dumps(value, sort_keys=True)
         writer.writerow([t, r, value, int(solvable), approx])
     return buf.getvalue()
 

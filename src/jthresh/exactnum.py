@@ -174,11 +174,6 @@ class QuadNum:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def to_rat(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def sign(self) -> int:
         """Sign of the real number, in {-1, 0, +1}, computed exactly."""
         return _sign(self.a, self.b, self.d)
@@ -356,24 +351,27 @@ def poly_roots_quadratic(p: RatPoly) -> list[QuadNum]:
 
 
 def decimal_str(x: Scalar, digits: int = 12) -> str:
-    """Render a scalar to a fixed number of significant decimal digits.
+    """Render an int, Fraction or QuadNum to a fixed number of significant decimal digits.
 
     Display-only: integer/Decimal arithmetic throughout, deterministic
-    across platforms.  Exact zero renders as "0".  digits above
-    MAX_DECIMAL_DIGITS are refused with BadParams.
+    across platforms; a rational is divided out directly, with no QuadNum.
+    Exact zero renders as "0".  digits above MAX_DECIMAL_DIGITS are refused
+    with BadParams.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
     if digits > MAX_DECIMAL_DIGITS:
         raise BadParams(f"digits must be at most {MAX_DECIMAL_DIGITS}, got {digits}")
-    q = x if isinstance(x, QuadNum) else QuadNum(Fraction(x))
-    if q.sign() == 0:
+    b = 0
+    if isinstance(x, QuadNum):  # a + b*sqrt(d) with b != 0 is irrational, so not zero
+        x, b, d = x.a, x.b, x.d
+    if not (x or b):
         return "0"
     hi = Context(prec=digits + 10, rounding=ROUND_HALF_EVEN)
-    val = hi.divide(Decimal(q.a.numerator), Decimal(q.a.denominator))
-    if q.b != 0:
-        root = hi.sqrt(Decimal(q.d))
+    val = hi.divide(Decimal(x.numerator), Decimal(x.denominator))
+    if b:
+        root = hi.sqrt(Decimal(d))
         val = hi.add(val, hi.multiply(
-            hi.divide(Decimal(q.b.numerator), Decimal(q.b.denominator)), root))
+            hi.divide(Decimal(b.numerator), Decimal(b.denominator)), root))
     target = Decimal(1).scaleb(val.adjusted() - digits + 1)
     return str(val.quantize(target, rounding=ROUND_HALF_EVEN, context=hi))

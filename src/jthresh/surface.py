@@ -221,11 +221,11 @@ def csck_criterion(lattice: IntersectionLattice, cone: NefConeModel,
 
 @dataclass(frozen=True)
 class PathSample:
-    """One row of a path sweep at rational t."""
+    """One row of a path sweep at rational t: every column is rational."""
 
     t: Fraction
     r_numerator: Fraction
-    gamma: QuadNum
+    gamma: Fraction
     solvable: bool
 
 
@@ -238,7 +238,8 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
     cones), so gamma(t) = C(t) - 1/t = R(t)/(t*omega_t^2) with R path_R's
     numerator: at t = k/n, with b = n - k and tt, at, aa the table's theta^2,
     a.theta and a^2 over its denominator L, L*n^2*omega_t^2 = b(b*aa + 2k*at)
-    + k^2*tt and L*n^2*R(t) = k^2*tt - b^2*aa.  omega_t's other sides are
+    + k^2*tt and L*n^2*R(t) = k^2*tt - b^2*aa, and gamma(t) is the Fraction
+    n(k^2*tt - b^2*aa)/(k*L*n^2*omega_t^2).  omega_t's other sides are
     positive, so a row runs cone_constants' checks of omega_t^2 and, with a
     light cone, of the discriminant.
     """
@@ -254,5 +255,5 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
         _check_omega(analysis.pairings.cone, b * at + k * tt, tt, ww)
         num = k * k * tt - b * b * aa
         rows.append(PathSample(t=Fraction(k, n), r_numerator=Fraction(num, L * n * n),
-                               gamma=QuadNum(Fraction(n * num, k * ww)), solvable=num > 0))
+                               gamma=Fraction(n * num, k * ww), solvable=num > 0))
     return rows

@@ -20,10 +20,13 @@ validation that eliminates every maximal cone on its own.  ``segment``,
 ``DivClass`` holds Fractions only, so the oracles that step to an irrational
 bound build that class as a tuple of QuadNums with ``quad_coords`` and pair
 it with ``quad_pair``, or read its cone sides with ``quad_sides``.
+``decimal_str_oracle`` is a second route to ``decimal_str`` that takes every
+value through a QuadNum and its exact sign, as ``decimal_str`` once did.
 """
 
 from __future__ import annotations
 
+from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -67,6 +70,20 @@ def quad_sides(lattice: IntersectionLattice, cone: NefConeModel, x) -> list[Quad
         vals += [quad_pair(lattice, x, x),
                  quad_pair(lattice, x, cone.light_cone.reference_kahler.coords)]
     return vals
+
+
+def decimal_str_oracle(x: Scalar, digits: int) -> str:
+    """x to digits significant digits: QuadNum(Fraction(x)), its sign, divide, quantize."""
+    q = x if isinstance(x, QuadNum) else QuadNum(Fraction(x))
+    if q.sign() == 0:
+        return "0"
+    hi = Context(prec=digits + 10, rounding=ROUND_HALF_EVEN)
+    val = hi.divide(Decimal(q.a.numerator), Decimal(q.a.denominator))
+    if q.b != 0:
+        val = hi.add(val, hi.multiply(hi.divide(Decimal(q.b.numerator), Decimal(q.b.denominator)),
+                                      hi.sqrt(Decimal(q.d))))
+    target = Decimal(1).scaleb(val.adjusted() - digits + 1)
+    return str(val.quantize(target, rounding=ROUND_HALF_EVEN, context=hi))
 
 
 def rnd_fraction(rng: Random, lo: int = -6, hi: int = 6, max_den: int = 4) -> Fraction:

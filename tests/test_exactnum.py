@@ -12,6 +12,7 @@ from random import Random
 
 import pytest
 
+from conftest import decimal_str_oracle
 from jthresh import exactnum
 from jthresh.errors import BadParams, MixedRadicands, ZeroPolynomial
 from jthresh.exactnum import (MAX_DECIMAL_DIGITS, QuadNum, RatPoly, decimal_str, format_rat,
@@ -72,7 +73,7 @@ class TestQuadSign:
             k = rng.randint(0, 9)
             x = QuadNum(p, q, k * k)
             assert x.is_rational
-            assert x.to_rat() == p + q * k
+            assert x.a == p + q * k
 
 
 class TestQuadArithmetic:
@@ -80,8 +81,9 @@ class TestQuadArithmetic:
         rng = Random(7004)
         for _ in range(200):
             a, b = (Fraction(rng.randint(-30, 30), rng.randint(1, 8)) for _ in "ab")
-            assert (QuadNum(a) + QuadNum(b)).to_rat() == a + b
-            assert (QuadNum(a) * QuadNum(b)).to_rat() == a * b
+            total, product = QuadNum(a) + QuadNum(b), QuadNum(a) * QuadNum(b)
+            assert total.is_rational and total.a == a + b
+            assert product.is_rational and product.a == a * b
 
     def test_conjugate_norm(self):
         rng = Random(7005)
@@ -349,6 +351,37 @@ class TestRendering:
         assert decimal_str(QuadNum(0, 1, 3), 12) == "1.73205080757"
         assert decimal_str(Fraction(0), 12) == "0"
         assert decimal_str(Fraction(6, 5), 5) == "1.2000"
+
+    def test_decimal_matches_the_quadnum_route(self):
+        # decimal_str divides a rational out directly; the oracle builds a
+        # QuadNum and reads its sign first, as decimal_str once did
+        rng = Random(7011)
+        values = [Fraction(0), 0, 1, -7, 123456789, -10 ** 25, Fraction(1, 3),
+                  Fraction(-1, 3), Fraction(2, 3), QuadNum(Fraction(-5, 7)), QuadNum(0),
+                  QuadNum(Fraction(1, 2), -2, 3), QuadNum(0, Fraction(1, 3), 7)]
+        values += [Fraction(10) ** e * sign for e in range(-20, 21) for sign in (1, -1)]
+        for _ in range(60):
+            num = rng.randint(-10 ** rng.randint(1, 40), 10 ** 40)
+            values.append(Fraction(num, rng.randint(1, 10 ** rng.randint(1, 40))))
+        for digits in (1, 2, 12, 30, 1000):
+            # exact ties at this many digits: a digits-long integer, then a 5
+            for _ in range(8):
+                head = rng.randint(10 ** (digits - 1), 10 ** digits - 1)
+                tie = (10 * head + 5) / Fraction(10) ** (digits + 1 + rng.randint(-15, 15))
+                values += [tie, -tie]
+        for digits in (1, 2, 12, 30, 1000):
+            for x in values:
+                assert decimal_str(x, digits) == decimal_str_oracle(x, digits), (x, digits)
+        tie_even, tie_odd = (Fraction(m, 10 ** 12) + Fraction(5, 10 ** 13)
+                             for m in (123456789012, 123456789011))
+        assert decimal_str(tie_even, 12) == decimal_str(tie_odd, 12) == "0.123456789012"
+        assert decimal_str(Fraction(25, 10), 1) == "2"
+        assert decimal_str(Fraction(35, 10), 1) == "4"
+        assert decimal_str(Fraction(-1, 3), 2) == "-0.33"
+        assert decimal_str(Fraction(1, 3), 30) == "0." + "3" * 30
+        assert decimal_str(12345, 2) == "1.2E+4"
+        assert decimal_str(Fraction(-1, 10 ** 9), 3) == "-1.00E-9"
+        assert decimal_str(0, 1000) == "0"
 
     def test_digits_are_capped(self):
         root3 = QuadNum(0, 1, 3)

@@ -310,6 +310,12 @@ class TestPathAnalysis:
             sample_path(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, 0]), MAX_SAMPLES + 1)
 
 
+# a light-cone path document along which every omega_t has an irrational T
+IRRATIONAL_T_PATH = {"lattice": {"matrix": [["1", "0"], ["0", "-3"]]},
+                     "cone": {"facets": [["0", "-1"]], "light_cone": {"H": ["2", "1/3"]}},
+                     "classes": {"theta": ["2", "1/3"], "a": ["1", "0"]}}
+
+
 def _exact(q: QuadNum) -> tuple:
     return q.a, q.b, q.d
 
@@ -423,8 +429,9 @@ class TestPathOracle:
         irrational_T = []
 
         def rows(lattice, cone, theta, a, samples):
-            return [(r.t, r.r_numerator, _exact(r.gamma), r.solvable)
-                    for r in sample_path(lattice, cone, theta, a, samples)]
+            out = sample_path(lattice, cone, theta, a, samples)
+            assert all(type(r.gamma) is Fraction for r in out)
+            return [(r.t, r.r_numerator, (r.gamma, Fraction(0), 0), r.solvable) for r in out]
 
         def per_row(lattice, cone, theta, a, samples):
             numerator, out = path_R(lattice, cone, theta, a).numerator, []
@@ -463,10 +470,8 @@ class TestPathOracle:
         for module in (exactnum, cones):
             monkeypatch.setattr(module, "squarefree_decompose", counting)
         blowup = run(["catalog", "blowup_path", "--export"])[1]
-        data = {"lattice": {"matrix": [["1", "0"], ["0", "-3"]]},
-                "cone": {"facets": [["0", "-1"]], "light_cone": {"H": ["2", "1/3"]}},
-                "classes": {"theta": ["2", "1/3"], "a": ["1", "0"]}}
-        doc, irrational_t = parse_document(data), json.dumps(data).encode()
+        doc = parse_document(IRRATIONAL_T_PATH)
+        irrational_t = json.dumps(IRRATIONAL_T_PATH).encode()
         theta, a = doc.classes["theta"], doc.classes["a"]
         omega = segment(a, theta, Fraction(1, 2))
         assert not seshadri_T(doc.lattice, doc.cone, theta, omega)[0].is_rational
@@ -624,6 +629,32 @@ class TestPathOracle:
                 calls.clear()
                 sample_path(lattice, cone, theta, a, samples)
                 counts.append(len(calls))
+            assert counts[0] == counts[1]
+
+    def test_rows_build_no_quadnum(self, monkeypatch):
+        # a path run builds as many QuadNums at --samples 1000 as at 1: each
+        # row's gamma is a Fraction from the table's integers to its rendering
+        calls = []
+        init, of = QuadNum.__init__, QuadNum._of.__func__
+
+        def counting_init(q, *args):
+            calls.append("__init__")
+            init(q, *args)
+
+        def counting_of(cls, *args):
+            calls.append("_of")
+            return of(cls, *args)
+
+        monkeypatch.setattr(QuadNum, "__init__", counting_init)
+        monkeypatch.setattr(QuadNum, "_of", classmethod(counting_of))
+        blowup = run(["catalog", "blowup_path", "--export"])[1]
+        for document in (blowup, json.dumps(IRRATIONAL_T_PATH).encode()):
+            counts = []
+            for samples in (1, 1000):
+                calls.clear()
+                argv = ["path", "--theta", "theta", "--a", "a", "--samples", str(samples)]
+                assert run(argv, document)[0] == 0
+                counts.append(sorted(calls))
             assert counts[0] == counts[1]
 
     def test_one_path_pairs_each_class_once(self, monkeypatch):
