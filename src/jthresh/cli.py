@@ -19,6 +19,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Any, Callable, NoReturn
 
 from . import catalog as catalog_mod
@@ -27,8 +30,8 @@ from .documents import (InputDocument, document_to_json, parse_document,
                         quad_to_json)
 from .errors import BadDocument, BadParams, JThreshError
 from .exactnum import MAX_DECIMAL_DIGITS, QuadNum, decimal_str, format_rat, rat
-from .surface import (PerfectCone, csck_criterion, is_solvable, path_R,
-                      sample_path, stable_subcone, surface_gamma)
+from .surface import (PerfectCone, _check_samples, _path_rows, csck_criterion,
+                      is_solvable, path_R, stable_subcone, surface_gamma)
 from .toric import enumerate_orbits, toric_gamma
 
 DEFAULT_DIGITS = 12
@@ -70,6 +73,38 @@ class _Parser(argparse.ArgumentParser):
 # --- rendering ------------------------------------------------------------
 
 
+_JSON_SCALARS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(value: Any, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), one join per container.
+
+    With an indent the json module encodes in pure Python; here strings go
+    through its C escaper.  Only what payloads hold is encoded: str keys, and
+    str, int, bool, None, dict, list and tuple values; anything else (a float,
+    or an int key, which the escaper refuses) is a TypeError.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _JSON_SCALARS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json_text(sub, inner)
+            for key, sub in sorted(value.items())]) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _json_text(sub, inner) for sub in value]) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _text_lines(value: Any, prefix: str) -> list[str]:
     """One 'path.to.key: value' line per leaf; a list of scalars is one JSON leaf."""
     if isinstance(value, dict):
@@ -77,15 +112,18 @@ def _text_lines(value: Any, prefix: str) -> list[str]:
     elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
         items = enumerate(value)
     else:
-        leaf = json.dumps(value) if value is None or isinstance(value, (bool, list)) else value
-        return [f"{prefix}: {leaf}"]
+        if isinstance(value, list):
+            value = json.dumps(value)
+        elif value is None or value is True or value is False:
+            value = _JSON_SCALARS[value]
+        return [f"{prefix}: {value}"]
     return [line for key, sub in items
             for line in _text_lines(sub, f"{prefix}.{key}" if prefix else str(key))]
 
 
 def _render(payload: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json_text(payload) + "\n"
     return "\n".join(_text_lines(payload, "")) + "\n"
 
 
@@ -225,9 +263,26 @@ def _cmd_solvable(lattice, cone, theta, omega, digits) -> dict[str, Any]:
 _PATH_COLUMNS = ("t", "R_numerator", "gamma_value", "solvable", "decimal_approx")
 
 
+def _ratio(p: int, q: int) -> str:
+    """format_rat of p/q for q > 0, by one gcd and no Fraction."""
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
 def _cmd_path(lattice, cone, theta, a, samples, digits) -> dict[str, Any]:
+    # path_R's faults are reported before a bad count, unlike sample_path's order
     analysis = path_R(lattice, cone, theta, a)
-    rows = sample_path(lattice, cone, theta, a, samples, analysis)
+    _check_samples(samples)
+    n = samples
+    scale = analysis.pairings.integers[0] * n * n
+    # every gamma before any row's strings: one loop that built both, row by
+    # row, made the same objects and raised surface_path's peak RSS by about 3%
+    gammas = [(k, num, Fraction(n * num, k * ww))  # k * ww > 0 once the row's checks pass
+              for k, num, ww in _path_rows(analysis, n)]
+    # keys in _PATH_COLUMNS order, which _path_csv reads
+    rows = [{"t": _ratio(k, n), "R_numerator": _ratio(num, scale),
+             "gamma_value": format_rat(gamma), "solvable": num > 0,
+             "decimal_approx": decimal_str(gamma, digits)} for k, num, gamma in gammas]
     return {
         "samples": samples,
         "numerator_coeffs": [format_rat(c) for c in analysis.numerator.coeffs],
@@ -235,9 +290,7 @@ def _cmd_path(lattice, cone, theta, a, samples, digits) -> dict[str, Any]:
         "theta_selfint": format_rat(analysis.theta_selfint),
         "solvable_set": [{"lo": quad_to_json(iv.lo), "hi": quad_to_json(iv.hi),
                           "hi_closed": iv.hi_closed} for iv in analysis.solvable_set],
-        "rows": [dict(zip(_PATH_COLUMNS, (
-            format_rat(row.t), format_rat(row.r_numerator), format_rat(row.gamma),
-            row.solvable, decimal_str(row.gamma, digits)))) for row in rows],
+        "rows": rows,
         "decimal_digits": digits,
         "caveats": [],
     }

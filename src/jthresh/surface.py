@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 # seshadri_T/sigma_inf re-exported beside surface_gamma (perfbench's tracer rebinds them)
 from .cones import (ConeConstants, NefConeModel, PairingTable, _check_omega, _constants,
@@ -24,7 +25,8 @@ from .lattice import DivClass, IntersectionLattice
 
 CSCK_CAVEAT = "requires discrete automorphism group"
 # largest path grid; a row is one integer derivation plus its rendering, and
-# 100 000 csv rows take about 5 s (Intel Xeon, Python 3.11)
+# a 100 000-row sweep takes about 1.5 s in csv and 2 s in json or text
+# (`jthresh path` on the blowup_path export, Intel Xeon, 2 vCPU, Python 3.11.7)
 MAX_SAMPLES = 100_000
 
 
@@ -229,6 +231,29 @@ class PathSample:
     solvable: bool
 
 
+def _check_samples(samples: int) -> None:
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise BadParams(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
+
+
+def _path_rows(analysis: PathAnalysis, samples: int) -> Iterator[tuple[int, int, int]]:
+    """(k, L*n^2*R(k/n), L*n^2*omega_t^2) for k = 1..n, each after omega_t's checks.
+
+    With b = n - k and tt, at, aa the pairing table's theta^2, a.theta and a^2
+    over its denominator L, L*n^2*omega_t^2 = b(b*aa + 2k*at) + k^2*tt and
+    L*n^2*R(t) = k^2*tt - b^2*aa.  omega_t's other sides are positive, so a row
+    runs cone_constants' checks of omega_t^2 and, with a light cone, of the
+    discriminant; past them omega_t^2 > 0.
+    """
+    _, _, _, at, tt, aa = analysis.pairings.integers
+    cone, n = analysis.pairings.cone, samples
+    for k in range(1, n + 1):
+        b = n - k
+        ww = b * (b * aa + 2 * k * at) + k * k * tt
+        _check_omega(cone, b * at + k * tt, tt, ww)
+        yield k, k * k * tt - b * b * aa, ww
+
+
 def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClass,
                 a: DivClass, samples: int, analysis: PathAnalysis | None = None) -> list[PathSample]:
     """Evaluate the path at t = k/samples, k = 1..samples, in order.
@@ -236,24 +261,14 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
     analysis, when given, is path_R(lattice, cone, theta, a), and the rows read
     the pairing table it kept.  sigma(theta, omega_t) = 1/t along the path (see
     cones), so gamma(t) = C(t) - 1/t = R(t)/(t*omega_t^2) with R path_R's
-    numerator: at t = k/n, with b = n - k and tt, at, aa the table's theta^2,
-    a.theta and a^2 over its denominator L, L*n^2*omega_t^2 = b(b*aa + 2k*at)
-    + k^2*tt and L*n^2*R(t) = k^2*tt - b^2*aa, and gamma(t) is the Fraction
-    n(k^2*tt - b^2*aa)/(k*L*n^2*omega_t^2).  omega_t's other sides are
-    positive, so a row runs cone_constants' checks of omega_t^2 and, with a
-    light cone, of the discriminant.
+    numerator: at t = k/n gamma is n*(L*n^2*R(t))/(k*L*n^2*omega_t^2), read
+    from _path_rows' integers.  The count is checked before anything else.
     """
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise BadParams(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
+    _check_samples(samples)
     if analysis is None:
         analysis = path_R(lattice, cone, theta, a)
-    L, _, _, at, tt, aa = analysis.pairings.integers
-    n, rows = samples, []
-    for k in range(1, n + 1):
-        b = n - k
-        ww = b * (b * aa + 2 * k * at) + k * k * tt
-        _check_omega(analysis.pairings.cone, b * at + k * tt, tt, ww)
-        num = k * k * tt - b * b * aa
-        rows.append(PathSample(t=Fraction(k, n), r_numerator=Fraction(num, L * n * n),
-                               gamma=Fraction(n * num, k * ww), solvable=num > 0))
-    return rows
+    n = samples
+    scale = analysis.pairings.integers[0] * n * n
+    return [PathSample(t=Fraction(k, n), r_numerator=Fraction(num, scale),
+                       gamma=Fraction(n * num, k * ww), solvable=num > 0)
+            for k, num, ww in _path_rows(analysis, n)]

@@ -156,6 +156,7 @@ class TestPathCommand:
     @pytest.mark.parametrize("fmt, digest", [
         ("csv", "21d315a74d8f641b98c0396220d7f2f8776835530a6c429fc5f6400ff502bbdc"),
         ("json", "bd88183d2e8c352ea9a3553e3b897d1fd18fb4e1a98ccf7cda066a5b5735e799"),
+        ("text", "0d8aaaf3b22cfce095da6da7c86961cd0a146c37e3f20344a4ff7c5e539d4cc3"),
     ])
     def test_blowup_sweep_is_pinned(self, monkeypatch, fmt, digest):
         # sha256 of the 1000-row sweep on the blowup_path export as the Fraction

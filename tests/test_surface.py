@@ -13,7 +13,7 @@ import pytest
 from conftest import (ample_difference_solvable, fraction_cone_constants, positive_set,
                       quad_coords, quad_pair, random_class, random_instance, random_kahler,
                       rnd_fraction, segment)
-from jthresh import cones, exactnum, surface
+from jthresh import cli, cones, exactnum, surface
 from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
                      NefConeModel, QuadNum, Status, build,
                      csck_criterion, diagonal_lattice,
@@ -24,7 +24,7 @@ from jthresh.documents import parse_document
 from jthresh.cones import LIGHT_CONE, cone_constants, is_kahler, seshadri_T
 from jthresh.errors import (ANotOnBoundary, BadConeModel, BadParams, BadSignature, JThreshError,
                             NegativeSelfIntersection, OmegaNotKahler, ThetaNotKahler, ZeroVolume)
-from jthresh.exactnum import RatPoly, rat_sqrt
+from jthresh.exactnum import RatPoly, decimal_str, format_rat, rat_sqrt
 from jthresh.surface import CSCK_CAVEAT, MAX_SAMPLES, PerfectCone, c_constant, path_R
 
 F1_LATTICE = diagonal_lattice([1, -1], labels=["H", "E"])
@@ -656,6 +656,67 @@ class TestPathOracle:
                 assert run(argv, document)[0] == 0
                 counts.append(sorted(calls))
             assert counts[0] == counts[1]
+
+    def test_command_rows_build_one_fraction_each(self, monkeypatch):
+        # the path command reads the row kernel's integers, not sample_path's rows: at
+        # --samples 1000 it builds at most one Fraction per row more than at 1
+        # (gamma, for its exact and decimal columns), and no PathSample
+        fractions, path_samples = [], []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            fractions.append(1)
+            return new(cls, *args, **kwargs)
+
+        def counting_init(row, *args, **kwargs):
+            path_samples.append(1)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        monkeypatch.setattr(surface.PathSample, "__init__", counting_init)
+        blowup = run(["catalog", "blowup_path", "--export"])[1]
+        for document in (blowup, json.dumps(IRRATIONAL_T_PATH).encode()):
+            counts = []
+            for samples in (1, 1000):
+                fractions.clear()
+                argv = ["path", "--theta", "theta", "--a", "a", "--samples", str(samples)]
+                assert run(argv, document)[0] == 0
+                counts.append(len(fractions))
+            assert counts[0] > 0 and counts[1] - counts[0] <= 999
+        assert path_samples == []
+
+    def test_command_rows_render_sample_path(self):
+        # the path command's rows, or its first (class, message), against
+        # format_rat and decimal_str of sample_path's rows, column order included
+        def library(lattice, cone, theta, a, samples, digits):
+            return [[("t", format_rat(r.t)), ("R_numerator", format_rat(r.r_numerator)),
+                     ("gamma_value", format_rat(r.gamma)), ("solvable", r.solvable),
+                     ("decimal_approx", decimal_str(r.gamma, digits))]
+                    for r in sample_path(lattice, cone, theta, a, samples)]
+
+        def command(lattice, cone, theta, a, samples, digits):
+            payload = cli._cmd_path(lattice, cone, theta, a, samples, digits)
+            return [list(row.items()) for row in payload["rows"]]
+
+        rng = Random(8321)
+        inputs = [(*path, rng.choice([1, 2, 3, 5, 8, 13, 100]))
+                  for path in self._boundary_paths(rng, 20)]
+        inputs += [args for _, *args in self._faulty_paths(rng, 40)]
+        equal = NefConeModel(facets=[DivClass([3, 4, 0])],
+                             light_cone=LightConeFacet(DivClass([3, -1, -1])))
+        inputs += [(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, -1]), 6),  # a^2 = 0
+                   (diagonal_lattice([1, -1, -1]), equal, DivClass([3, -1, -1]),
+                    DivClass([4, 3, 0]), 4)]  # theta^2 = a^2: R(1/2) = 0
+        seen = set()
+        for args in inputs:
+            digits = rng.choice([1, 12, 40])
+            got = _first_fault(lambda: command(*args, digits))
+            assert got == _first_fault(lambda: library(*args, digits)), args
+            seen.add(got[0] if isinstance(got, tuple) else "ok")
+            for row in got if isinstance(got, list) else ():
+                r = dict(row)["R_numerator"]
+                seen.add("R < 0" if r.startswith("-") else "R = 0" if r == "0" else "R > 0")
+        assert {"ok", ZeroVolume, OmegaNotKahler, BadSignature,
+                "R < 0", "R = 0", "R > 0"} <= seen
 
     def test_one_path_pairs_each_class_once(self, monkeypatch):
         # path_R pairs theta and a into one table (each with every facet, its
