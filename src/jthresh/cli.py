@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Any, Callable, NoReturn
@@ -30,8 +29,8 @@ from .documents import (InputDocument, document_to_json, parse_document,
                         quad_to_json)
 from .errors import BadDocument, BadParams, JThreshError
 from .exactnum import MAX_DECIMAL_DIGITS, QuadNum, decimal_str, format_rat, rat
-from .surface import (PerfectCone, _check_samples, _path_rows, csck_criterion,
-                      is_solvable, path_R, stable_subcone, surface_gamma)
+from .surface import (PerfectCone, _path_rows, csck_criterion, is_solvable, path_R,
+                      stable_subcone, surface_gamma)
 from .toric import enumerate_orbits, toric_gamma
 
 DEFAULT_DIGITS = 12
@@ -272,15 +271,9 @@ def _ratio(p: int, q: int) -> str:
 def _cmd_path(lattice, cone, theta, a, samples, digits) -> dict[str, Any]:
     # path_R's faults are reported before a bad count, unlike sample_path's order
     analysis = path_R(lattice, cone, theta, a)
-    _check_samples(samples)
-    n = samples
-    scale = analysis.pairings.integers[0] * n * n
-    # every gamma before any row's strings: one loop that built both, row by
-    # row, made the same objects and raised surface_path's peak RSS by about 3%
-    gammas = [(k, num, Fraction(n * num, k * ww))  # k * ww > 0 once the row's checks pass
-              for k, num, ww in _path_rows(analysis, n)]
+    scale, gammas = _path_rows(analysis, samples)
     # keys in _PATH_COLUMNS order, which _path_csv reads
-    rows = [{"t": _ratio(k, n), "R_numerator": _ratio(num, scale),
+    rows = [{"t": _ratio(k, samples), "R_numerator": _ratio(num, scale),
              "gamma_value": format_rat(gamma), "solvable": num > 0,
              "decimal_approx": decimal_str(gamma, digits)} for k, num, gamma in gammas]
     return {

@@ -15,7 +15,7 @@ binding facets are read from its integers over one common denominator.
 
 Along a path omega_t = (1-t)a + t*theta from a nef, non-interior a to an
 interior theta, sigma(theta, omega_t) = 1/t for t in (0, 1], so path rows need
-no derivation here (see surface.sample_path).  delta*omega_t - theta =
+no derivation here (see surface._path_rows).  delta*omega_t - theta =
 delta(1-t)a + (delta*t - 1)theta is interior for delta > 1/t: a positive
 multiple of theta plus a class of the closed cone.  At delta = 1/t it is
 ((1-t)/t)a, not interior, and no smaller delta works: adding the closed-cone

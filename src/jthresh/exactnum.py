@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 from typing import Iterable, Sequence, Union
 
@@ -350,6 +351,12 @@ def poly_roots_quadratic(p: RatPoly) -> list[QuadNum]:
     return [lo, hi] if lo < hi else [hi, lo]
 
 
+@cache
+def _decimal_context(digits: int) -> Context:
+    """decimal_str's context at digits: ten guard digits, half-even; shared, as no flag is read."""
+    return Context(prec=digits + 10, rounding=ROUND_HALF_EVEN)
+
+
 def decimal_str(x: Scalar, digits: int = 12) -> str:
     """Render an int, Fraction or QuadNum to a fixed number of significant decimal digits.
 
@@ -367,7 +374,7 @@ def decimal_str(x: Scalar, digits: int = 12) -> str:
         x, b, d = x.a, x.b, x.d
     if not (x or b):
         return "0"
-    hi = Context(prec=digits + 10, rounding=ROUND_HALF_EVEN)
+    hi = _decimal_context(digits)
     val = hi.divide(Decimal(x.numerator), Decimal(x.denominator))
     if b:
         root = hi.sqrt(Decimal(d))

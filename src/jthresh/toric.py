@@ -107,7 +107,7 @@ class Fan:
     every ``Fan`` is valid; it is immutable and keeps the maximal cones' dual bases.
     """
 
-    __slots__ = ("dim", "rays", "max_cones", "_max_cone_sets", "_duals")
+    __slots__ = ("dim", "rays", "max_cones", "_duals")
 
     def __init__(self, dim: int, rays: Sequence[Sequence[int]],
                  max_cones: Sequence[Sequence[int]]):
@@ -117,7 +117,6 @@ class Fan:
                                  for ray in _rows(rays, "rays")))
         init(self, "max_cones", tuple(tuple(sorted(_integer(i, "cone index") for i in cone))
                                       for cone in _rows(max_cones, "max_cones")))
-        init(self, "_max_cone_sets", tuple(frozenset(c) for c in self.max_cones))
         init(self, "_duals", validate_fan(self))
 
     def __setattr__(self, name, value):  # immutable after __init__
@@ -130,7 +129,7 @@ class Fan:
 
     def is_face(self, rays: frozenset[int]) -> bool:
         """True if the index set spans a cone of the fan (simplicial faces)."""
-        return any(rays <= mc for mc in self._max_cone_sets)
+        return any(rays.issubset(mc) for mc in self.max_cones)
 
     def rewrite_terms(self, sigma: frozenset[int], i: int) -> tuple[tuple[int, int], ...]:
         """Replacement of divisor i, repeated inside sigma, by outside divisors.
@@ -140,8 +139,8 @@ class Fan:
         sigma (minus u_i's dual vector); the relation sum_j <m,u_j> D_j then
         expresses D_i through rays outside it.
         """
-        ambient = min(((c, d) for c, s, d in zip(self.max_cones, self._max_cone_sets,
-                                                 self._duals) if sigma <= s), default=None)
+        ambient = min(((c, d) for c, d in zip(self.max_cones, self._duals)
+                       if sigma.issubset(c)), default=None)
         if ambient is None:
             raise BadFace(f"rays {sorted(sigma)} do not span a cone of the fan")
         smax, dual = ambient

@@ -9,6 +9,8 @@ import pytest
 
 from jthresh import (Status, build, intersection_number, ross_gamma_closed_form,
                      ross_polarization, stable_subcone, surface_gamma)
+from jthresh.catalog import MAX_RANK
+from jthresh.cli import run
 from jthresh.cones import is_kahler, is_nef
 from jthresh.surface import PerfectCone
 from jthresh.errors import BadParams, OutOfDomain, UnknownName
@@ -75,6 +77,11 @@ class TestBuild:
         assert entry.cone.light_cone is not None and not entry.cone.facets
         with pytest.raises(BadParams):
             build("perfect_lightcone", {"rank": 0})
+
+    def test_perfect_lightcone_rank_is_capped(self):
+        assert build("perfect_lightcone", {"rank": MAX_RANK}).lattice.rank == MAX_RANK
+        assert run(["catalog", "perfect_lightcone", "--rank", str(MAX_RANK + 1)]) == (
+            2, f"BadParams: rank must be between 1 and {MAX_RANK}, got {MAX_RANK + 1}\n".encode())
 
     def test_blowup_path_entry(self):
         entry = build("blowup_path", {})

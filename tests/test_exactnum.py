@@ -383,6 +383,20 @@ class TestRendering:
         assert decimal_str(Fraction(-1, 10 ** 9), 3) == "-1.00E-9"
         assert decimal_str(0, 1000) == "0"
 
+    def test_interleaved_digit_counts_match_fresh_contexts(self):
+        # decimal_str keeps one context per precision; the oracle builds a fresh
+        # one on each call, so a context reused across counts must not show
+        rng = Random(7013)
+        values = [Fraction(1, 3), Fraction(-2, 7), Fraction(10 ** 30 + 1, 3), 123456789,
+                  QuadNum(0, 1, 3), QuadNum(Fraction(-1, 2), Fraction(5, 3), 7)]
+        values += [Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 20))
+                   for _ in range(10)]
+        values += [QuadNum(x, Fraction(rng.randint(1, 99), rng.randint(1, 99)), 2)
+                   for x in values[6:]]
+        for digits in (5, 30, 1000, 5, 1, 1000, 30, 12, 5):
+            for x in values:
+                assert decimal_str(x, digits) == decimal_str_oracle(x, digits), (x, digits)
+
     def test_digits_are_capped(self):
         root3 = QuadNum(0, 1, 3)
         text = decimal_str(root3, MAX_DECIMAL_DIGITS)

@@ -658,7 +658,7 @@ class TestPathOracle:
             assert counts[0] == counts[1]
 
     def test_command_rows_build_one_fraction_each(self, monkeypatch):
-        # the path command reads the row kernel's integers, not sample_path's rows: at
+        # the path command reads the row kernel's rows, not sample_path's: at
         # --samples 1000 it builds at most one Fraction per row more than at 1
         # (gamma, for its exact and decimal columns), and no PathSample
         fractions, path_samples = [], []
@@ -737,7 +737,7 @@ class TestPathOracle:
         counts = []
         for lattice, cone, theta, a in paths:
             calls.clear()
-            sample_path(lattice, cone, theta, a, 7, path_R(lattice, cone, theta, a))
+            sample_path(lattice, cone, theta, a, 7)
             counts.append((len(cone.facets), len(calls)))
         assert counts[0] == (1, 7)
         assert len(counts) > 4 and all(pairs == 2 * k + 5 for k, pairs in counts)
