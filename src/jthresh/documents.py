@@ -81,7 +81,7 @@ def quad_from_json(value: Any) -> QuadNum:
     return QuadNum(parse_rat(value))
 
 
-@dataclass
+@dataclass(frozen=True)
 class InputDocument:
     lattice: IntersectionLattice | None = None
     cone: NefConeModel | None = None
@@ -150,32 +150,35 @@ def parse_document(data: Any) -> InputDocument:
     """Parse and fully validate a JSON document object."""
     if not isinstance(data, dict):
         raise BadDocument("document must be a JSON object")
-    doc = InputDocument()
+    lattice = cone = fan = None
     if data.get("lattice") is not None:
-        doc.lattice = _parse_lattice(data["lattice"])
+        lattice = _parse_lattice(data["lattice"])
     if data.get("cone") is not None:
-        if doc.lattice is None:
+        if lattice is None:
             raise BadDocument("cone requires a lattice")
-        doc.cone = _parse_cone(data["cone"], doc.lattice)
+        cone = _parse_cone(data["cone"], lattice)
     if data.get("fan") is not None:
-        doc.fan = _parse_fan(data["fan"])
-    if doc.lattice is None and doc.fan is None:
+        fan = _parse_fan(data["fan"])
+    if lattice is None and fan is None:
         raise BadDocument("document must contain a lattice or a fan")
+    classes: dict[str, DivClass] = {}
     for label, coords in _labelled(data, "classes").items():
-        if doc.lattice is None:
+        if lattice is None:
             raise BadDocument("'classes' requires a lattice; use 'toric_classes' with a fan")
         cls = DivClass(_rat_list(coords, f"class {label!r}"))
-        doc.lattice.check_class(cls)
-        doc.classes[str(label)] = cls
+        lattice.check_class(cls)
+        classes[str(label)] = cls
+    toric_classes: dict[str, DivClass] = {}
     for label, coeffs in _labelled(data, "toric_classes").items():
-        if doc.fan is None:
+        if fan is None:
             raise BadDocument("'toric_classes' requires a fan")
         coeffs = _rat_list(coeffs, f"toric class {label!r}")
-        if len(coeffs) != len(doc.fan.rays):
+        if len(coeffs) != len(fan.rays):
             raise BadDocument(f"toric class {label!r} needs one coefficient per ray")
-        doc.toric_classes[str(label)] = DivClass(coeffs)
-    doc.query = dict(_object(data, "query", "query must be an object"))
-    return doc
+        toric_classes[str(label)] = DivClass(coeffs)
+    return InputDocument(lattice=lattice, cone=cone, fan=fan, classes=classes,
+                         toric_classes=toric_classes,
+                         query=dict(_object(data, "query", "query must be an object")))
 
 
 def document_to_json(doc: InputDocument) -> dict[str, Any]:

@@ -66,11 +66,6 @@ class Interval:
     hi: QuadNum
     hi_closed: bool
 
-    def contains(self, t) -> bool:
-        if not self.lo < t:
-            return False
-        return t <= self.hi if self.hi_closed else t < self.hi
-
     def __repr__(self) -> str:
         close = "]" if self.hi_closed else ")"
         return f"({self.lo}, {self.hi}{close}"

@@ -4,13 +4,13 @@ A :class:`Fan` is given by primitive integer rays and the index sets of its
 maximal cones; a divisor class is a :class:`DivClass`, one coefficient per
 ray.  The constructor validates: unimodularity of every maximal cone, the
 wall condition (every ridge shared by exactly two maximal cones, lying on
-opposite sides) and that a generic point is covered exactly once; together
-these certify a smooth complete fan with compatible faces.  Validation finds
-every maximal cone's dual basis with one elimination per fan (the
-fraction-free ``_eliminate``, once per connected component), then one update
-per wall crossing (Cox-Little-Schenck, 6.4), which also decides that wall's
-unimodularity and sides (``_wall_walk``).  The ``Fan`` keeps those bases; it
-holds no query state.
+opposite sides) and that the generic point c below lies in exactly one
+maximal cone; together these certify a smooth complete fan with compatible
+faces.  Validation finds every maximal cone's dual basis with one
+elimination per fan (the fraction-free ``_eliminate``, once per connected
+component), then one update per wall crossing (Cox-Little-Schenck, 6.4),
+which also decides that wall's unimodularity and sides (``_wall_walk``).
+The ``Fan`` keeps those bases and their weights at c; it holds no query state.
 
 Intersection numbers come from localization at the torus-fixed points
 (Brion; Cox-Little-Schenck, ch. 12-13).  At the fixed point of a maximal cone
@@ -19,7 +19,8 @@ restricts to sum_{rho in sigma} a_rho m_rho.  For every cone tau and classes
 D_1..D_p, p = dim V(tau), int_{V(tau)} D_1...D_p is the sum over maximal
 sigma containing tau of prod_k <D_k|sigma, c> / prod_{rho in sigma - tau} <m_rho, c>,
 for any c with no <m_rho, c> = 0; c = (1, N, ..., N^(n-1)) with
-N = 1 + max |dual entry| is one, since base-N digits are unique.  One pass
+N = 1 + max |dual entry| is one, since base-N digits are unique.  These
+weights <m_rho, c> are the ones validation counts cones with.  One pass
 over (maximal cone, face) pairs gives int_V omega^p and int_V theta omega^(p-1)
 on every orbit closure (``_orbit_integrals``), and ``toric_gamma`` reads the
 ampleness checks, T, C and every orbit score from that one table.
@@ -30,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, takewhile
-from math import gcd, lcm, prod
-from random import Random
+from math import gcd, prod
 from typing import Sequence
 
 from .errors import (BadFace, FanInvalid, NonPrimitiveRay, NotComplete,
@@ -104,10 +104,11 @@ class Fan:
 
     Ray indices are 0-based everywhere, including in documents.  The
     constructor refuses non-integer data and runs :func:`validate_fan`, so
-    every ``Fan`` is valid; it is immutable and keeps the maximal cones' dual bases.
+    every ``Fan`` is valid; it is immutable and keeps the maximal cones' dual
+    bases and their weights at the generic point c.
     """
 
-    __slots__ = ("dim", "rays", "max_cones", "_duals")
+    __slots__ = ("dim", "rays", "max_cones", "_duals", "_weights")
 
     def __init__(self, dim: int, rays: Sequence[Sequence[int]],
                  max_cones: Sequence[Sequence[int]]):
@@ -117,7 +118,9 @@ class Fan:
                                  for ray in _rows(rays, "rays")))
         init(self, "max_cones", tuple(tuple(sorted(_integer(i, "cone index") for i in cone))
                                       for cone in _rows(max_cones, "max_cones")))
-        init(self, "_duals", validate_fan(self))
+        duals, weights = validate_fan(self)
+        init(self, "_duals", duals)
+        init(self, "_weights", weights)
 
     def __setattr__(self, name, value):  # immutable after __init__
         raise AttributeError("Fan is immutable")
@@ -158,12 +161,17 @@ class Fan:
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
 
-def validate_fan(fan: Fan) -> tuple[Dual, ...]:
-    """Smoothness, completeness, face compatibility; the maximal cones' dual bases, in order.
+def validate_fan(fan: Fan) -> tuple[tuple[Dual, ...], tuple[tuple[int, ...], ...]]:
+    """Smoothness, completeness, face compatibility; each maximal cone's dual basis and weights.
 
     The first fault is reported: rays, then per cone in cone order its
     arity, indices and unimodularity, duplicate cones, unused rays, walls in
-    ridge order and last the generic-cover sample.
+    ridge order and last the count of maximal cones containing c.  Both
+    results follow cone order; a cone's weights are <m_rho, c> for its dual
+    basis (m_rho), with c = (1, N, ..., N^(n-1)) and N = 1 + max |dual entry|.
+    No weight is 0, since base-N digits are unique, so c is generic for
+    every maximal cone.  Under the wall condition every generic point lies
+    in the same number of maximal cones, which must be one.
     """
     n = fan.dim
     if n < 1:
@@ -211,8 +219,15 @@ def validate_fan(fan: Fan) -> tuple[Dual, ...]:
             raise BadFace(f"maximal cones at ridge {ridge} are on the same side")
 
     bases = tuple(duals[cone] for cone in cones)
-    _generic_cover_check(fan, bases)
-    return bases
+    base = 1 + max((abs(x) for dual in bases for m in dual for x in m), default=0)
+    c = [base ** i for i in range(n)]
+    weights = tuple(tuple(_dot(m, c) for m in dual) for dual in bases)
+    inside = sum(min(w) > 0 for w in weights)
+    if inside == 0:
+        raise NotComplete("generic point not covered by any maximal cone")
+    if inside > 1:
+        raise BadFace("maximal cones overlap in their interiors")
+    return bases, weights
 
 
 def _wall_walk(rays: Sequence[Sequence[int]], cones: Sequence[tuple[int, ...]],
@@ -261,45 +276,19 @@ def _wall_walk(rays: Sequence[Sequence[int]], cones: Sequence[tuple[int, ...]],
     return duals, sides
 
 
-def _generic_cover_check(fan: Fan, duals: Sequence[Dual]) -> None:
-    """A generic point must lie in the interior of exactly one maximal cone.
-
-    Combined with the wall condition this pins down degree one everywhere:
-    crossing any wall preserves the covering count, so one generic sample
-    certifies global completeness and pairwise disjoint interiors.  Cone
-    coordinates are pairings with the dual basis, of the point scaled by lcm(q) > 0.
-    """
-    rng = Random(164207)
-    for _ in range(64):
-        draws = [(rng.randrange(-10**6, 10**6 + 1), rng.randrange(1, 1000))
-                 for _ in range(fan.dim)]
-        scale = lcm(*(q for _, q in draws))
-        point = [p * (scale // q) for p, q in draws]
-        coords = [[_dot(m, point) for m in dual] for dual in duals]
-        if any(min(c) == 0 for c in coords):
-            continue  # on the boundary of a maximal cone
-        inside = sum(min(c) > 0 for c in coords)
-        if inside == 0:
-            raise NotComplete("generic point not covered by any maximal cone")
-        if inside > 1:
-            raise BadFace("maximal cones overlap in their interiors")
-        return
-    raise FanInvalid("could not find a generic sample point")  # pragma: no cover
-
-
 Table = dict[tuple[int, ...], tuple[Fraction, Fraction]]
 
 
 def _fixed_points(fan: Fan, classes: Sequence[DivClass]) -> list[tuple]:
-    """(sigma, tangent weights <m_rho, c>, each class's <D|sigma, c>) per maximal cone sigma."""
+    """(sigma, tangent weights <m_rho, c>, each class's <D|sigma, c>) per maximal cone sigma.
+
+    The weights are the ones ``validate_fan`` stored on the fan.
+    """
     for cls in classes:
         if len(cls) != len(fan.rays):
             raise WrongArity("one coefficient per ray required")
-    base = 1 + max(abs(x) for dual in fan._duals for m in dual for x in m)
-    c = [base ** i for i in range(fan.dim)]
-    weights = [[_dot(m, c) for m in dual] for dual in fan._duals]
     return [(cone, w, [sum(cls.coords[j] * x for j, x in zip(cone, w)) for cls in classes])
-            for cone, w in zip(fan.max_cones, weights)]
+            for cone, w in zip(fan.max_cones, fan._weights)]
 
 
 def _orbit_integrals(fan: Fan, theta: DivClass, omega: DivClass,

@@ -14,7 +14,9 @@ lattice model of the same surface.  ``light_cone_roots`` and
 through ``poly_roots_quadratic``, and ``is_nef_toric`` through
 ``intersection_number`` on each invariant curve: second routes built on
 public functions only.  ``per_cone_validation`` is a second route to fan
-validation that eliminates every maximal cone on its own.  ``segment``,
+validation that eliminates every maximal cone on its own and counts the
+cones around a random sample point (``_generic_cover_check``), not around
+``validate_fan``'s point c.  ``segment``,
 ``canonicalize`` and ``classes_equivalent`` are helpers that only tests need;
 ``canonicalize`` reuses ``toric._eliminate``, so it is not an oracle.  A
 ``DivClass`` holds Fractions only, so the oracles that step to an irrational
@@ -28,9 +30,8 @@ from __future__ import annotations
 
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from random import Random
-from types import SimpleNamespace
 
 from jthresh import (DivClass, Fan, IntersectionLattice, LightConeFacet, NefConeModel,
                      QuadNum, diagonal_lattice, intersection_number)
@@ -41,8 +42,7 @@ from jthresh.errors import (BadConeModel, BadFace, BadSignature, FanInvalid, JTh
 from jthresh.exactnum import RatPoly, Scalar, poly_roots_quadratic, rat_sqrt
 from jthresh.lattice import validate_signature
 from jthresh.surface import Interval, c_constant
-from jthresh.toric import (_eliminate, _generic_cover_check, _unimodular_dual,
-                           invariant_curves)
+from jthresh.toric import _eliminate, _unimodular_dual, invariant_curves
 
 
 def segment(a: DivClass, b: DivClass, t: Fraction) -> DivClass:
@@ -403,8 +403,8 @@ def per_cone_validation(dim: int, rays, max_cones) -> tuple:
     Rays and cones are read as ``Fan`` reads them.  Each cone's basis comes
     from its own ``_unimodular_dual``, and each wall's sides from the first
     owner's basis; the checks run in the order ``validate_fan`` promises,
-    so a faulty fan raises the same first error.  It shares only the
-    elimination and the generic-cover sample with ``validate_fan``.
+    so a faulty fan raises the same first error.  It shares only
+    ``_unimodular_dual`` and ``_eliminate`` with ``validate_fan``.
     """
     n, rays = dim, tuple(tuple(ray) for ray in rays)
     max_cones = tuple(tuple(sorted(cone)) for cone in max_cones)
@@ -447,5 +447,31 @@ def per_cone_validation(dim: int, rays, max_cones) -> tuple:
         if sum(c * x for c, x in zip(duals[cone][cone.index(drop)], rays[extra])) >= 0:
             raise BadFace(f"maximal cones at ridge {ridge} are on the same side")
     bases = tuple(duals.values())
-    _generic_cover_check(SimpleNamespace(dim=n, rays=rays), bases)
+    _generic_cover_check(n, bases)
     return bases
+
+
+def _generic_cover_check(dim: int, duals) -> None:
+    """A generic point must lie in the interior of exactly one maximal cone.
+
+    Combined with the wall condition this pins down degree one everywhere:
+    crossing any wall preserves the covering count, so one generic sample
+    certifies global completeness and pairwise disjoint interiors.  Cone
+    coordinates are pairings with the dual basis, of the point scaled by lcm(q) > 0.
+    """
+    rng = Random(164207)
+    for _ in range(64):
+        draws = [(rng.randrange(-10**6, 10**6 + 1), rng.randrange(1, 1000))
+                 for _ in range(dim)]
+        scale = lcm(*(q for _, q in draws))
+        point = [p * (scale // q) for p, q in draws]
+        coords = [[sum(c * x for c, x in zip(m, point)) for m in dual] for dual in duals]
+        if any(min(c) == 0 for c in coords):
+            continue  # on the boundary of a maximal cone
+        inside = sum(min(c) > 0 for c in coords)
+        if inside == 0:
+            raise NotComplete("generic point not covered by any maximal cone")
+        if inside > 1:
+            raise BadFace("maximal cones overlap in their interiors")
+        return
+    raise FanInvalid("could not find a generic sample point")  # pragma: no cover

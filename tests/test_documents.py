@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from random import Random
@@ -92,6 +93,14 @@ class TestRoundTrip:
                                 classes={"w": inst.center})
             again = parse_document(json.loads(json.dumps(document_to_json(doc))))
             assert again == doc
+
+    @pytest.mark.parametrize("name", ["lattice", "cone", "fan", "classes", "toric_classes",
+                                      "query"])
+    def test_document_is_immutable(self, name):
+        doc = parse_document(F1_DOC)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(doc, name, None)
+        assert doc == parse_document(F1_DOC)
 
     def test_quadnum_serialization(self):
         val = QuadNum(Fraction(-1, 2), Fraction(1, 2), 3)

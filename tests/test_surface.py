@@ -277,7 +277,8 @@ class TestPathAnalysis:
         for k in range(1, 101):
             t = Fraction(k, 100)
             omega_t = segment(DivClass([1, 0]), F1_THETA, t)
-            member = any(iv.contains(t) for iv in analysis.solvable_set)
+            member = any(iv.lo < t and (t <= iv.hi if iv.hi_closed else t < iv.hi)
+                         for iv in analysis.solvable_set)
             assert member == is_solvable(F1_LATTICE, F1_CONE, F1_THETA, omega_t)
 
     def test_boundary_divergence(self):

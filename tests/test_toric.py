@@ -68,6 +68,9 @@ P2_RAYS, P2_CONES = [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]
 # eight unimodular cones winding twice around the origin: every ridge has
 # two owners on opposite sides, so only the generic-point count catches it
 TWICE = [(1, 0), (-2, 1), (-1, 0), (-1, -1), (-1, -2), (0, -1), (1, 1), (-2, -1)]
+# fifteen unimodular cones winding three times around the origin
+THRICE = [(1, 0), (-3, 1), (-1, 0), (-3, -1), (-2, -1), (-3, -2), (-1, -1), (-2, -3),
+          (-1, -2), (1, 1), (0, 1), (-1, 1), (1, -2), (-1, 3), (0, -1)]
 BAD_FANS = {
     "non_positive_dimension": (0, [], [], FanInvalid, "dimension must be positive"),
     "duplicate_rays": (2, [(1, 0), (0, 1), (1, 0)], P2_CONES, FanInvalid, "duplicate rays"),
@@ -95,13 +98,17 @@ BAD_FANS = {
                         "maximal cones at ridge (1,) are on the same side"),
     "interior_overlap": (2, TWICE, [(i, (i + 1) % 8) for i in range(8)], BadFace,
                          "maximal cones overlap in their interiors"),
+    "winding_three_times": (2, THRICE, [(i, (i + 1) % 15) for i in range(15)], BadFace,
+                            "maximal cones overlap in their interiors"),
+    "empty_fan": (2, [], [], NotComplete, "generic point not covered by any maximal cone"),
 }
 
 
 # Fans with two faults each, and the first diagnostic line of `validate`: the
 # checks meet their faults per cone in cone order (arity, then indices, then
 # unimodularity), then duplicate cones, unused rays, walls in ridge order and
-# the cover sample, however the cones are reached while they are certified.
+# the cone count at the generic point, however the cones are reached while
+# they are certified.
 RAYS_P1P1 = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 RAYS_BENT = [(1, 0), (1, 2), (-1, 0), (0, -1)]  # cones (0, 1) and (1, 2) have det 2
 TWO_FAULT_FANS = {
@@ -190,6 +197,18 @@ class TestValidateFan:
             for case in _mutations(rng, rays, list(fan.max_cones)):
                 built = _validation_outcome(n, *case, lambda *a: Fan(*a)._duals)
                 assert built == _validation_outcome(n, *case, per_cone_validation)
+
+    @pytest.mark.parametrize("name", list(SEEDED_FANS))
+    def test_generic_point_lies_inside_exactly_one_cone(self, name):
+        # c is off every cone's walls, in the fan and its images under GL_n(Z)
+        fan = SEEDED_FANS[name]()
+        n, rng = fan.dim, Random(f"generic point {name}")
+        images = [Fan(n, [tuple(sum(a * x for a, x in zip(row, ray)) for row in shear)
+                          for ray in fan.rays], fan.max_cones)
+                  for shear in [unimodular_shear(rng, n) for _ in range(3)]]
+        for built in [fan] + images:
+            assert all(w != 0 for weights in built._weights for w in weights)
+            assert sum(min(weights) > 0 for weights in built._weights) == 1
 
     @pytest.mark.parametrize("name", sorted(TWO_FAULT_FANS) + sorted(BAD_FANS))
     def test_first_diagnostic_line(self, name):
