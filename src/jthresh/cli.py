@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Any, Callable, NoReturn
@@ -31,7 +32,7 @@ from .errors import BadDocument, BadParams, JThreshError
 from .exactnum import MAX_DECIMAL_DIGITS, QuadNum, decimal_str, format_rat, rat
 from .surface import (PerfectCone, _path_rows, csck_criterion, is_solvable, path_R,
                       stable_subcone, surface_gamma)
-from .toric import enumerate_orbits, toric_gamma
+from .toric import Fan, toric_gamma
 
 DEFAULT_DIGITS = 12
 
@@ -333,6 +334,12 @@ def _cmd_csck(lattice, cone, minus_c1, omega, alpha, digits) -> dict[str, Any]:
             "decimal": _decimal(digits, lhs=report.lhs), "caveats": [report.caveat]}
 
 
+def _orbit_count(fan: Fan) -> int:
+    """The number of positive-dimension cones: every non-empty face of a maximal cone, once."""
+    return len({face for cone in fan.max_cones for size in range(1, fan.dim + 1)
+                for face in combinations(cone, size)})
+
+
 def _cmd_validate(doc: InputDocument, digits: int) -> dict[str, Any]:
     # parse_document already validated everything; report what was checked
     payload: dict[str, Any] = {"ok": True}
@@ -344,7 +351,7 @@ def _cmd_validate(doc: InputDocument, digits: int) -> dict[str, Any]:
     if doc.fan is not None:
         payload["fan"] = {"dim": doc.fan.dim, "rays": len(doc.fan.rays),
                           "max_cones": len(doc.fan.max_cones),
-                          "orbits": len(enumerate_orbits(doc.fan))}
+                          "orbits": _orbit_count(doc.fan)}
     payload["classes"] = sorted(doc.classes)
     payload["toric_classes"] = sorted(doc.toric_classes)
     return payload
@@ -372,7 +379,7 @@ def _cmd_catalog(args: argparse.Namespace, digits: int) -> dict[str, Any]:
     if args.export:
         return document_to_json(InputDocument(
             lattice=entry.lattice, cone=entry.cone, fan=entry.fan, classes=classes,
-            toric_classes=dict(entry.named_toric_classes or {})))
+            toric_classes=entry.named_toric_classes or {}))
     payload: dict[str, Any] = {
         "command": "catalog", "name": entry.name,
         "params": {k: format_rat(v) for k, v in sorted(entry.params.items())},

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from .cones import LightConeFacet, NefConeModel, validate_cone
 from .errors import BadDocument, BadParams, DimensionMismatch
@@ -83,12 +84,26 @@ def quad_from_json(value: Any) -> QuadNum:
 
 @dataclass(frozen=True)
 class InputDocument:
+    """A parsed document; its label maps and query are read-only copies of what was given.
+
+    The hash reads the lattice, the cone and the fan: equal documents have
+    equal parts, and a query may hold lists, which have no hash.
+    """
+
     lattice: IntersectionLattice | None = None
     cone: NefConeModel | None = None
     fan: Fan | None = None
-    classes: dict[str, DivClass] = field(default_factory=dict)
-    toric_classes: dict[str, DivClass] = field(default_factory=dict)
-    query: dict[str, Any] = field(default_factory=dict)
+    classes: Mapping[str, DivClass] = field(default_factory=dict, hash=False)
+    toric_classes: Mapping[str, DivClass] = field(default_factory=dict, hash=False)
+    query: Mapping[str, Any] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self):
+        for name in ("classes", "toric_classes", "query"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor, from plain dicts
+        return InputDocument, (self.lattice, self.cone, self.fan, dict(self.classes),
+                               dict(self.toric_classes), dict(self.query))
 
 
 def _parse_lattice(data: Any) -> IntersectionLattice:
@@ -178,7 +193,7 @@ def parse_document(data: Any) -> InputDocument:
         toric_classes[str(label)] = DivClass(coeffs)
     return InputDocument(lattice=lattice, cone=cone, fan=fan, classes=classes,
                          toric_classes=toric_classes,
-                         query=dict(_object(data, "query", "query must be an object")))
+                         query=_object(data, "query", "query must be an object"))
 
 
 def document_to_json(doc: InputDocument) -> dict[str, Any]:
@@ -213,5 +228,5 @@ def document_to_json(doc: InputDocument) -> dict[str, Any]:
         out["toric_classes"] = {label: [format_rat(x) for x in cls.coords]
                                 for label, cls in sorted(doc.toric_classes.items())}
     if doc.query:
-        out["query"] = doc.query
+        out["query"] = dict(doc.query)
     return out

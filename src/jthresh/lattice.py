@@ -3,20 +3,25 @@
 An :class:`IntersectionLattice` is a rank-r symmetric rational pairing
 expected to have signature (1, r-1); a :class:`DivClass` is a coordinate
 vector in the chosen basis.  Matrix entries and coordinates are exact
-rationals: ints or Fractions, held as Fractions, so every pairing is a
-Fraction.  Anything else, a QuadNum included, is refused with one BadParams
-line.  Lattices are user data: nothing here derives them from geometry.
-Both types are immutable and safe to share.
+rationals: ints or Fractions, held as Fractions.  Anything else, a QuadNum
+included, is refused with one BadParams line.  Each is also kept, once, as
+integers over one denominator: a lattice scales its Gram matrix when it is
+built and a class its coordinates when first paired, so ``pair`` is one
+integer dot product returned as a Fraction, and ``signature`` eliminates
+fraction-free on the integer Gram matrix.  Lattices are user data: nothing
+here derives them from geometry.  Both types are immutable and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .errors import BadParams, BadSignature, DimensionMismatch
-from .exactnum import RatLike, format_rat
+from .exactnum import RatLike, format_rat, scale_to_integers
 
 
 def _exact(x: object, what: str) -> Fraction:
@@ -57,6 +62,12 @@ class DivClass:
     def __rmul__(self, c: RatLike) -> "DivClass":
         return self.scale(c)
 
+    @cached_property
+    def integers(self) -> tuple[int, tuple[int, ...]]:
+        """(q, n) with coords = n/q, q > 0 the least common denominator; computed once."""
+        q, ints = scale_to_integers(self.coords)
+        return q, tuple(ints)
+
     @property
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)
@@ -66,9 +77,14 @@ class DivClass:
 
 
 class IntersectionLattice:
-    """Symmetric rational pairing on coordinate vectors of fixed rank."""
+    """Symmetric rational pairing on coordinate vectors of fixed rank.
 
-    __slots__ = ("rank", "matrix", "labels")
+    ``matrix`` holds the entries as Fractions; the same matrix is kept as the
+    integer Gram matrix ``_gram`` over one denominator ``_den`` > 0, the
+    entries' least common one.
+    """
+
+    __slots__ = ("rank", "matrix", "labels", "_den", "_gram")
 
     def __init__(self, matrix: Sequence[Sequence[RatLike]],
                  labels: Sequence[str] | None = None):
@@ -84,9 +100,12 @@ class IntersectionLattice:
             labels = tuple(f"b{i}" for i in range(n))
         elif len(labels) != n:
             raise DimensionMismatch("one basis label per row required")
+        den, ints = scale_to_integers([x for row in rows for x in row])
         object.__setattr__(self, "rank", n)
         object.__setattr__(self, "matrix", tuple(rows))
         object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_gram", tuple(tuple(ints[i:i + n]) for i in range(0, n * n, n)))
 
     def __setattr__(self, name, value):  # immutable after __init__
         raise AttributeError("IntersectionLattice is immutable")
@@ -99,68 +118,64 @@ class IntersectionLattice:
             raise DimensionMismatch(f"class of length {len(x)} in rank {self.rank}")
 
     def pair(self, x: DivClass, y: DivClass) -> Fraction:
-        """Exact bilinear pairing x^T M y, a Fraction."""
+        """Exact bilinear pairing x^T M y, a Fraction: n_x^T G n_y over den * q_x * q_y.
+
+        G over den is the integer Gram matrix, n_x over q_x and n_y over q_y
+        the classes' integer forms; only the result is a Fraction.
+        """
         self.check_class(x)
         self.check_class(y)
-        total = Fraction(0)
-        for i, xi in enumerate(x.coords):
-            if xi == 0:
-                continue
-            row = self.matrix[i]
-            inner = Fraction(0)
-            for j, yj in enumerate(y.coords):
-                if yj != 0 and row[j] != 0:
-                    inner = inner + row[j] * yj
-            total = total + xi * inner
-        return total
+        qx, nx = x.integers
+        qy, ny = y.integers
+        total = sum(xi * sum(map(mul, row, ny)) for xi, row in zip(nx, self._gram) if xi)
+        return Fraction(total, self._den * qx * qy)
 
     def self_int(self, x: DivClass) -> Fraction:
         return self.pair(x, x)
 
     def signature(self) -> tuple[int, int, int]:
-        """Inertia (positive, negative, zero) by congruence diagonalization."""
+        """Inertia (positive, negative, zero) by fraction-free symmetric elimination.
+
+        Integer Bareiss on the integer Gram matrix, den > 0 times M and so of
+        M's inertia: after a pivot p each trailing entry becomes
+        (p*m[i][j] - m[i][k]*m[k][j]) // d, d the previous pivot (1 at first),
+        and the trailing block is d times the Schur complement, so every
+        division is exact and the true pivot p/d is positive when p and d
+        have the same sign.  A pivot whose column is otherwise zero splits
+        off: the rest of the block is left as it is and d is kept, which is
+        Bareiss on the matrix without that row and column, so a diagonal or
+        block-diagonal matrix costs no products.  A zero pivot is first
+        replaced by a swap with a later non-zero diagonal entry, or made
+        2*m[i][j] by adding row and column j to row and column i; an all-zero
+        trailing block stops the elimination, and its size is the zero count.
+        """
         n = self.rank
-        m = [list(row) for row in self.matrix]
-
-        def swap(i: int, j: int) -> None:
-            m[i], m[j] = m[j], m[i]
-            for row in m:
-                row[i], row[j] = row[j], row[i]
-
-        def add_row_col(i: int, j: int) -> None:
-            # row_i += row_j, col_i += col_j; keeps symmetry
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
-
+        m = [list(row) for row in self._gram]  # row and column k.. are the trailing block
         pos = neg = 0
+        d = 1
         for k in range(n):
             if m[k][k] == 0:
                 pivot = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
-                if pivot is not None:
-                    swap(k, pivot)
-                else:
+                if pivot is None:
                     off = next(((i, j) for i in range(k, n)
                                 for j in range(i + 1, n) if m[i][j] != 0), None)
                     if off is None:
-                        break  # remaining block is identically zero
-                    i, j = off
-                    add_row_col(i, j)  # makes m[i][i] = 2*m[i][j] != 0
-                    if i != k:
-                        swap(k, i)
-            p = m[k][k]
-            if p > 0:
+                        break  # the trailing block is identically zero
+                    pivot, j = off
+                    _add_row_col(m, pivot, j)  # makes m[pivot][pivot] = 2*m[pivot][j] != 0
+                _swap(m, k, pivot)
+            top = m[k]
+            p = top[k]
+            if (p > 0) == (d > 0):
                 pos += 1
             else:
                 neg += 1
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    f = m[i][k] / p
-                    for j in range(k, n):
-                        m[i][j] -= f * m[k][j]
-                    for j in range(k, n):
-                        m[j][i] -= f * m[j][k]
+            if any(m[i][k] for i in range(k + 1, n)):
+                tail = top[k + 1:]
+                for row in m[k + 1:]:
+                    a = row[k]
+                    row[k + 1:] = [(p * x - a * y) // d for x, y in zip(row[k + 1:], tail)]
+                d = p
         return pos, neg, n - pos - neg
 
     def __eq__(self, other: object) -> bool:
@@ -173,6 +188,20 @@ class IntersectionLattice:
 
     def __repr__(self) -> str:
         return f"IntersectionLattice(rank={self.rank}, labels={list(self.labels)})"
+
+
+def _swap(m: list[list[int]], i: int, j: int) -> None:
+    """Exchange rows i and j and columns i and j: a congruence."""
+    m[i], m[j] = m[j], m[i]
+    for row in m:
+        row[i], row[j] = row[j], row[i]
+
+
+def _add_row_col(m: list[list[int]], i: int, j: int) -> None:
+    """row_i += row_j, then col_i += col_j: a congruence, so m stays symmetric."""
+    m[i] = [x + y for x, y in zip(m[i], m[j])]
+    for row in m:
+        row[i] += row[j]
 
 
 def validate_signature(lattice: IntersectionLattice) -> None:

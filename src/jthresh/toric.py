@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, takewhile
 from math import gcd, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import (BadFace, FanInvalid, NonPrimitiveRay, NotComplete,
@@ -81,7 +82,7 @@ def _unimodular_dual(rays: Sequence[Sequence[int]]) -> Dual | None:
 
 
 def _dot(m: Sequence[int], u: Sequence[int]) -> int:
-    return sum(c * x for c, x in zip(m, u))
+    return sum(map(mul, m, u))
 
 
 def _integer(value: object, what: str) -> int:
@@ -156,6 +157,9 @@ class Fan:
             return NotImplemented
         return (self.dim == other.dim and self.rays == other.rays
                 and self.max_cones == other.max_cones)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.rays, self.max_cones))
 
     def __repr__(self) -> str:
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
@@ -240,8 +244,9 @@ def _wall_walk(rays: Sequence[Sequence[int]], cones: Sequence[tuple[int, ...]],
     sigma' = tau + u_e, let a_k = <m_k, u_e> in sigma's basis: |det sigma'| = |a_d|,
     so sigma' is unimodular exactly when a_d = +-1, and then its basis is
     m'_e = a_d m_d, m'_k = m_k - a_d a_k m_d.  Unimodular cones lie on opposite
-    sides exactly when a_d = -1.  A wall into a cone that has its basis needs
-    a_d alone.  Raises nothing: the caller reports the faults in its own order.
+    sides exactly when a_d = -1; m'_k = m_k when a_k = 0.  A wall into a cone
+    that has its basis needs a_d alone.  Raises nothing: the caller reports
+    the faults in its own order.
     """
     duals: dict[tuple[int, ...], Dual | None] = {}
     sides: dict[tuple[int, ...], int] = {}
@@ -268,7 +273,7 @@ def _wall_walk(rays: Sequence[Sequence[int]], cones: Sequence[tuple[int, ...]],
                 if abs(a_d) != 1:
                     duals[other] = None
                     continue
-                basis = {i: tuple(x - a_d * a_k * y for x, y in zip(m, m_d))
+                basis = {i: tuple(x - a_d * a_k * y for x, y in zip(m, m_d)) if a_k else m
                          for i, m, a_k in zip(cone, dual, a)}
                 basis[extra] = tuple(a_d * y for y in m_d)
                 duals[other] = tuple(basis[i] for i in other)

@@ -24,13 +24,17 @@ bound build that class as a tuple of QuadNums with ``quad_coords`` and pair
 it with ``quad_pair``, or read its cone sides with ``quad_sides``.
 ``decimal_str_oracle`` is a second route to ``decimal_str`` that takes every
 value through a QuadNum and its exact sign, as ``decimal_str`` once did.
+``fraction_signature`` is a second route to ``IntersectionLattice.signature``:
+congruence diagonalization in Fraction arithmetic, as ``signature`` once did.
+``del_pezzo`` builds the blowups of P^2 at 2 to 8 general points, with their
+(-1)-curves as facets; they exist only here until a catalog entry builds them.
 """
 
 from __future__ import annotations
 
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from random import Random
 
 from jthresh import (DivClass, Fan, IntersectionLattice, LightConeFacet, NefConeModel,
@@ -43,6 +47,12 @@ from jthresh.exactnum import RatPoly, Scalar, poly_roots_quadratic, rat_sqrt
 from jthresh.lattice import validate_signature
 from jthresh.surface import Interval, c_constant
 from jthresh.toric import _eliminate, _unimodular_dual, invariant_curves
+
+
+def pytest_configure(config):
+    """Run each benchmark once, as a test, unless --benchmark-enable asks for timings."""
+    if hasattr(config.option, "benchmark_disable"):
+        config.option.benchmark_disable = True
 
 
 def segment(a: DivClass, b: DivClass, t: Fraction) -> DivClass:
@@ -84,6 +94,122 @@ def decimal_str_oracle(x: Scalar, digits: int) -> str:
                                       hi.sqrt(Decimal(q.d))))
     target = Decimal(1).scaleb(val.adjusted() - digits + 1)
     return str(val.quantize(target, rounding=ROUND_HALF_EVEN, context=hi))
+
+
+def fraction_signature(matrix) -> tuple[int, int, int]:
+    """Inertia (positive, negative, zero) of a symmetric rational matrix by congruence
+    diagonalization over the Fractions: swap a later non-zero diagonal entry in, or
+    add row and column j to row and column i to make 2*m[i][j], then clear the column."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n = len(m)
+
+    def swap(i: int, j: int) -> None:
+        m[i], m[j] = m[j], m[i]
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row_col(i: int, j: int) -> None:
+        for k in range(n):
+            m[i][k] += m[j][k]
+        for k in range(n):
+            m[k][i] += m[k][j]
+
+    pos = neg = 0
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if pivot is not None:
+                swap(k, pivot)
+            else:
+                off = next(((i, j) for i in range(k, n)
+                            for j in range(i + 1, n) if m[i][j] != 0), None)
+                if off is None:
+                    break  # remaining block is identically zero
+                i, j = off
+                add_row_col(i, j)
+                if i != k:
+                    swap(k, i)
+        p = m[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                f = m[i][k] / p
+                for j in range(k, n):
+                    m[i][j] -= f * m[k][j]
+                for j in range(k, n):
+                    m[j][i] -= f * m[j][k]
+    return pos, neg, n - pos - neg
+
+
+def random_symmetric(rng: Random, n: int, kind: str) -> list[list[Fraction]]:
+    """A symmetric rational n x n matrix: "dense" random entries, "singular" B^T D B for
+    fewer than n rows of B (zero when n = 1), "zero-diagonal" with zeros on the
+    diagonal and random, sometimes zero, entries off it, or "block-diagonal" with dense
+    random blocks of size 1 to 3 on the diagonal and zeros elsewhere."""
+    if kind == "singular":
+        k = rng.randint(0, n - 1)
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        d = [rnd_fraction(rng, -3, 3, 3) for _ in range(k)]
+        return [[sum((b[r][i] * d[r] * b[r][j] for r in range(k)), Fraction(0))
+                 for j in range(n)] for i in range(n)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    if kind == "block-diagonal":
+        start = 0
+        while start < n:
+            end = min(n, start + rng.randint(1, 3))
+            for i in range(start, end):
+                for j in range(i, end):
+                    m[i][j] = m[j][i] = rnd_fraction(rng, -9, 9, 9)
+            start = end
+        return m
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "dense":
+                m[i][j] = m[j][i] = rnd_fraction(rng, -9, 9, 9)
+            elif i != j and rng.random() < 0.5:
+                m[i][j] = m[j][i] = rnd_fraction(rng, -3, 3, 3)
+    return m
+
+
+def minus_one_curves(k: int) -> list[tuple[int, ...]]:
+    """The (-1)-curves of P^2 blown up at k <= 8 general points, as coordinates
+    (d, -m_1, ..., -m_k) of dL - sum m_i E_i: the E_i, then, in lex order of m for each
+    d = 1..6, every m >= 0 with d^2 - sum m_i^2 = -1 and 3d - sum m_i = 1 (Manin,
+    *Cubic Forms*, ch. IV; no such curve has d > 6 when k <= 8)."""
+    def tails(length: int, total: int, squares: int):
+        """Every m in N^length with sum m = total and sum m^2 = squares, in lex order."""
+        if total * total > length * squares:  # Cauchy-Schwarz: no such m
+            return
+        if length == 0:
+            if squares == 0:
+                yield ()
+            return
+        for x in range(min(total, isqrt(squares)) + 1):
+            for rest in tails(length - 1, total - x, squares - x * x):
+                yield (x, *rest)
+
+    curves = [(0, *(int(i == j) for j in range(k))) for i in range(k)]  # E_i: m_i = -1
+    for d in range(1, 7):
+        curves += [(d, *(-x for x in m)) for m in tails(k, 3 * d - 1, d * d + 1)]
+    return curves
+
+
+def del_pezzo(k: int) -> tuple[IntersectionLattice, NefConeModel, DivClass]:
+    """(lattice, nef cone, -K) of P^2 blown up at k general points, 2 <= k <= 8.
+
+    The basis is L, E1..Ek with lattice diag(1, -1, ..., -1), and -K = 3L - sum E_i.
+    The nef cone is dual to the cone of curves, which the (-1)-curves span for k >= 2
+    (cone theorem; Hartshorne V.4), so they are the facets, labelled by (d; m).
+    """
+    lattice = diagonal_lattice([1] + [-1] * k, labels=["L"] + [f"E{i}" for i in range(1, k + 1)])
+    curves = minus_one_curves(k)
+    cone = NefConeModel(facets=[DivClass(c) for c in curves],
+                        facet_labels=[f"({c[0]}; {','.join(str(-x) for x in c[1:])})"
+                                      for c in curves])
+    return lattice, cone, DivClass([3] + [-1] * k)
 
 
 def rnd_fraction(rng: Random, lo: int = -6, hi: int = 6, max_den: int = 4) -> Fraction:

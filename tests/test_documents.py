@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import pickle
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from conftest import random_instance
-from jthresh import QuadNum
+from jthresh import DivClass, QuadNum
 from jthresh.documents import (InputDocument, document_to_json, parse_document,
                                quad_from_json, quad_to_json)
 from jthresh.errors import BadDocument, BadSignature, DimensionMismatch
@@ -101,6 +103,28 @@ class TestRoundTrip:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(doc, name, None)
         assert doc == parse_document(F1_DOC)
+
+    @pytest.mark.parametrize("name", ["classes", "toric_classes", "query"])
+    def test_document_maps_are_read_only(self, name):
+        raw = {**F1_DOC, "query": {"theta": "theta"}}
+        doc = parse_document(raw)
+        with pytest.raises(TypeError):
+            getattr(doc, name)["x"] = DivClass([1, 0])
+        assert doc == parse_document(raw)
+
+    def test_given_maps_are_copied(self):
+        classes, query = {"w": DivClass([1, 0])}, {"theta": "w"}
+        doc = InputDocument(lattice=parse_document(F1_DOC).lattice, classes=classes, query=query)
+        classes["x"], query["omega"] = DivClass([0, 1]), "x"
+        assert dict(doc.classes) == {"w": DivClass([1, 0])} and dict(doc.query) == {"theta": "w"}
+        assert type(document_to_json(doc)["query"]) is dict
+
+    def test_hash_copy_and_pickle(self):
+        for raw in (F1_DOC, {**FAN_DOC, "query": {"theta": "theta", "samples": [1]}}):
+            doc = parse_document(raw)
+            assert hash(doc) == hash(parse_document(raw))
+            for clone in (copy.copy(doc), copy.deepcopy(doc), pickle.loads(pickle.dumps(doc))):
+                assert clone == doc and hash(clone) == hash(doc)
 
     def test_quadnum_serialization(self):
         val = QuadNum(Fraction(-1, 2), Fraction(1, 2), 3)

@@ -1,0 +1,53 @@
+"""One timing per kernel, with pytest-benchmark's ``benchmark`` fixture.
+
+The kernels: ``IntersectionLattice.pair`` on rank 9, ``signature`` at ranks
+8 and 50, ``validate_fan`` on (P^1)^6 and ``surface_gamma`` on the del Pezzo
+surface of degree 1 (k = 8, 240 facets).  The test suite runs each kernel
+once and checks its result (``tests/conftest.py`` passes
+``--benchmark-disable``); print the timings with
+
+    PYTHONPATH=src python -m pytest -q tests/test_kernel_timings.py --benchmark-enable
+
+The module is skipped when pytest-benchmark is not installed.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from random import Random
+
+import pytest
+
+from conftest import del_pezzo, fraction_signature, random_symmetric
+from jthresh import DivClass, Fan, IntersectionLattice, Status, surface_gamma
+from jthresh.toric import validate_fan
+
+pytest.importorskip("pytest_benchmark")
+
+
+def test_pair(benchmark):
+    lattice, cone, minus_k = del_pezzo(8)
+    omega = DivClass([7] + [-2] * 8)
+    assert benchmark(lattice.pair, minus_k, omega) == 5
+
+
+@pytest.mark.parametrize("rank", [8, 50])
+def test_signature(benchmark, rank):
+    matrix = random_symmetric(Random(8700 + rank), rank, "dense")
+    lattice = IntersectionLattice(matrix)
+    assert benchmark(lattice.signature) == fraction_signature(matrix)
+
+
+def test_validate_fan(benchmark):
+    n = 6  # (P^1)^6: rays 2i and 2i+1 are +e_i and -e_i
+    rays = [[s * int(j == i) for j in range(n)] for i in range(n) for s in (1, -1)]
+    fan = Fan(n, rays, [[2 * i + s for i, s in enumerate(signs)]
+                        for signs in product((0, 1), repeat=n)])
+    bases, weights = benchmark(validate_fan, fan)
+    assert len(bases) == len(weights) == 64
+
+
+def test_surface_gamma(benchmark):
+    lattice, cone, minus_k = del_pezzo(8)
+    res = benchmark(surface_gamma, lattice, cone, minus_k, DivClass([7] + [-2] * 8))
+    assert res.status is Status.SOLVABLE and res.value == res.audit.C - res.audit.sigma

@@ -9,7 +9,8 @@ from random import Random
 
 import pytest
 
-from conftest import random_class, random_instance, random_kahler
+from conftest import (fraction_signature, random_class, random_instance, random_kahler,
+                      random_symmetric)
 from jthresh import DivClass, IntersectionLattice, QuadNum, diagonal_lattice
 from jthresh.lattice import validate_signature
 from jthresh.errors import BadParams, BadSignature, DimensionMismatch
@@ -127,6 +128,38 @@ class TestSignature:
             singular += zero > 0
         assert singular >= 30
 
+    @pytest.mark.parametrize("kind", ["dense", "singular", "zero-diagonal", "block-diagonal"])
+    def test_matches_fraction_oracle(self, kind):
+        # integer Bareiss against Fraction congruence diagonalization, ranks 1-12
+        rng = Random(8107)
+        zero = 0
+        for n in range(1, 13):
+            for _ in range(8):
+                matrix = random_symmetric(rng, n, kind)
+                expected = fraction_signature(matrix)
+                assert IntersectionLattice(matrix).signature() == expected, matrix
+                zero += expected[2] > 0
+        assert zero >= (96 if kind == "singular" else 0)
+
+    def test_zero_diagonal_pivots_after_a_nonzero_one(self):
+        # diag(-2) then a hyperbolic plane: the zero pivot comes after a negative d
+        matrix = [[-2, 1, 0], [1, 0, 3], [0, 3, 0]]
+        assert IntersectionLattice(matrix).signature() == fraction_signature(matrix) == (1, 2, 0)
+
+    def test_split_pivot_keeps_the_divisor(self):
+        # after the first step d = 2, and the pivot 3 splits off with d kept; the next
+        # update divides 6*6 - 2*2 by that d = 2, exactly
+        matrix = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 1], [0, 0, 1, 3]]
+        assert IntersectionLattice(matrix).signature() == fraction_signature(matrix) == (4, 0, 0)
+        # every pivot of a diagonal matrix splits off: rank 500 needs no products
+        assert diagonal_lattice([1] + [-1] * 499).signature() == (1, 499, 0)
+
+    def test_rank_50(self):
+        # without the exact division by the previous pivot, entries would double in
+        # bit length at every step
+        matrix = random_symmetric(Random(8108), 50, "dense")
+        assert IntersectionLattice(matrix).signature() == fraction_signature(matrix)
+
     def test_hirzebruch_style_gram(self):
         # section/fiber basis [[-a, 1], [1, 0]] is hyperbolic for every a
         for a in range(0, 5):
@@ -172,6 +205,12 @@ class TestDivClass:
         assert x.scale(Fraction(1, 2)).coords == (Fraction(1, 2), Fraction(1))
         assert (-x).coords == (Fraction(-1), Fraction(-2))
         assert DivClass([0, 0]).is_zero
+
+    def test_integer_form(self):
+        x = DivClass([Fraction(1, 6), -2, Fraction(3, 4), 0])
+        assert x.integers == (12, (2, -24, 9, 0))
+        assert x.integers is x.integers  # computed once
+        assert DivClass([0, 0]).integers == (1, (0, 0))
 
     def test_mismatched_addition(self):
         with pytest.raises(DimensionMismatch):

@@ -10,9 +10,9 @@ from random import Random
 
 import pytest
 
-from conftest import (ample_difference_solvable, fraction_cone_constants, positive_set,
-                      quad_coords, quad_pair, random_class, random_instance, random_kahler,
-                      rnd_fraction, segment)
+from conftest import (ample_difference_solvable, constants_outcome, del_pezzo,
+                      fraction_cone_constants, positive_set, quad_coords, quad_pair,
+                      random_class, random_instance, random_kahler, rnd_fraction, segment)
 from jthresh import cli, cones, exactnum, surface
 from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
                      NefConeModel, QuadNum, Status, build,
@@ -201,6 +201,49 @@ class TestPerfectModels:
             assert res.status is Status.SOLVABLE
             count += 1
         assert count >= 20
+
+
+class TestDelPezzo:
+    """P^2 blown up at k = 2..8 general points; the (-1)-curves are the facets."""
+
+    def test_curve_counts(self):
+        assert [len(del_pezzo(k)[1].facets) for k in range(2, 9)] == [3, 6, 10, 16, 27, 56, 240]
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_every_facet_is_a_minus_one_curve(self, k):
+        lattice, cone, minus_k = del_pezzo(k)
+        assert all(lattice.self_int(f) == -1 and lattice.pair(minus_k, f) == 1
+                   for f in cone.facets)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_anticanonical_gamma_is_one(self, k):
+        # theta = omega: C = 2 and every facet bounds delta at 1
+        lattice, cone, minus_k = del_pezzo(k)
+        res = surface_gamma(lattice, cone, minus_k, minus_k)
+        assert (res.value, res.audit.C, res.audit.sigma) == (1, 2, 1)
+        assert res.status is Status.SOLVABLE
+
+    def test_minus_k_against_7l_minus_2e(self):
+        # omega = 7L - 2(E1 + ... + E8) has omega^2 = 17 and omega.(-K) = 5, so C = 10/17;
+        # -K.C / omega.C = 1 / (7d - 2 sum m) is largest, 1/2, at the E_i
+        lattice, cone, minus_k = del_pezzo(8)
+        omega = DivClass([7] + [-2] * 8)
+        res = surface_gamma(lattice, cone, minus_k, omega)
+        assert (res.audit.C, res.audit.sigma, res.value) == (Fraction(10, 17), Fraction(1, 2),
+                                                             Fraction(3, 34))
+        assert res.audit.binding_facet_sigma == "(0; -1,0,0,0,0,0,0,0)"
+        assert constants_outcome(lambda: res.audit) == constants_outcome(
+            lambda: fraction_cone_constants(lattice, cone, minus_k, omega))
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_pair_matches_quad_pair(self, k):
+        rng = Random(8310 + k)
+        lattice, cone, minus_k = del_pezzo(k)
+        others = [minus_k] + [DivClass([rnd_fraction(rng) for _ in range(k + 1)])
+                              for _ in range(2)]
+        for x in (*cone.facets, *others):
+            y = rng.choice(others)
+            assert lattice.pair(x, y) == quad_pair(lattice, x.coords, y.coords)
 
 
 class TestPathAnalysis:

@@ -287,7 +287,11 @@ class TestValidateFan:
 
     def test_copy_and_pickle_rebuild_the_fan(self):
         for clone in (copy.copy(F1), copy.deepcopy(F1), pickle.loads(pickle.dumps(F1))):
-            assert type(clone) is Fan and clone == F1
+            assert type(clone) is Fan and clone == F1 and hash(clone) == hash(F1)
+
+    def test_equal_fans_hash_equal(self):
+        assert hash(hirzebruch(1)) == hash(F1)
+        assert len({hirzebruch(1), F1, P2, hirzebruch(2)}) == 3
 
 
 class TestToricClasses:
