@@ -46,21 +46,18 @@ class LightConeFacet:
 
 @dataclass(frozen=True)
 class NefConeModel:
-    facets: tuple[DivClass, ...]
-    light_cone: LightConeFacet | None = None
-    facet_labels: tuple[str, ...] = ()
+    """Linear facets, labelled f0, f1, ... by default, and an optional light cone."""
 
-    def __init__(self, facets: Sequence[DivClass],
-                 light_cone: LightConeFacet | None = None,
-                 facet_labels: Sequence[str] | None = None):
-        facets = tuple(facets)
-        if facet_labels is None:
-            facet_labels = tuple(f"f{i}" for i in range(len(facets)))
-        else:
-            facet_labels = tuple(facet_labels)
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "light_cone", light_cone)
-        object.__setattr__(self, "facet_labels", facet_labels)
+    facets: Sequence[DivClass]
+    light_cone: LightConeFacet | None = None
+    facet_labels: Sequence[str] | None = None
+
+    def __post_init__(self):
+        init = object.__setattr__
+        init(self, "facets", tuple(self.facets))
+        labels = self.facet_labels
+        init(self, "facet_labels", tuple(labels) if labels is not None
+             else tuple(f"f{i}" for i in range(len(self.facets))))
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ integers over one denominator: a lattice scales its Gram matrix when it is
 built and a class its coordinates when first paired, so ``pair`` is one
 integer dot product returned as a Fraction, and ``signature`` eliminates
 fraction-free on the integer Gram matrix.  Lattices are user data: nothing
-here derives them from geometry.  Both types are immutable and safe to share.
+here derives them from geometry.  Both types are frozen dataclasses,
+immutable and safe to share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -76,15 +77,20 @@ class DivClass:
         return "(" + ", ".join(map(format_rat, self.coords)) + ")"
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class IntersectionLattice:
     """Symmetric rational pairing on coordinate vectors of fixed rank.
 
     ``matrix`` holds the entries as Fractions; the same matrix is kept as the
     integer Gram matrix ``_gram`` over one denominator ``_den`` > 0, the
-    entries' least common one.
+    entries' least common one.  Equality and hash read rank, matrix and labels.
     """
 
-    __slots__ = ("rank", "matrix", "labels", "_den", "_gram")
+    rank: int
+    matrix: tuple[tuple[Fraction, ...], ...]
+    labels: tuple[str, ...]
+    _den: int = field(compare=False)
+    _gram: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def __init__(self, matrix: Sequence[Sequence[RatLike]],
                  labels: Sequence[str] | None = None):
@@ -92,23 +98,22 @@ class IntersectionLattice:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise DimensionMismatch("pairing matrix must be square and non-empty")
+        den, ints = scale_to_integers([x for row in rows for x in row])
+        gram = tuple(tuple(ints[i:i + n]) for i in range(0, n * n, n))
         for i in range(n):
             for j in range(i):
-                if rows[i][j] != rows[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise BadSignature(f"matrix not symmetric at ({i},{j})")
         if labels is None:
             labels = tuple(f"b{i}" for i in range(n))
         elif len(labels) != n:
             raise DimensionMismatch("one basis label per row required")
-        den, ints = scale_to_integers([x for row in rows for x in row])
-        object.__setattr__(self, "rank", n)
-        object.__setattr__(self, "matrix", tuple(rows))
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_gram", tuple(tuple(ints[i:i + n]) for i in range(0, n * n, n)))
-
-    def __setattr__(self, name, value):  # immutable after __init__
-        raise AttributeError("IntersectionLattice is immutable")
+        init = object.__setattr__
+        init(self, "rank", n)
+        init(self, "matrix", tuple(rows))
+        init(self, "labels", tuple(labels))
+        init(self, "_den", den)
+        init(self, "_gram", gram)
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor
         return IntersectionLattice, (self.matrix, self.labels)
@@ -177,14 +182,6 @@ class IntersectionLattice:
                     row[k + 1:] = [(p * x - a * y) // d for x, y in zip(row[k + 1:], tail)]
                 d = p
         return pos, neg, n - pos - neg
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntersectionLattice):
-            return NotImplemented
-        return self.matrix == other.matrix and self.labels == other.labels
-
-    def __hash__(self) -> int:
-        return hash((self.matrix, self.labels))
 
     def __repr__(self) -> str:
         return f"IntersectionLattice(rank={self.rank}, labels={list(self.labels)})"

@@ -28,7 +28,7 @@ ampleness checks, T, C and every orbit score from that one table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, takewhile
 from math import gcd, prod
@@ -100,16 +100,22 @@ def _rows(value: object, what: str) -> Sequence[Sequence[object]]:
     return value
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Fan:
     """Rays and maximal cones of a smooth complete fan, certified when built.
 
     Ray indices are 0-based everywhere, including in documents.  The
     constructor refuses non-integer data and runs :func:`validate_fan`, so
-    every ``Fan`` is valid; it is immutable and keeps the maximal cones' dual
-    bases and their weights at the generic point c.
+    every ``Fan`` is valid.  It is a frozen dataclass, equal and hashed on
+    dim, rays and max_cones, and also keeps the maximal cones' dual bases and
+    their weights at the generic point c.
     """
 
-    __slots__ = ("dim", "rays", "max_cones", "_duals", "_weights")
+    dim: int
+    rays: tuple[tuple[int, ...], ...]
+    max_cones: tuple[tuple[int, ...], ...]
+    _duals: tuple[Dual, ...] = field(compare=False)
+    _weights: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def __init__(self, dim: int, rays: Sequence[Sequence[int]],
                  max_cones: Sequence[Sequence[int]]):
@@ -122,9 +128,6 @@ class Fan:
         duals, weights = validate_fan(self)
         init(self, "_duals", duals)
         init(self, "_weights", weights)
-
-    def __setattr__(self, name, value):  # immutable after __init__
-        raise AttributeError("Fan is immutable")
 
     def __reduce__(self):  # copy and pickle rebuild through the validating constructor
         return Fan, (self.dim, self.rays, self.max_cones)
@@ -152,15 +155,6 @@ class Fan:
         coeffs = ((j, -_dot(m, self.rays[j])) for j in range(len(self.rays)) if j not in smax)
         return tuple((j, c) for j, c in coeffs if c != 0)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Fan):
-            return NotImplemented
-        return (self.dim == other.dim and self.rays == other.rays
-                and self.max_cones == other.max_cones)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.rays, self.max_cones))
-
     def __repr__(self) -> str:
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
@@ -174,8 +168,9 @@ def validate_fan(fan: Fan) -> tuple[tuple[Dual, ...], tuple[tuple[int, ...], ...
     results follow cone order; a cone's weights are <m_rho, c> for its dual
     basis (m_rho), with c = (1, N, ..., N^(n-1)) and N = 1 + max |dual entry|.
     No weight is 0, since base-N digits are unique, so c is generic for
-    every maximal cone.  Under the wall condition every generic point lies
-    in the same number of maximal cones, which must be one.
+    every maximal cone.  Under the wall condition, once there is a cone,
+    every generic point lies in the same number of maximal cones, at least
+    one since each wall is covered from both sides; it must be one.
     """
     n = fan.dim
     if n < 1:
@@ -223,13 +218,12 @@ def validate_fan(fan: Fan) -> tuple[tuple[Dual, ...], tuple[tuple[int, ...], ...
             raise BadFace(f"maximal cones at ridge {ridge} are on the same side")
 
     bases = tuple(duals[cone] for cone in cones)
-    base = 1 + max((abs(x) for dual in bases for m in dual for x in m), default=0)
+    if not bases:  # before c, whose n entries cost time and memory linear in dim
+        raise NotComplete("generic point not covered by any maximal cone")
+    base = 1 + max(abs(x) for dual in bases for m in dual for x in m)
     c = [base ** i for i in range(n)]
     weights = tuple(tuple(_dot(m, c) for m in dual) for dual in bases)
-    inside = sum(min(w) > 0 for w in weights)
-    if inside == 0:
-        raise NotComplete("generic point not covered by any maximal cone")
-    if inside > 1:
+    if sum(min(w) > 0 for w in weights) > 1:
         raise BadFace("maximal cones overlap in their interiors")
     return bases, weights
 

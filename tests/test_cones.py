@@ -37,6 +37,23 @@ def light_cone_model(rank: int = 2) -> tuple:
     return lat, NefConeModel(facets=[], light_cone=LightConeFacet(h))
 
 
+class TestModelValue:
+    def test_default_labels_equal_given_ones(self):
+        facets = [DivClass([0, 1]), DivClass([1, -1])]
+        default = NefConeModel(facets=facets)
+        given = NefConeModel(facets, None, ["f0", "f1"])
+        assert default == given and hash(default) == hash(given)
+        assert default.facet_labels == ("f0", "f1")
+        assert type(given.facets) is tuple and type(given.facet_labels) is tuple
+        assert given != F1_CONE
+
+    @pytest.mark.parametrize("name", ["facets", "light_cone", "facet_labels", "extra"])
+    def test_model_attributes_cannot_be_assigned(self, name):
+        with pytest.raises(AttributeError):
+            setattr(F1_CONE, name, ())
+        assert F1_CONE.facet_labels == ("E", "F") and len(F1_CONE.facets) == 2
+
+
 class TestMembership:
     def test_blowup_model_examples(self):
         assert is_nef(F1_LATTICE, F1_CONE, DivClass([1, 0]))

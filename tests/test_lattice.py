@@ -93,6 +93,17 @@ class TestSignature:
         with pytest.raises(BadSignature):
             IntersectionLattice([[1, 2], [3, 1]])
 
+    @pytest.mark.parametrize("matrix, line", [
+        ([[1, 2, 3], [2, 1, 0], [3, 1, 1]], "matrix not symmetric at (2,1)"),
+        ([[1, 0, 5], [0, 1, 0], [4, 7, 1]], "matrix not symmetric at (2,0)"),
+        ([[1, Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 6)]], "matrix not symmetric at (1,0)"),
+    ])
+    def test_first_asymmetric_pair_is_named(self, matrix, line):
+        # compared on the integer Gram matrix, row by row below the diagonal
+        with pytest.raises(BadSignature) as info:
+            IntersectionLattice(matrix)
+        assert str(info.value) == line
+
     def test_signature_invariant_under_congruence(self):
         # instances are built as P^T diag(1, -d...) P, so this is an oracle
         rng = Random(8104)
@@ -173,6 +184,16 @@ class TestImmutability:
         with pytest.raises(AttributeError):
             setattr(lat, name, 5)
         assert lat.rank == 2 and lat == diagonal_lattice([1, -1])
+
+    def test_equal_lattices_hash_equal(self):
+        ints = IntersectionLattice([[2, 1], [1, -3]])
+        fractions = IntersectionLattice([[Fraction(4, 2), Fraction(3, 3)], [1, Fraction(-6, 2)]])
+        assert ints == fractions and hash(ints) == hash(fractions)
+        assert len({ints, fractions, diagonal_lattice([1, -1])}) == 2
+
+    def test_labels_take_part_in_equality(self):
+        assert diagonal_lattice([1, -1], ["H", "E"]) != diagonal_lattice([1, -1])
+        assert diagonal_lattice([1, -1], ["b0", "b1"]) == diagonal_lattice([1, -1])
 
     def test_copy_and_pickle(self):
         lat = IntersectionLattice([[0, 1], [1, 0]], labels=["s", "f"])

@@ -101,6 +101,9 @@ BAD_FANS = {
     "winding_three_times": (2, THRICE, [(i, (i + 1) % 15) for i in range(15)], BadFace,
                             "maximal cones overlap in their interiors"),
     "empty_fan": (2, [], [], NotComplete, "generic point not covered by any maximal cone"),
+    # refused before the generic point c, whose dim entries would hold the CLI
+    "empty_fan_huge_dim": (10**9, [], [], NotComplete,
+                           "generic point not covered by any maximal cone"),
 }
 
 
@@ -166,6 +169,15 @@ SEEDED_FANS = {**{f"P{n}": lambda n=n: projective_space(n) for n in range(1, 9)}
                **{f"F{a}": lambda a=a: hirzebruch(a) for a in range(4)}}
 
 
+def _sheared_images(name: str, purpose: str) -> list[Fan]:
+    """SEEDED_FANS[name] and its images under three random GL_n(Z) shears."""
+    fan = SEEDED_FANS[name]()
+    n, rng = fan.dim, Random(f"{purpose} {name}")
+    return [fan] + [Fan(n, [tuple(sum(a * x for a, x in zip(row, ray)) for row in shear)
+                            for ray in fan.rays], fan.max_cones)
+                    for shear in [unimodular_shear(rng, n) for _ in range(3)]]
+
+
 def _validation_outcome(dim, rays, cones, validate):
     try:
         return validate(dim, rays, cones)
@@ -201,14 +213,18 @@ class TestValidateFan:
     @pytest.mark.parametrize("name", list(SEEDED_FANS))
     def test_generic_point_lies_inside_exactly_one_cone(self, name):
         # c is off every cone's walls, in the fan and its images under GL_n(Z)
-        fan = SEEDED_FANS[name]()
-        n, rng = fan.dim, Random(f"generic point {name}")
-        images = [Fan(n, [tuple(sum(a * x for a, x in zip(row, ray)) for row in shear)
-                          for ray in fan.rays], fan.max_cones)
-                  for shear in [unimodular_shear(rng, n) for _ in range(3)]]
-        for built in [fan] + images:
+        for built in _sheared_images(name, "generic point"):
             assert all(w != 0 for weights in built._weights for w in weights)
             assert sum(min(weights) > 0 for weights in built._weights) == 1
+
+    @pytest.mark.parametrize("name", list(SEEDED_FANS))
+    def test_validate_counts_every_orbit(self, name):
+        # cli._orbit_count is a set of faces, kept apart from enumerate_orbits for speed
+        for built in _sheared_images(name, "orbit count"):
+            doc = {"fan": {"dim": built.dim, "rays": built.rays, "max_cones": built.max_cones}}
+            code, out = run(["validate", "--format", "json"], json.dumps(doc).encode())
+            assert code == 0
+            assert json.loads(out)["fan"]["orbits"] == len(enumerate_orbits(built))
 
     @pytest.mark.parametrize("name", sorted(TWO_FAULT_FANS) + sorted(BAD_FANS))
     def test_first_diagnostic_line(self, name):
