@@ -113,7 +113,7 @@ def _text_lines(value: Any, prefix: str) -> list[str]:
         items = enumerate(value)
     else:
         if isinstance(value, list):
-            value = json.dumps(value)
+            value = "[" + ", ".join(map(_json_text, value)) + "]"
         elif value is None or value is True or value is False:
             value = _JSON_SCALARS[value]
         return [f"{prefix}: {value}"]
@@ -390,12 +390,11 @@ def _cmd_catalog(args: argparse.Namespace, digits: int) -> dict[str, Any]:
     if entry.fan is not None:
         payload["fan"] = {"rays": len(entry.fan.rays), "max_cones": len(entry.fan.max_cones)}
     if t is not None:
-        res = surface_gamma(entry.lattice, entry.cone, classes["K"], classes["L_t"])
+        gamma = _cmd_gamma(entry.lattice, entry.cone, classes["K"], classes["L_t"], digits)
         closed = catalog_mod.ross_gamma_closed_form(args.g, args.sC, t)
-        payload["t"] = format_rat(t)
-        payload.update(_value(res.value, digits), status=res.status.value,
-                       audit=_audit_json(res.audit))
-        payload["exact"]["closed_form"] = format_rat(closed)
+        gamma["exact"]["closed_form"] = format_rat(closed)
+        payload["t"] = format_rat(t)  # before the merge: text lists keys in this order
+        payload.update(gamma, caveats=payload["caveats"])
     return payload
 
 
@@ -412,7 +411,7 @@ DOC_COMMANDS: dict[str, _DocCommand] = {
     "stable-cone": _DocCommand(_cmd_stable_cone, _SURFACE, ("theta", "a")),
     "toric-gamma": _DocCommand(_cmd_toric_gamma, _FAN, ("theta", "omega")),
     "csck": _DocCommand(_cmd_csck, _SURFACE, ("minus_c1", "omega"), {
-        "alpha": _Option("integrability exponent (exact rational)", lambda raw: rat(str(raw)))}),
+        "alpha": _Option("integrability exponent (exact rational)", rat)}),
     "validate": _DocCommand(_cmd_validate, None),
 }
 

@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import BadConeModel, BadSignature, OmegaNotKahler, ZeroVolume
-from .exactnum import QuadNum, _sign, scale_to_integers, squarefree_decompose
+from .exactnum import QuadNum, scale_to_integers, squarefree_decompose
 from .lattice import DivClass, IntersectionLattice
 
 LIGHT_CONE = "light-cone"
@@ -195,10 +195,9 @@ def _constants(table: PairingTable) -> ConeConstants:
     The table's integers are over one denominator L > 0, which cancels from
     every result: facet f bounds delta at theta_f/omega_f, the light-cone roots
     are (tw -+ r sqrt(d))/ww with tw^2 - tt*ww = r^2 d, d square-free, and
-    C = 2tw/ww.  Bounds compare by cross-multiplication and a root against a
-    bound by the sign of one a + b sqrt(d); each root enters with one strict
-    comparison, so on a tie the facet keeps it.  Only the reported C, T and
-    sigma become Fractions.
+    C = 2tw/ww.  Facet bounds compare by cross-multiplication; the binding
+    bounds and the roots then compare as QuadNums, each root with one strict
+    comparison, so on a tie the facet keeps it.
     """
     cone = table.cone
     _, theta_sides, omega_sides, tw, tt, ww = table.integers
@@ -213,20 +212,18 @@ def _constants(table: PairingTable) -> ConeConstants:
             lower, t_facet = (t, w), name
         if upper is None or t * upper[1] > upper[0] * w:
             upper, s_facet = (t, w), name
-    T = sigma = None
+    T = None if lower is None else QuadNum(Fraction(*lower))
+    sigma = None if upper is None else QuadNum(Fraction(*upper))
     if cone.light_cone is not None:
         r, d = squarefree_decompose(disc)
-        # (tw -+ r sqrt(d))/ww against t/w: the sign of (tw*w - t*ww) -+ r*w sqrt(d)
-        if lower is None or _sign(tw * lower[1] - lower[0] * ww, -r * lower[1], d) < 0:
-            T, t_facet = _root(tw, ww, -r, d), LIGHT_CONE
-        if upper is None or _sign(tw * upper[1] - upper[0] * ww, r * upper[1], d) > 0:
-            sigma, s_facet = _root(tw, ww, r, d), LIGHT_CONE
+        root = _root(tw, ww, -r, d)
+        if T is None or root < T:
+            T, t_facet = root, LIGHT_CONE
+        root = _root(tw, ww, r, d)
+        if sigma is None or root > sigma:
+            sigma, s_facet = root, LIGHT_CONE
     if T is None:
-        if lower is None:
-            raise BadConeModel("no facets and no light-cone facet")
-        T = QuadNum(Fraction(*lower))
-    if sigma is None:
-        sigma = QuadNum(Fraction(*upper))
+        raise BadConeModel("no facets and no light-cone facet")
     return ConeConstants(C=Fraction(2 * tw, ww), sigma=sigma, T=T,
                          theta_kahler=all(v > 0 for v in theta_sides),
                          binding_facet_sigma=s_facet, binding_facet_T=t_facet)

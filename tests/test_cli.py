@@ -7,7 +7,10 @@ import hashlib
 import json
 import re
 import time
+from fractions import Fraction
+from math import isqrt
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -76,6 +79,38 @@ class TestCatalogCommand:
         assert doc.fan is not None and set(doc.toric_classes) == {"H", "E", "F"}
         code, out = run(["catalog", "hirzebruch", "--a", "2", "--export", "--format", "csv"])
         assert code == 2 and out.decode().startswith("BadParams")
+
+    def test_ross_t_agrees_with_gamma_on_its_export(self):
+        # catalog --t reports what gamma reports on the entry's exported document
+        rng = Random(2323)
+        for _ in range(12):
+            g = rng.randint(2, 20)
+            s_c = isqrt(g) + 1 + Fraction(rng.randint(0, 5), rng.randint(1, 3))
+            t = s_c + Fraction(rng.randint(1, 40), rng.randint(1, 9))
+            argv = ["catalog", "ross", "--g", str(g), "--sC", str(s_c), "--t", str(t)]
+            code, doc = run(argv + ["--export"])
+            assert code == 0, doc
+            catalog = run_json(argv)
+            gamma = run_json(["gamma", "--theta", "K", "--omega", "L_t"], doc)
+            assert catalog["exact"]["value"] == gamma["exact"]["value"], argv
+            for key in ("decimal", "status", "audit"):
+                assert catalog[key] == gamma[key], (argv, key)
+
+    def test_ross_t_text_output(self):
+        code, out = run(["catalog", "ross", "--g", "4", "--sC", "2", "--t", "3"])
+        assert code == 0
+        assert out.decode().split("\n") == [
+            "command: catalog", "name: ross", "params.g: 4", "params.s_C: 2",
+            "lattice.rank: 2", 'lattice.labels: ["f", "dp"]',
+            'cone.facets: ["w_low", "w_up"]', "cone.light_cone: false",
+            'classes: ["K", "dp", "f"]',
+            'caveats: ["facet w_up (x - g*y >= 0, from the diagonal class) is an inner '
+            "model of the true nef cone; it never binds sigma on t > s_C but does bound "
+            'T on the opposite side"]',
+            "t: 3", "exact.value: 6/5", "exact.closed_form: 6/5",
+            "decimal.value: 1.20000000000", "decimal.digits: 12", "status: Solvable",
+            "audit.C: 36/5", "audit.sigma: 6", "audit.T: 6/7", "audit.theta_kahler: true",
+            "audit.binding_facet_sigma: w_low", "audit.binding_facet_T: w_up", ""]
 
     def test_summary_without_t(self):
         payload = run_json(["catalog", "perfect_lightcone", "--rank", "3"])
@@ -503,6 +538,10 @@ MALFORMED = {
         "theta": "theta", "a": "H", "samples": 0}), "BadParams"),
     "query_samples_bool": (["path"], _with(F1_DOC, query={
         "theta": "theta", "a": "H", "samples": False}), "BadParams"),
+    # alpha is an exact rational: a JSON float was once read through str() and rounded
+    **{f"query_alpha_{kind}": (["csck", "--minus-c1", "mc1", "--omega", "omega"], _with(
+        F1_DOC, query={"alpha": value}), "BadParams")
+       for kind, value in (("float", 0.1), ("bool", True), ("list", ["1"]))},
     # argv errors: one diagnostic line from run, like any other invalid input
     "unknown_command": (["gamma-ray"], F1_DOC, "BadParams"),
     "unknown_flag": (["gamma", "--theta", "theta", "--bogus"], F1_DOC, "BadParams"),
@@ -559,6 +598,22 @@ class TestMalformedInput:
         for name, line in expected.items():
             argv, stdin, _ = MALFORMED[name]
             assert run(argv, stdin) == (2, f"{line}\n".encode()), name
+
+    def test_query_alpha_diagnostics(self):
+        for name, shown in (("query_alpha_float", "0.1"), ("query_alpha_bool", "True"),
+                            ("query_alpha_list", "['1']")):
+            argv, stdin, _ = MALFORMED[name]
+            line = ("BadParams: expected an exact rational (int, Fraction or 'p/q' string), "
+                    f"got {shown}\n")
+            assert run(argv, stdin) == (2, line.encode()), name
+        # 1e-1 and 0.10000000000000000001 both parse as the float 0.1 and are refused
+        for raw in (b"1e-1", b"0.10000000000000000001"):
+            doc = _with(F1_DOC, query={"alpha": "@"}).replace(b'"@"', raw)
+            assert run(["csck", "--minus-c1", "mc1", "--omega", "omega"], doc)[0] == 2, raw
+        for value, shown in ((2, "2"), ("2/3", "2/3")):
+            payload = run_json(["csck", "--minus-c1", "mc1", "--omega", "omega"],
+                               _with(F1_DOC, query={"alpha": value}))
+            assert payload["alpha"] == shown
 
     def test_catalog_t_diagnostics(self):
         # build() accepts the family first, then --t is refused in build()'s words
@@ -698,6 +753,24 @@ def test_large_prime_denominator_is_quick():
         "audit.T.coef: -20000035/70000133", "audit.T.rad: 2", "audit.theta_kahler: true",
         "audit.binding_facet_sigma: light-cone", "audit.binding_facet_T: light-cone",
         "caveats: []"])
+
+
+def test_radicand_past_the_trial_division_cap_is_refused_quickly():
+    # theta^2 = p^3 and a^2 = 1, so path and stable-cone take the square root of
+    # p^3; deciding that p^3 is not square-free took trial division up to p
+    p = 10000019
+    doc = json.dumps({"lattice": {"matrix": [["1", "0"], ["0", "-1"]]},
+                      "cone": {"facets": [["0", "1"]], "facet_labels": ["E"],
+                               "light_cone": {"H": ["2", "-1"]}},
+                      "classes": {"theta": [str((p**3 + 1) // 2), str(-(p**3 - 1) // 2)],
+                                  "a": ["1", "0"]}}).encode()
+    for command in ("path", "stable-cone"):
+        start = time.perf_counter()
+        code, out = run([command, "--theta", "theta", "--a", "a"], doc)
+        assert time.perf_counter() - start < 0.5, command
+        assert (code, out.decode()) == (2, (
+            "BadParams: radicand past the trial-division cap 1000000: its part with no "
+            "prime factor up to the cap is at least the cap cubed and not a square\n"))
 
 
 # rank 3 with a light cone and two facets: a is on f0 with a^2 = 3, null on the light cone

@@ -205,6 +205,20 @@ class TestSquarefree:
         assert squarefree_decompose(3 * 10000019**2) == (10000019, 3)
         assert time.perf_counter() - start < 0.5
 
+    def test_trial_division_stops_at_its_cap(self):
+        # below the cap a cube is decided; past it an undecided part is refused
+        assert squarefree_decompose(999983**3) == (999983, 999983)
+        assert squarefree_decompose(4 * 999983**3) == (2 * 999983, 999983)
+        for n in (10000019**3, 1000003 * 1000033 * 1000037, 2**40 * 10000019**3):
+            start = time.perf_counter()
+            with pytest.raises(BadParams) as info:
+                squarefree_decompose(n)
+            assert time.perf_counter() - start < 0.5
+            assert "trial-division cap 1000000" in str(info.value)
+        # a part that becomes a square, or falls below p^3, is still decided past the cap
+        assert squarefree_decompose(10000019**2) == (10000019, 1)
+        assert squarefree_decompose(1000003 * 10000019) == (1, 1000003 * 10000019)
+
     def test_square_cofactors_end_the_search(self):
         # small primes times the square of large ones, as a common denominator
         # squared puts it into a radicand: once the part left is a square the
@@ -331,6 +345,13 @@ class TestRat:
         with pytest.raises(BadParams) as info:
             rat(text)
         assert str(info.value) == f"bad rational {text!r}: {message}"
+
+    @pytest.mark.parametrize("value", [True, False, 0.5, 1e-1, None, [1], {"p": 1}])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(BadParams) as info:
+            rat(value)
+        assert str(info.value) == (
+            f"expected an exact rational (int, Fraction or 'p/q' string), got {value!r}")
 
     def test_plain_forms(self):
         assert [rat(s) for s in ("16/3", " 7 ", "1.25", "-2")] == [
