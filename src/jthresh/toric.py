@@ -22,7 +22,9 @@ for any c with no <m_rho, c> = 0; c = (1, N, ..., N^(n-1)) with
 N = 1 + max |dual entry| is one, since base-N digits are unique.  These
 weights <m_rho, c> are the ones validation counts cones with.  One pass
 over (maximal cone, face) pairs gives int_V omega^p and int_V theta omega^(p-1)
-on every orbit closure (``_orbit_integrals``), and ``toric_gamma`` reads the
+on every orbit closure (``_orbit_integrals``) as integer sums over one common
+denominator D = lcm over sigma of |prod weights|, each class scaled to
+integers; each table entry is then one Fraction.  ``toric_gamma`` reads the
 ampleness checks, T, C and every orbit score from that one table.
 """
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, takewhile
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -278,16 +280,20 @@ def _wall_walk(rays: Sequence[Sequence[int]], cones: Sequence[tuple[int, ...]],
 Table = dict[tuple[int, ...], tuple[Fraction, Fraction]]
 
 
-def _fixed_points(fan: Fan, classes: Sequence[DivClass]) -> list[tuple]:
-    """(sigma, tangent weights <m_rho, c>, each class's <D|sigma, c>) per maximal cone sigma.
+def _localization(fan: Fan, classes: Sequence[DivClass]) -> tuple[int, list[tuple]]:
+    """D and, per maximal cone sigma, (sigma, weights w, K_sigma, each class's <N|sigma, c>).
 
-    The weights are the ones ``validate_fan`` stored on the fan.
+    w are the weights ``validate_fan`` stored, D = lcm over sigma of |prod w|
+    and K_sigma = D // prod w; a class is N/q with N integral (``DivClass.integers``).
     """
     for cls in classes:
         if len(cls) != len(fan.rays):
             raise WrongArity("one coefficient per ray required")
-    return [(cone, w, [sum(cls.coords[j] * x for j, x in zip(cone, w)) for cls in classes])
-            for cone, w in zip(fan.max_cones, fan._weights)]
+    ints = [cls.integers[1] for cls in classes]
+    products = [prod(w) for w in fan._weights]
+    den = lcm(*products)
+    return den, [(cone, w, den // p, [sum(x[j] * y for j, y in zip(cone, w)) for x in ints])
+                 for cone, w, p in zip(fan.max_cones, fan._weights, products)]
 
 
 def _orbit_integrals(fan: Fan, theta: DivClass, omega: DivClass,
@@ -296,23 +302,30 @@ def _orbit_integrals(fan: Fan, theta: DivClass, omega: DivClass,
 
     tau runs over the cones with len(tau) in ``sizes`` (default: all, the
     empty cone included); the second entry is 0 when p = 0.  Each maximal
-    cone contributes to each of its faces: one pass, nothing memoized.
+    cone sigma adds to each of its faces tau, in integers over the common
+    denominator D of ``_localization``: K_sigma V^p prod_{rho in tau} w_rho
+    and K_sigma T V^(p-1) prod_{rho in tau} w_rho, for theta = Theta/q_theta,
+    omega = Omega/q_omega, T and V their integer values at sigma.  Each entry
+    is then one Fraction: the sums over D q_omega^p and D q_theta q_omega^(p-1).
     """
     n = fan.dim
-    table: Table = {}
-    for cone, weights, (t, w) in _fixed_points(fan, [theta, omega]):
-        powers = [Fraction(1)]  # w^p for p = 0..n
+    den, points = _localization(fan, [theta, omega])
+    sums: dict[tuple[int, ...], list[int]] = {}
+    for cone, weights, k, (t, v) in points:
+        powers = [k]  # k v^p for p = 0..n
         for _ in range(n):
-            powers.append(powers[-1] * w)
+            powers.append(powers[-1] * v)
         for size in range(n + 1) if sizes is None else sizes:
             p = n - size
-            mixed_power = t * powers[p - 1] if p else Fraction(0)
-            for inside in combinations(range(n), size):  # tau's rays, as positions in sigma
-                tau = tuple(cone[i] for i in inside)
-                normal = prod(x for i, x in enumerate(weights) if i not in inside)
-                vol, mixed = table.get(tau, (0, 0))
-                table[tau] = (vol + powers[p] / normal, mixed + mixed_power / normal)
-    return table
+            vol, mixed = powers[p], t * powers[p - 1] if p else 0
+            for tau, face in zip(combinations(cone, size), combinations(weights, size)):
+                f, row = prod(face), sums.get(tau) or sums.setdefault(tau, [0, 0])
+                row[0] += vol * f
+                row[1] += mixed * f
+    q_t, q_w = theta.integers[0], omega.integers[0]
+    return {tau: (Fraction(vol, den * q_w ** (p := n - len(tau))),
+                  Fraction(mixed * q_w, den * q_t * q_w ** p))
+            for tau, (vol, mixed) in sums.items()}
 
 
 def _curve_degrees(fan: Fan, theta: DivClass,
@@ -325,8 +338,9 @@ def intersection_number(fan: Fan, classes: Sequence[DivClass]) -> Fraction:
     """Exact top intersection product of dim-many invariant divisor classes."""
     if len(classes) != fan.dim:
         raise WrongArity(f"expected {fan.dim} classes, got {len(classes)}")
-    return sum((prod(chars) / prod(weights) for _, weights, chars in _fixed_points(fan, classes)),
-               Fraction(0))
+    den, points = _localization(fan, classes)
+    return Fraction(sum(k * prod(values) for _, _, k, values in points),
+                    den * prod(cls.integers[0] for cls in classes))
 
 
 def _cones_of_size(fan: Fan, size: int) -> list[tuple[int, ...]]:

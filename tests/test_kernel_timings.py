@@ -1,7 +1,8 @@
 """One timing per kernel, with pytest-benchmark's ``benchmark`` fixture.
 
 The kernels: ``IntersectionLattice.pair`` on rank 9, ``signature`` at ranks
-8 and 50, ``validate_fan`` on (P^1)^6 and ``surface_gamma`` on the del Pezzo
+8 and 50, ``validate_fan`` and ``toric_gamma`` (the localization table and
+its 3^6 - 1 orbit scores) on (P^1)^6, and ``surface_gamma`` on the del Pezzo
 surface of degree 1 (k = 8, 240 facets).  The test suite runs each kernel
 once and checks its result (``tests/conftest.py`` passes
 ``--benchmark-disable``); print the timings with
@@ -13,13 +14,14 @@ The module is skipped when pytest-benchmark is not installed.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from random import Random
 
 import pytest
 
 from conftest import del_pezzo, fraction_signature, random_symmetric
-from jthresh import DivClass, Fan, IntersectionLattice, Status, surface_gamma
+from jthresh import DivClass, Fan, IntersectionLattice, Status, surface_gamma, toric_gamma
 from jthresh.toric import validate_fan
 
 pytest.importorskip("pytest_benchmark")
@@ -38,13 +40,28 @@ def test_signature(benchmark, rank):
     assert benchmark(lattice.signature) == fraction_signature(matrix)
 
 
-def test_validate_fan(benchmark):
-    n = 6  # (P^1)^6: rays 2i and 2i+1 are +e_i and -e_i
+def p1_power(n: int) -> Fan:
+    """(P^1)^n: rays 2i and 2i+1 are +e_i and -e_i."""
     rays = [[s * int(j == i) for j in range(n)] for i in range(n) for s in (1, -1)]
-    fan = Fan(n, rays, [[2 * i + s for i, s in enumerate(signs)]
-                        for signs in product((0, 1), repeat=n)])
-    bases, weights = benchmark(validate_fan, fan)
+    return Fan(n, rays, [[2 * i + s for i, s in enumerate(signs)]
+                         for signs in product((0, 1), repeat=n)])
+
+
+def test_validate_fan(benchmark):
+    bases, weights = benchmark(validate_fan, p1_power(6))
     assert len(bases) == len(weights) == 64
+
+
+def test_toric_gamma(benchmark):
+    # degrees a_i of omega and b_i of theta on the i-th P^1 factor, split over its two rays
+    a = [1, 2, 3, Fraction(1, 2), 5, Fraction(7, 3)]
+    b = [2, -1, Fraction(1, 2), 0, Fraction(-5, 7), 3]
+    omega = DivClass([x for ai in a for x in (Fraction(1, 5), ai - Fraction(1, 5))])
+    theta = DivClass([x for bi in b for x in (bi, 0)])
+    ratios = [Fraction(bi) / ai for ai, bi in zip(a, b)]
+    res = benchmark(toric_gamma, p1_power(6), theta, omega)
+    assert res.C == sum(ratios) and len(res.scores) == 3 ** 6 - 1
+    assert res.value == min(ratios)  # an orbit's score is the mean ratio over its fixed factors
 
 
 def test_surface_gamma(benchmark):

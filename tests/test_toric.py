@@ -319,6 +319,24 @@ class TestToricClasses:
             F1_H - shorter
 
 
+class TestArity:
+    """A class one coefficient short or long is refused by every toric query, never truncated."""
+
+    QUERIES = {"toric_gamma": lambda a, b: toric_gamma(P2, a, b),
+               "subvariety_score": lambda a, b: subvariety_score(P2, a, b, (0,)),
+               "intersection_number": lambda a, b: intersection_number(P2, [a, b])}
+
+    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("position", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize("coords", [[1, 1], [1, 1, 1, 1]], ids=["short", "long"])
+    def test_wrong_length_class_is_refused(self, query, position, coords):
+        classes = [DivClass([2, 1, 1])] * 2
+        self.QUERIES[query](*classes)  # the right length is answered
+        classes[position] = DivClass(coords)
+        with pytest.raises(WrongArity):
+            self.QUERIES[query](*classes)
+
+
 class TestIntersectionNumbers:
     def test_projective_plane_line(self):
         h = DivClass([1, 0, 0])
@@ -671,7 +689,7 @@ class TestClosedForms:
     the factors sigma leaves free.
     """
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_projective_space(self, n):
         rng, fan = Random(8600 + n), projective_space(n)
         for _ in range(2):
@@ -684,7 +702,7 @@ class TestClosedForms:
             assert len(res.scores) == 2 ** (n + 1) - 2
             assert all(s.value == beta / alpha for s in res.scores)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_p1_power(self, n):
         rng, fan = Random(8700 + n), p1_power(n)
         for _ in range(2):
@@ -705,22 +723,35 @@ def _small_class(rng: Random, fan: Fan) -> DivClass:
     return DivClass([Fraction(rng.randint(-3, 4), rng.randint(1, 3)) for _ in fan.rays])
 
 
+def _class_over(rng: Random, fan: Fan, dens, low: int = -3, high: int = 4) -> DivClass:
+    """Numerators in [low, high], denominators drawn from dens."""
+    return DivClass([Fraction(rng.randint(low, high), rng.choice(dens)) for _ in fan.rays])
+
+
 class TestFixedPointOracle:
     """The fixed-point engine against the rewrite recursion of conftest.RecursionOracle.
 
     Every orbit's int_V omega^p and int_V theta omega^(p-1), and top
     intersection numbers of random classes, on P^1-P^6, (P^1)^1-(P^1)^5,
-    F_0-F_3, the point blowup of P^3 and seeded blowups of F_a and P^2.
+    F_0-F_3, the point blowup of P^3 and seeded blowups of F_a and P^2; on
+    the P^n, (P^1)^n and blowups also with denominators that differ between
+    theta and omega, a zero theta and an omega with negative coordinates.
     """
 
-    FANS = ([projective_space(n) for n in range(1, 7)] + [p1_power(n) for n in range(1, 6)]
-            + [hirzebruch(a) for a in range(4)] + [P3_BLOWUP])
-    NAMES = ([f"P{n}" for n in range(1, 7)] + [f"P1^{n}" for n in range(1, 6)]
-             + [f"F{a}" for a in range(4)] + ["P3_blowup"])
+    LADDER = [projective_space(n) for n in range(1, 7)] + [p1_power(n) for n in range(1, 6)]
+    LADDER_NAMES = [f"P{n}" for n in range(1, 7)] + [f"P1^{n}" for n in range(1, 6)]
+    FANS = LADDER + [hirzebruch(a) for a in range(4)] + [P3_BLOWUP]
+    NAMES = LADDER_NAMES + [f"F{a}" for a in range(4)] + ["P3_blowup"]
 
     @staticmethod
     def _check(rng: Random, fan: Fan):
         n, theta, omega = fan.dim, _small_class(rng, fan), _small_class(rng, fan)
+        TestFixedPointOracle._compare(fan, theta, omega, [_small_class(rng, fan) for _ in range(n)])
+
+    @staticmethod
+    def _compare(fan: Fan, theta: DivClass, omega: DivClass, classes: list[DivClass]):
+        """Every table entry of (theta, omega), and the top product of classes."""
+        n = fan.dim
         table = toric._orbit_integrals(fan, theta, omega)
         assert set(table) == {()} | set(enumerate_orbits(fan))
         oracle = RecursionOracle(fan, [theta, omega])
@@ -728,9 +759,24 @@ class TestFixedPointOracle:
             p, cone = n - len(tau), frozenset(tau)
             assert vol == oracle.integral(cone, (1,) * p), tau
             assert mixed == (oracle.integral(cone, (0,) + (1,) * (p - 1)) if p else 0), tau
-        classes = [_small_class(rng, fan) for _ in range(n)]
         top = RecursionOracle(fan, classes).integral(frozenset(), tuple(range(n)))
         assert intersection_number(fan, classes) == top
+
+    @staticmethod
+    def _check_scales(rng: Random, fan: Fan):
+        """Classes whose common denominators differ, a zero theta and a negative omega.
+
+        5, 7, 9 and 11 are pairwise coprime: theta's denominators are 1 and
+        two of them, omega's 1 and the other two, so a wrong power of either
+        class's denominator in the common denominator changes the value.
+        """
+        dens = [5, 7, 9, 11]
+        rng.shuffle(dens)
+        theta, omega = (_class_over(rng, fan, (1, *half)) for half in (dens[:2], dens[2:]))
+        negative = _class_over(rng, fan, (1, *dens[2:]), -5, -1)
+        zero = DivClass([0] * len(fan.rays))
+        for pair in ((theta, omega), (zero, omega), (theta, negative)):
+            TestFixedPointOracle._compare(fan, *pair, [pair[i % 2] for i in range(fan.dim)])
 
     @pytest.mark.parametrize("fan", FANS, ids=NAMES)
     def test_named_fans(self, fan):
@@ -742,6 +788,15 @@ class TestFixedPointOracle:
         rng = Random(8901)
         for _ in range(120):
             self._check(rng, blowup_fan(rng)[0])
+
+    @pytest.mark.parametrize("fan", LADDER, ids=LADDER_NAMES)
+    def test_named_fans_with_coprime_scales(self, fan):
+        self._check_scales(Random(8910 + len(fan.rays) * 10 + fan.dim), fan)
+
+    def test_random_blowups_with_coprime_scales(self):
+        rng = Random(8911)
+        for _ in range(40):
+            self._check_scales(rng, blowup_fan(rng)[0])
 
 
 class TestSurfaceModels:
