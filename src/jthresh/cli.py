@@ -319,6 +319,7 @@ def _cmd_toric_gamma(fan, theta, omega, digits) -> dict[str, Any]:
         "status": res.status.value,
         "minimizer": list(res.minimizer),
         "audit": {"C": format_rat(res.C), "T": None if res.T is None else format_rat(res.T),
+                  "binding_curve": None if res.binding_curve is None else list(res.binding_curve),
                   "orbits": len(res.scores)},
         "scores": [{"cone": list(s.cone), "p": s.p, "numerator": format_rat(s.numerator),
                     "denominator": format_rat(s.denominator), "value": format_rat(s.value)}

@@ -18,7 +18,7 @@ from .cones import LightConeFacet, NefConeModel, validate_cone
 from .errors import BadDocument, BadParams, DimensionMismatch
 from .exactnum import QuadNum, format_rat, rat
 from .lattice import DivClass, IntersectionLattice, validate_signature
-from .toric import Fan
+from .toric import MAX_FIXED_POINT_TERMS, Fan
 
 
 def parse_rat(value: Any) -> Fraction:
@@ -157,8 +157,13 @@ def _parse_fan(data: Any) -> Fan:
     for key in ("dim", "rays", "max_cones"):
         if key not in data:
             raise BadDocument(f"fan missing field {key!r}")
-    return Fan(dim=_json_int(data["dim"], "fan dim"), rays=_int_rows(data["rays"], "fan rays"),
-               max_cones=_int_rows(data["max_cones"], "fan max_cones"))
+    dim = _json_int(data["dim"], "fan dim")
+    rays = _int_rows(data["rays"], "fan rays")
+    cones = _int_rows(data["max_cones"], "fan max_cones")
+    if dim > 0 and len(cones) > MAX_FIXED_POINT_TERMS >> dim:  # never forms 2^dim
+        raise BadDocument(f"fan has len(max_cones) * 2^dim = {len(cones)} * 2^{dim} fixed-point "
+                          f"terms, over MAX_FIXED_POINT_TERMS = {MAX_FIXED_POINT_TERMS}")
+    return Fan(dim=dim, rays=rays, max_cones=cones)
 
 
 def parse_document(data: Any) -> InputDocument:

@@ -24,8 +24,11 @@ weights <m_rho, c> are the ones validation counts cones with.  One pass
 over (maximal cone, face) pairs gives int_V omega^p and int_V theta omega^(p-1)
 on every orbit closure (``_orbit_integrals``) as integer sums over one common
 denominator D = lcm over sigma of |prod weights|, each class scaled to
-integers; each table entry is then one Fraction.  ``toric_gamma`` reads the
-ampleness checks, T, C and every orbit score from that one table.
+integers.  ``toric_gamma`` reads the ampleness checks, T and the curve
+attaining it, C and every orbit score from that one integer table; D cancels
+from each ratio, so each reported rational is one Fraction of two integers.
+A document fan with more than ``MAX_FIXED_POINT_TERMS`` (maximal cone, face)
+pairs is refused before validation.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations, takewhile
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (BadFace, FanInvalid, NonPrimitiveRay, NotComplete,
                      NotSmooth, OmegaNotAmpleOnOrbit, OmegaNotKahler, WrongArity)
@@ -71,6 +74,13 @@ def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[int], int, list[list
 
 
 Dual = tuple[tuple[int, ...], ...]
+
+# A query's localization pass has len(max_cones) * 2^dim fixed-point terms, one
+# per (maximal cone, face), and its time follows that count.  Documents over
+# the cap are refused before validation.  Sized with ``cli.run`` on toric-gamma
+# (Xeon, 2 vCPU, Python 3.11): P^14 (245760 terms) takes 1.3-1.5 s, (P^1)^9
+# (262144 terms) 0.7-1.1 s; P^15 and (P^1)^10 have twice as many terms or more.
+MAX_FIXED_POINT_TERMS = 2 ** 18
 
 
 def _unimodular_dual(rays: Sequence[Sequence[int]]) -> Dual | None:
@@ -277,39 +287,52 @@ def _wall_walk(rays: Sequence[Sequence[int]], cones: Sequence[tuple[int, ...]],
     return duals, sides
 
 
-Table = dict[tuple[int, ...], tuple[Fraction, Fraction]]
+class Table(NamedTuple):
+    """Integer localization sums of theta = Theta/q_theta and omega = Omega/q_omega.
+
+    ``rows[tau]`` is [V, M] for the cone tau, p = dim V(tau):
+    int_V(tau) omega^p = V / (D q_omega^p) and
+    int_V(tau) theta omega^(p-1) = M / (D q_theta q_omega^(p-1)), with M = 0
+    when p = 0.  D, q_theta and q_omega come from ``_localization``.
+    """
+
+    den: int
+    q_theta: int
+    q_omega: int
+    rows: dict[tuple[int, ...], list[int]]
 
 
-def _localization(fan: Fan, classes: Sequence[DivClass]) -> tuple[int, list[tuple]]:
-    """D and, per maximal cone sigma, (sigma, weights w, K_sigma, each class's <N|sigma, c>).
+def _localization(fan: Fan, classes: Sequence[DivClass]) -> tuple[int, list[int], list[tuple]]:
+    """D, each class's q and, per maximal cone sigma, (sigma, weights w, K_sigma, <N|sigma, c>).
 
     w are the weights ``validate_fan`` stored, D = lcm over sigma of |prod w|
-    and K_sigma = D // prod w; a class is N/q with N integral (``DivClass.integers``).
+    and K_sigma = D // prod w; a class is N/q with N integral and q > 0
+    (``DivClass.integers``), and the last item holds each class's integer value.
     """
     for cls in classes:
         if len(cls) != len(fan.rays):
             raise WrongArity("one coefficient per ray required")
-    ints = [cls.integers[1] for cls in classes]
+    scales, ints = [cls.integers[0] for cls in classes], [cls.integers[1] for cls in classes]
     products = [prod(w) for w in fan._weights]
     den = lcm(*products)
-    return den, [(cone, w, den // p, [sum(x[j] * y for j, y in zip(cone, w)) for x in ints])
-                 for cone, w, p in zip(fan.max_cones, fan._weights, products)]
+    return den, scales, [(cone, w, den // p, [sum(x[j] * y for j, y in zip(cone, w)) for x in ints])
+                         for cone, w, p in zip(fan.max_cones, fan._weights, products)]
 
 
 def _orbit_integrals(fan: Fan, theta: DivClass, omega: DivClass,
                      sizes: Sequence[int] | None = None) -> Table:
-    """(int_V omega^p, int_V theta omega^(p-1)) on V(tau) for every cone tau, p = dim V(tau).
+    """The integer sums V, M of int_V omega^p and int_V theta omega^(p-1) on every V(tau).
 
     tau runs over the cones with len(tau) in ``sizes`` (default: all, the
-    empty cone included); the second entry is 0 when p = 0.  Each maximal
-    cone sigma adds to each of its faces tau, in integers over the common
-    denominator D of ``_localization``: K_sigma V^p prod_{rho in tau} w_rho
-    and K_sigma T V^(p-1) prod_{rho in tau} w_rho, for theta = Theta/q_theta,
-    omega = Omega/q_omega, T and V their integer values at sigma.  Each entry
-    is then one Fraction: the sums over D q_omega^p and D q_theta q_omega^(p-1).
+    empty cone included), p = dim V(tau).  Each maximal cone sigma adds to
+    each of its faces tau, in integers over the common denominator D of
+    ``_localization``: K_sigma V_sigma^p prod_{rho in tau} w_rho to V and
+    K_sigma T_sigma V_sigma^(p-1) prod_{rho in tau} w_rho to M, for
+    T_sigma and V_sigma the integer values of Theta and Omega at sigma.
+    ``Table`` says how the sums scale to the integrals.
     """
     n = fan.dim
-    den, points = _localization(fan, [theta, omega])
+    den, (q_t, q_w), points = _localization(fan, [theta, omega])
     sums: dict[tuple[int, ...], list[int]] = {}
     for cone, weights, k, (t, v) in points:
         powers = [k]  # k v^p for p = 0..n
@@ -322,25 +345,15 @@ def _orbit_integrals(fan: Fan, theta: DivClass, omega: DivClass,
                 f, row = prod(face), sums.get(tau) or sums.setdefault(tau, [0, 0])
                 row[0] += vol * f
                 row[1] += mixed * f
-    q_t, q_w = theta.integers[0], omega.integers[0]
-    return {tau: (Fraction(vol, den * q_w ** (p := n - len(tau))),
-                  Fraction(mixed * q_w, den * q_t * q_w ** p))
-            for tau, (vol, mixed) in sums.items()}
-
-
-def _curve_degrees(fan: Fan, theta: DivClass,
-                   omega: DivClass) -> list[tuple[Fraction, Fraction]]:
-    """(omega, theta) degrees on each invariant curve V(tau), len(tau) = dim - 1."""
-    return list(_orbit_integrals(fan, theta, omega, [fan.dim - 1]).values())
+    return Table(den, q_t, q_w, sums)
 
 
 def intersection_number(fan: Fan, classes: Sequence[DivClass]) -> Fraction:
     """Exact top intersection product of dim-many invariant divisor classes."""
     if len(classes) != fan.dim:
         raise WrongArity(f"expected {fan.dim} classes, got {len(classes)}")
-    den, points = _localization(fan, classes)
-    return Fraction(sum(k * prod(values) for _, _, k, values in points),
-                    den * prod(cls.integers[0] for cls in classes))
+    den, scales, points = _localization(fan, classes)
+    return Fraction(sum(k * prod(values) for _, _, k, values in points), den * prod(scales))
 
 
 def _cones_of_size(fan: Fan, size: int) -> list[tuple[int, ...]]:
@@ -360,19 +373,30 @@ def invariant_curves(fan: Fan) -> list[tuple[int, ...]]:
 
 def is_ample(fan: Fan, d: DivClass) -> bool:
     """Strict positivity against every invariant curve (toric Kleiman)."""
-    return all(w > 0 for w, _ in _curve_degrees(fan, d, d))
+    return all(vol > 0 for vol, _ in _orbit_integrals(fan, d, d, [fan.dim - 1]).rows.values())
 
 
 def toric_seshadri_T(fan: Fan, theta: DivClass, omega: DivClass) -> Fraction:
     """sup{delta : theta - delta*omega nef}, from the invariant-curve bounds."""
-    return _seshadri_bound(_curve_degrees(fan, theta, omega))
+    return _seshadri_bound(fan.dim, _orbit_integrals(fan, theta, omega, [fan.dim - 1]))[0]
 
 
-def _seshadri_bound(curves: list[tuple[Fraction, Fraction]]) -> Fraction:
-    """min theta.C / omega.C over the (omega, theta) curve degrees; omega must be ample."""
-    if not all(w > 0 for w, _ in curves):
+def _seshadri_bound(n: int, table: Table) -> tuple[Fraction, tuple[int, ...]]:
+    """(T, tau): T = min theta.C / omega.C over the invariant curves C = V(tau),
+    len(tau) = n - 1, and the lex-least tau attaining it; omega must be ample.
+
+    theta.C / omega.C = q_omega M / (q_theta V) from tau's row, so with every
+    V > 0 the curves compare as M / V by cross-multiplying, and T is one Fraction.
+    """
+    curves = [(tau, vol, mixed) for tau, (vol, mixed) in table.rows.items() if len(tau) == n - 1]
+    if not all(vol > 0 for _, vol, _ in curves):
         raise OmegaNotKahler("omega is not ample")
-    return min(t / w for w, t in curves)
+    best, vol, mixed = curves[0]
+    for tau, v, m in curves:
+        d = m * vol - mixed * v
+        if d < 0 or d == 0 and tau < best:
+            best, vol, mixed = tau, v, m
+    return Fraction(table.q_omega * mixed, table.q_theta * vol), best
 
 
 @dataclass(frozen=True)
@@ -397,30 +421,54 @@ AUTOMORPHISM_CAVEAT = ("toric manifolds have non-discrete automorphism groups; "
 
 @dataclass(frozen=True)
 class ToricGammaResult:
+    """The minimum orbit score; T and the curve V(binding_curve) attaining it, or both None
+    when theta is ample."""
+
     value: Fraction
     minimizer: tuple[int, ...]
     scores: tuple[SubvarietyScore, ...]
     status: Status
     C: Fraction
     T: Fraction | None
+    binding_curve: tuple[int, ...] | None
     caveat: str = AUTOMORPHISM_CAVEAT
 
 
-def _c_constant_toric(n: int, vol: Fraction, mixed: Fraction) -> Fraction:
-    """C = n int theta omega^(n-1) / int omega^n, from the empty cone's row."""
+def _c_constant_toric(n: int, table: Table) -> Fraction:
+    """C = n int theta omega^(n-1) / int omega^n = n q_omega M / (q_theta V), from the
+    empty cone's row."""
+    vol, mixed = table.rows[()]
     if vol <= 0:
-        raise OmegaNotKahler(f"omega^n = {vol} <= 0")
-    return n * mixed / vol
+        raise OmegaNotKahler(f"omega^n = {Fraction(vol, table.den * table.q_omega ** n)} <= 0")
+    return Fraction(n * table.q_omega * mixed, table.q_theta * vol)
 
 
-def _score(n: int, c: Fraction, tau: tuple[int, ...], vol: Fraction,
-           mixed: Fraction) -> SubvarietyScore:
-    """The score of V(tau) from C and its row (int_V omega^p, int_V theta omega^(p-1))."""
-    p = n - len(tau)
-    numerator = c * vol - p * mixed
-    denominator = len(tau) * vol
-    return SubvarietyScore(cone=tau, p=p, numerator=numerator,
-                           denominator=denominator, value=numerator / denominator)
+def _scores(n: int, table: Table,
+            cones: Sequence[tuple[int, ...]]) -> tuple[SubvarietyScore, ...]:
+    """The score of V(tau) for each tau in cones, from the integer rows; omega^n > 0.
+
+    With (V_0, M_0) the empty cone's row, (V, M) tau's, s = len(tau) and
+    p = n - s, the numerator C int_V omega^p - p int_V theta omega^(p-1) is
+    q_omega (n M_0 V - p M V_0) / (q_theta V_0 D q_omega^p), the denominator
+    s int_V omega^p is s V / (D q_omega^p), and their quotient drops
+    D q_omega^p: each is one Fraction of two integers.
+    """
+    den, q_t, q_w, rows = table
+    vol0, mixed0 = rows[()]
+    c_top, c_bottom = n * mixed0, q_t * vol0  # C = q_omega c_top / c_bottom
+    scales = [den]  # D q_omega^p for p = 0..n
+    for _ in range(n):
+        scales.append(scales[-1] * q_w)
+    scores = []
+    for tau in cones:
+        vol, mixed = rows[tau]
+        s = len(tau)
+        p = n - s
+        top = q_w * (c_top * vol - p * mixed * vol0)
+        scores.append(SubvarietyScore(tau, p, Fraction(top, c_bottom * scales[p]),
+                                      Fraction(s * vol, scales[p]),
+                                      Fraction(top, s * c_bottom * vol)))
+    return tuple(scores)
 
 
 def subvariety_score(fan: Fan, theta: DivClass, omega: DivClass,
@@ -430,11 +478,13 @@ def subvariety_score(fan: Fan, theta: DivClass, omega: DivClass,
     if not 1 <= len(cone) == len(sigma) <= fan.dim or not fan.is_face(cone):
         raise BadFace(f"rays {list(sigma)} do not span a positive-dimension cone")
     table = _orbit_integrals(fan, theta, omega, [0, len(sigma)])
-    vol, mixed = table[sigma]
+    vol = table.rows[sigma][0]
     if vol <= 0:
         p = fan.dim - len(sigma)
-        raise OmegaNotAmpleOnOrbit(f"int_V omega^{p} = {vol} on orbit {sigma}")
-    return _score(fan.dim, _c_constant_toric(fan.dim, *table[()]), sigma, vol, mixed)
+        vol_p = Fraction(vol, table.den * table.q_omega ** p)
+        raise OmegaNotAmpleOnOrbit(f"int_V omega^{p} = {vol_p} on orbit {sigma}")
+    _c_constant_toric(fan.dim, table)  # omega^n > 0, checked after the orbit's volume
+    return _scores(fan.dim, table, [sigma])[0]
 
 
 def toric_gamma(fan: Fan, theta: DivClass, omega: DivClass) -> ToricGammaResult:
@@ -443,15 +493,20 @@ def toric_gamma(fan: Fan, theta: DivClass, omega: DivClass) -> ToricGammaResult:
     The minimizer tie-break follows the orbit enumeration order (dimension
     of the cone, then lex ray indices), so results are deterministic.
     For a non-ample twist the value is compared against the Seshadri-type
-    bound computed from the fan's own invariant curves.  One table serves
-    the whole query: curve degrees, C and every orbit score.  An ample omega
-    is ample on every orbit closure, so no orbit volume needs a check.
+    bound computed from the fan's own invariant curves.  One integer table
+    serves the whole query: curve degrees, C and every orbit score, its
+    keys in (len, lex) order being the orbits of ``enumerate_orbits`` after
+    the empty cone.  An ample omega is ample on every orbit closure, so no
+    orbit volume needs a check.
     """
+    n = fan.dim
     table = _orbit_integrals(fan, theta, omega)
-    bound = _seshadri_bound([row for tau, row in table.items() if len(tau) == fan.dim - 1])
-    c = _c_constant_toric(fan.dim, *table[()])
-    scores = tuple(_score(fan.dim, c, tau, *table[tau]) for tau in enumerate_orbits(fan))
+    bound, curve = _seshadri_bound(n, table)
+    c = _c_constant_toric(n, table)
+    orbits = sorted(table.rows, key=lambda tau: (len(tau), tau))[1:]
+    scores = _scores(n, table, orbits)
     best = min(scores, key=lambda s: s.value)  # first minimum in orbit order
     t_bound = None if bound > 0 else bound  # bound > 0 exactly when theta is ample
     return ToricGammaResult(value=best.value, minimizer=best.cone, scores=scores,
-                            status=Status.of(best.value, t_bound), C=c, T=t_bound)
+                            status=Status.of(best.value, t_bound), C=c, T=t_bound,
+                            binding_curve=None if t_bound is None else curve)

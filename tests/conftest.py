@@ -7,7 +7,9 @@ expressed in a sheared integer basis so the signature routine sees
 non-diagonal matrices.  For surfaces, ``fraction_cone_constants`` is a
 second route to the cone constants in Fraction arithmetic, and
 ``ample_difference_solvable`` a second route to solvability.  For toric
-manifolds, ``RecursionOracle`` is a second route to orbit integrals, and
+manifolds, ``RecursionOracle`` is a second route to orbit integrals,
+``fraction_toric_gamma`` a second route to the orbit scores (Fraction
+arithmetic on the Fractions of ``fraction_table``), and
 ``toric_surface_model`` turns a smooth complete fan of dimension 2 into a
 lattice model of the same surface.  ``light_cone_roots`` and
 ``positive_set`` (the sign set of a path numerator, cut at its roots) go
@@ -45,8 +47,9 @@ from jthresh.errors import (BadConeModel, BadFace, BadSignature, FanInvalid, JTh
                             ZeroVolume)
 from jthresh.exactnum import RatPoly, Scalar, poly_roots_quadratic, rat_sqrt
 from jthresh.lattice import validate_signature
-from jthresh.surface import Interval, c_constant
-from jthresh.toric import _eliminate, _unimodular_dual, invariant_curves
+from jthresh.surface import Interval, Status, c_constant
+from jthresh.toric import (SubvarietyScore, ToricGammaResult, _eliminate, _orbit_integrals,
+                           _unimodular_dual, enumerate_orbits, invariant_curves)
 
 
 def pytest_configure(config):
@@ -443,6 +446,47 @@ class RecursionOracle:
                         value += coeff * c * self.integral(grown, word[1:])
             self.memo[sigma, word] = value
         return self.memo[sigma, word]
+
+
+def fraction_table(fan: Fan, theta: DivClass, omega: DivClass) -> dict:
+    """tau -> (int_V omega^p, int_V theta omega^(p-1)) as Fractions, p = dim V(tau):
+    the integer sums of ``toric._orbit_integrals`` over the scales its ``Table`` names."""
+    den, q_t, q_w, rows = _orbit_integrals(fan, theta, omega)
+    return {tau: (Fraction(vol, den * q_w ** (p := fan.dim - len(tau))),
+                  Fraction(mixed * q_w, den * q_t * q_w ** p))
+            for tau, (vol, mixed) in rows.items()}
+
+
+def fraction_toric_gamma(fan: Fan, theta: DivClass, omega: DivClass) -> ToricGammaResult:
+    """``toric_gamma`` in Fraction arithmetic on ``fraction_table``, with its checks in its
+    order: omega positive on every invariant curve, then omega^n > 0.
+
+    T is the least theta.C / omega.C over ``invariant_curves`` and its curve the
+    first there that attains it; C = n int theta omega^(n-1) / int omega^n, and
+    each orbit of ``enumerate_orbits`` scores numerator / denominator with
+    numerator = C vol - p mixed and denominator = len(tau) vol.  It shares only
+    the integer table with ``toric_gamma``.
+    """
+    n, table, curves = fan.dim, fraction_table(fan, theta, omega), invariant_curves(fan)
+    if not all(table[tau][0] > 0 for tau in curves):
+        raise OmegaNotKahler("omega is not ample")
+    bounds = [table[tau][1] / table[tau][0] for tau in curves]
+    bound = min(bounds)
+    vol, mixed = table[()]
+    if vol <= 0:
+        raise OmegaNotKahler(f"omega^n = {vol} <= 0")
+    c = n * mixed / vol
+    scores = []
+    for tau in enumerate_orbits(fan):
+        vol, mixed = table[tau]
+        p = n - len(tau)
+        numerator, denominator = c * vol - p * mixed, len(tau) * vol
+        scores.append(SubvarietyScore(tau, p, numerator, denominator, numerator / denominator))
+    best = min(scores, key=lambda s: s.value)
+    t_bound = None if bound > 0 else bound
+    return ToricGammaResult(value=best.value, minimizer=best.cone, scores=tuple(scores),
+                            status=Status.of(best.value, t_bound), C=c, T=t_bound,
+                            binding_curve=None if t_bound is None else curves[bounds.index(bound)])
 
 
 def blowup_fan(rng: Random) -> tuple[Fan, DivClass]:

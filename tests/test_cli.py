@@ -8,6 +8,7 @@ import json
 import re
 import time
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 from pathlib import Path
 from random import Random
@@ -16,6 +17,7 @@ import pytest
 
 from jthresh.cli import DOC_COMMANDS, MAX_DECIMAL_DIGITS, _build_parser, run
 from jthresh.documents import parse_document
+from jthresh.toric import MAX_FIXED_POINT_TERMS
 from jthresh.lattice import IntersectionLattice
 
 F1_DOC = json.dumps({
@@ -257,15 +259,60 @@ class TestToricCommand:
             "minus": ["-1", "0"], "point": ["1", "0"]}}).encode()
         payload = run_json(["toric-gamma", "--theta", "minus", "--omega", "point"], doc)
         assert payload["status"] == "Indeterminate"
-        assert payload["audit"] == {"C": "-1", "T": "-1", "orbits": 2}
+        assert payload["audit"] == {"C": "-1", "T": "-1", "binding_curve": [], "orbits": 2}
         payload = run_json(["toric-gamma", "--theta", "point", "--omega", "point"], doc)
         assert (payload["status"], payload["exact"]["value"]) == ("Solvable", "1")
-        assert payload["audit"] == {"C": "1", "T": None, "orbits": 2}
+        assert payload["audit"] == {"C": "1", "T": None, "binding_curve": None, "orbits": 2}
+
+    def test_binding_curve(self):
+        # on F_1 (H = D_3, E = D_1), H - E is the fibre class, trivial on the fibres D_0
+        # and D_2: T = 0 and the lex-first fibre (0,) binds; an ample theta names no curve
+        doc = _with(FAN_DOC, toric_classes={"omega": ["0", "-1", "0", "5"],
+                                            "h": ["0", "-1", "0", "1"],
+                                            "ample": ["0", "-1", "0", "3"]})
+        audit = run_json(["toric-gamma", "--theta", "h", "--omega", "omega"], doc)["audit"]
+        assert (audit["T"], audit["binding_curve"]) == ("0", [0])
+        code, out = run(["toric-gamma", "--theta", "h", "--omega", "omega"], doc)
+        assert code == 0 and "audit.binding_curve: [0]\n" in out.decode()
+        audit = run_json(["toric-gamma", "--theta", "ample", "--omega", "omega"], doc)["audit"]
+        assert audit["T"] is audit["binding_curve"] is None
 
     def test_needs_fan(self):
         code, out = run(["toric-gamma", "--theta", "theta", "--omega", "omega"],
                         F1_DOC)
         assert code == 2 and out.decode().startswith("BadDocument")
+
+
+def _p1_power_fan(n: int) -> dict:
+    """(P^1)^n as a document fan: rays 2i and 2i+1 are +e_i and -e_i."""
+    rays = [[s * int(j == i) for j in range(n)] for i in range(n) for s in (1, -1)]
+    cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=n)]
+    return {"dim": n, "rays": rays, "max_cones": cones}
+
+
+class TestFixedPointTermCap:
+    """A document fan with len(max_cones) * 2^dim > MAX_FIXED_POINT_TERMS is refused before
+    validation, with one BadDocument line that names the cap."""
+
+    def test_fan_at_the_cap_is_accepted(self):
+        fan = _p1_power_fan(9)  # 2^9 cones * 2^9 = 2^18 terms
+        assert len(fan["max_cones"]) << fan["dim"] == MAX_FIXED_POINT_TERMS
+        assert run_json(["validate"], json.dumps({"fan": fan}).encode())["ok"] is True
+
+    @pytest.mark.parametrize("fan", [
+        # each cone of (P^1)^9 twice; validation would report duplicate cones
+        {**_p1_power_fan(9), "max_cones": _p1_power_fan(9)["max_cones"] * 2},
+        # as many cones as P^15; validation would report duplicate rays
+        {"dim": 15, "rays": [[1]] * 16, "max_cones": [list(range(15))] * 16},
+        # 2^dim is never formed: 1 << 10**12 would not fit in memory
+        {"dim": 10 ** 12, "rays": [[1]], "max_cones": [[0]]},
+    ], ids=["p1_power_9_doubled", "dim_15", "dim_10_12"])
+    def test_fan_over_the_cap_is_refused_before_validation(self, fan):
+        code, out = run(["validate"], json.dumps({"fan": fan}).encode())
+        line = out.decode()
+        assert code == 2 and line.count("\n") == 1
+        assert line.startswith("BadDocument: fan has len(max_cones) * 2^dim = ")
+        assert line.endswith(f"over MAX_FIXED_POINT_TERMS = {MAX_FIXED_POINT_TERMS}\n")
 
 
 class TestValidateCommand:

@@ -2,8 +2,9 @@
 
 The kernels: ``IntersectionLattice.pair`` on rank 9, ``signature`` at ranks
 8 and 50, ``validate_fan`` and ``toric_gamma`` (the localization table and
-its 3^6 - 1 orbit scores) on (P^1)^6, and ``surface_gamma`` on the del Pezzo
-surface of degree 1 (k = 8, 240 facets).  The test suite runs each kernel
+its 3^6 - 1 orbit scores) on (P^1)^6, ``toric_gamma`` on P^6 (2^7 - 2 orbit
+scores, all equal), and ``surface_gamma`` on the del Pezzo surface of
+degree 1 (k = 8, 240 facets).  The test suite runs each kernel
 once and checks its result (``tests/conftest.py`` passes
 ``--benchmark-disable``); print the timings with
 
@@ -62,6 +63,22 @@ def test_toric_gamma(benchmark):
     res = benchmark(toric_gamma, p1_power(6), theta, omega)
     assert res.C == sum(ratios) and len(res.scores) == 3 ** 6 - 1
     assert res.value == min(ratios)  # an orbit's score is the mean ratio over its fixed factors
+
+
+def projective_space(n: int) -> Fan:
+    """P^n: rays e_1..e_n and -(e_1 + ... + e_n); every ray divisor is a hyperplane."""
+    rays = [[int(j == i) for j in range(n)] for i in range(n)] + [[-1] * n]
+    return Fan(n, rays, [[i for i in range(n + 1) if i != k] for k in range(n + 1)])
+
+
+def test_toric_gamma_projective_space(benchmark):
+    # a class is its coefficient sum times H: omega = alpha H and theta = beta H
+    omega = DivClass([Fraction(1, 5), 2, Fraction(3, 7), 1, Fraction(1, 2), 3, Fraction(2, 9)])
+    theta = DivClass([-1, Fraction(2, 3), 0, Fraction(5, 11), 2, -3, Fraction(1, 4)])
+    n, alpha, beta = 6, sum(omega.coords), sum(theta.coords)
+    res = benchmark(toric_gamma, projective_space(n), theta, omega)
+    assert res.C == n * beta / alpha and len(res.scores) == 2 ** (n + 1) - 2
+    assert all(s.value == beta / alpha for s in res.scores)
 
 
 def test_surface_gamma(benchmark):

@@ -17,15 +17,15 @@ from random import Random
 import pytest
 
 from conftest import (RecursionOracle, blowup_fan, canonicalize, classes_equivalent,
-                      is_nef_toric, per_cone_validation, toric_surface_model,
-                      unimodular_shear)
+                      fraction_table, fraction_toric_gamma, is_nef_toric, per_cone_validation,
+                      toric_surface_model, unimodular_shear)
 from jthresh import toric
 from jthresh import (DivClass, Fan, NefConeModel, QuadNum, Status,
                      diagonal_lattice, intersection_number, subvariety_score,
                      surface_gamma, toric_gamma)
 from jthresh.cli import run
-from jthresh.toric import (enumerate_orbits, invariant_curves, is_ample, toric_seshadri_T,
-                           validate_fan)
+from jthresh.toric import (ToricGammaResult, enumerate_orbits, invariant_curves, is_ample,
+                           toric_seshadri_T, validate_fan)
 from jthresh.errors import (BadFace, DimensionMismatch, FanInvalid, JThreshError,
                             NonPrimitiveRay, NotComplete, NotSmooth, OmegaNotAmpleOnOrbit,
                             OmegaNotKahler, WrongArity)
@@ -638,6 +638,43 @@ class TestToricGamma:
                 assert score == subvariety_score(fan, theta, omega, score.cone)
 
 
+class TestBindingCurve:
+    """toric_gamma names the invariant curve V(tau) that attains T: the first in
+    invariant_curves order, whose bound theta.C / omega.C comes here from
+    intersection_number with the divisors of tau's rays."""
+
+    @staticmethod
+    def _bound(fan: Fan, theta: DivClass, omega: DivClass, tau) -> Fraction:
+        rays = [DivClass([int(i == j) for i in range(len(fan.rays))]) for j in tau]
+        return intersection_number(fan, [theta, *rays]) / intersection_number(fan, [omega, *rays])
+
+    def test_binding_curve_attains_t_first(self):
+        rng, named = Random(9100), 0
+        cases = [(fan, _random_ample(rng, fan)) for fan in (P1, P2, F1, P1P1, P1CUBE, P3_BLOWUP)]
+        cases += [blowup_fan(rng) for _ in range(30)]
+        for fan, omega in cases:
+            for theta in (_small_class(rng, fan), DivClass([0] * len(fan.rays)), omega):
+                res = toric_gamma(fan, theta, omega)
+                if res.T is None:
+                    assert res.binding_curve is None and is_ample(fan, theta)
+                    continue
+                curves = invariant_curves(fan)
+                assert self._bound(fan, theta, omega, res.binding_curve) == res.T
+                earlier = curves[:curves.index(res.binding_curve)]
+                assert all(self._bound(fan, theta, omega, tau) > res.T for tau in earlier)
+                named += 1
+        assert named >= len(cases)  # the zero theta always has a T
+
+    def test_tie_names_the_lex_first_curve(self):
+        # theta = 0 puts every curve of P^2 at bound 0.  On (P^1)^3, -D_1 has degree -1
+        # on the four curves that leave the second factor free, (0, 2), (0, 5), (2, 3)
+        # and (3, 5), and 0 on the others, the lex-first curve (0, 1) among them.
+        assert toric_gamma(P2, DivClass([0, 0, 0]), DivClass([1, 0, 0])).binding_curve == (0,)
+        res = toric_gamma(P1CUBE, DivClass([0, -1, 0, 0, 0, 0]), DivClass([1] * 6))
+        assert (res.T, res.binding_curve) == (Fraction(-1, 2), (0, 2))
+        assert toric_gamma(P1, DivClass([-1, 0]), DivClass([1, 0])).binding_curve == ()
+
+
 class TestCanonicalForm:
     def test_canonical_zeroes_first_basis(self):
         cls = canonicalize(F1, DivClass([3, -2, 5, 7]))
@@ -752,7 +789,7 @@ class TestFixedPointOracle:
     def _compare(fan: Fan, theta: DivClass, omega: DivClass, classes: list[DivClass]):
         """Every table entry of (theta, omega), and the top product of classes."""
         n = fan.dim
-        table = toric._orbit_integrals(fan, theta, omega)
+        table = fraction_table(fan, theta, omega)
         assert set(table) == {()} | set(enumerate_orbits(fan))
         oracle = RecursionOracle(fan, [theta, omega])
         for tau, (vol, mixed) in table.items():
@@ -799,6 +836,80 @@ class TestFixedPointOracle:
             self._check_scales(rng, blowup_fan(rng)[0])
 
 
+def _outcome(query, fan: Fan, theta: DivClass, omega: DivClass):
+    """query's result, or its JThreshError's class and message."""
+    try:
+        return query(fan, theta, omega)
+    except JThreshError as exc:
+        return type(exc), str(exc)
+
+
+class TestScoreOracle:
+    """toric_gamma against conftest.fraction_toric_gamma, field by field.
+
+    The oracle is the Fraction route on the same integer table: C, T and
+    every score by Fraction arithmetic on the table's Fractions.  Fans are
+    TestFixedPointOracle's, 120 seeded blowups and, with theta and omega over
+    the pairwise coprime denominators 5, 7, 9 and 11, its ladder and 40
+    blowups; omega is ample unless drawn at random.
+    """
+
+    @staticmethod
+    def _compare(fan: Fan, theta: DivClass, omega: DivClass) -> bool:
+        """Both routes agree; True if they gave a result, not an error."""
+        got = _outcome(toric_gamma, fan, theta, omega)
+        expected = _outcome(fraction_toric_gamma, fan, theta, omega)
+        if not isinstance(expected, ToricGammaResult):
+            assert got == expected
+            return False
+        assert isinstance(got, ToricGammaResult), got
+        for name in ToricGammaResult.__dataclass_fields__:
+            assert getattr(got, name) == getattr(expected, name), name
+        return True
+
+    @pytest.mark.parametrize("fan", TestFixedPointOracle.FANS, ids=TestFixedPointOracle.NAMES)
+    def test_named_fans(self, fan):
+        rng = Random(9000 + len(fan.rays) * 10 + fan.dim)
+        zero = DivClass([0] * len(fan.rays))
+        for _ in range(2):
+            omega, theta = _random_ample(rng, fan), _small_class(rng, fan)
+            for pair in ((theta, omega), (omega, omega), (zero, omega)):
+                assert self._compare(fan, *pair)
+            self._compare(fan, theta, _small_class(rng, fan))  # omega at random
+
+    def test_random_blowups(self):
+        rng, results = Random(9001), 0
+        for _ in range(120):
+            fan, ample = blowup_fan(rng)
+            omega = ample.scale(Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+            assert self._compare(fan, _small_class(rng, fan), omega)
+            results += self._compare(fan, ample, _small_class(rng, fan))
+        assert 0 < results < 120  # a random omega is sometimes ample, sometimes refused
+
+    @staticmethod
+    def _check_scales(rng: Random, fan: Fan, ample: DivClass) -> None:
+        """theta over 1 and two of 5, 7, 9, 11, omega over 1 and the other two."""
+        dens = [5, 7, 9, 11]
+        rng.shuffle(dens)
+        theta = _class_over(rng, fan, (1, *dens[:2]))
+        omega = ample.scale(Fraction(rng.randint(1, 4), dens[2]))
+        bumped = omega + _class_over(rng, fan, (dens[3],), 0, 1).scale(Fraction(1, 4))
+        omega = bumped if is_ample(fan, bumped) else omega
+        assert TestScoreOracle._compare(fan, theta, omega)
+
+    @pytest.mark.parametrize("fan", TestFixedPointOracle.LADDER,
+                             ids=TestFixedPointOracle.LADDER_NAMES)
+    def test_ladder_with_coprime_scales(self, fan):
+        rng = Random(9010 + len(fan.rays) * 10 + fan.dim)
+        for _ in range(2):
+            self._check_scales(rng, fan, DivClass([1] * len(fan.rays)))
+
+    def test_random_blowups_with_coprime_scales(self):
+        rng = Random(9011)
+        for _ in range(40):
+            self._check_scales(rng, *blowup_fan(rng))
+
+
 class TestSurfaceModels:
     """Lattice route against toric route on smooth complete toric surfaces.
 
@@ -839,10 +950,12 @@ class TestSurfaceModels:
 class TestWorkCounts:
     """Exact work of one toric_gamma; counters need no tolerance."""
 
-    @pytest.mark.parametrize("fan, theta, omega, orbits", [
+    QUERIES = [
         (projective_space(3), [1, -2, 0, -1], [1, 2, 3, 1], 14),
         (p1_power(3), [1, -1, 0, 2, -3, 1], [1, 1, 2, 1, 1, 2], 26),
-    ])
+    ]
+
+    @pytest.mark.parametrize("fan, theta, omega, orbits", QUERIES)
     def test_one_query(self, monkeypatch, fan, theta, omega, orbits):
         # a built fan's query eliminates nothing, builds one table, derives C
         # once and scores every orbit from the table without asking is_face
@@ -863,6 +976,22 @@ class TestWorkCounts:
         assert len(res.scores) == orbits
         assert calls == {"_eliminate": 0, "_orbit_integrals": 1, "_c_constant_toric": 1,
                          "rewrite_terms": 0, "is_face": 0}
+
+    @pytest.mark.parametrize("fan, theta, omega, orbits", QUERIES)
+    def test_one_fraction_per_reported_rational(self, monkeypatch, fan, theta, omega, orbits):
+        # each score's numerator, denominator and value, C and T: one Fraction of two ints each
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return Fraction(*args)
+
+        monkeypatch.setattr(toric, "Fraction", Counted)
+        res = toric_gamma(fan, DivClass(theta), DivClass(omega))
+        assert len(res.scores) == orbits and res.T is not None
+        assert len(built) == 3 * orbits + 2
+        assert all(len(args) == 2 and type(args[0]) is type(args[1]) is int for args in built)
 
     @pytest.mark.parametrize("fan", [projective_space(3), p1_power(3)])
     def test_validation_eliminates_once_per_component(self, monkeypatch, fan):
