@@ -90,14 +90,12 @@ def ross_gamma_closed_form(g: RatLike | str, s_c: RatLike | str,
                            t: RatLike | str) -> Fraction:
     """Closed form 2t(2g-2)/(t^2-g) - (2g-2)/(t-s_C), exact.
 
-    Defined for t > s_C with t^2 != g; everything else is OutOfDomain.
+    Defined for t > s_C (then t^2 > s_C^2 >= g); t <= s_C is OutOfDomain.
     """
     g, s_c = _check_ross_params(g, s_c)
     t = rat(t)
     if t <= s_c:
         raise OutOfDomain(f"t = {t} <= s_C = {s_c}")
-    if t * t == g:
-        raise OutOfDomain(f"t^2 = g = {g}")
     k = 2 * g - 2
     return 2 * t * k / (t * t - g) - Fraction(k) / (t - s_c)
 

@@ -277,13 +277,14 @@ def _cmd_path(lattice, cone, theta, a, samples, digits) -> dict[str, Any]:
     rows = [{"t": _ratio(k, samples), "R_numerator": _ratio(num, scale),
              "gamma_value": format_rat(gamma), "solvable": num > 0,
              "decimal_approx": decimal_str(gamma, digits)} for k, num, gamma in gammas]
+    lo = analysis.solvable_from
     return {
         "samples": samples,
-        "numerator_coeffs": [format_rat(c) for c in analysis.numerator.coeffs],
+        "numerator_coeffs": [format_rat(c) for c in analysis.numerator],
         "a_selfint": format_rat(analysis.a_selfint),
         "theta_selfint": format_rat(analysis.theta_selfint),
-        "solvable_set": [{"lo": quad_to_json(iv.lo), "hi": quad_to_json(iv.hi),
-                          "hi_closed": iv.hi_closed} for iv in analysis.solvable_set],
+        "solvable_set": [] if lo is None else [
+            {"lo": quad_to_json(lo), "hi": "1", "hi_closed": True}],
         "rows": rows,
         "decimal_digits": digits,
         "caveats": [],

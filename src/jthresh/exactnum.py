@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals, real quadratic irrationals, polynomials.
+"""Exact scalar arithmetic: rationals, real quadratic irrationals, roots of quadratics.
 
 Rationals are plain :class:`fractions.Fraction`.  A
 :class:`QuadNum` is a real number ``a + b*sqrt(d)`` with rational ``a, b``
@@ -11,12 +11,11 @@ arithmetic between two distinct radicands is rejected rather than widened.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import BadParams, MixedRadicands, ZeroPolynomial
 
@@ -253,7 +252,7 @@ class QuadNum:
 
     def __rtruediv__(self, other: Scalar) -> "QuadNum":
         o = self._coerce(other)
-        return o / self
+        return NotImplemented if o is NotImplemented else o / self
 
     # -- comparisons (total order of the denoted reals) -------------------
 
@@ -296,60 +295,25 @@ class QuadNum:
         return f"{format_rat(self.a)} {op} {tail}"
 
 
-@dataclass(frozen=True)
-class RatPoly:
-    """Univariate polynomial with rational coefficients, lowest degree first.
-
-    The zero polynomial is stored with an empty coefficient tuple; otherwise
-    the leading coefficient is nonzero.
-    """
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable[RatLike]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: Scalar) -> Scalar:
-        acc: Scalar = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "RatPoly(0)"
-        terms = " + ".join(f"({format_rat(c)})*t^{i}" for i, c in enumerate(self.coeffs) if c != 0)
-        return f"RatPoly({terms})"
-
-
-def poly_roots_quadratic(p: RatPoly) -> list[QuadNum]:
+def poly_roots_quadratic(coeffs: Sequence[RatLike]) -> list[QuadNum]:
     """All real roots of a polynomial of degree <= 2, increasing, exact.
 
+    coeffs are rationals, lowest degree first; trailing zeros are dropped.
     Both roots of a genuine quadratic share one square-free radicand (the
     square-free part of the discriminant).  Negative discriminant gives [].
     """
-    if p.is_zero:
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
         raise ZeroPolynomial("no roots of the zero polynomial")
-    if p.degree > 2:
-        raise ValueError(f"degree {p.degree} > 2")
-    if p.degree == 0:
+    if len(cs) > 3:
+        raise ValueError(f"degree {len(cs) - 1} > 2")
+    if len(cs) == 1:
         return []
-    if p.degree == 1:
-        c, b = p.coeffs
-        return [QuadNum(-c / b)]
-    c, b, a = p.coeffs
+    if len(cs) == 2:
+        return [QuadNum(-cs[0] / cs[1])]
+    c, b, a = cs
     disc = b * b - 4 * a * c
     if disc < 0:
         return []
@@ -392,4 +356,7 @@ def decimal_str(x: Scalar, digits: int = 12) -> str:
         val = hi.add(val, hi.multiply(
             hi.divide(Decimal(b.numerator), Decimal(b.denominator)), root))
     target = Decimal(1).scaleb(val.adjusted() - digits + 1)
-    return str(val.quantize(target, rounding=ROUND_HALF_EVEN, context=hi))
+    out = val.quantize(target, rounding=ROUND_HALF_EVEN, context=hi)
+    if out.adjusted() > val.adjusted():  # rounded up to a power of ten: one digit too many
+        out = val.quantize(target.scaleb(1), rounding=ROUND_HALF_EVEN, context=hi)
+    return str(out)

@@ -19,7 +19,7 @@ from .cones import (ConeConstants, NefConeModel, PairingTable, _check_omega, _co
                     cone_constants, seshadri_T, sigma_inf)  # noqa: F401
 from .errors import (ANotOnBoundary, BadConeModel, BadParams, NegativeSelfIntersection,
                      ThetaNotKahler, ZeroVolume)
-from .exactnum import QuadNum, RatPoly, rat_sqrt
+from .exactnum import QuadNum, rat_sqrt
 from .lattice import DivClass, IntersectionLattice
 
 CSCK_CAVEAT = "requires discrete automorphism group"
@@ -59,26 +59,17 @@ class ThresholdResult:
 
 
 @dataclass(frozen=True)
-class Interval:
-    """Subset of (0, 1]: lower endpoint always excluded, upper optional."""
-
-    lo: QuadNum
-    hi: QuadNum
-    hi_closed: bool
-
-    def __repr__(self) -> str:
-        close = "]" if self.hi_closed else ")"
-        return f"({self.lo}, {self.hi}{close}"
-
-
-@dataclass(frozen=True)
 class PathAnalysis:
-    """Sign analysis of the value along omega_t = (1-t)a + t*theta."""
+    """Sign analysis of the value along omega_t = (1-t)a + t*theta.
 
-    numerator: RatPoly
+    numerator holds R's coefficients, lowest degree first, without trailing
+    zeros; R > 0 exactly on (solvable_from, 1], and nowhere when it is None.
+    """
+
+    numerator: tuple[Fraction, ...]
     a_selfint: Fraction
     theta_selfint: Fraction
-    solvable_set: tuple[Interval, ...]
+    solvable_from: QuadNum | None
     pairings: PairingTable = field(repr=False, compare=False)  # read again by _path_rows
 
 
@@ -97,10 +88,10 @@ class StableSubcone:
 
 @dataclass(frozen=True)
 class PerfectCone:
-    """Distinguished outcome: every interior pair is solvable.
+    """Distinguished outcome: a^2 = 0 certifies the whole path.
 
-    Returned instead of a subcone when the boundary class has zero square,
-    i.e. the model has no positive-square boundary directions to obstruct.
+    Returned instead of a subcone when the boundary class a has zero square:
+    then R(t) = t^2 theta^2 > 0, so every omega_t on (0, 1] is solvable.
     """
 
     note: str = "boundary class has zero square: every interior pair is solvable"
@@ -168,12 +159,13 @@ def path_R(lattice: IntersectionLattice, cone: NefConeModel,
     a^2 = 0, else on (1/(1+lambda), 1] for lambda = sqrt(theta^2/a^2).  It keeps its pairings.
     """
     table = _boundary_path(lattice, cone, theta, a)
-    t2, a2, solvable_set = table.tt, table.aa, ()
+    t2, a2, solvable_from = table.tt, table.aa, None
     if t2 > 0:
-        lo = QuadNum(0) if a2 == 0 else 1 / (1 + rat_sqrt(t2 / a2))
-        solvable_set = (Interval(lo=lo, hi=QuadNum(1), hi_closed=True),)
-    return PathAnalysis(numerator=RatPoly([-a2, 2 * a2, t2 - a2]), a_selfint=a2,
-                        theta_selfint=t2, solvable_set=solvable_set, pairings=table)
+        solvable_from = QuadNum(0) if a2 == 0 else 1 / (1 + rat_sqrt(t2 / a2))
+    # (-a^2, 2a^2, theta^2 - a^2) without trailing zeros; a^2 >= 0 was checked
+    numerator = (-a2, 2 * a2, t2 - a2) if t2 != a2 else (-a2, 2 * a2) if a2 else ()
+    return PathAnalysis(numerator=numerator, a_selfint=a2, theta_selfint=t2,
+                        solvable_from=solvable_from, pairings=table)
 
 
 def stable_subcone(lattice: IntersectionLattice, cone: NefConeModel,

@@ -12,13 +12,13 @@ manifolds, ``RecursionOracle`` is a second route to orbit integrals,
 arithmetic on the Fractions of ``fraction_table``), and
 ``toric_surface_model`` turns a smooth complete fan of dimension 2 into a
 lattice model of the same surface.  ``light_cone_roots`` and
-``positive_set`` (the sign set of a path numerator, cut at its roots) go
-through ``poly_roots_quadratic``, and ``is_nef_toric`` through
-``intersection_number`` on each invariant curve: second routes built on
-public functions only.  ``per_cone_validation`` is a second route to fan
-validation that eliminates every maximal cone on its own and counts the
-cones around a random sample point (``_generic_cover_check``), not around
-``validate_fan``'s point c.  ``segment``,
+``positive_set`` (the sign set of a path numerator, cut at its roots and
+evaluated by ``poly_at``) go through ``poly_roots_quadratic``, and
+``is_nef_toric`` through ``intersection_number`` on each invariant curve:
+second routes built on public functions only.  ``per_cone_validation`` is a
+second route to fan validation that eliminates every maximal cone on its own
+and counts the cones around a random sample point (``_generic_cover_check``),
+not around ``validate_fan``'s point c.  ``segment``,
 ``canonicalize`` and ``classes_equivalent`` are helpers that only tests need;
 ``canonicalize`` reuses ``toric._eliminate``, so it is not an oracle.  A
 ``DivClass`` holds Fractions only, so the oracles that step to an irrational
@@ -45,9 +45,9 @@ from jthresh.cones import LIGHT_CONE, ConeConstants, is_kahler
 from jthresh.errors import (BadConeModel, BadFace, BadSignature, FanInvalid, JThreshError,
                             NonPrimitiveRay, NotComplete, NotSmooth, OmegaNotKahler,
                             ZeroVolume)
-from jthresh.exactnum import RatPoly, Scalar, poly_roots_quadratic, rat_sqrt
+from jthresh.exactnum import Scalar, poly_roots_quadratic, rat_sqrt
 from jthresh.lattice import validate_signature
-from jthresh.surface import Interval, Status, c_constant
+from jthresh.surface import Status, c_constant
 from jthresh.toric import (SubvarietyScore, ToricGammaResult, _eliminate, _orbit_integrals,
                            _unimodular_dual, enumerate_orbits, invariant_curves)
 
@@ -86,7 +86,8 @@ def quad_sides(lattice: IntersectionLattice, cone: NefConeModel, x) -> list[Quad
 
 
 def decimal_str_oracle(x: Scalar, digits: int) -> str:
-    """x to digits significant digits: QuadNum(Fraction(x)), its sign, divide, quantize."""
+    """x to digits significant digits: QuadNum(Fraction(x)), its sign, divide, quantize
+    (once more at the next exponent when rounding carried into a new leading digit)."""
     q = x if isinstance(x, QuadNum) else QuadNum(Fraction(x))
     if q.sign() == 0:
         return "0"
@@ -96,7 +97,10 @@ def decimal_str_oracle(x: Scalar, digits: int) -> str:
         val = hi.add(val, hi.multiply(hi.divide(Decimal(q.b.numerator), Decimal(q.b.denominator)),
                                       hi.sqrt(Decimal(q.d))))
     target = Decimal(1).scaleb(val.adjusted() - digits + 1)
-    return str(val.quantize(target, rounding=ROUND_HALF_EVEN, context=hi))
+    out = val.quantize(target, rounding=ROUND_HALF_EVEN, context=hi)
+    if out.adjusted() > val.adjusted():  # carried into a new leading digit
+        out = val.quantize(target.scaleb(1), rounding=ROUND_HALF_EVEN, context=hi)
+    return str(out)
 
 
 def fraction_signature(matrix) -> tuple[int, int, int]:
@@ -397,26 +401,31 @@ def light_cone_roots(tw: Scalar, tt: Scalar, ww: Scalar) -> tuple[QuadNum, QuadN
 
     Takes theta.omega, theta^2 and omega^2 (rational, omega^2 > 0).
     """
-    roots = poly_roots_quadratic(RatPoly([tt, -2 * tw, ww]))
+    roots = poly_roots_quadratic([tt, -2 * tw, ww])
     return roots[0], roots[-1]
 
 
-def positive_set(poly: RatPoly) -> list[Interval]:
-    """{t in (0,1] : poly(t) > 0} as exact intervals with QuadNum endpoints.
+def poly_at(coeffs, x: Scalar) -> Scalar:
+    """The polynomial with these coefficients, lowest degree first, at x (Horner)."""
+    acc: Scalar = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
-    The generic route: cut (0, 1] at the real roots of poly and keep each
-    piece on which poly is positive at the midpoint.
+
+def positive_set(coeffs) -> list[tuple[QuadNum, QuadNum, bool]]:
+    """{t in (0,1] : poly(t) > 0} as exact intervals (lo, hi, hi_closed), lo excluded.
+
+    The generic route: cut (0, 1] at the real roots of the polynomial with
+    these coefficients, lowest degree first, and keep each piece on which it
+    is positive at the midpoint.
     """
-    if poly.is_zero:
+    if not any(coeffs):
         return []
     zero, one = QuadNum(0), QuadNum(1)
-    cuts = [zero] + [r for r in poly_roots_quadratic(poly) if 0 < r < 1] + [one]
-    out = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if poly((lo + hi) / 2) > 0:
-            hi_closed = hi == one and poly(Fraction(1)) > 0
-            out.append(Interval(lo=lo, hi=hi, hi_closed=hi_closed))
-    return out
+    cuts = [zero] + [r for r in poly_roots_quadratic(coeffs) if 0 < r < 1] + [one]
+    return [(lo, hi, hi == one and poly_at(coeffs, Fraction(1)) > 0)
+            for lo, hi in zip(cuts, cuts[1:]) if poly_at(coeffs, (lo + hi) / 2) > 0]
 
 
 class RecursionOracle:

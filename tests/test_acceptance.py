@@ -167,16 +167,14 @@ def test_criterion_7_path_numerator_and_half_threshold():
     cone3 = NefConeModel(facets=[DivClass([3, 4, 0])],
                          light_cone=LightConeFacet(theta3))
     analysis = path_R(lat3, cone3, theta3, DivClass([4, 3, 0]))
-    assert analysis.numerator.coeffs == (Fraction(-7), Fraction(14))
-    assert analysis.solvable_set[0].lo == Fraction(1, 2)
+    assert analysis.numerator == (Fraction(-7), Fraction(14))
+    assert analysis.solvable_from == Fraction(1, 2)
     # zero-square boundary: solvable on all of (0, 1]
     zero_sq = path_R(lattice, cone, theta, DivClass([1, -1]))
-    assert len(zero_sq.solvable_set) == 1
-    iv = zero_sq.solvable_set[0]
-    assert iv.lo == 0 and iv.hi == 1 and iv.hi_closed
+    assert zero_sq.solvable_from == 0
     # blowup path: boundary point (sqrt(3)-1)/2 with 4x^2 + 4x - 2 == 0
     blowup = path_R(lattice, cone, theta, DivClass([1, 0]))
-    x = blowup.solvable_set[0].lo
+    x = blowup.solvable_from
     assert x == QuadNum(Fraction(-1, 2), Fraction(1, 2), 3)
     assert 4 * x * x + 4 * x - 2 == 0
     elapsed = time.perf_counter() - started

@@ -345,6 +345,21 @@ class TestDeterminismAndErrors:
             second = run(list(argv), stdin)
             assert first == second and first[0] == 0
 
+    def test_document_path_reads_as_stdin(self, tmp_path):
+        # README's examples pass the document as a path; it must print what stdin prints
+        for argv, doc in (
+                (["gamma", "--theta", "theta", "--omega", "omega"], F1_DOC),
+                (["path", "--theta", "theta", "--a", "H", "--samples", "7",
+                  "--format", "csv"], F1_DOC),
+                (["toric-gamma", "--theta", "theta", "--omega", "omega",
+                  "--format", "json"], FAN_DOC),
+                (["validate"], b"[]")):
+            path = tmp_path / "doc.json"
+            path.write_bytes(doc)
+            from_file = run([argv[0], str(path), *argv[1:]])
+            assert from_file == run(argv, doc) == run([argv[0], "-", *argv[1:]], doc), argv
+        assert from_file[0] == 2
+
     def test_missing_document(self):
         code, out = run(["gamma", "--theta", "x", "--omega", "y"], b"")
         assert code == 2 and out.decode().startswith("BadDocument")
@@ -636,6 +651,50 @@ class TestMalformedInput:
         for key in ("classes", "toric_classes", "query"):  # null is an empty object
             for doc in (F1_DOC, FAN_DOC):
                 assert run(["validate"], _with(doc, **{key: None}))[0] == 0, key
+
+    @pytest.mark.parametrize("argv, stdin, line", [
+        (["validate"], _with(F1_DOC, lattice=5),
+         "BadDocument: lattice must be an object with a 'matrix' field"),
+        (["validate"], _with(F1_DOC, lattice={"matrix": 5}),
+         "BadDocument: lattice matrix must be a list of rows"),
+        (["validate"], _with(F1_DOC, lattice={"matrix": [["1", "0"], ["0", "-1"]],
+                                              "labels": [1, 2]}),
+         "BadDocument: lattice labels must be strings"),
+        (["validate"], json.dumps({"lattice": {"matrix": [["1", "0"]]}}).encode(),
+         "BadDocument: pairing matrix must be square and non-empty"),
+        (["validate"], _with(F1_DOC, lattice={"matrix": [["1", "0"], ["0", "-1"]],
+                                              "labels": ["H"]}),
+         "BadDocument: one basis label per row required"),
+        (["validate"], _with(F1_DOC, cone=5), "BadDocument: cone must be an object"),
+        (["validate"], _with(F1_DOC, cone={"facets": [], "light_cone": {}}),
+         "BadDocument: light_cone must be an object with reference class 'H'"),
+        (["validate"], _with(F1_DOC, cone={"facets": [["0", "1"], ["1", "-1"]],
+                                           "facet_labels": ["E"]}),
+         "BadConeModel: one label per facet required"),
+        (["validate"], _with(FAN_DOC, fan=5), "BadDocument: fan must be an object"),
+        (["validate"], _with(FAN_DOC, fan={"dim": 2, "rays": [[1, 0], [0, 1]]}),
+         "BadDocument: fan missing field 'max_cones'"),
+        (["validate"], b"[]", "BadDocument: document must be a JSON object"),
+        (["validate"], _with(FAN_DOC, classes={"x": ["1", "0"]}),
+         "BadDocument: 'classes' requires a lattice; use 'toric_classes' with a fan"),
+        (["validate"], _with(FAN_DOC, toric_classes={"x": ["1", "0", "0"]}),
+         "BadDocument: toric class 'x' needs one coefficient per ray"),
+        (["catalog", "hirzebruch", "--a", "-1"], b"", "BadParams: a = -1 < 0"),
+    ])
+    def test_document_and_parameter_diagnostics(self, argv, stdin, line):
+        assert run(argv, stdin) == (2, f"{line}\n".encode())
+
+    def test_unreadable_document_path(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(OSError) as info:
+            open(missing, "rb")
+        assert run(["validate", str(missing)]) == (
+            2, f"BadDocument: cannot read {missing}: {info.value}\n".encode())
+
+    def test_decimal_digits_below_one(self, monkeypatch):
+        monkeypatch.setenv("JTHRESH_DECIMAL_DIGITS", "0")
+        assert run(["gamma", "--theta", "theta", "--omega", "omega"], F1_DOC) == (
+            2, b"BadParams: JTHRESH_DECIMAL_DIGITS must be >= 1\n")
 
     def test_query_sample_count_diagnostics(self):
         expected = {

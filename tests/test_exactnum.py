@@ -12,10 +12,10 @@ from random import Random
 
 import pytest
 
-from conftest import decimal_str_oracle
+from conftest import decimal_str_oracle, poly_at
 from jthresh import exactnum
 from jthresh.errors import BadParams, MixedRadicands, ZeroPolynomial
-from jthresh.exactnum import (MAX_DECIMAL_DIGITS, QuadNum, RatPoly, decimal_str, format_rat,
+from jthresh.exactnum import (MAX_DECIMAL_DIGITS, QuadNum, decimal_str, format_rat,
                               poly_roots_quadratic, rat, rat_sqrt,
                               squarefree_decompose)
 
@@ -155,6 +155,37 @@ class TestQuadArithmetic:
                 x < other  # noqa: B015
             assert x != other
 
+    def test_float_operands_are_refused(self):
+        # no floats in the kernels: every mixed operation raises, on either side
+        x = QuadNum(1, 1, 2)
+        for op in (lambda p, q: p + q, lambda p, q: p * q, lambda p, q: p / q,
+                   lambda p, q: p < q):
+            for left, right in ((x, 1.5), (1.5, x), (QuadNum(3), 2.0), (2.0, QuadNum(3))):
+                with pytest.raises(TypeError):
+                    op(left, right)
+
+    def test_division_by_zero(self):
+        for zero in (QuadNum(0), QuadNum(1, 1, 2) - QuadNum(1, 1, 2), 0, Fraction(0)):
+            for x in (QuadNum(1, 1, 2), QuadNum(Fraction(3, 4))):
+                with pytest.raises(ZeroDivisionError):
+                    x / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / QuadNum(0)
+
+    def test_hash_agrees_with_equality(self):
+        rng = Random(7014)
+        for _ in range(100):
+            q = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
+            assert hash(QuadNum(q)) == hash(q)
+            assert hash(QuadNum(q, 3, 4)) == hash(q + 6)  # sqrt(4) folds into the rational
+            b, d = Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.choice([2, 3, 5, 6])
+            x = QuadNum(q, b, d)
+            y = (x + QuadNum(0, 1, d)) - QuadNum(0, 1, d)  # equal, built another way
+            assert x == y and hash(x) == hash(y)
+            assert QuadNum(q, b, d * 4) == QuadNum(q, 2 * b, d)
+            assert hash(QuadNum(q, b, d * 4)) == hash(QuadNum(q, 2 * b, d))
+        assert len({QuadNum(1), Fraction(1), 1, QuadNum(Fraction(2, 2))}) == 1
+
 
 class TestSquarefree:
     def test_decomposition(self):
@@ -246,32 +277,42 @@ class TestSquarefree:
 class TestPolyRoots:
     def test_golden_quadratic(self):
         # 2t^2 + 2t - 1: roots (-1 +- sqrt(3))/2
-        p = RatPoly([-1, 2, 2])
-        roots = poly_roots_quadratic(p)
+        roots = poly_roots_quadratic([-1, 2, 2])
         assert roots == [QuadNum(Fraction(-1, 2), Fraction(-1, 2), 3),
                          QuadNum(Fraction(-1, 2), Fraction(1, 2), 3)]
 
     def test_double_and_linear(self):
-        assert poly_roots_quadratic(RatPoly([0, 0, 1])) == [QuadNum(0)]
-        assert poly_roots_quadratic(RatPoly([-1, 2])) == [QuadNum(Fraction(1, 2))]
-        assert poly_roots_quadratic(RatPoly([5])) == []
-        assert poly_roots_quadratic(RatPoly([1, 0, 1])) == []  # t^2 + 1
+        assert poly_roots_quadratic([0, 0, 1]) == [QuadNum(0)]
+        assert poly_roots_quadratic([-1, 2]) == [QuadNum(Fraction(1, 2))]
+        assert poly_roots_quadratic([5]) == []
+        assert poly_roots_quadratic([1, 0, 1]) == []  # t^2 + 1
+
+    def test_trailing_zeros_are_dropped(self):
+        assert poly_roots_quadratic([-1, 2, 0]) == [QuadNum(Fraction(1, 2))]
+        assert poly_roots_quadratic((Fraction(5), Fraction(0))) == []
+        assert poly_roots_quadratic([-1, 0, 1, 0, 0]) == [QuadNum(-1), QuadNum(1)]
 
     def test_zero_polynomial_rejected(self):
-        with pytest.raises(ZeroPolynomial):
-            poly_roots_quadratic(RatPoly([0, 0, 0]))
+        for coeffs in ([0, 0, 0], [], (Fraction(0),)):
+            with pytest.raises(ZeroPolynomial):
+                poly_roots_quadratic(coeffs)
+
+    def test_degree_past_two_rejected(self):
+        with pytest.raises(ValueError, match=r"^degree 3 > 2$"):
+            poly_roots_quadratic([0, 0, 0, 1])
+        with pytest.raises(ValueError, match=r"^degree 4 > 2$"):
+            poly_roots_quadratic([1, 2, 3, 0, Fraction(1, 2), 0])
 
     def test_substitution_oracle(self):
         rng = Random(7009)
         found = 0
         for _ in range(300):
             coeffs = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(3)]
-            p = RatPoly(coeffs)
-            if p.is_zero:
+            if not any(coeffs):
                 continue
-            roots = poly_roots_quadratic(p)
+            roots = poly_roots_quadratic(coeffs)
             for r in roots:
-                assert p(r) == 0  # exact substitution
+                assert poly_at(coeffs, r) == 0  # exact substitution
                 found += 1
             assert roots == sorted(roots)
         assert found > 100  # the sweep actually exercised real roots
@@ -283,7 +324,7 @@ class TestPolyRoots:
             if a == 0:
                 continue
             disc = b * b - 4 * a * c
-            n = len(poly_roots_quadratic(RatPoly([c, b, a])))
+            n = len(poly_roots_quadratic([c, b, a]))
             assert n == (0 if disc < 0 else 1 if disc == 0 else 2)
 
 
@@ -312,12 +353,11 @@ class TestSympyOracles:
         rng = Random(7012)
         for _ in range(200):
             coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)]
-            p = RatPoly(coeffs)
-            if p.degree < 1:
+            if not any(coeffs[1:]):  # degree < 1
                 continue
             expected = sorted(sympy.roots(sympy.Poly(sum(
                 sympy.Rational(c) * t ** i for i, c in enumerate(coeffs)), t), filter="R"))
-            got = [self.to_sympy(sympy, r) for r in poly_roots_quadratic(p)]
+            got = [self.to_sympy(sympy, r) for r in poly_roots_quadratic(coeffs)]
             assert len(got) == len(expected)
             assert all(sympy.expand(g - e) == 0 for g, e in zip(got, expected))
 
@@ -403,6 +443,25 @@ class TestRendering:
         assert decimal_str(12345, 2) == "1.2E+4"
         assert decimal_str(Fraction(-1, 10 ** 9), 3) == "-1.00E-9"
         assert decimal_str(0, 1000) == "0"
+
+    @pytest.mark.parametrize("x, digits, text", [
+        (Fraction(96 * 10 ** 13), 1, "1E+15"),
+        (Fraction(95, 10), 1, "1E+1"),
+        (Fraction(-96, 100), 1, "-1"),
+        (QuadNum(0, 1, 99), 1, "1E+1"),  # sqrt(99) = 9.949...
+        (Fraction(-999, 1000), 2, "-1.0"),
+        (Fraction(995, 10), 2, "1.0E+2"),  # the tie 99.5 goes to the even 100
+        (Fraction(1497001, 1497501), 3, "1.00"),  # a blowup_path row's gamma
+        (Fraction(9999, 10), 3, "1.00E+3"),
+        (Fraction(999996, 10 ** 8), 3, "0.0100"),
+        (Fraction(999999999999999, 10 ** 14), 12, "10.0000000000"),
+        (-Fraction(999999999999999, 10 ** 14), 12, "-10.0000000000"),
+        (QuadNum(0, 1, 10 ** 14 - 1), 12, "10000000.0000"),  # 9999999.99999995...
+        (QuadNum(Fraction(999999999999999, 10 ** 15)), 12, "1.00000000000"),
+    ])
+    def test_carry_into_a_new_leading_digit_keeps_the_digit_count(self, x, digits, text):
+        # rounding up to a power of ten must not print digits + 1 significant digits
+        assert decimal_str(x, digits) == text
 
     def test_interleaved_digit_counts_match_fresh_contexts(self):
         # decimal_str keeps one context per precision; the oracle builds a fresh

@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 from conftest import (ample_difference_solvable, constants_outcome, del_pezzo,
-                      fraction_cone_constants, positive_set, quad_coords, quad_pair,
+                      fraction_cone_constants, poly_at, positive_set, quad_coords, quad_pair,
                       random_class, random_instance, random_kahler, rnd_fraction, segment)
 from jthresh import cli, cones, exactnum, surface
 from jthresh import (DivClass, IntersectionLattice, LightConeFacet,
@@ -24,7 +24,7 @@ from jthresh.documents import parse_document
 from jthresh.cones import LIGHT_CONE, cone_constants, is_kahler, seshadri_T
 from jthresh.errors import (ANotOnBoundary, BadConeModel, BadParams, BadSignature, JThreshError,
                             NegativeSelfIntersection, OmegaNotKahler, ThetaNotKahler, ZeroVolume)
-from jthresh.exactnum import RatPoly, decimal_str, format_rat, rat_sqrt
+from jthresh.exactnum import decimal_str, format_rat, rat_sqrt
 from jthresh.surface import CSCK_CAVEAT, MAX_SAMPLES, PerfectCone, c_constant, path_R
 
 F1_LATTICE = diagonal_lattice([1, -1], labels=["H", "E"])
@@ -251,10 +251,8 @@ class TestPathAnalysis:
         # fiber direction of the blowup model has square zero
         analysis = path_R(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, -1]))
         assert analysis.a_selfint == 0
-        assert analysis.numerator.coeffs == (Fraction(0), Fraction(0), Fraction(3))
-        assert len(analysis.solvable_set) == 1
-        iv = analysis.solvable_set[0]
-        assert iv.lo == 0 and iv.hi == 1 and iv.hi_closed
+        assert analysis.numerator == (Fraction(0), Fraction(0), Fraction(3))
+        assert analysis.solvable_from == 0
 
     def test_equal_squares_give_half_threshold(self):
         # normalized boundary class lambda*a with (lambda*a)^2 = theta^2 = 3: the
@@ -262,15 +260,12 @@ class TestPathAnalysis:
         res = stable_subcone(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, 0]))
         scaled_a = quad_coords((res.normalization, DivClass([1, 0])))
         assert quad_pair(F1_LATTICE, scaled_a, scaled_a) == 3
-        numerator = RatPoly([-3, 6])
+        numerator = (-3, 6)
         for k in range(11):
             t = Fraction(k, 10)
             assert _normalized_numerator(F1_LATTICE, F1_THETA, DivClass([1, 0]),
-                                         res.normalization, t) == numerator(t)
-        solvable_set = positive_set(numerator)
-        assert len(solvable_set) == 1
-        iv = solvable_set[0]
-        assert iv.lo == Fraction(1, 2) and iv.hi == 1 and iv.hi_closed
+                                         res.normalization, t) == poly_at(numerator, t)
+        assert positive_set(numerator) == [(Fraction(1, 2), 1, True)]
 
     def test_equal_squares_rational_instance(self):
         # rank 3: theta = (3,-1,-1) and a = (4,3,0) both have square 7
@@ -281,19 +276,25 @@ class TestPathAnalysis:
                             light_cone=LightConeFacet(theta))
         assert lat.self_int(theta) == lat.self_int(a) == 7
         analysis = path_R(lat, cone, theta, a)
-        assert analysis.numerator.coeffs == (Fraction(-7), Fraction(14))
-        iv = analysis.solvable_set[0]
-        assert iv.lo == Fraction(1, 2) and iv.hi == 1 and iv.hi_closed
+        assert analysis.numerator == (Fraction(-7), Fraction(14))
+        assert analysis.solvable_from == Fraction(1, 2)
 
     def test_blowup_numerator_and_root(self):
         analysis = path_R(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, 0]))
-        assert analysis.numerator.coeffs == (Fraction(-1), Fraction(2), Fraction(2))
-        iv = analysis.solvable_set[0]
-        boundary = QuadNum(Fraction(-1, 2), Fraction(1, 2), 3)  # (sqrt(3)-1)/2
-        assert iv.lo == boundary and iv.hi == 1 and iv.hi_closed
+        assert analysis.numerator == (Fraction(-1), Fraction(2), Fraction(2))
+        x = analysis.solvable_from
+        assert x == QuadNum(Fraction(-1, 2), Fraction(1, 2), 3)  # (sqrt(3)-1)/2
         # the endpoint satisfies 4x^2 + 4x - 2 = 0 exactly
-        x = iv.lo
         assert 4 * x * x + 4 * x - 2 == 0
+
+    def test_numerator_drops_trailing_zeros(self):
+        # R's coefficients (-a^2, 2a^2, theta^2 - a^2), lowest degree first, end at
+        # the last nonzero one; theta^2 <= 0 leaves nothing solvable
+        half_plane = NefConeModel(facets=[DivClass([0, -1]), DivClass([1, 0])])
+        for theta, a, numerator in (([1, 1], [1, 0], (-1, 2, -1)), ([1, 1], [0, 0], ()),
+                                    ([1, 2], [0, 0], (0, 0, -3))):
+            analysis = path_R(TIE_LATTICE, half_plane, DivClass(theta), DivClass(a))
+            assert analysis.numerator == numerator and analysis.solvable_from is None
 
     def test_preconditions(self):
         with pytest.raises(ANotOnBoundary):
@@ -320,16 +321,15 @@ class TestPathAnalysis:
         for k in range(1, 101):
             t = Fraction(k, 100)
             omega_t = segment(DivClass([1, 0]), F1_THETA, t)
-            member = any(iv.lo < t and (t <= iv.hi if iv.hi_closed else t < iv.hi)
-                         for iv in analysis.solvable_set)
-            assert member == is_solvable(F1_LATTICE, F1_CONE, F1_THETA, omega_t)
+            solvable = is_solvable(F1_LATTICE, F1_CONE, F1_THETA, omega_t)
+            assert (analysis.solvable_from < t) == solvable
 
     def test_boundary_divergence(self):
         # value(t) + 1/t = C(t) exactly, and values diverge monotonically
         # to -infinity below the smallest numerator root
         a = DivClass([1, 0])
         analysis = path_R(F1_LATTICE, F1_CONE, F1_THETA, a)
-        root = analysis.solvable_set[0].lo
+        root = analysis.solvable_from
         values = []
         for k in range(1, 41):
             t = Fraction(k, 40)
@@ -483,7 +483,8 @@ class TestPathOracle:
                 t = Fraction(k, samples)
                 res = surface_gamma(lattice, cone, theta, segment(a, theta, t))
                 irrational_T.append(not res.audit.T.is_rational)
-                out.append((t, numerator(t), _exact(res.value), numerator(t) > 0))
+                r = poly_at(numerator, t)
+                out.append((t, r, _exact(res.value), r > 0))
             return out
 
         rng = Random(8313)
@@ -583,15 +584,15 @@ class TestPathOracle:
 
     def test_numerator_column_is_the_polynomial(self):
         # the rows evaluate path_R's numerator in integers; it must agree with
-        # the RatPoly at every t, and solvable with its sign
+        # the polynomial at every t, and solvable with its sign
         rng = Random(8319)
         distinct = 0
         for lattice, cone, theta, a in self._boundary_paths(rng, 10):
             analysis = path_R(lattice, cone, theta, a)
-            coeffs = analysis.numerator.coeffs
+            coeffs = analysis.numerator
             distinct += len(set(coeffs)) == len(coeffs) == 3
             for row in sample_path(lattice, cone, theta, a, rng.choice([7, 12, 1000])):
-                assert row.r_numerator == analysis.numerator(row.t)
+                assert row.r_numerator == poly_at(coeffs, row.t)
                 assert row.solvable == (row.r_numerator > 0)
         assert distinct >= 10
 
@@ -601,7 +602,7 @@ class TestPathOracle:
         # the endpoint 1/(1+lambda) is stable_subcone's ray times 2/(1+lambda),
         # and stable_subcone refuses theta^2 <= 0 where the set is empty
         def exact(intervals):
-            return [(_exact(iv.lo), _exact(iv.hi), iv.hi_closed) for iv in intervals]
+            return [(_exact(lo), _exact(hi), closed) for lo, hi, closed in intervals]
 
         rng = Random(8320)
         paths = self._boundary_paths(rng, 20)
@@ -619,7 +620,9 @@ class TestPathOracle:
         for lattice, cone, theta, a in paths:
             analysis = path_R(lattice, cone, theta, a)
             t2, a2 = analysis.theta_selfint, analysis.a_selfint
-            assert exact(analysis.solvable_set) == exact(positive_set(analysis.numerator))
+            lo = analysis.solvable_from
+            closed_form = [] if lo is None else [(lo, QuadNum(1), True)]
+            assert exact(closed_form) == exact(positive_set(analysis.numerator))
             subcone = _first_fault(lambda: stable_subcone(lattice, cone, theta, a))
             if t2 <= 0:
                 seen.add("theta^2 = 0" if t2 == 0 else "theta^2 < 0")
@@ -629,7 +632,7 @@ class TestPathOracle:
                 seen.add("a^2 = 0")
                 assert subcone == PerfectCone()
             else:
-                lo, lam = analysis.solvable_set[0].lo, subcone.normalization
+                lam = subcone.normalization
                 seen.add("theta^2 = a^2" if t2 == a2 else f"rational lambda: {lam.is_rational}")
                 assert quad_coords((1 - lo, a), (lo, theta)) \
                     == tuple(2 / (1 + lam) * x for x in subcone.boundary_ray)
