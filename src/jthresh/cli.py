@@ -29,7 +29,8 @@ from .cones import ConeConstants, seshadri_T, sigma_inf
 from .documents import (InputDocument, document_to_json, parse_document,
                         quad_to_json)
 from .errors import BadDocument, BadParams, JThreshError
-from .exactnum import MAX_DECIMAL_DIGITS, QuadNum, decimal_str, format_rat, rat
+from .exactnum import (MAX_DECIMAL_DIGITS, QuadNum, decimal_ratio, decimal_str, format_rat,
+                       rat)
 from .surface import (PerfectCone, _path_rows, csck_criterion, is_solvable, path_R,
                       stable_subcone, surface_gamma)
 from .toric import Fan, toric_gamma
@@ -275,8 +276,8 @@ def _cmd_path(lattice, cone, theta, a, samples, digits) -> dict[str, Any]:
     scale, gammas = _path_rows(analysis, samples)
     # keys in _PATH_COLUMNS order, which _path_csv reads
     rows = [{"t": _ratio(k, samples), "R_numerator": _ratio(num, scale),
-             "gamma_value": format_rat(gamma), "solvable": num > 0,
-             "decimal_approx": decimal_str(gamma, digits)} for k, num, gamma in gammas]
+             "gamma_value": _ratio(gp, gq), "solvable": num > 0,
+             "decimal_approx": decimal_ratio(gp, gq, digits)} for k, num, gp, gq in gammas]
     lo = analysis.solvable_from
     return {
         "samples": samples,

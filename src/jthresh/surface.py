@@ -24,7 +24,7 @@ from .lattice import DivClass, IntersectionLattice
 
 CSCK_CAVEAT = "requires discrete automorphism group"
 # largest path grid; a row is one integer derivation plus its rendering, and
-# a 100 000-row sweep takes about 1.5 s in csv and 2 s in json or text
+# a 100 000-row sweep takes about 0.7 s in csv and 0.9 s in json or text
 # (`jthresh path` on the blowup_path export, Intel Xeon, 2 vCPU, Python 3.11.7)
 MAX_SAMPLES = 100_000
 
@@ -222,15 +222,17 @@ def _check_samples(samples: int) -> None:
         raise BadParams(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
 
 
-def _path_rows(analysis: PathAnalysis, n: int) -> tuple[int, list[tuple[int, int, Fraction]]]:
-    """(L*n^2, [(k, L*n^2*R(k/n), gamma(k/n)) for k = 1..n]): the count's check, then each row's.
+def _path_rows(analysis: PathAnalysis, n: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """(L*n^2, [(k, L*n^2*R(k/n), gp, gq) for k = 1..n]): the count's check, then each row's.
 
     With b = n - k and tt, at, aa the pairing table's theta^2, a.theta and a^2
     over its denominator L, L*n^2*omega_t^2 = b(b*aa + 2k*at) + k^2*tt and
-    L*n^2*R(t) = k^2*tt - b^2*aa; gamma(t) = R(t)/(t*omega_t^2) as sigma = 1/t (see
-    cones).  omega_t's other sides are positive, so a row runs cone_constants' checks
-    of omega_t^2 and, with a light cone, of the discriminant.  Every gamma exists before
-    a caller builds row strings: a row-by-row loop raised surface_path's peak RSS ~3%.
+    L*n^2*R(t) = k^2*tt - b^2*aa; gamma(t) = R(t)/(t*omega_t^2) = gp/gq with
+    gp = n*L*n^2*R(t) and gq = k*L*n^2*omega_t^2 > 0, as sigma = 1/t (see cones);
+    a caller reduces it once.  omega_t's other sides are positive, so a row runs
+    cone_constants' checks of omega_t^2 and, with a light cone, of the
+    discriminant.  Every gamma exists before a caller builds row strings: a
+    row-by-row loop raised surface_path's peak RSS ~3%.
     """
     _check_samples(n)
     den, _, _, at, tt, aa = analysis.pairings.integers
@@ -240,7 +242,7 @@ def _path_rows(analysis: PathAnalysis, n: int) -> tuple[int, list[tuple[int, int
         ww = b * (b * aa + 2 * k * at) + k * k * tt
         _check_omega(analysis.pairings.cone, b * at + k * tt, tt, ww)
         num = k * k * tt - b * b * aa
-        rows.append((k, num, Fraction(n * num, k * ww)))  # k * ww > 0 past the checks
+        rows.append((k, num, n * num, k * ww))  # k * ww > 0 past the checks
     return den * n * n, rows
 
 
@@ -253,4 +255,4 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
     _check_samples(samples)
     scale, rows = _path_rows(path_R(lattice, cone, theta, a), samples)
     return [PathSample(t=Fraction(k, samples), r_numerator=Fraction(num, scale),
-                       gamma=gamma, solvable=num > 0) for k, num, gamma in rows]
+                       gamma=Fraction(gp, gq), solvable=num > 0) for k, num, gp, gq in rows]

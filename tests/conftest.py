@@ -24,8 +24,8 @@ not around ``validate_fan``'s point c.  ``segment``,
 ``DivClass`` holds Fractions only, so the oracles that step to an irrational
 bound build that class as a tuple of QuadNums with ``quad_coords`` and pair
 it with ``quad_pair``, or read its cone sides with ``quad_sides``.
-``decimal_str_oracle`` is a second route to ``decimal_str`` that takes every
-value through a QuadNum and its exact sign, as ``decimal_str`` once did.
+``check_decimal`` checks a printed decimal without computing one: it parses
+the string back and bounds its error by exact QuadNum comparison.
 ``fraction_signature`` is a second route to ``IntersectionLattice.signature``:
 congruence diagonalization in Fraction arithmetic, as ``signature`` once did.
 ``del_pezzo`` builds the blowups of P^2 at 2 to 8 general points, with their
@@ -34,7 +34,7 @@ congruence diagonalization in Fraction arithmetic, as ``signature`` once did.
 
 from __future__ import annotations
 
-from decimal import Context, Decimal, ROUND_HALF_EVEN
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from random import Random
@@ -85,22 +85,30 @@ def quad_sides(lattice: IntersectionLattice, cone: NefConeModel, x) -> list[Quad
     return vals
 
 
-def decimal_str_oracle(x: Scalar, digits: int) -> str:
-    """x to digits significant digits: QuadNum(Fraction(x)), its sign, divide, quantize
-    (once more at the next exponent when rounding carried into a new leading digit)."""
-    q = x if isinstance(x, QuadNum) else QuadNum(Fraction(x))
-    if q.sign() == 0:
-        return "0"
-    hi = Context(prec=digits + 10, rounding=ROUND_HALF_EVEN)
-    val = hi.divide(Decimal(q.a.numerator), Decimal(q.a.denominator))
-    if q.b != 0:
-        val = hi.add(val, hi.multiply(hi.divide(Decimal(q.b.numerator), Decimal(q.b.denominator)),
-                                      hi.sqrt(Decimal(q.d))))
-    target = Decimal(1).scaleb(val.adjusted() - digits + 1)
-    out = val.quantize(target, rounding=ROUND_HALF_EVEN, context=hi)
-    if out.adjusted() > val.adjusted():  # carried into a new leading digit
-        out = val.quantize(target.scaleb(1), rounding=ROUND_HALF_EVEN, context=hi)
-    return str(out)
+def check_decimal(x: Scalar, digits: int, text: str) -> None:
+    """Assert that text is x to digits significant digits, correctly rounded, ties to even.
+
+    The string is read back, never recomputed: it is Decimal.__str__'s form of
+    exactly digits digits ("0" only for zero), and D = Fraction(text) lies
+    within half a unit in its last place of x, by exact QuadNum comparison;
+    a tie prints an even last digit.  Below a power of ten the next lower
+    value is a tenth of a unit away, so on that side the bound is a twentieth.
+    """
+    v = x if isinstance(x, QuadNum) else QuadNum(Fraction(x))
+    if text == "0":
+        assert v == 0, (x, digits, text)
+        return
+    sign, coeff, exp = Decimal(text).as_tuple()
+    assert str(Decimal(text)) == text and len(coeff) == digits and coeff[0], (x, digits, text)
+    shown = Fraction(text)
+    err = v - shown if v > shown else shown - v
+    half, even = Fraction(10) ** exp / 2, coeff[-1] % 2 == 0
+    if coeff == (1,) + (0,) * (digits - 1) and (v < shown) != bool(sign):
+        # x lies nearer zero than the power of ten it printed: the next value
+        # that way is a tenth of a unit off, and in tenths the power is even
+        half, even = half / 10, True
+    assert err < half or (err == half and even), (x, digits, text)
+    assert v.sign() == (-1 if sign else 1), (x, digits, text)
 
 
 def fraction_signature(matrix) -> tuple[int, int, int]:

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from conftest import decimal_str_oracle, poly_at
+from conftest import check_decimal, poly_at
 from jthresh import exactnum
 from jthresh.errors import BadParams, MixedRadicands, ZeroPolynomial
 from jthresh.exactnum import (MAX_DECIMAL_DIGITS, QuadNum, decimal_str, format_rat,
@@ -156,13 +156,24 @@ class TestQuadArithmetic:
             assert x != other
 
     def test_float_operands_are_refused(self):
-        # no floats in the kernels: every mixed operation raises, on either side
+        # no floats in the kernels: every mixed operation raises, on either side,
+        # and an arithmetic error names its own operator and operand order
         x = QuadNum(1, 1, 2)
-        for op in (lambda p, q: p + q, lambda p, q: p * q, lambda p, q: p / q,
-                   lambda p, q: p < q):
+        for symbol, op in (("+", lambda p, q: p + q), ("-", lambda p, q: p - q),
+                           ("*", lambda p, q: p * q), ("/", lambda p, q: p / q),
+                           ("<", lambda p, q: p < q)):
             for left, right in ((x, 1.5), (1.5, x), (QuadNum(3), 2.0), (2.0, QuadNum(3))):
-                with pytest.raises(TypeError):
+                with pytest.raises(TypeError) as info:
                     op(left, right)
+                if symbol != "<":
+                    names = [type(v).__name__ for v in (left, right)]
+                    assert str(info.value) == (f"unsupported operand type(s) for {symbol}: "
+                                               f"'{names[0]}' and '{names[1]}'")
+
+    def test_reflected_subtraction(self):
+        x = QuadNum(Fraction(1, 2), 3, 5)
+        for other in (2, Fraction(-7, 3), QuadNum(1, 1, 5)):
+            assert other - x == -(x - other)
 
     def test_division_by_zero(self):
         for zero in (QuadNum(0), QuadNum(1, 1, 2) - QuadNum(1, 1, 2), 0, Fraction(0)):
@@ -413,9 +424,8 @@ class TestRendering:
         assert decimal_str(Fraction(0), 12) == "0"
         assert decimal_str(Fraction(6, 5), 5) == "1.2000"
 
-    def test_decimal_matches_the_quadnum_route(self):
-        # decimal_str divides a rational out directly; the oracle builds a
-        # QuadNum and reads its sign first, as decimal_str once did
+    def test_decimal_is_correctly_rounded(self):
+        # each printed string is read back and its error bounded exactly
         rng = Random(7011)
         values = [Fraction(0), 0, 1, -7, 123456789, -10 ** 25, Fraction(1, 3),
                   Fraction(-1, 3), Fraction(2, 3), QuadNum(Fraction(-5, 7)), QuadNum(0),
@@ -432,7 +442,7 @@ class TestRendering:
                 values += [tie, -tie]
         for digits in (1, 2, 12, 30, 1000):
             for x in values:
-                assert decimal_str(x, digits) == decimal_str_oracle(x, digits), (x, digits)
+                check_decimal(x, digits, decimal_str(x, digits))
         tie_even, tie_odd = (Fraction(m, 10 ** 12) + Fraction(5, 10 ** 13)
                              for m in (123456789012, 123456789011))
         assert decimal_str(tie_even, 12) == decimal_str(tie_odd, 12) == "0.123456789012"
@@ -463,9 +473,8 @@ class TestRendering:
         # rounding up to a power of ten must not print digits + 1 significant digits
         assert decimal_str(x, digits) == text
 
-    def test_interleaved_digit_counts_match_fresh_contexts(self):
-        # decimal_str keeps one context per precision; the oracle builds a fresh
-        # one on each call, so a context reused across counts must not show
+    def test_interleaved_digit_counts(self):
+        # decimal_str caches powers of ten across calls; no count may see another's
         rng = Random(7013)
         values = [Fraction(1, 3), Fraction(-2, 7), Fraction(10 ** 30 + 1, 3), 123456789,
                   QuadNum(0, 1, 3), QuadNum(Fraction(-1, 2), Fraction(5, 3), 7)]
@@ -475,7 +484,73 @@ class TestRendering:
                    for x in values[6:]]
         for digits in (5, 30, 1000, 5, 1, 1000, 30, 12, 5):
             for x in values:
-                assert decimal_str(x, digits) == decimal_str_oracle(x, digits), (x, digits)
+                check_decimal(x, digits, decimal_str(x, digits))
+
+    @staticmethod
+    def pell_family(limit: int):
+        """x - y*sqrt(2) for x^2 - 2y^2 = 1, x up to limit: 1/(x + y*sqrt(2)), so near 0."""
+        x, y = 3, 2
+        while x <= limit:
+            yield x, y
+            x, y = 3 * x + 4 * y, 2 * x + 3 * y
+
+    def test_cancelling_values_keep_their_digits(self):
+        # a + b*sqrt(d) with a close to -b*sqrt(d): the value lies far below its terms
+        pell = list(self.pell_family(10 ** 30))
+        assert len(pell) == 39 and pell[-1][0] > 10 ** 29
+        for digits in (1, 2, 3, 12, 30, 1000):
+            for x, y in pell:
+                for q in (QuadNum(x, -y, 2), QuadNum(-x, y, 2)):
+                    check_decimal(q, digits, decimal_str(q, digits))
+        assert decimal_str(QuadNum(131836323, -93222358, 2)) == "3.79258150275E-9"
+        x, y = 1572584048032918633353217, 1111984844349868137938112
+        assert decimal_str(QuadNum(x, -y, 2)) == "3.17948029948E-25"
+        assert decimal_str(QuadNum(-x, y, 2)) == "-3.17948029948E-25"
+
+    def test_values_just_past_a_tie(self):
+        tie = Fraction(1234567890125, 10 ** 13)
+        assert decimal_str(tie + Fraction(1, 10 ** 40), 12) == "0.123456789013"
+        assert decimal_str(tie - Fraction(1, 10 ** 40), 12) == "0.123456789012"
+        assert decimal_str(tie, 12) == "0.123456789012"
+        assert decimal_str(-tie - Fraction(1, 10 ** 40), 12) == "-0.123456789013"
+
+    @pytest.mark.parametrize("digits", [1, 2, 3, 12, 30, 1000])
+    def test_carries_at_every_digit_count(self, digits):
+        # values that round up to a power of ten print it with exactly digits digits
+        def power(exponent: int, sign: int = 0) -> str:
+            return str(Decimal((sign, (1,) + (0,) * (digits - 1), exponent - digits + 1)))
+
+        below = 1 - Fraction(4, 10 ** (digits + 1))  # four tenths of a unit below 1
+        for e in (-9, -1, 0, 1, 15):
+            x = below * Fraction(10) ** e
+            assert decimal_str(x, digits) == power(e)
+            assert decimal_str(-x, digits) == power(e, 1)
+        tie = 1 - Fraction(5, 10 ** (digits + 1))  # halfway from 0.99..9 to 1: even is 1
+        assert decimal_str(tie, digits) == power(0)
+        root = QuadNum(10 ** digits + Fraction(1, 10), Fraction(-1, 10), 2)  # 10^digits - 0.04..
+        assert decimal_str(root, digits) == power(digits)
+        assert decimal_str(-root, digits) == power(digits, 1)
+        for x in (below, tie, root, -root):
+            check_decimal(x, digits, decimal_str(x, digits))
+
+    @pytest.mark.parametrize("x, digits, text", [
+        (QuadNum(131836323, -93222358, 2), 12, "3.79260000000E-9"),  # cancelled digits
+        (QuadNum(1572584048032918633353217, -1111984844349868137938112, 2), 12, "0E-8"),
+        (Fraction(1234567890125, 10 ** 13) + Fraction(1, 10 ** 40), 12, "0.123456789012"),
+        (Fraction(999999999999999, 10 ** 14), 12, "10.00000000000"),  # 13 digits
+        (Fraction(96, 10), 2, "10"),  # 9.6 prints 9.6: the power of ten is too far
+        (Fraction(-96, 10), 2, "-10"),
+        (Fraction(125, 100), 2, "1.3"),  # the tie goes to the even 1.2
+        (Fraction(5, 4), 2, "+1.2"),  # not Decimal's form
+        (Fraction(1, 4), 2, "0.25E0"),
+        (Fraction(1, 3), 2, "-0.33"),
+        (Fraction(1, 3), 2, "0"),
+        (Fraction(0), 2, "0.0"),
+    ])
+    def test_the_check_refuses_wrong_strings(self, x, digits, text):
+        # each string is a fault decimal_str once had, or one a fault would print
+        with pytest.raises(AssertionError):
+            check_decimal(x, digits, text)
 
     def test_digits_are_capped(self):
         root3 = QuadNum(0, 1, 3)

@@ -4,7 +4,10 @@ The kernels: ``IntersectionLattice.pair`` on rank 9, ``signature`` at ranks
 8 and 50, ``validate_fan`` and ``toric_gamma`` (the localization table and
 its 3^6 - 1 orbit scores) on (P^1)^6, ``toric_gamma`` on P^6 (2^7 - 2 orbit
 scores, all equal), and ``surface_gamma`` on the del Pezzo surface of
-degree 1 (k = 8, 240 facets).  The test suite runs each kernel
+degree 1 (k = 8, 240 facets), ``decimal_str`` on a rational and on a
+cancelling QuadNum at 12 and 1000 digits, and the ``path`` command's
+handler on the ``blowup_path`` export at 1000 samples (its rows, both
+decimal columns included).  The test suite runs each kernel
 once and checks its result (``tests/conftest.py`` passes
 ``--benchmark-disable``); print the timings with
 
@@ -15,14 +18,20 @@ The module is skipped when pytest-benchmark is not installed.
 
 from __future__ import annotations
 
+import json
+from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import product
 from random import Random
 
 import pytest
 
-from conftest import del_pezzo, fraction_signature, random_symmetric
-from jthresh import DivClass, Fan, IntersectionLattice, Status, surface_gamma, toric_gamma
+from conftest import check_decimal, del_pezzo, fraction_signature, random_symmetric
+from jthresh import (DivClass, Fan, IntersectionLattice, QuadNum, Status, sample_path,
+                     surface_gamma, toric_gamma)
+from jthresh.cli import _cmd_path, run
+from jthresh.documents import parse_document
+from jthresh.exactnum import decimal_str, format_rat
 from jthresh.toric import validate_fan
 
 pytest.importorskip("pytest_benchmark")
@@ -85,3 +94,31 @@ def test_surface_gamma(benchmark):
     lattice, cone, minus_k = del_pezzo(8)
     res = benchmark(surface_gamma, lattice, cone, minus_k, DivClass([7] + [-2] * 8))
     assert res.status is Status.SOLVABLE and res.value == res.audit.C - res.audit.sigma
+
+
+def pell_text(digits: int) -> str:
+    """131836323 - 93222358*sqrt(2) = 1/(131836323 + 93222358*sqrt(2)), by Decimal."""
+    wide = Context(prec=digits + 100)
+    conjugate = wide.add(Decimal(131836323), wide.multiply(Decimal(93222358),
+                                                           wide.sqrt(Decimal(2))))
+    return str(Context(prec=digits).divide(Decimal(1), conjugate))
+
+
+@pytest.mark.parametrize("x, digits, text", [
+    (Fraction(1, 7), 12, "0.142857142857"),
+    (Fraction(1, 7), 1000, "0." + "142857" * 166 + "1429"),
+    (QuadNum(131836323, -93222358, 2), 12, "3.79258150275E-9"),
+    (QuadNum(131836323, -93222358, 2), 1000, pell_text(1000)),
+], ids=["rational-12", "rational-1000", "cancelling-12", "cancelling-1000"])
+def test_decimal_str(benchmark, x, digits, text):
+    assert benchmark(decimal_str, x, digits) == text
+    check_decimal(x, digits, text)
+
+
+def test_path_command(benchmark):
+    doc = parse_document(json.loads(run(["catalog", "blowup_path", "--export"])[1]))
+    theta, a = doc.classes["theta"], doc.classes["a"]
+    payload = benchmark(_cmd_path, doc.lattice, doc.cone, theta, a, 1000, 12)
+    samples = sample_path(doc.lattice, doc.cone, theta, a, 1000)
+    assert [(row["gamma_value"], row["decimal_approx"]) for row in payload["rows"]] == [
+        (format_rat(s.gamma), decimal_str(s.gamma, 12)) for s in samples]

@@ -704,10 +704,10 @@ class TestPathOracle:
                 counts.append(sorted(calls))
             assert counts[0] == counts[1]
 
-    def test_command_rows_build_one_fraction_each(self, monkeypatch):
-        # the path command reads the row kernel's rows, not sample_path's: at
-        # --samples 1000 it builds at most one Fraction per row more than at 1
-        # (gamma, for its exact and decimal columns), and no PathSample
+    def test_command_rows_build_no_fraction(self, monkeypatch):
+        # the path command reads the row kernel's integer rows, not sample_path's:
+        # --samples 1000 builds exactly as many Fractions as --samples 1, and no
+        # PathSample
         fractions, path_samples = [], []
         new = Fraction.__new__
 
@@ -728,7 +728,7 @@ class TestPathOracle:
                 argv = ["path", "--theta", "theta", "--a", "a", "--samples", str(samples)]
                 assert run(argv, document)[0] == 0
                 counts.append(len(fractions))
-            assert counts[0] > 0 and counts[1] - counts[0] <= 999
+            assert counts[0] > 0 and counts[1] == counts[0]
         assert path_samples == []
 
     def test_command_rows_render_sample_path(self):
