@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import BadConeModel, BadSignature, OmegaNotKahler, ZeroVolume
-from .exactnum import QuadNum, scale_to_integers, squarefree_decompose
+from .exactnum import QuadNum, quad_ratio, scale_to_integers, squarefree_decompose
 from .lattice import DivClass, IntersectionLattice
 
 LIGHT_CONE = "light-cone"
@@ -46,7 +46,8 @@ class LightConeFacet:
 
 @dataclass(frozen=True)
 class NefConeModel:
-    """Linear facets, labelled f0, f1, ... by default, and an optional light cone."""
+    """Linear facets, labelled f0, f1, ... by default, and an optional light cone: at
+    least one of them, and one label per facet, or BadConeModel."""
 
     facets: Sequence[DivClass]
     light_cone: LightConeFacet | None = None
@@ -58,6 +59,10 @@ class NefConeModel:
         labels = self.facet_labels
         init(self, "facet_labels", tuple(labels) if labels is not None
              else tuple(f"f{i}" for i in range(len(self.facets))))
+        if not self.facets and self.light_cone is None:
+            raise BadConeModel("no facets and no light-cone facet")
+        if len(self.facet_labels) != len(self.facets):
+            raise BadConeModel("one label per facet required")
 
 
 @dataclass(frozen=True)
@@ -77,11 +82,7 @@ class ConeConstants:
 
 
 def validate_cone(lattice: IntersectionLattice, cone: NefConeModel) -> None:
-    """Consistency of the model itself (not of any particular class)."""
-    if not cone.facets and cone.light_cone is None:
-        raise BadConeModel("no facets and no light-cone facet")
-    if len(cone.facet_labels) != len(cone.facets):
-        raise BadConeModel("one label per facet required")
+    """The model against the lattice: class lengths and the light-cone reference class."""
     for f in cone.facets:
         lattice.check_class(f)
     if cone.light_cone is not None:
@@ -136,13 +137,6 @@ def _check_omega(cone: NefConeModel, tw: int, tt: int, ww: int) -> int:
     if disc < 0:
         raise BadSignature("negative light-cone discriminant; lattice signature is not (1, r-1)")
     return disc
-
-
-def _root(tw: int, ww: int, r: int, d: int) -> QuadNum:
-    """The light-cone root (tw + r sqrt(d))/ww: the larger one, or the smaller one for -r."""
-    if d <= 1:  # a square discriminant (r = 0 when d = 0): the root is rational
-        return QuadNum(Fraction(tw + r, ww))
-    return QuadNum._of(Fraction(tw, ww), Fraction(r, ww), d)
 
 
 def cone_constants(lattice: IntersectionLattice, cone: NefConeModel,
@@ -206,7 +200,8 @@ def _constants(table: PairingTable) -> ConeConstants:
     disc = _check_omega(cone, tw, tt, ww)
     lower = upper = None  # (theta side, omega side) of the facets binding T and sigma
     t_facet = s_facet = LIGHT_CONE
-    for t, w, name in zip(theta_sides, omega_sides, cone.facet_labels):
+    m = len(cone.facets)  # the light cone's sides follow the facets'
+    for t, w, name in zip(theta_sides[:m], omega_sides[:m], cone.facet_labels, strict=True):
         # omega's sides are positive, so t/w < t'/w' is t*w' < t'*w
         if lower is None or t * lower[1] < lower[0] * w:
             lower, t_facet = (t, w), name
@@ -216,14 +211,12 @@ def _constants(table: PairingTable) -> ConeConstants:
     sigma = None if upper is None else QuadNum(Fraction(*upper))
     if cone.light_cone is not None:
         r, d = squarefree_decompose(disc)
-        root = _root(tw, ww, -r, d)
+        root = quad_ratio(tw, -r, d, ww)
         if T is None or root < T:
             T, t_facet = root, LIGHT_CONE
-        root = _root(tw, ww, r, d)
+        root = quad_ratio(tw, r, d, ww)
         if sigma is None or root > sigma:
             sigma, s_facet = root, LIGHT_CONE
-    if T is None:
-        raise BadConeModel("no facets and no light-cone facet")
     return ConeConstants(C=Fraction(2 * tw, ww), sigma=sigma, T=T,
                          theta_kahler=all(v > 0 for v in theta_sides),
                          binding_facet_sigma=s_facet, binding_facet_T=t_facet)

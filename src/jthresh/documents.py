@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 from .cones import LightConeFacet, NefConeModel, validate_cone
 from .errors import BadDocument, BadParams, DimensionMismatch
-from .exactnum import QuadNum, format_rat, rat
+from .exactnum import QuadNum, exact_int, format_rat, rat
 from .lattice import DivClass, IntersectionLattice, validate_signature
 from .toric import MAX_FIXED_POINT_TERMS, Fan
 
@@ -37,17 +37,10 @@ def _rat_list(value: Any, what: str) -> list[Fraction]:
     return [parse_rat(x) for x in value]
 
 
-def _json_int(value: Any, what: str) -> int:
-    """A JSON integer; bools, floats and strings are refused, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BadDocument(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _int_rows(value: Any, what: str) -> list[list[int]]:
     if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
         raise BadDocument(f"{what} must be a list of integer lists, got {value!r}")
-    return [[_json_int(x, f"{what} entry") for x in row] for row in value]
+    return [[exact_int(x, f"{what} entry", BadDocument) for x in row] for row in value]
 
 
 def _object(data: dict[str, Any], key: str, message: str) -> dict[str, Any]:
@@ -122,7 +115,7 @@ def _parse_lattice(data: Any) -> IntersectionLattice:
     except DimensionMismatch as exc:
         raise BadDocument(str(exc)) from None
     if "rank" in data:
-        rank = _json_int(data["rank"], "lattice rank")
+        rank = exact_int(data["rank"], "lattice rank", BadDocument)
         if rank != lattice.rank:
             raise BadDocument(f"declared rank {rank} != matrix rank {lattice.rank}")
     validate_signature(lattice)
@@ -157,7 +150,7 @@ def _parse_fan(data: Any) -> Fan:
     for key in ("dim", "rays", "max_cones"):
         if key not in data:
             raise BadDocument(f"fan missing field {key!r}")
-    dim = _json_int(data["dim"], "fan dim")
+    dim = exact_int(data["dim"], "fan dim", BadDocument)
     rays = _int_rows(data["rays"], "fan rays")
     cones = _int_rows(data["max_cones"], "fan max_cones")
     if dim > 0 and len(cones) > MAX_FIXED_POINT_TERMS >> dim:  # never forms 2^dim

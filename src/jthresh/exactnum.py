@@ -16,7 +16,7 @@ from functools import cache
 from math import isqrt, lcm
 from typing import Sequence, Union
 
-from .errors import BadParams, MixedRadicands, ZeroPolynomial
+from .errors import BadParams, JThreshError, MixedRadicands, ZeroPolynomial
 
 RatLike = Union[int, Fraction]
 Scalar = Union[int, Fraction, "QuadNum"]
@@ -36,6 +36,22 @@ MAX_TRIAL_DIVISOR = 10**6
 # million-digit integer, so such strings are refused before Fraction sees them
 _EXPONENT_FORM = re.compile(r"[-+]?(?=\d|\.\d)(\d+(_\d+)*)?(\.(\d+(_\d+)*)?)?"
                             r"e[-+]?\d+(_\d+)*", re.IGNORECASE)
+
+
+def exact(x: object, what: str) -> Fraction:
+    """x as a Fraction if it is an int (not a bool) or a Fraction; else one BadParams line."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise BadParams(f"{what} must be int or Fraction, got {x!r}")
+
+
+def exact_int(value: object, what: str, error: type[JThreshError] = BadParams) -> int:
+    """value if it is an int; a bool, float or string raises error, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def rat(value: RatLike | str) -> Fraction:
@@ -101,14 +117,17 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 
 def rat_sqrt(x: Fraction) -> "QuadNum":
-    """Exact square root of a non-negative rational as a QuadNum."""
+    """Exact square root of a non-negative rational p/q as a QuadNum: sqrt(p*q)/q."""
     if x < 0:
         raise ValueError("square root of a negative rational")
-    s, d = squarefree_decompose(x.numerator * x.denominator)
-    coeff = Fraction(s, x.denominator)
-    if d in (0, 1):
-        return QuadNum(coeff * (1 if d else 0))
-    return QuadNum._of(Fraction(0), coeff, d)
+    return quad_ratio(0, *squarefree_decompose(x.numerator * x.denominator), x.denominator)
+
+
+def quad_ratio(t: int, r: int, d: int, w: int) -> "QuadNum":
+    """(t + r*sqrt(d))/w for ints, w != 0 and d >= 0 square-free; d = 0 or 1 is rational."""
+    if d <= 1:
+        return QuadNum(Fraction(t + r * d, w))
+    return QuadNum._of(Fraction(t, w), Fraction(r, w), d)
 
 
 def scale_to_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -148,9 +167,11 @@ class QuadNum:
 
     def __init__(self, a: RatLike = 0, b: RatLike = 0, d: int = 0):
         if not isinstance(a, Fraction):
-            a = Fraction(a)
+            a = exact(a, "QuadNum parts")
         if not isinstance(b, Fraction):
-            b = Fraction(b)
+            b = exact(b, "QuadNum parts")
+        if exact_int(d, "radicand") < 0:
+            raise BadParams(f"radicand must be non-negative, got {d}")
         if b == 0:
             d = 0
         else:
@@ -334,8 +355,10 @@ def _pow10(n: int) -> int:
 
 
 def _check_digits(digits: int) -> None:
+    if type(digits) is not int:  # once per path row: the call only when it may raise
+        exact_int(digits, "digits")
     if digits < 1:
-        raise ValueError("digits must be positive")
+        raise BadParams(f"digits must be positive, got {digits}")
     if digits > MAX_DECIMAL_DIGITS:
         raise BadParams(f"digits must be at most {MAX_DECIMAL_DIGITS}, got {digits}")
 
@@ -422,14 +445,13 @@ def decimal_str(x: Scalar, digits: int = 12) -> str:
 
     Display-only: correctly rounded, ties to even, in integer arithmetic;
     deterministic across platforms.  Exact zero renders as "0", anything
-    else in Decimal.__str__'s form with exactly digits digits.  digits above
-    MAX_DECIMAL_DIGITS are refused with BadParams.
+    else in Decimal.__str__'s form with exactly digits digits.  digits must be an
+    int from 1 to MAX_DECIMAL_DIGITS, else BadParams.
     """
     if isinstance(x, QuadNum):
         if x.b:
             _check_digits(digits)
-            q = lcm(x.a.denominator, x.b.denominator)
-            return _decimal_quad(x.a.numerator * (q // x.a.denominator),
-                                 x.b.numerator * (q // x.b.denominator), x.d, q, digits)
+            q, (a, b) = scale_to_integers((x.a, x.b))
+            return _decimal_quad(a, b, x.d, q, digits)
         x = x.a
     return decimal_ratio(x.numerator, x.denominator, digits)  # an int is x/1

@@ -21,17 +21,8 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .errors import BadParams, BadSignature, DimensionMismatch
-from .exactnum import RatLike, format_rat, scale_to_integers
-
-
-def _exact(x: object, what: str) -> Fraction:
-    """x as a Fraction if it is an int (not a bool) or a Fraction; else one BadParams line."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise BadParams(f"{what} must be int or Fraction, got {x!r}")
+from .errors import BadSignature, DimensionMismatch
+from .exactnum import RatLike, exact, format_rat, scale_to_integers
 
 
 @dataclass(frozen=True)
@@ -41,7 +32,7 @@ class DivClass:
     coords: tuple[Fraction, ...]
 
     def __init__(self, coords: Sequence[RatLike]):
-        object.__setattr__(self, "coords", tuple(_exact(c, "class coordinates") for c in coords))
+        object.__setattr__(self, "coords", tuple(exact(c, "class coordinates") for c in coords))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -94,7 +85,7 @@ class IntersectionLattice:
 
     def __init__(self, matrix: Sequence[Sequence[RatLike]],
                  labels: Sequence[str] | None = None):
-        rows = [tuple(_exact(x, "lattice entries") for x in row) for row in matrix]
+        rows = [tuple(exact(x, "lattice entries") for x in row) for row in matrix]
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise DimensionMismatch("pairing matrix must be square and non-empty")

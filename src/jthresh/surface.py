@@ -19,7 +19,7 @@ from .cones import (ConeConstants, NefConeModel, PairingTable, _check_omega, _co
                     cone_constants, seshadri_T, sigma_inf)  # noqa: F401
 from .errors import (ANotOnBoundary, BadConeModel, BadParams, NegativeSelfIntersection,
                      ThetaNotKahler, ZeroVolume)
-from .exactnum import QuadNum, rat_sqrt
+from .exactnum import QuadNum, exact, exact_int, rat_sqrt
 from .lattice import DivClass, IntersectionLattice
 
 CSCK_CAVEAT = "requires discrete automorphism group"
@@ -195,11 +195,11 @@ def csck_criterion(lattice: IntersectionLattice, cone: NefConeModel,
                    alpha: Fraction) -> CsckReport:
     """Numerical existence criterion min(C - sigma, T) > -(3/2)*alpha.
 
-    alpha is the user-supplied integrability exponent of the polarization;
-    it is never computed here.  The report carries the discrete-automorphism
-    caveat verbatim.
+    alpha, an int or a Fraction, is the user-supplied integrability exponent of
+    the polarization; it is never computed here.  The report carries the
+    discrete-automorphism caveat verbatim.
     """
-    if not alpha > 0:
+    if not exact(alpha, "alpha") > 0:
         raise BadParams("alpha must be positive")
     res = surface_gamma(lattice, cone, minus_c1, omega)
     lhs = min(res.value, res.audit.T)
@@ -218,7 +218,7 @@ class PathSample:
 
 
 def _check_samples(samples: int) -> None:
-    if not 1 <= samples <= MAX_SAMPLES:
+    if not 1 <= exact_int(samples, "samples") <= MAX_SAMPLES:
         raise BadParams(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
 
 

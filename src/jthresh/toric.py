@@ -42,6 +42,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import (BadFace, FanInvalid, NonPrimitiveRay, NotComplete,
                      NotSmooth, OmegaNotAmpleOnOrbit, OmegaNotKahler, WrongArity)
+from .exactnum import exact_int
 from .lattice import DivClass
 from .surface import Status
 
@@ -97,19 +98,12 @@ def _dot(m: Sequence[int], u: Sequence[int]) -> int:
     return sum(map(mul, m, u))
 
 
-def _integer(value: object, what: str) -> int:
-    """An int; bools, floats and strings are refused, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FanInvalid(f"fan {what} must be an integer, got {value!r}")
-    return value
-
-
-def _rows(value: object, what: str) -> Sequence[Sequence[object]]:
-    """A list or tuple of lists or tuples; anything else is refused, never iterated."""
+def _rows(value: object, what: str, entry: str) -> tuple[tuple[int, ...], ...]:
+    """A list or tuple of lists or tuples of ints, as tuples; anything else is refused."""
     sequence = (list, tuple)
     if not isinstance(value, sequence) or not all(isinstance(row, sequence) for row in value):
         raise FanInvalid(f"fan {what} must be a list of integer lists, got {value!r}")
-    return value
+    return tuple(tuple(exact_int(x, entry, FanInvalid) for x in row) for row in value)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -132,11 +126,10 @@ class Fan:
     def __init__(self, dim: int, rays: Sequence[Sequence[int]],
                  max_cones: Sequence[Sequence[int]]):
         init = object.__setattr__
-        init(self, "dim", _integer(dim, "dim"))
-        init(self, "rays", tuple(tuple(_integer(x, "ray entry") for x in ray)
-                                 for ray in _rows(rays, "rays")))
-        init(self, "max_cones", tuple(tuple(sorted(_integer(i, "cone index") for i in cone))
-                                      for cone in _rows(max_cones, "max_cones")))
+        init(self, "dim", exact_int(dim, "fan dim", FanInvalid))
+        init(self, "rays", _rows(rays, "rays", "fan ray entry"))
+        init(self, "max_cones", tuple(tuple(sorted(cone)) for cone
+                                      in _rows(max_cones, "max_cones", "fan cone index")))
         duals, weights = validate_fan(self)
         init(self, "_duals", duals)
         init(self, "_weights", weights)
@@ -473,9 +466,9 @@ def _scores(n: int, table: Table,
 
 def subvariety_score(fan: Fan, theta: DivClass, omega: DivClass,
                      sigma: Sequence[int]) -> SubvarietyScore:
-    """Exact score of the orbit closure of sigma."""
-    sigma, cone = tuple(sorted(sigma)), frozenset(sigma)
-    if not 1 <= len(cone) == len(sigma) <= fan.dim or not fan.is_face(cone):
+    """Exact score of the orbit closure of sigma, a sequence of int ray indices."""
+    sigma = tuple(sorted(exact_int(i, "cone index") for i in sigma))
+    if not 1 <= len(set(sigma)) == len(sigma) <= fan.dim or not fan.is_face(frozenset(sigma)):
         raise BadFace(f"rays {list(sigma)} do not span a positive-dimension cone")
     table = _orbit_integrals(fan, theta, omega, [0, len(sigma)])
     vol = table.rows[sigma][0]

@@ -15,8 +15,8 @@ import pytest
 from conftest import (constants_outcome, fraction_cone_constants, light_cone_roots,
                       quad_coords, quad_pair, quad_sides, random_class, random_instance,
                       random_kahler, rnd_fraction, segment)
-from jthresh import (DivClass, LightConeFacet, NefConeModel, QuadNum,
-                     cone_constants, diagonal_lattice)
+from jthresh import (DivClass, LightConeFacet, NefConeModel, QuadNum, Status,
+                     cone_constants, diagonal_lattice, is_solvable, surface_gamma)
 from jthresh.cones import LIGHT_CONE, is_kahler, is_nef, seshadri_T, sigma_inf, validate_cone
 from jthresh.errors import BadConeModel, BadSignature, OmegaNotKahler, ZeroVolume
 
@@ -83,6 +83,34 @@ class TestMembership:
             lat, _ = light_cone_model()
             validate_cone(lat, NefConeModel(
                 facets=[], light_cone=LightConeFacet(DivClass([1, 1]))))
+
+
+class TestModelShape:
+    """NefConeModel refuses, when built, a shape that no lattice can mend."""
+
+    def test_one_label_per_facet(self):
+        # zip(facets, labels) once dropped E from this model: gamma of
+        # (2H - E, 5H - E) read 1/2 Solvable instead of -1/4 ExactUnstable
+        for labels in (["F"], [], ["F", "E", "G"]):
+            with pytest.raises(BadConeModel) as info:
+                NefConeModel(facets=[DivClass([1, -1]), DivClass([0, 1])], facet_labels=labels)
+            assert f"{info.value.code}: {info.value}" == "BadConeModel: one label per facet required"
+        cone = NefConeModel(facets=[DivClass([1, -1]), DivClass([0, 1])], facet_labels=["F", "E"])
+        res = surface_gamma(F1_LATTICE, cone, DivClass([2, -1]), DivClass([5, -1]))
+        assert (res.value, res.status) == (QuadNum(Fraction(-1, 4)), Status.EXACT_UNSTABLE)
+        assert not is_solvable(F1_LATTICE, cone, DivClass([2, -1]), DivClass([5, -1]))
+
+    def test_no_facets_and_no_light_cone(self):
+        for labels in (None, []):
+            with pytest.raises(BadConeModel) as info:
+                NefConeModel(facets=[], facet_labels=labels)
+            assert str(info.value) == "no facets and no light-cone facet"
+        lone = NefConeModel(facets=(), light_cone=LightConeFacet(DivClass([1, 0])))
+        assert lone.facets == lone.facet_labels == ()
+
+    def test_empty_check_comes_first(self):
+        with pytest.raises(BadConeModel, match="no facets and no light-cone facet"):
+            NefConeModel(facets=[], facet_labels=["E"])
 
 
 class TestConstantsOnKnownSurfaces:
@@ -287,8 +315,7 @@ class TestFractionOracle:
                   (lat, touching, DivClass([3, 1]), DivClass([2, 1])),
                   (lat, touching, DivClass([3, 1]), DivClass([3, 1])),
                   (lat, NefConeModel(facets=[DivClass([1, 0])]), DivClass([2, 0]),
-                   DivClass([1, 1])),  # omega^2 = 0
-                  (lat, NefConeModel(facets=[]), DivClass([2, -1]), DivClass([5, -1]))]
+                   DivClass([1, 1]))]  # omega^2 = 0
         return cases
 
     def test_cone_constants_match_the_oracle(self):
@@ -309,4 +336,4 @@ class TestFractionOracle:
             seen["facet beats light cone"] += (cone.light_cone is not None
                                                and got[4:] != (LIGHT_CONE, LIGHT_CONE))
         assert min(seen.values()) >= 10, seen
-        assert errors == {OmegaNotKahler, ZeroVolume, BadSignature, BadConeModel}
+        assert errors == {OmegaNotKahler, ZeroVolume, BadSignature}

@@ -14,10 +14,10 @@ import pytest
 
 from conftest import check_decimal, poly_at
 from jthresh import exactnum
-from jthresh.errors import BadParams, MixedRadicands, ZeroPolynomial
-from jthresh.exactnum import (MAX_DECIMAL_DIGITS, QuadNum, decimal_str, format_rat,
-                              poly_roots_quadratic, rat, rat_sqrt,
-                              squarefree_decompose)
+from jthresh.errors import BadDocument, BadParams, MixedRadicands, ZeroPolynomial
+from jthresh.exactnum import (MAX_DECIMAL_DIGITS, QuadNum, decimal_ratio, decimal_str, exact,
+                              exact_int, format_rat, poly_roots_quadratic, quad_ratio, rat,
+                              rat_sqrt, squarefree_decompose)
 
 
 def oracle_sign(p: Fraction, q: Fraction, d: int) -> int:
@@ -199,6 +199,12 @@ class TestQuadArithmetic:
 
 
 class TestSquarefree:
+    def test_negative_input_is_refused(self):
+        with pytest.raises(ValueError, match="radicand must be non-negative"):
+            squarefree_decompose(-4)
+        with pytest.raises(ValueError, match="square root of a negative rational"):
+            rat_sqrt(Fraction(-1, 4))
+
     def test_decomposition(self):
         rng = Random(7007)
         for _ in range(300):
@@ -407,6 +413,66 @@ class TestRat:
     def test_plain_forms(self):
         assert [rat(s) for s in ("16/3", " 7 ", "1.25", "-2")] == [
             Fraction(16, 3), Fraction(7), Fraction(5, 4), Fraction(-2)]
+
+
+class TestExactGates:
+    """exact and exact_int, the one rule each for exact rational and integer inputs."""
+
+    def test_exact(self):
+        half = Fraction(1, 2)
+        assert exact(half, "x") is half
+        assert exact(-3, "x") == -3 and type(exact(-3, "x")) is Fraction
+        for value in (True, 0.5, "1/2", None, QuadNum(1)):
+            with pytest.raises(BadParams) as info:
+                exact(value, "x")
+            assert str(info.value) == f"x must be int or Fraction, got {value!r}"
+
+    def test_exact_int(self):
+        assert exact_int(-7, "n") == -7
+        for value in (False, 2.0, "2", Fraction(2), None):
+            with pytest.raises(BadParams) as info:
+                exact_int(value, "n")
+            assert str(info.value) == f"n must be an integer, got {value!r}"
+        with pytest.raises(BadDocument, match="^fan dim must be an integer, got 2.5$"):
+            exact_int(2.5, "fan dim", BadDocument)  # the caller names the error class
+
+    @pytest.mark.parametrize("args, line", [
+        ((0.1,), "QuadNum parts must be int or Fraction, got 0.1"),  # was 3602879701896397/2^55
+        ((True,), "QuadNum parts must be int or Fraction, got True"),  # was 1
+        ((1, "1", 2), "QuadNum parts must be int or Fraction, got '1'"),
+        ((1, 1, 2.0), "radicand must be an integer, got 2.0"),  # was a TypeError
+        ((1, 1, -2), "radicand must be non-negative, got -2"),  # was a ValueError
+        ((1, 0, True), "radicand must be an integer, got True"),
+    ])
+    def test_quadnum_parts_must_be_exact(self, args, line):
+        with pytest.raises(BadParams) as info:
+            QuadNum(*args)
+        assert f"{info.value.code}: {info.value}" == f"BadParams: {line}"
+
+    def test_quad_ratio_folds_as_the_constructor_does(self):
+        assert repr(quad_ratio(1, 2, 3, 4)) == "1/4 + 1/2*sqrt(3)"
+        rng = Random(7031)
+        for _ in range(300):
+            t, r, w = rng.randint(-40, 40), rng.randint(-40, 40), rng.choice([-6, -1, 1, 2, 9])
+            _, d = squarefree_decompose(rng.randint(0, 40))
+            got, want = quad_ratio(t, r, d, w), QuadNum(Fraction(t, w), Fraction(r, w), d)
+            assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+            assert got.is_rational == (d <= 1 or r == 0)
+
+    @pytest.mark.parametrize("digits, line", [
+        (12.0, "digits must be an integer, got 12.0"),  # printed 0.333333333333.0
+        (3.5, "digits must be an integer, got 3.5"),  # printed 0.1054.0
+        (True, "digits must be an integer, got True"),
+        (0, "digits must be positive, got 0"),  # was a ValueError
+        (-2, "digits must be positive, got -2"),
+    ])
+    def test_digits_must_be_a_positive_int(self, digits, line):
+        for render in (lambda: decimal_str(Fraction(1, 3), digits),
+                       lambda: decimal_str(QuadNum(0, 1, 3), digits),
+                       lambda: decimal_ratio(0, 1, digits)):
+            with pytest.raises(BadParams) as info:
+                render()
+            assert f"{info.value.code}: {info.value}" == f"BadParams: {line}"
 
 
 class TestRendering:

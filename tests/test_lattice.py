@@ -227,6 +227,15 @@ class TestDivClass:
         assert (-x).coords == (Fraction(-1), Fraction(-2))
         assert DivClass([0, 0]).is_zero
 
+    def test_reprs(self):
+        assert repr(DivClass([1, Fraction(-1, 2)])) == "(1, -1/2)"
+        assert repr(diagonal_lattice([1, -1], ["H", "E"])) == (
+            "IntersectionLattice(rank=2, labels=['H', 'E'])")
+
+    def test_rational_times_class(self):
+        assert Fraction(1, 2) * DivClass([2, 4]) == DivClass([1, 2])  # DivClass.__rmul__
+        assert 3 * DivClass([1, Fraction(1, 3)]) == DivClass([3, 1])
+
     def test_integer_form(self):
         x = DivClass([Fraction(1, 6), -2, Fraction(3, 4), 0])
         assert x.integers == (12, (2, -24, 9, 0))

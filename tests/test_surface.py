@@ -353,6 +353,14 @@ class TestPathAnalysis:
         with pytest.raises(BadParams, match=f"between 1 and {MAX_SAMPLES}, got {MAX_SAMPLES + 1}"):
             sample_path(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, 0]), MAX_SAMPLES + 1)
 
+    @pytest.mark.parametrize("samples", [True, 2.0, "2", Fraction(2)])
+    def test_sample_count_must_be_an_int(self, samples):
+        # True once gave one row, and 2.0 a TypeError
+        with pytest.raises(BadParams) as info:
+            sample_path(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, 0]), samples)
+        assert f"{info.value.code}: {info.value}" == (
+            f"BadParams: samples must be an integer, got {samples!r}")
+
 
 # a light-cone path document along which every omega_t has an irrational T
 IRRATIONAL_T_PATH = {"lattice": {"matrix": [["1", "0"], ["0", "-3"]]},
@@ -853,6 +861,18 @@ class TestCsck:
     def test_alpha_validation(self):
         with pytest.raises(BadParams):
             csck_criterion(F1_LATTICE, F1_CONE, F1_THETA, F1_OMEGA, Fraction(0))
+
+    @pytest.mark.parametrize("alpha, line", [
+        (0.5, "alpha must be int or Fraction, got 0.5"),  # was a TypeError
+        (True, "alpha must be int or Fraction, got True"),  # ran as alpha = 1
+        ("1/2", "alpha must be int or Fraction, got '1/2'"),
+        (QuadNum(1), "alpha must be int or Fraction, got 1"),
+    ])
+    def test_alpha_must_be_exact(self, alpha, line):
+        with pytest.raises(BadParams) as info:
+            csck_criterion(F1_LATTICE, F1_CONE, F1_THETA, F1_OMEGA, alpha)
+        assert f"{info.value.code}: {info.value}" == f"BadParams: {line}"
+        assert csck_criterion(F1_LATTICE, F1_CONE, F1_THETA, F1_OMEGA, 1).rhs == Fraction(-3, 2)
 
 
 # the blowup model with a light cone: facet E, reference class 2H - E

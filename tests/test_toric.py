@@ -26,7 +26,7 @@ from jthresh import (DivClass, Fan, NefConeModel, QuadNum, Status,
 from jthresh.cli import run
 from jthresh.toric import (ToricGammaResult, enumerate_orbits, invariant_curves, is_ample,
                            toric_seshadri_T, validate_fan)
-from jthresh.errors import (BadFace, DimensionMismatch, FanInvalid, JThreshError,
+from jthresh.errors import (BadFace, BadParams, DimensionMismatch, FanInvalid, JThreshError,
                             NonPrimitiveRay, NotComplete, NotSmooth, OmegaNotAmpleOnOrbit,
                             OmegaNotKahler, WrongArity)
 
@@ -487,6 +487,15 @@ class TestOrbits:
     def test_invariant_curves_of_threefold(self):
         assert len(invariant_curves(P1CUBE)) == 12
 
+    def test_repr(self):
+        assert repr(F1) == "Fan(dim=2, rays=4, max_cones=4)"
+
+    def test_rewrite_terms_needs_a_cone_of_the_fan(self):
+        assert F1.rewrite_terms(frozenset({0, 1}), 0) == ((2, 1),)  # D0 = D2 on F_1
+        with pytest.raises(BadFace) as info:
+            F1.rewrite_terms(frozenset({0, 2}), 0)  # D0 and D2 are both fibres: disjoint
+        assert str(info.value) == "rays [0, 2] do not span a cone of the fan"
+
 
 class TestAmpleness:
     def test_blowup_classes(self):
@@ -532,6 +541,22 @@ class TestScores:
         omega = F1_H.scale(5) - F1_E
         score = subvariety_score(F1, theta, omega, (0, 1))
         assert score.value == Fraction(3, 8)
+
+    @pytest.mark.parametrize("sigma", [(0.0,), (True,), ("1",), (0, 1.0)])
+    def test_cone_indices_must_be_ints(self, sigma):
+        # (0.0,) once returned a score whose cone was (0.0,)
+        bad = next(i for i in sigma if type(i) is not int)
+        with pytest.raises(BadParams) as info:
+            subvariety_score(F1, F1_H.scale(2) - F1_E, F1_H.scale(5) - F1_E, sigma)
+        assert f"{info.value.code}: {info.value}" == (
+            f"BadParams: cone index must be an integer, got {bad!r}")
+
+    def test_omega_with_non_positive_volume_is_refused_after_the_orbit(self):
+        # omega.D0 = 2 > 0 passes the orbit's check; omega^2 = -2
+        omega = DivClass([Fraction(1, 2), 2, 0, 0])
+        with pytest.raises(OmegaNotKahler) as info:
+            subvariety_score(hirzebruch(1), DivClass([0, 0, 0, 1]), omega, (0,))
+        assert str(info.value) == "omega^n = -2 <= 0"
 
     def test_omega_positive_on_orbit_required(self):
         with pytest.raises(OmegaNotAmpleOnOrbit):
