@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Mapping
 
 from .cones import LightConeFacet, NefConeModel, validate_cone
+from .documents import InputDocument
 from .errors import BadParams, OutOfDomain, UnknownName
 from .exactnum import RatLike, rat
-from .lattice import DivClass, IntersectionLattice, diagonal_lattice, validate_signature
+from .lattice import DivClass, diagonal_lattice, validate_signature
 from .toric import Fan
 
 # largest perfect_lightcone rank: a rank x rank matrix, built by `jthresh catalog` in
@@ -35,15 +37,13 @@ ROSS_MODEL_FACET_NOTE = ("facet w_up (x - g*y >= 0, from the diagonal class) is 
 
 
 @dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    params: dict[str, Fraction]
-    lattice: IntersectionLattice
-    cone: NefConeModel
-    named_classes: dict[str, DivClass]
-    fan: Fan | None = None
-    named_toric_classes: dict[str, DivClass] | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
+class CatalogEntry(InputDocument):
+    """A family's document (lattice, cone, fan where toric, named classes), its name,
+    its parameters (read-only, like every map of a document) and its notes."""
+
+    name: str = ""
+    params: Mapping[str, Fraction] = field(default_factory=dict, hash=False)
+    notes: tuple[str, ...] = ()
 
 
 def _require_integer(value: Fraction, name: str) -> int:
@@ -77,7 +77,7 @@ def ross_entry(g: RatLike | str, s_c: RatLike | str) -> CatalogEntry:
         "dp": DivClass([0, 1]),
     }
     return CatalogEntry(name="ross", params={"g": Fraction(g), "s_C": s_c},
-                        lattice=lattice, cone=cone, named_classes=classes,
+                        lattice=lattice, cone=cone, classes=classes,
                         notes=(ROSS_MODEL_FACET_NOTE,))
 
 
@@ -123,8 +123,8 @@ def hirzebruch_entry(a: RatLike | str) -> CatalogEntry:
         "H": DivClass([0, 0, 0, 1]),   # D3 = E + a*F, the positive section
     }
     return CatalogEntry(name="hirzebruch", params={"a": Fraction(a)},
-                        lattice=lattice, cone=cone, named_classes=classes,
-                        fan=hirzebruch_fan(a), named_toric_classes=toric)
+                        lattice=lattice, cone=cone, classes=classes,
+                        fan=hirzebruch_fan(a), toric_classes=toric)
 
 
 def perfect_lightcone_entry(rank: RatLike | str = 2) -> CatalogEntry:
@@ -135,7 +135,7 @@ def perfect_lightcone_entry(rank: RatLike | str = 2) -> CatalogEntry:
     h = DivClass([1] + [0] * (rank - 1))
     cone = NefConeModel(facets=[], light_cone=LightConeFacet(reference_kahler=h))
     return CatalogEntry(name="perfect_lightcone", params={"rank": Fraction(rank)},
-                        lattice=lattice, cone=cone, named_classes={"H": h})
+                        lattice=lattice, cone=cone, classes={"H": h})
 
 
 def blowup_path_entry() -> CatalogEntry:
@@ -147,7 +147,7 @@ def blowup_path_entry() -> CatalogEntry:
                         light_cone=LightConeFacet(reference_kahler=theta))
     classes = {"H": h, "E": e, "a": h, "theta": theta}
     return CatalogEntry(name="blowup_path", params={}, lattice=lattice,
-                        cone=cone, named_classes=classes)
+                        cone=cone, classes=classes)
 
 
 # family -> (builder, required params, optional params)

@@ -12,13 +12,11 @@ defined in the document.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -293,13 +291,10 @@ def _cmd_path(lattice, cone, theta, a, samples, digits) -> dict[str, Any]:
 
 
 def _path_csv(payload: dict[str, Any]) -> str:
-    """The sweep's rows as CSV, solvable as 0/1."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_PATH_COLUMNS)
-    for t, r, value, solvable, approx in map(dict.values, payload["rows"]):
-        writer.writerow([t, r, value, int(solvable), approx])
-    return buf.getvalue()
+    """The sweep's rows as CSV, solvable as 0/1; no field can hold a comma, quote or newline."""
+    return "".join([",".join(_PATH_COLUMNS) + "\n"] + [
+        f"{t},{r},{value},{int(solvable)},{approx}\n"
+        for t, r, value, solvable, approx in map(dict.values, payload["rows"])])
 
 
 def _cmd_stable_cone(lattice, cone, theta, a, digits) -> dict[str, Any]:
@@ -376,20 +371,18 @@ def _cmd_catalog(args: argparse.Namespace, digits: int) -> dict[str, Any]:
     if args.t is not None and args.name != "ross":
         raise BadParams(f"unexpected parameters ['t'] for {args.name}")
     t = rat(args.t) if args.t is not None else None
-    classes = dict(entry.named_classes)
+    classes = dict(entry.classes)
     if t is not None:
         classes["L_t"] = catalog_mod.ross_polarization(t)
     if args.export:
-        return document_to_json(InputDocument(
-            lattice=entry.lattice, cone=entry.cone, fan=entry.fan, classes=classes,
-            toric_classes=entry.named_toric_classes or {}))
+        return document_to_json(replace(entry, classes=classes))
     payload: dict[str, Any] = {
         "command": "catalog", "name": entry.name,
         "params": {k: format_rat(v) for k, v in sorted(entry.params.items())},
         "lattice": {"rank": entry.lattice.rank, "labels": list(entry.lattice.labels)},
         "cone": {"facets": list(entry.cone.facet_labels),
                  "light_cone": entry.cone.light_cone is not None},
-        "classes": sorted(entry.named_classes), "caveats": list(entry.notes)}
+        "classes": sorted(entry.classes), "caveats": list(entry.notes)}
     if entry.fan is not None:
         payload["fan"] = {"rays": len(entry.fan.rays), "max_cones": len(entry.fan.max_cones)}
     if t is not None:

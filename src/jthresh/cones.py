@@ -43,11 +43,15 @@ class LightConeFacet:
 
     reference_kahler: DivClass
 
+    def __post_init__(self):
+        if not isinstance(h := self.reference_kahler, DivClass):
+            raise BadConeModel(f"light-cone reference class must be a DivClass, got {h!r}")
+
 
 @dataclass(frozen=True)
 class NefConeModel:
-    """Linear facets, labelled f0, f1, ... by default, and an optional light cone: at
-    least one of them, and one label per facet, or BadConeModel."""
+    """Linear facets (DivClasses), labelled f0, f1, ... by default, and an optional light
+    cone: at least one of them, and one str label per facet, or BadConeModel."""
 
     facets: Sequence[DivClass]
     light_cone: LightConeFacet | None = None
@@ -63,6 +67,12 @@ class NefConeModel:
             raise BadConeModel("no facets and no light-cone facet")
         if len(self.facet_labels) != len(self.facets):
             raise BadConeModel("one label per facet required")
+        for f in self.facets:
+            if not isinstance(f, DivClass):
+                raise BadConeModel(f"cone facets must be DivClasses, got {f!r}")
+        for label in self.facet_labels:
+            if not isinstance(label, str):
+                raise BadConeModel(f"facet labels must be strings, got {label!r}")
 
 
 @dataclass(frozen=True)

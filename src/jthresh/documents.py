@@ -9,7 +9,7 @@ and fan structure, so a parsed document is safe to compute with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -18,7 +18,7 @@ from .cones import LightConeFacet, NefConeModel, validate_cone
 from .errors import BadDocument, BadParams, DimensionMismatch
 from .exactnum import QuadNum, exact_int, format_rat, rat
 from .lattice import DivClass, IntersectionLattice, validate_signature
-from .toric import MAX_FIXED_POINT_TERMS, Fan
+from .toric import MAX_FIXED_POINT_TERMS, Fan, _rows
 
 
 def parse_rat(value: Any) -> Fraction:
@@ -35,12 +35,6 @@ def _rat_list(value: Any, what: str) -> list[Fraction]:
     if not isinstance(value, list):
         raise BadDocument(f"{what} must be a list of exact rationals, got {value!r}")
     return [parse_rat(x) for x in value]
-
-
-def _int_rows(value: Any, what: str) -> list[list[int]]:
-    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
-        raise BadDocument(f"{what} must be a list of integer lists, got {value!r}")
-    return [[exact_int(x, f"{what} entry", BadDocument) for x in row] for row in value]
 
 
 def _object(data: dict[str, Any], key: str, message: str) -> dict[str, Any]:
@@ -77,7 +71,7 @@ def quad_from_json(value: Any) -> QuadNum:
 
 @dataclass(frozen=True)
 class InputDocument:
-    """A parsed document; its label maps and query are read-only copies of what was given.
+    """A parsed document; each map, a field declared hash=False, is a read-only copy.
 
     The hash reads the lattice, the cone and the fan: equal documents have
     equal parts, and a query may hold lists, which have no hash.
@@ -91,12 +85,13 @@ class InputDocument:
     query: Mapping[str, Any] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
-        for name in ("classes", "toric_classes", "query"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        for f in fields(self):
+            if f.hash is False:
+                object.__setattr__(self, f.name, MappingProxyType(dict(getattr(self, f.name))))
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor, from plain dicts
-        return InputDocument, (self.lattice, self.cone, self.fan, dict(self.classes),
-                               dict(self.toric_classes), dict(self.query))
+        return type(self), tuple(dict(getattr(self, f.name)) if f.hash is False
+                                 else getattr(self, f.name) for f in fields(self))
 
 
 def _parse_lattice(data: Any) -> IntersectionLattice:
@@ -151,8 +146,8 @@ def _parse_fan(data: Any) -> Fan:
         if key not in data:
             raise BadDocument(f"fan missing field {key!r}")
     dim = exact_int(data["dim"], "fan dim", BadDocument)
-    rays = _int_rows(data["rays"], "fan rays")
-    cones = _int_rows(data["max_cones"], "fan max_cones")
+    rays = _rows(data["rays"], "rays", "fan rays entry", BadDocument)
+    cones = _rows(data["max_cones"], "max_cones", "fan max_cones entry", BadDocument)
     if dim > 0 and len(cones) > MAX_FIXED_POINT_TERMS >> dim:  # never forms 2^dim
         raise BadDocument(f"fan has len(max_cones) * 2^dim = {len(cones)} * 2^{dim} fixed-point "
                           f"terms, over MAX_FIXED_POINT_TERMS = {MAX_FIXED_POINT_TERMS}")

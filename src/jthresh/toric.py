@@ -40,7 +40,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import (BadFace, FanInvalid, NonPrimitiveRay, NotComplete,
+from .errors import (BadFace, FanInvalid, JThreshError, NonPrimitiveRay, NotComplete,
                      NotSmooth, OmegaNotAmpleOnOrbit, OmegaNotKahler, WrongArity)
 from .exactnum import exact_int
 from .lattice import DivClass
@@ -98,12 +98,13 @@ def _dot(m: Sequence[int], u: Sequence[int]) -> int:
     return sum(map(mul, m, u))
 
 
-def _rows(value: object, what: str, entry: str) -> tuple[tuple[int, ...], ...]:
-    """A list or tuple of lists or tuples of ints, as tuples; anything else is refused."""
+def _rows(value: object, what: str, entry: str,
+          error: type[JThreshError] = FanInvalid) -> tuple[tuple[int, ...], ...]:
+    """A list or tuple of lists or tuples of ints, as tuples; anything else raises error."""
     sequence = (list, tuple)
     if not isinstance(value, sequence) or not all(isinstance(row, sequence) for row in value):
-        raise FanInvalid(f"fan {what} must be a list of integer lists, got {value!r}")
-    return tuple(tuple(exact_int(x, entry, FanInvalid) for x in row) for row in value)
+        raise error(f"fan {what} must be a list of integer lists, got {value!r}")
+    return tuple([tuple([exact_int(x, entry, error) for x in row]) for row in value])
 
 
 @dataclass(frozen=True, init=False, repr=False)

@@ -38,7 +38,7 @@ def test_criterion_1_ross_g4_closed_form():
     entry = build("ross", {"g": 4, "s_C": 2})
     expected = {3: Fraction(6, 5), 4: Fraction(1), 10: Fraction(1, 2)}
     for t, value in expected.items():
-        res = surface_gamma(entry.lattice, entry.cone, entry.named_classes["K"],
+        res = surface_gamma(entry.lattice, entry.cone, entry.classes["K"],
                             ross_polarization(t))
         assert res.value == value == Fraction(6, t + 2)
         assert res.value == ross_gamma_closed_form(4, 2, t)
@@ -51,7 +51,7 @@ def test_criterion_1_ross_g4_closed_form():
 def test_criterion_2_ross_g16_divergence():
     started = time.perf_counter()
     entry = build("ross", {"g": 16, "s_C": Fraction(16, 3)})
-    k_cls = entry.named_classes["K"]
+    k_cls = entry.classes["K"]
     res = surface_gamma(entry.lattice, entry.cone, k_cls, ross_polarization(6))
     assert res.value == -27 and res.status is Status.EXACT_UNSTABLE
     values = []
@@ -229,7 +229,7 @@ def test_criterion_9_csck_alpha_criterion():
                             (Fraction(18) + Fraction(1, 1000), True),
                             (Fraction(100), True),
                             (Fraction(35, 2), False)):
-        rep = csck_criterion(entry.lattice, entry.cone, entry.named_classes["K"],
+        rep = csck_criterion(entry.lattice, entry.cone, entry.classes["K"],
                              l6, alpha)
         assert rep.holds == expected
         assert rep.lhs == -27

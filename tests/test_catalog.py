@@ -21,7 +21,7 @@ class TestBuild:
         entry = build("ross", {"g": 4, "s_C": 2})
         assert entry.lattice.matrix == ((Fraction(2), Fraction(0)),
                                         (Fraction(0), Fraction(-8)))
-        assert entry.named_classes["K"].coords == (Fraction(6), Fraction(0))
+        assert entry.classes["K"].coords == (Fraction(6), Fraction(0))
         assert entry.cone.facet_labels == ("w_low", "w_up")
         assert entry.notes  # the model-facet caveat travels with the entry
 
@@ -59,17 +59,17 @@ class TestBuild:
             for la in ("H", "E", "F"):
                 for lb in ("H", "E", "F"):
                     toric_val = intersection_number(
-                        fan, [entry.named_toric_classes[la],
-                              entry.named_toric_classes[lb]])
-                    lattice_val = entry.lattice.pair(entry.named_classes[la],
-                                                     entry.named_classes[lb])
+                        fan, [entry.toric_classes[la],
+                              entry.toric_classes[lb]])
+                    lattice_val = entry.lattice.pair(entry.classes[la],
+                                                     entry.classes[lb])
                     assert toric_val == lattice_val, (a, la, lb)
 
     def test_hirzebruch_one_is_the_blowup_model(self):
         entry = build("hirzebruch", {"a": 1})
-        assert entry.named_classes["H"].coords == (Fraction(1), Fraction(0))
-        assert entry.named_classes["E"].coords == (Fraction(0), Fraction(1))
-        assert entry.named_classes["F"].coords == (Fraction(1), Fraction(-1))
+        assert entry.classes["H"].coords == (Fraction(1), Fraction(0))
+        assert entry.classes["E"].coords == (Fraction(0), Fraction(1))
+        assert entry.classes["F"].coords == (Fraction(1), Fraction(-1))
 
     def test_perfect_lightcone(self):
         entry = build("perfect_lightcone", {"rank": 3})
@@ -85,8 +85,8 @@ class TestBuild:
 
     def test_blowup_path_entry(self):
         entry = build("blowup_path", {})
-        a = entry.named_classes["a"]
-        theta = entry.named_classes["theta"]
+        a = entry.classes["a"]
+        theta = entry.classes["theta"]
         assert is_nef(entry.lattice, entry.cone, a)
         assert not is_kahler(entry.lattice, entry.cone, a)
         assert is_kahler(entry.lattice, entry.cone, theta)
@@ -120,7 +120,7 @@ class TestClosedForm:
             entry = build("ross", {"g": g, "s_C": s_c})
             t = s_c + Fraction(rng.randint(1, 30), rng.randint(1, 7))
             res = surface_gamma(entry.lattice, entry.cone,
-                                entry.named_classes["K"], ross_polarization(t))
+                                entry.classes["K"], ross_polarization(t))
             assert res.value == ross_gamma_closed_form(g, s_c, t)
             assert res.audit.binding_facet_sigma == "w_low"
 
@@ -152,11 +152,11 @@ class TestRossPipelineStatuses:
         entry = build("ross", {"g": 4, "s_C": 2})
         for t in (Fraction(5, 2), 3, 7, 40):
             res = surface_gamma(entry.lattice, entry.cone,
-                                entry.named_classes["K"], ross_polarization(t))
+                                entry.classes["K"], ross_polarization(t))
             assert res.status is Status.SOLVABLE
 
     def test_g16_unstable_near_threshold(self):
         entry = build("ross", {"g": 16, "s_C": Fraction(16, 3)})
         res = surface_gamma(entry.lattice, entry.cone,
-                            entry.named_classes["K"], ross_polarization(6))
+                            entry.classes["K"], ross_polarization(6))
         assert res.status is Status.EXACT_UNSTABLE and res.value == -27

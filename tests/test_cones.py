@@ -112,6 +112,24 @@ class TestModelShape:
         with pytest.raises(BadConeModel, match="no facets and no light-cone facet"):
             NefConeModel(facets=[], facet_labels=["E"])
 
+    @pytest.mark.parametrize("make, message", [
+        # each part was once accepted: surface_gamma then raised AttributeError on
+        # [[0, 1]] and [2, -1], and reported the int 7 as the binding facet
+        (lambda: NefConeModel(facets=[[0, 1]]), "cone facets must be DivClasses, got [0, 1]"),
+        (lambda: NefConeModel(facets=[DivClass([0, 1]), (1, -1)]),
+         "cone facets must be DivClasses, got (1, -1)"),
+        (lambda: LightConeFacet([2, -1]),
+         "light-cone reference class must be a DivClass, got [2, -1]"),
+        (lambda: NefConeModel(facets=[DivClass([0, 1])], facet_labels=[7]),
+         "facet labels must be strings, got 7"),
+        (lambda: NefConeModel(facets=[DivClass([0, 1]), DivClass([1, -1])],
+                              facet_labels=["E", None]), "facet labels must be strings, got None"),
+    ])
+    def test_part_that_is_not_a_class_or_label(self, make, message):
+        with pytest.raises(BadConeModel) as info:
+            make()
+        assert f"{info.value.code}: {info.value}" == f"BadConeModel: {message}"
+
 
 class TestConstantsOnKnownSurfaces:
     def test_blowup_model(self):

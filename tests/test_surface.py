@@ -784,7 +784,7 @@ class TestPathOracle:
             return original(lattice, x, y)
 
         entry = build("blowup_path", {})
-        named = entry.named_classes
+        named = entry.classes
         paths = [(entry.lattice, entry.cone, named["theta"], named["a"])]
         paths += [path for path in self._boundary_paths(Random(8316), 4)
                   if path[1].light_cone is not None]

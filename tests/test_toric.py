@@ -445,8 +445,8 @@ class TestAgainstLatticeModel:
         from jthresh import build
         for a in (0, 1, 2, 3):
             entry = build("hirzebruch", {"a": a})
-            e_t, f_t = entry.named_toric_classes["E"], entry.named_toric_classes["F"]
-            e_l, f_l = entry.named_classes["E"], entry.named_classes["F"]
+            e_t, f_t = entry.toric_classes["E"], entry.toric_classes["F"]
+            e_l, f_l = entry.classes["E"], entry.classes["F"]
             for _ in range(12):
                 a1, b1 = rng.randint(1, 5), 0
                 b1 = a * a1 + rng.randint(1, 6)
