@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Any, Callable, NoReturn
@@ -31,7 +30,7 @@ from .exactnum import (MAX_DECIMAL_DIGITS, QuadNum, decimal_ratio, decimal_str, 
                        rat)
 from .surface import (PerfectCone, _path_rows, csck_criterion, is_solvable, path_R,
                       stable_subcone, surface_gamma)
-from .toric import Fan, toric_gamma
+from .toric import count_orbits, toric_gamma
 
 DEFAULT_DIGITS = 12
 
@@ -332,12 +331,6 @@ def _cmd_csck(lattice, cone, minus_c1, omega, alpha, digits) -> dict[str, Any]:
             "decimal": _decimal(digits, lhs=report.lhs), "caveats": [report.caveat]}
 
 
-def _orbit_count(fan: Fan) -> int:
-    """The number of positive-dimension cones: every non-empty face of a maximal cone, once."""
-    return len({face for cone in fan.max_cones for size in range(1, fan.dim + 1)
-                for face in combinations(cone, size)})
-
-
 def _cmd_validate(doc: InputDocument, digits: int) -> dict[str, Any]:
     # parse_document already validated everything; report what was checked
     payload: dict[str, Any] = {"ok": True}
@@ -349,7 +342,7 @@ def _cmd_validate(doc: InputDocument, digits: int) -> dict[str, Any]:
     if doc.fan is not None:
         payload["fan"] = {"dim": doc.fan.dim, "rays": len(doc.fan.rays),
                           "max_cones": len(doc.fan.max_cones),
-                          "orbits": _orbit_count(doc.fan)}
+                          "orbits": count_orbits(doc.fan)}
     payload["classes"] = sorted(doc.classes)
     payload["toric_classes"] = sorted(doc.toric_classes)
     return payload

@@ -36,6 +36,8 @@ MAX_TRIAL_DIVISOR = 10**6
 # million-digit integer, so such strings are refused before Fraction sees them
 _EXPONENT_FORM = re.compile(r"[-+]?(?=\d|\.\d)(\d+(_\d+)*)?(\.(\d+(_\d+)*)?)?"
                             r"e[-+]?\d+(_\d+)*", re.IGNORECASE)
+# 'p' or 'p/q' in ASCII digits with q != 0: two ints, no regex of Fraction's own
+_PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
 def exact(x: object, what: str) -> Fraction:
@@ -65,11 +67,11 @@ def rat(value: RatLike | str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if _EXPONENT_FORM.fullmatch(text):
+        plain, text = _PLAIN_RATIONAL.fullmatch(value), value.strip()
+        if not plain and _EXPONENT_FORM.fullmatch(text):
             raise BadParams(f"bad rational {value!r}: exponent notation is not accepted")
-        try:
-            return Fraction(text)
+        try:  # past 4300 digits int() raises Fraction(text)'s ValueError
+            return Fraction(int(plain[1]), int(plain[2] or 1)) if plain else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParams(f"bad rational {value!r}: {exc}") from None
     raise BadParams(f"expected an exact rational (int, Fraction or 'p/q' string), got {value!r}")

@@ -18,16 +18,19 @@ sigma the tangent weights are sigma's dual basis (m_rho) and D = sum a_j D_j
 restricts to sum_{rho in sigma} a_rho m_rho.  For every cone tau and classes
 D_1..D_p, p = dim V(tau), int_{V(tau)} D_1...D_p is the sum over maximal
 sigma containing tau of prod_k <D_k|sigma, c> / prod_{rho in sigma - tau} <m_rho, c>,
-for any c with no <m_rho, c> = 0; c = (1, N, ..., N^(n-1)) with
-N = 1 + max |dual entry| is one, since base-N digits are unique.  These
-weights <m_rho, c> are the ones validation counts cones with.  One pass
-over (maximal cone, face) pairs gives int_V omega^p and int_V theta omega^(p-1)
-on every orbit closure (``_orbit_integrals``) as integer sums over one common
+for any c with no <m_rho, c> = 0; c = (1, N, ..., N^(n-1)) with N = 1 + max
+|dual entry| is one, since base-N digits are unique.  These weights also count
+the cones (``count_orbits``; Fulton, Introduction to Toric Varieties, 5.2):
+for p inside a cone tau, p + eps c lies inside one maximal sigma, and tau
+holds every ray of sigma of weight < 0, so the cones part into intervals, from
+those rays up to sigma, of 2^(weights > 0) cones each.  One pass over (maximal
+cone, face) pairs gives int_V omega^p and int_V theta omega^(p-1) on every
+orbit closure (``_orbit_integrals``) as integer sums over one common
 denominator D = lcm over sigma of |prod weights|, each class scaled to
 integers.  ``toric_gamma`` reads the ampleness checks, T and the curve
 attaining it, C and every orbit score from that one integer table; D cancels
-from each ratio, so each reported rational is one Fraction of two integers.
-A document fan with more than ``MAX_FIXED_POINT_TERMS`` (maximal cone, face)
+from each ratio, so each reported rational is one Fraction of two integers.  A
+document fan with more than ``MAX_FIXED_POINT_TERMS`` (maximal cone, face)
 pairs is refused before validation.
 """
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, takewhile
+from itertools import chain, combinations
 from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -94,17 +97,16 @@ def _unimodular_dual(rays: Sequence[Sequence[int]]) -> Dual | None:
     return tuple(tuple(d * x for x in row[n:]) for row in rows)
 
 
-def _dot(m: Sequence[int], u: Sequence[int]) -> int:
-    return sum(map(mul, m, u))
-
-
 def _rows(value: object, what: str, entry: str,
           error: type[JThreshError] = FanInvalid) -> tuple[tuple[int, ...], ...]:
     """A list or tuple of lists or tuples of ints, as tuples; anything else raises error."""
     sequence = (list, tuple)
     if not isinstance(value, sequence) or not all(isinstance(row, sequence) for row in value):
         raise error(f"fan {what} must be a list of integer lists, got {value!r}")
-    return tuple([tuple([exact_int(x, entry, error) for x in row]) for row in value])
+    rows = tuple(map(tuple, value))
+    if not all(type(x) is int for x in chain.from_iterable(rows)):  # exact_int words a fault
+        return tuple([tuple([exact_int(x, entry, error) for x in row]) for row in rows])
+    return rows
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -158,7 +160,7 @@ class Fan:
             raise BadFace(f"rays {sorted(sigma)} do not span a cone of the fan")
         smax, dual = ambient
         m = dual[smax.index(i)]
-        coeffs = ((j, -_dot(m, self.rays[j])) for j in range(len(self.rays)) if j not in smax)
+        coeffs = ((j, -sum(map(mul, m, u))) for j, u in enumerate(self.rays) if j not in smax)
         return tuple((j, c) for j, c in coeffs if c != 0)
 
     def __repr__(self) -> str:
@@ -178,107 +180,105 @@ def validate_fan(fan: Fan) -> tuple[tuple[Dual, ...], tuple[tuple[int, ...], ...
     every generic point lies in the same number of maximal cones, at least
     one since each wall is covered from both sides; it must be one.
     """
-    n = fan.dim
+    n, rays = fan.dim, fan.rays
     if n < 1:
         raise FanInvalid("dimension must be positive")
-    if len(set(fan.rays)) != len(fan.rays):
+    if len(set(rays)) != len(rays):
         raise FanInvalid("duplicate rays")
-    for ray in fan.rays:
+    for ray in rays:
         if len(ray) != n:
             raise FanInvalid(f"ray {ray} has wrong length")
-        if all(x == 0 for x in ray):
-            raise NonPrimitiveRay("zero ray")
-        g = gcd(*ray)
-        if g != 1:
-            raise NonPrimitiveRay(f"ray {ray} has content {g}")
-    # certify the cones up to the first one of the wrong arity or with a
-    # missing ray: an earlier cone that is not unimodular is met first
-    cones = list(takewhile(lambda c: len(c) == len(set(c)) == n
-                           and all(0 <= i < len(fan.rays) for i in c), fan.max_cones))
-    ridges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for cone in cones:
-        for p, drop in enumerate(cone):
-            ridges.setdefault(cone[:p] + cone[p + 1:], []).append((cone, drop))
-    duals, sides = _wall_walk(fan.rays, cones, ridges)
-    used: set[int] = set()
-    for cone in fan.max_cones:
+        if (g := gcd(*ray)) != 1:
+            raise NonPrimitiveRay(f"ray {ray} has content {g}" if g else "zero ray")
+    # certify the cones before the first one of the wrong arity or with a missing
+    # ray (cones are sorted): an earlier cone that is not unimodular is met first
+    cones = fan.max_cones
+    end = next((k for k, cone in enumerate(cones) if len(cone) != n or len(set(cone)) != n
+                or cone[0] < 0 or cone[-1] >= len(rays)), len(cones))
+    duals, ridges, sides = _wall_walk(rays, cones[:end])
+    if None in duals:
+        raise NotSmooth(f"maximal cone {cones[duals.index(None)]} is not unimodular")
+    if end < len(cones):
+        cone = cones[end]
         if len(cone) != n or len(set(cone)) != n:
             raise NotSmooth(f"maximal cone {cone} does not have {n} distinct rays")
-        if not all(0 <= i < len(fan.rays) for i in cone):
-            raise FanInvalid(f"cone {cone} references missing rays")
-        used.update(cone)
-        if duals[cone] is None:
-            raise NotSmooth(f"maximal cone {cone} is not unimodular")
-    if len(set(fan.max_cones)) != len(fan.max_cones):
+        raise FanInvalid(f"cone {cone} references missing rays")
+    if len(set(cones)) != len(cones):
         raise FanInvalid("duplicate maximal cones")
-    if used != set(range(len(fan.rays))):
+    if set(chain.from_iterable(cones)) != set(range(len(rays))):
         raise FanInvalid("unused rays")
 
     # Wall condition: every ridge in exactly two maximal cones, opposite sides (a_d < 0).
-    for ridge, owners in ridges.items():
-        if len(owners) == 1:
-            raise NotComplete(f"ridge {ridge} lies on the boundary of the support")
-        if len(owners) > 2:
-            raise BadFace(f"ridge {ridge} shared by {len(owners)} maximal cones")
-        if sides[ridge] >= 0:
-            raise BadFace(f"maximal cones at ridge {ridge} are on the same side")
+    for mask, owners in ridges.items():
+        if len(owners) != 2 or sides[mask] >= 0:
+            ridge = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+            if len(owners) == 1:
+                raise NotComplete(f"ridge {ridge} lies on the boundary of the support")
+            raise BadFace(f"ridge {ridge} shared by {len(owners)} maximal cones" if len(owners) > 2
+                          else f"maximal cones at ridge {ridge} are on the same side")
 
-    bases = tuple(duals[cone] for cone in cones)
-    if not bases:  # before c, whose n entries cost time and memory linear in dim
+    if not cones:  # before c, whose n entries cost time and memory linear in dim
         raise NotComplete("generic point not covered by any maximal cone")
-    base = 1 + max(abs(x) for dual in bases for m in dual for x in m)
+    base = 1 + max(map(abs, chain.from_iterable(chain.from_iterable(duals))))
     c = [base ** i for i in range(n)]
-    weights = tuple(tuple(_dot(m, c) for m in dual) for dual in bases)
+    weights = tuple(tuple([sum(map(mul, m, c)) for m in dual]) for dual in duals)
     if sum(min(w) > 0 for w in weights) > 1:
         raise BadFace("maximal cones overlap in their interiors")
-    return bases, weights
+    return tuple(duals), weights
 
 
-def _wall_walk(rays: Sequence[Sequence[int]], cones: Sequence[tuple[int, ...]],
-               ridges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]
-               ) -> tuple[dict[tuple[int, ...], Dual | None], dict[tuple[int, ...], int]]:
-    """Each cone's dual basis (None if not unimodular), and a_d at each wall of two cones.
+def _wall_walk(rays: Sequence[Sequence[int]], cones: Sequence[tuple[int, ...]]
+               ) -> tuple[list[Dual | None], dict[int, list[tuple[int, int]]], dict[int, int]]:
+    """Each cone's dual basis (None if not unimodular), the ridges and a_d at each wall.
 
-    One elimination starts each connected component; every other cone is
-    reached across a wall.  At the wall tau of sigma = tau + u_d and
-    sigma' = tau + u_e, let a_k = <m_k, u_e> in sigma's basis: |det sigma'| = |a_d|,
-    so sigma' is unimodular exactly when a_d = +-1, and then its basis is
-    m'_e = a_d m_d, m'_k = m_k - a_d a_k m_d.  Unimodular cones lie on opposite
-    sides exactly when a_d = -1; m'_k = m_k when a_k = 0.  A wall into a cone
-    that has its basis needs a_d alone.  Raises nothing: the caller reports
-    the faults in its own order.
+    A ridge, keyed by the bitmask of its rays, maps to its owners (cone
+    position, position of the dropped ray).  One elimination starts each
+    connected component; every other cone is reached across a wall.  At the
+    wall tau of sigma = tau + u_d and sigma' = tau + u_e, let a_k = <m_k, u_e>
+    in sigma's basis: |det sigma'| = |a_d|, so sigma' is unimodular exactly when
+    a_d = +-1, and then its basis is m'_e = a_d m_d, m'_k = m_k - a_d a_k m_d.
+    Unimodular cones lie on opposite sides exactly when a_d = -1; m'_k = m_k when
+    a_k = 0.  A wall into a cone that has its basis needs a_d alone.  Raises
+    nothing: the caller reports the faults in its own order.
     """
-    duals: dict[tuple[int, ...], Dual | None] = {}
-    sides: dict[tuple[int, ...], int] = {}
-    for start in cones:
-        if start in duals:
+    masks = [sum(1 << i for i in cone) for cone in cones]
+    ridges: dict[int, list[tuple[int, int]]] = {}
+    for k, cone in enumerate(cones):
+        for p, drop in enumerate(cone):
+            ridges.setdefault(masks[k] ^ 1 << drop, []).append((k, p))
+    duals: list[Dual | None] = [None] * len(cones)
+    seen, sides = [False] * len(cones), {}
+    for start, cone in enumerate(cones):
+        if seen[start]:
             continue
-        duals[start] = _unimodular_dual([rays[i] for i in start])
+        seen[start] = True
+        duals[start] = _unimodular_dual([rays[i] for i in cone])
         stack = [start] if duals[start] is not None else []
         while stack:
-            cone = stack.pop()
-            dual = duals[cone]
+            k = stack.pop()
+            cone, dual = cones[k], duals[k]
             for p, drop in enumerate(cone):
-                ridge = cone[:p] + cone[p + 1:]
+                ridge = masks[k] ^ 1 << drop
                 owners = ridges[ridge]
                 if len(owners) != 2 or ridge in sides:
                     continue
-                other, extra = owners[owners[0] == (cone, drop)]
-                u, m_d = rays[extra], dual[p]
-                if other in duals:
-                    sides[ridge] = _dot(m_d, u)
+                other, q = owners[owners[0][0] == k]
+                u, m_d = rays[cones[other][q]], dual[p]
+                if seen[other]:
+                    sides[ridge] = sum(map(mul, m_d, u))
                     continue
-                a = [_dot(m, u) for m in dual]
+                seen[other] = True
+                a = [sum(map(mul, m, u)) for m in dual]
                 a_d = sides[ridge] = a[p]
                 if abs(a_d) != 1:
-                    duals[other] = None
                     continue
-                basis = {i: tuple(x - a_d * a_k * y for x, y in zip(m, m_d)) if a_k else m
-                         for i, m, a_k in zip(cone, dual, a)}
-                basis[extra] = tuple(a_d * y for y in m_d)
-                duals[other] = tuple(basis[i] for i in other)
+                basis = [tuple([x - a_d * a_k * y for x, y in zip(m, m_d)]) if a_k else m
+                         for m, a_k in zip(dual, a)]
+                del basis[p]
+                basis.insert(q, tuple([a_d * y for y in m_d]))
+                duals[other] = tuple(basis)
                 stack.append(other)
-    return duals, sides
+    return duals, ridges, sides
 
 
 class Table(NamedTuple):
@@ -358,6 +358,11 @@ def _cones_of_size(fan: Fan, size: int) -> list[tuple[int, ...]]:
 def enumerate_orbits(fan: Fan) -> list[tuple[int, ...]]:
     """Every positive-dimension cone, once, ordered by (dim, lex ray indices)."""
     return [tau for size in range(1, fan.dim + 1) for tau in _cones_of_size(fan, size)]
+
+
+def count_orbits(fan: Fan) -> int:
+    """The number of positive-dimension cones, from the weights at c (module docstring)."""
+    return sum(1 << sum(w > 0 for w in weights) for weights in fan._weights) - 1
 
 
 def invariant_curves(fan: Fan) -> list[tuple[int, ...]]:

@@ -414,6 +414,24 @@ class TestRat:
         assert [rat(s) for s in ("16/3", " 7 ", "1.25", "-2")] == [
             Fraction(16, 3), Fraction(7), Fraction(5, 4), Fraction(-2)]
 
+    @pytest.mark.parametrize("text, value", [
+        ("\u0661\u0662", 12), ("1_000", 1000), (" 3 ", 3), ("07/08", Fraction(7, 8)),
+        ("-0/5", 0), ("+6/4", Fraction(3, 2)), ("-12", -12),
+    ])
+    def test_forms_on_and_off_the_direct_path(self, text, value):
+        # "p" and "p/q" in ASCII digits take the direct path; the others Fraction's own
+        assert rat(text) == value and type(rat(text)) is Fraction
+
+    @pytest.mark.parametrize("text, message", [
+        ("2/0", "Fraction(2, 0)"),
+        ("3/-4", "Invalid literal for Fraction: '3/-4'"),
+        ("1e5", "exponent notation is not accepted"),
+    ])
+    def test_refusals_on_and_off_the_direct_path(self, text, message):
+        with pytest.raises(BadParams) as info:
+            rat(text)
+        assert str(info.value) == f"bad rational {text!r}: {message}"
+
 
 class TestExactGates:
     """exact and exact_int, the one rule each for exact rational and integer inputs."""

@@ -1,14 +1,15 @@
 """One timing per kernel, with pytest-benchmark's ``benchmark`` fixture.
 
 The kernels: ``IntersectionLattice.pair`` on rank 9, ``signature`` at ranks
-8 and 50, ``validate_fan`` and ``toric_gamma`` (the localization table and
-its 3^6 - 1 orbit scores) on (P^1)^6, ``toric_gamma`` on P^6 (2^7 - 2 orbit
-scores, all equal), and ``surface_gamma`` on the del Pezzo surface of
-degree 1 (k = 8, 240 facets), ``decimal_str`` on a rational and on a
-cancelling QuadNum at 12 and 1000 digits, and the ``path`` command's
-handler on the ``blowup_path`` export at 1000 samples (its rows, both
-decimal columns included).  The test suite runs each kernel
-once and checks its result (``tests/conftest.py`` passes
+8 and 50, ``validate_fan``, the ``validate`` command on its document and
+``toric_gamma`` (the localization table and its 3^6 - 1 orbit scores) on
+(P^1)^6, ``parse_document`` on a rank-8 sheared lattice document with its
+facets, ``toric_gamma`` on P^6 (2^7 - 2 orbit scores, all equal), and
+``surface_gamma`` on the del Pezzo surface of degree 1 (k = 8, 240 facets),
+``decimal_str`` on a rational and on a cancelling QuadNum at 12 and 1000
+digits, and the ``path`` command's handler on the ``blowup_path`` export at
+1000 samples (its rows, both decimal columns included).  The test suite runs
+each kernel once and checks its result (``tests/conftest.py`` passes
 ``--benchmark-disable``); print the timings with
 
     PYTHONPATH=src python -m pytest -q tests/test_kernel_timings.py --benchmark-enable
@@ -26,11 +27,12 @@ from random import Random
 
 import pytest
 
-from conftest import check_decimal, del_pezzo, fraction_signature, random_symmetric
+from conftest import (check_decimal, del_pezzo, fraction_signature, random_instance,
+                      random_symmetric)
 from jthresh import (DivClass, Fan, IntersectionLattice, QuadNum, Status, sample_path,
                      surface_gamma, toric_gamma)
 from jthresh.cli import _cmd_path, run
-from jthresh.documents import parse_document
+from jthresh.documents import InputDocument, document_to_json, parse_document
 from jthresh.exactnum import decimal_str, format_rat
 from jthresh.toric import validate_fan
 
@@ -60,6 +62,23 @@ def p1_power(n: int) -> Fan:
 def test_validate_fan(benchmark):
     bases, weights = benchmark(validate_fan, p1_power(6))
     assert len(bases) == len(weights) == 64
+
+
+def test_validate_command(benchmark):
+    # the whole query: JSON, the document's integer gate, validate_fan and the orbit count
+    fan = p1_power(6)
+    doc = json.dumps({"fan": {"dim": 6, "rays": fan.rays, "max_cones": fan.max_cones}}).encode()
+    code, out = benchmark(run, ["validate", "--format", "json"], doc)
+    assert code == 0 and json.loads(out)["fan"]["orbits"] == 3 ** 6 - 1
+
+
+def test_parse_lattice_document(benchmark):
+    # 64 matrix entries and the facets as 'p/q' strings, and the signature check
+    inst = random_instance(Random(8708), rank=8, light_cone=False, sheared=True)
+    data = document_to_json(InputDocument(lattice=inst.lattice, cone=inst.cone))
+    doc = benchmark(parse_document, data)
+    assert doc.lattice.rank == 8 and doc.lattice.signature() == (1, 7, 0)
+    assert doc.lattice == inst.lattice and doc.cone.facets == inst.cone.facets
 
 
 def test_toric_gamma(benchmark):

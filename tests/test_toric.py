@@ -83,6 +83,8 @@ BAD_FANS = {
                           "maximal cone (0, 0) does not have 2 distinct rays"),
     "missing_rays": (2, P2_RAYS, [(0, 1), (1, 5), (0, 2)], FanInvalid,
                      "cone (1, 5) references missing rays"),
+    "negative_ray_index": (2, P2_RAYS, [(0, 1), (2, -1), (0, 2)], FanInvalid,
+                           "cone (-1, 2) references missing rays"),
     "not_unimodular": (2, [(1, 0), (1, 2), (-1, -1)], P2_CONES, NotSmooth,
                        "maximal cone (0, 1) is not unimodular"),
     "singular_cone": (2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 2), (1, 2), (2, 3), (3, 0)],
@@ -196,6 +198,26 @@ def _mutations(rng: Random, rays: list, cones: list):
     yield rays, cones[:k] + [cones[rng.randrange(len(cones))]] + cones[k:]
 
 
+def _validated_orbits(fan: Fan) -> int:
+    """The orbit count that the validate command reports for the fan's document."""
+    doc = {"fan": {"dim": fan.dim, "rays": fan.rays, "max_cones": fan.max_cones}}
+    code, out = run(["validate", "--format", "json"], json.dumps(doc).encode())
+    assert code == 0
+    return json.loads(out)["fan"]["orbits"]
+
+
+def _check_h_vector(fan: Fan) -> None:
+    """h_k, the number of maximal cones with k weights < 0 at c, is the fan's h-vector:
+    Dehn-Sommerville symmetry, one entry per maximal cone, and the orbit count agrees
+    with the listed orbits.  The count uses none of these facts."""
+    h = [0] * (fan.dim + 1)
+    for weights in fan._weights:
+        h[sum(w < 0 for w in weights)] += 1
+    assert h == h[::-1]
+    assert sum(h) == len(fan.max_cones)
+    assert _validated_orbits(fan) == len(enumerate_orbits(fan))
+
+
 class TestValidateFan:
     @pytest.mark.parametrize("name", list(SEEDED_FANS))
     def test_duals_match_the_per_cone_oracle(self, name):
@@ -219,12 +241,20 @@ class TestValidateFan:
 
     @pytest.mark.parametrize("name", list(SEEDED_FANS))
     def test_validate_counts_every_orbit(self, name):
-        # cli._orbit_count is a set of faces, kept apart from enumerate_orbits for speed
+        # count_orbits sums 2^(weights > 0) over the maximal cones, which the validate
+        # command reports; enumerate_orbits lists the cones themselves
         for built in _sheared_images(name, "orbit count"):
-            doc = {"fan": {"dim": built.dim, "rays": built.rays, "max_cones": built.max_cones}}
-            code, out = run(["validate", "--format", "json"], json.dumps(doc).encode())
-            assert code == 0
-            assert json.loads(out)["fan"]["orbits"] == len(enumerate_orbits(built))
+            assert _validated_orbits(built) == len(enumerate_orbits(built))
+
+    @pytest.mark.parametrize("name", list(SEEDED_FANS))
+    def test_h_vector_of_sheared_fans(self, name):
+        for built in _sheared_images(name, "h-vector"):
+            _check_h_vector(built)
+
+    def test_h_vector_of_blowups(self):
+        rng = Random(8910)
+        for fan in [P3_BLOWUP] + [blowup_fan(rng)[0] for _ in range(220)]:
+            _check_h_vector(fan)
 
     @pytest.mark.parametrize("name", sorted(TWO_FAULT_FANS) + sorted(BAD_FANS))
     def test_first_diagnostic_line(self, name):
