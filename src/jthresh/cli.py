@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import itemgetter
 from typing import Any, Callable, NoReturn
 
 from . import catalog as catalog_mod
@@ -26,7 +27,7 @@ from .cones import ConeConstants, seshadri_T, sigma_inf
 from .documents import (InputDocument, document_to_json, parse_document,
                         quad_to_json)
 from .errors import BadDocument, BadParams, JThreshError
-from .exactnum import (MAX_DECIMAL_DIGITS, QuadNum, decimal_ratio, decimal_str, format_rat,
+from .exactnum import (MAX_DECIMAL_DIGITS, QuadNum, _decimal_ratio, decimal_str, format_rat,
                        rat)
 from .surface import (PerfectCone, _path_rows, csck_criterion, is_solvable, path_R,
                       stable_subcone, surface_gamma)
@@ -72,6 +73,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 _JSON_SCALARS = {True: "true", False: "false", None: "null"}
+# a column of records whose values all have one of these types goes to text in one map
+_COLUMN_TEXT = {frozenset([str]): encode_basestring_ascii, frozenset([int]): int.__repr__,
+                frozenset([bool]): _JSON_SCALARS.__getitem__}
 
 
 def _json_text(value: Any, newline: str = "\n") -> str:
@@ -80,7 +84,8 @@ def _json_text(value: Any, newline: str = "\n") -> str:
     With an indent the json module encodes in pure Python; here strings go
     through its C escaper.  Only what payloads hold is encoded: str keys, and
     str, int, bool, None, dict, list and tuple values; anything else (a float,
-    or an int key, which the escaper refuses) is a TypeError.
+    or an int key, which the escaper refuses) is a TypeError.  A list of records,
+    non-empty dicts with one key set, fills one '"key": %s' template per record.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -98,6 +103,16 @@ def _json_text(value: Any, newline: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if type(first := value[0]) is dict and first and {*map(type, value)} == {dict} and all(
+                map(first.keys().__eq__, map(dict.keys, value))):
+            keys, field, cols = sorted(first), inner + "  ", []
+            for key in keys:
+                column = list(map(itemgetter(key), value))
+                text = _COLUMN_TEXT.get(frozenset(map(type, column)))
+                cols.append(map(text, column) if text else [_json_text(v, field) for v in column])
+            form = "{" + ",".join([field + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+                                   for key in keys]) + inner + "}"
+            return "[" + inner + ("," + inner).join(map(form.__mod__, zip(*cols))) + newline + "]"
         return "[" + inner + ("," + inner).join([
             _json_text(sub, inner) for sub in value]) + newline + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -271,10 +286,13 @@ def _cmd_path(lattice, cone, theta, a, samples, digits) -> dict[str, Any]:
     # path_R's faults are reported before a bad count, unlike sample_path's order
     analysis = path_R(lattice, cone, theta, a)
     scale, gammas = _path_rows(analysis, samples)
-    # keys in _PATH_COLUMNS order, which _path_csv reads
-    rows = [{"t": _ratio(k, samples), "R_numerator": _ratio(num, scale),
-             "gamma_value": _ratio(gp, gq), "solvable": num > 0,
-             "decimal_approx": decimal_ratio(gp, gq, digits)} for k, num, gp, gq in gammas]
+    rows = []  # keys in _PATH_COLUMNS order, which _path_csv reads
+    for k, num, gp, gq in gammas:
+        g = gcd(gp, gq)  # one gcd for gamma's text and decimal; _display_digits checked digits
+        gp, gq = gp // g, gq // g
+        rows.append({"t": _ratio(k, samples), "R_numerator": _ratio(num, scale),
+                     "gamma_value": f"{gp}/{gq}" if gq > 1 else str(gp), "solvable": num > 0,
+                     "decimal_approx": _decimal_ratio(gp, gq, digits)})
     lo = analysis.solvable_from
     return {
         "samples": samples,

@@ -62,11 +62,7 @@ def rat(value: RatLike | str) -> Fraction:
     A malformed string, exponent notation, a zero denominator or any other type
     (a bool or a float among them) raises BadParams.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str):  # first: a str fails Fraction's ABC check slowly
         plain, text = _PLAIN_RATIONAL.fullmatch(value), value.strip()
         if not plain and _EXPONENT_FORM.fullmatch(text):
             raise BadParams(f"bad rational {value!r}: exponent notation is not accepted")
@@ -74,6 +70,10 @@ def rat(value: RatLike | str) -> Fraction:
             return Fraction(int(plain[1]), int(plain[2] or 1)) if plain else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParams(f"bad rational {value!r}: {exc}") from None
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
     raise BadParams(f"expected an exact rational (int, Fraction or 'p/q' string), got {value!r}")
 
 
@@ -357,7 +357,7 @@ def _pow10(n: int) -> int:
 
 
 def _check_digits(digits: int) -> None:
-    if type(digits) is not int:  # once per path row: the call only when it may raise
+    if type(digits) is not int:  # the call only when it may raise
         exact_int(digits, "digits")
     if digits < 1:
         raise BadParams(f"digits must be positive, got {digits}")
@@ -394,6 +394,10 @@ def decimal_ratio(p: int, q: int, digits: int = 12) -> str:
     """p/q for integers p and q > 0 to digits significant digits, correctly rounded,
     ties to even, in integers only: what decimal_str prints for Fraction(p, q)."""
     _check_digits(digits)
+    return _decimal_ratio(p, q, digits)
+
+
+def _decimal_ratio(p: int, q: int, digits: int) -> str:  # digits checked by the caller
     if not p:
         return "0"
     n = -p if p < 0 else p
@@ -450,10 +454,10 @@ def decimal_str(x: Scalar, digits: int = 12) -> str:
     else in Decimal.__str__'s form with exactly digits digits.  digits must be an
     int from 1 to MAX_DECIMAL_DIGITS, else BadParams.
     """
+    _check_digits(digits)
     if isinstance(x, QuadNum):
         if x.b:
-            _check_digits(digits)
             q, (a, b) = scale_to_integers((x.a, x.b))
             return _decimal_quad(a, b, x.d, q, digits)
         x = x.a
-    return decimal_ratio(x.numerator, x.denominator, digits)  # an int is x/1
+    return _decimal_ratio(x.numerator, x.denominator, digits)  # an int is x/1

@@ -17,6 +17,7 @@ import pytest
 
 from jthresh.cli import DOC_COMMANDS, MAX_DECIMAL_DIGITS, _build_parser, run
 from jthresh.documents import parse_document
+from jthresh.exactnum import decimal_str, rat
 from jthresh.toric import MAX_FIXED_POINT_TERMS
 from jthresh.lattice import IntersectionLattice
 
@@ -128,6 +129,18 @@ class TestSurfaceCommands:
         assert payload["audit"]["binding_facet_sigma"] == "E"
         assert payload["decimal"]["value"] == "-0.250000000000"
 
+    def test_gamma_exactly_zero(self):
+        # C = sigma on the boundary: the value is 0, not positive, and not solvable
+        doc = json.loads(F1_DOC)
+        doc["classes"].update(theta=["5", "-3"], omega=["3", "-1"])
+        doc = json.dumps(doc).encode()
+        payload = run_json(["gamma", "--theta", "theta", "--omega", "omega"], doc)
+        assert payload["exact"]["value"] == payload["decimal"]["value"] == "0"
+        assert payload["status"] == "ExactUnstable"
+        assert run_json(["solvable", "--theta", "theta", "--omega", "omega"], doc) == {
+            "command": "solvable", "theta": "theta", "omega": "omega", "solvable": False,
+            "caveats": []}
+
     def test_gamma_text_format(self):
         code, out = run(["gamma", "--theta", "theta", "--omega", "omega"], F1_DOC)
         assert code == 0
@@ -205,6 +218,17 @@ class TestPathCommand:
                          "--format", fmt], doc)
         assert code == 0 and len(out.splitlines()) > 1000
         assert hashlib.sha256(out).hexdigest() == digest
+
+    @pytest.mark.parametrize("digits", [1, 3, 1000])
+    def test_row_decimals_at_each_digit_count(self, monkeypatch, digits):
+        # each row's decimal comes from the reduced gamma through the unchecked core
+        code, doc = run(["catalog", "blowup_path", "--export"])
+        assert code == 0
+        monkeypatch.setenv("JTHRESH_DECIMAL_DIGITS", str(digits))
+        payload = run_json(["path", "--theta", "theta", "--a", "a", "--samples", "50"], doc)
+        assert payload["decimal_digits"] == digits and len(payload["rows"]) == 50
+        for row in payload["rows"]:
+            assert row["decimal_approx"] == decimal_str(rat(row["gamma_value"]), digits)
 
     def test_csv_only_for_path(self):
         code, out = run(["gamma", "--theta", "theta", "--omega", "omega",

@@ -148,6 +148,11 @@ class TestQuadArithmetic:
         assert comparisons == [False, True, True, True, True, True]
         assert (q - q).d == 0 and (q * QuadNum(1, -2, d)).d == 0
 
+    def test_order_is_reflexive_on_irrationals(self):
+        x = QuadNum(1, 2, 2)
+        assert x <= x and x >= x and x == x
+        assert not (x < x or x > x or x != x)
+
     def test_comparison_with_other_types_is_refused(self):
         x = QuadNum(1, 1, 2)
         for other in (1.5, "1"):
@@ -487,7 +492,7 @@ class TestExactGates:
     def test_digits_must_be_a_positive_int(self, digits, line):
         for render in (lambda: decimal_str(Fraction(1, 3), digits),
                        lambda: decimal_str(QuadNum(0, 1, 3), digits),
-                       lambda: decimal_ratio(0, 1, digits)):
+                       lambda: decimal_ratio(0, 1, digits), lambda: decimal_ratio(1, 3, digits)):
             with pytest.raises(BadParams) as info:
                 render()
             assert f"{info.value.code}: {info.value}" == f"BadParams: {line}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 
 import pytest
 
@@ -20,6 +21,24 @@ VALUES = st.recursive(SCALARS, lambda inner: (
     | st.dictionaries(TEXT, inner, max_size=4)), max_leaves=30)
 
 
+@st.composite
+def records(draw):
+    """A list of dicts sharing one key set, each in its own insertion order: path rows."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
+    return [{key: draw(VALUES) for key in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(min_value=1, max_value=5)))]
+
+
+class Text(str):  # a subclass whose own str() or repr() the writer must not use
+    def __str__(self):
+        return "not this"
+
+
+class Count(int):
+    def __repr__(self):
+        return "not this"
+
+
 def _dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
@@ -34,6 +53,39 @@ def test_writer_matches_json_dumps(value):
 @given(st.dictionaries(TEXT, VALUES, max_size=5))
 def test_json_payload_is_one_document_and_a_newline(payload):
     assert _render(payload, "json") == _dumps(payload) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(records(), VALUES)
+def test_records_match_json_dumps(rows, other):
+    # at the top, as a field's value and inside a list: three indents
+    for value in (rows, tuple(rows), {"rows": rows, "other": other}, [other, [rows]]):
+        assert _json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    [{"a": 1, "b": "x"}, {"a": 2}],  # a record misses a key
+    [{"a": 1}, {"a": 2, "b": "x"}],  # a record has an extra key
+    [{"a": 1}, {"b": 1}],  # as many keys, another name
+    [{"a": 1}, ["a"], {"a": 2}],  # a list among the records
+    [{"a": 1}, "a"],
+    [{}, {"a": 1}], [{}, {}],  # an empty dict first
+    [{"a": 1}, OrderedDict(a=2)],  # a dict subclass among the records
+    [{"b": Text("x"), "a": Count(3)}, {"a": Count(-4), "b": "y"}],
+    [{"b": True, "a": 1}, {"a": True, "b": 2}],  # columns of mixed scalar types
+    [{"%s": "%d", "a%": 1}, {"a%": 2, "%s": "%%"}],  # keys and values holding %
+    [{"b": [{"d": 1, "c": {"e": None}}, {"c": [], "d": True}], "a": [[{"x": "y"}]]}],
+])
+def test_record_near_misses(value):
+    assert _json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    [{"a": 0.5}, {"a": 1}], [{"a": [1, 0.5]}], [{1: "a"}, {1: "b"}],
+    [{"a": 1, 2: "b"}, {"a": 1, 2: "c"}], [{"a": 1, None: 2}]])
+def test_a_record_no_payload_holds_is_a_type_error(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
 
 
 @pytest.mark.parametrize("value", [

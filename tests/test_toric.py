@@ -85,6 +85,8 @@ BAD_FANS = {
                      "cone (1, 5) references missing rays"),
     "negative_ray_index": (2, P2_RAYS, [(0, 1), (2, -1), (0, 2)], FanInvalid,
                            "cone (-1, 2) references missing rays"),
+    "ray_index_is_ray_count": (2, P2_RAYS, [(0, 1), (1, 3), (0, 2)], FanInvalid,
+                               "cone (1, 3) references missing rays"),
     "not_unimodular": (2, [(1, 0), (1, 2), (-1, -1)], P2_CONES, NotSmooth,
                        "maximal cone (0, 1) is not unimodular"),
     "singular_cone": (2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 2), (1, 2), (2, 3), (3, 0)],
