@@ -27,13 +27,11 @@ from .cones import ConeConstants, seshadri_T, sigma_inf
 from .documents import (InputDocument, document_to_json, parse_document,
                         quad_to_json)
 from .errors import BadDocument, BadParams, JThreshError
-from .exactnum import (MAX_DECIMAL_DIGITS, QuadNum, _decimal_ratio, decimal_str, format_rat,
-                       rat)
+from .exactnum import (DEFAULT_DIGITS, MAX_DECIMAL_DIGITS, QuadNum, _decimal_ratio, decimal_str,
+                       format_rat, rat)
 from .surface import (PerfectCone, _path_rows, csck_criterion, is_solvable, path_R,
                       stable_subcone, surface_gamma)
 from .toric import count_orbits, toric_gamma
-
-DEFAULT_DIGITS = 12
 
 
 def _display_digits() -> int:
@@ -366,18 +364,9 @@ def _cmd_validate(doc: InputDocument, digits: int) -> dict[str, Any]:
     return payload
 
 
-# flag -> (catalog parameter, help)
-_CATALOG_FLAGS = {
-    "g": ("g", "genus (ross)"),
-    "sC": ("s_C", "ample threshold s_C (ross)"),
-    "a": ("a", "negative-section self-intersection parameter (hirzebruch)"),
-    "rank": ("rank", "lattice rank (perfect_lightcone)"),
-}
-
-
 def _cmd_catalog(args: argparse.Namespace, digits: int) -> dict[str, Any]:
-    params = {key: getattr(args, flag) for flag, (key, _) in _CATALOG_FLAGS.items()
-              if getattr(args, flag) is not None}
+    params = {key: value for _, required, optional in catalog_mod._BUILDERS.values()
+              for key in required + optional if (value := getattr(args, key)) is not None}
     entry = catalog_mod.build(args.name, params)
     if args.t is not None and args.name != "ross":
         raise BadParams(f"unexpected parameters ['t'] for {args.name}")
@@ -398,7 +387,7 @@ def _cmd_catalog(args: argparse.Namespace, digits: int) -> dict[str, Any]:
         payload["fan"] = {"rays": len(entry.fan.rays), "max_cones": len(entry.fan.max_cones)}
     if t is not None:
         gamma = _cmd_gamma(entry.lattice, entry.cone, classes["K"], classes["L_t"], digits)
-        closed = catalog_mod.ross_gamma_closed_form(args.g, args.sC, t)
+        closed = catalog_mod.ross_gamma_closed_form(entry.params["g"], entry.params["s_C"], t)
         gamma["exact"]["closed_form"] = format_rat(closed)
         payload["t"] = format_rat(t)  # before the merge: text lists keys in this order
         payload.update(gamma, caveats=payload["caveats"])
@@ -440,8 +429,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="text", choices=formats)
     cat = sub.add_parser("catalog")
     cat.add_argument("name", help=" | ".join(catalog_mod._BUILDERS))
-    for flag, (_, help_text) in _CATALOG_FLAGS.items():
-        cat.add_argument(f"--{flag}", default=None, help=help_text)
+    families: dict[str, list[str]] = {}  # each family's parameter: its flag drops '_'
+    for name, (_, required, optional) in catalog_mod._BUILDERS.items():
+        for key in required + optional:
+            families.setdefault(key, []).append(name)
+    for key, names in families.items():
+        cat.add_argument("--" + key.replace("_", ""), dest=key, default=None,
+                         help="parameter of " + ", ".join(names))
     cat.add_argument("--t", default=None, help="evaluate ross at polarization L_t")
     cat.add_argument("--export", action="store_true",
                      help="print the entry as an input document (always JSON)")

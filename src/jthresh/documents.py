@@ -22,8 +22,6 @@ from .toric import MAX_FIXED_POINT_TERMS, Fan, _rows
 
 
 def parse_rat(value: Any) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise BadDocument(f"expected an exact rational string, got {value!r}")
     try:
         return rat(value)
     except BadParams as exc:

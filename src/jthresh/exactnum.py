@@ -26,6 +26,7 @@ Scalar = Union[int, Fraction, "QuadNum"]
 # though past 4300 digits str() refuses the mantissa unless Python's
 # int-string limit is raised
 MAX_DECIMAL_DIGITS = 1000
+DEFAULT_DIGITS = 12  # decimal_str's precision; the CLI's unless JTHRESH_DECIMAL_DIGITS is set
 
 # largest trial divisor of squarefree_decompose: reaching it takes about 0.1 s
 # (0.08-0.16 s, Intel Xeon, Python 3.11), and the time grows linearly with it
@@ -390,14 +391,9 @@ def _carry(m: int, e: int, digits: int) -> tuple[int, int]:
     return (m // 10, e + 1) if m == _pow10(digits) else (m, e)
 
 
-def decimal_ratio(p: int, q: int, digits: int = 12) -> str:
+def _decimal_ratio(p: int, q: int, digits: int) -> str:  # digits checked by the caller
     """p/q for integers p and q > 0 to digits significant digits, correctly rounded,
     ties to even, in integers only: what decimal_str prints for Fraction(p, q)."""
-    _check_digits(digits)
-    return _decimal_ratio(p, q, digits)
-
-
-def _decimal_ratio(p: int, q: int, digits: int) -> str:  # digits checked by the caller
     if not p:
         return "0"
     n = -p if p < 0 else p
@@ -423,7 +419,7 @@ def _floor_times_root(c: int, d: int) -> int:
 
 def _decimal_quad(a: int, b: int, d: int, q: int, digits: int) -> str:
     """(a + b*sqrt(d))/q for integers, b != 0, q > 0 and d > 1 square-free, rounded
-    as decimal_ratio rounds; the value is irrational, so never a tie."""
+    as _decimal_ratio rounds; the value is irrational, so never a tie."""
     negative = _sign(a, b, d) < 0
     if negative:
         a, b = -a, -b
@@ -446,7 +442,7 @@ def _decimal_quad(a: int, b: int, d: int, q: int, digits: int) -> str:
     return _sci(negative, m, e, digits)
 
 
-def decimal_str(x: Scalar, digits: int = 12) -> str:
+def decimal_str(x: Scalar, digits: int = DEFAULT_DIGITS) -> str:
     """Render an int, Fraction or QuadNum to a fixed number of significant decimal digits.
 
     Display-only: correctly rounded, ties to even, in integer arithmetic;

@@ -60,10 +60,6 @@ class DivClass:
         q, ints = scale_to_integers(self.coords)
         return q, tuple(ints)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
-
     def __repr__(self) -> str:
         return "(" + ", ".join(map(format_rat, self.coords)) + ")"
 

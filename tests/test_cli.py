@@ -265,6 +265,13 @@ class TestPathCommand:
         assert run(argv, F1_DOC) == (
             2, b"BadParams: samples must be between 1 and 100000, got 100001\n")
 
+    def test_samples_at_the_cap(self):
+        code, doc = run(["catalog", "blowup_path", "--export"])
+        assert code == 0
+        code, out = run(["path", "--theta", "theta", "--a", "a", "--samples", "100000",
+                         "--format", "csv"], doc)
+        assert code == 0 and out.count(b"\n") == 100001
+
 
 class TestToricCommand:
     def test_toric_gamma(self):
@@ -387,6 +394,16 @@ class TestDeterminismAndErrors:
     def test_missing_document(self):
         code, out = run(["gamma", "--theta", "x", "--omega", "y"], b"")
         assert code == 2 and out.decode().startswith("BadDocument")
+
+    @pytest.mark.parametrize("path", [[], ["-"]])
+    def test_empty_stdin_is_no_document(self, path):
+        assert run(["validate", *path], b"") == (
+            2, b"BadDocument: no input document: pass a path or pipe JSON on stdin\n")
+
+    @pytest.mark.parametrize("doc", [b"{}", b'{"classes": null}'])
+    def test_document_without_lattice_or_fan(self, doc):
+        assert run(["validate"], doc) == (
+            2, b"BadDocument: document must contain a lattice or a fan\n")
 
     def test_invalid_json(self):
         code, out = run(["validate"], b"{nope")
@@ -744,6 +761,21 @@ class TestMalformedInput:
             payload = run_json(["csck", "--minus-c1", "mc1", "--omega", "omega"],
                                _with(F1_DOC, query={"alpha": value}))
             assert payload["alpha"] == shown
+
+    @pytest.mark.parametrize("bad", [1.5, True, None, [1]])
+    def test_one_rational_gate(self, bad):
+        # every rational field of a document refuses a non-exact JSON value in rat's words
+        line = f"expected an exact rational (int, Fraction or 'p/q' string), got {bad!r}\n"
+        for doc in (_with(F1_DOC, classes={"theta": ["2", bad]}),
+                    _with(F1_DOC, cone={"facets": [[bad, "1"]]}),
+                    _with(F1_DOC, cone={"facets": [], "light_cone": {"H": ["1", bad]}}),
+                    _with(F1_DOC, lattice={"matrix": [["1", bad], ["0", "-1"]]}),
+                    _with(FAN_DOC, toric_classes={"omega": ["0", "-1", "0", bad]})):
+            assert run(["validate"], doc) == (2, ("BadDocument: " + line).encode()), doc
+        alpha = _with(F1_DOC, query={"alpha": bad})
+        if bad is not None:  # a null alpha is an absent one
+            assert run(["csck", "--minus-c1", "mc1", "--omega", "omega"], alpha) == (
+                2, ("BadParams: " + line).encode())
 
     def test_catalog_t_diagnostics(self):
         # build() accepts the family first, then --t is refused in build()'s words

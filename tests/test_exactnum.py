@@ -15,7 +15,7 @@ import pytest
 from conftest import check_decimal, poly_at
 from jthresh import exactnum
 from jthresh.errors import BadDocument, BadParams, MixedRadicands, ZeroPolynomial
-from jthresh.exactnum import (MAX_DECIMAL_DIGITS, QuadNum, decimal_ratio, decimal_str, exact,
+from jthresh.exactnum import (MAX_DECIMAL_DIGITS, QuadNum, decimal_str, exact,
                               exact_int, format_rat, poly_roots_quadratic, quad_ratio, rat,
                               rat_sqrt, squarefree_decompose)
 
@@ -492,7 +492,7 @@ class TestExactGates:
     def test_digits_must_be_a_positive_int(self, digits, line):
         for render in (lambda: decimal_str(Fraction(1, 3), digits),
                        lambda: decimal_str(QuadNum(0, 1, 3), digits),
-                       lambda: decimal_ratio(0, 1, digits), lambda: decimal_ratio(1, 3, digits)):
+                       lambda: decimal_str(0, digits)):
             with pytest.raises(BadParams) as info:
                 render()
             assert f"{info.value.code}: {info.value}" == f"BadParams: {line}"

@@ -225,7 +225,6 @@ class TestDivClass:
         assert (x - y).coords == (Fraction(-2), Fraction(3))
         assert x.scale(Fraction(1, 2)).coords == (Fraction(1, 2), Fraction(1))
         assert (-x).coords == (Fraction(-1), Fraction(-2))
-        assert DivClass([0, 0]).is_zero
 
     def test_reprs(self):
         assert repr(DivClass([1, Fraction(-1, 2)])) == "(1, -1/2)"

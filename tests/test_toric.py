@@ -590,6 +590,14 @@ class TestScores:
             subvariety_score(hirzebruch(1), DivClass([0, 0, 0, 1]), omega, (0,))
         assert str(info.value) == "omega^n = -2 <= 0"
 
+    def test_omega_with_zero_volume_is_refused(self):
+        # on (P^1)^2, omega = D0 pulls back one factor's point: positive on the orbit
+        # V(2), a fiber, yet omega^2 = 0, which a C = .../omega^n must never divide by
+        fan = Fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 2), (2, 1), (1, 3), (3, 0)])
+        with pytest.raises(OmegaNotKahler) as info:
+            subvariety_score(fan, DivClass([1, 0, 1, 0]), DivClass([1, 0, 0, 0]), [2])
+        assert str(info.value) == "omega^n = 0 <= 0"
+
     def test_omega_positive_on_orbit_required(self):
         with pytest.raises(OmegaNotAmpleOnOrbit):
             subvariety_score(F1, F1_E, F1_H, (1,))  # H.E = 0 on the section

@@ -8,7 +8,11 @@ interpreter, so two jthresh packages never share a process.  The corpus is
 every ``workloads.universe`` case and every malformed kind of
 ``perfbench/workloads.py``, plus N documents (default 8000) mutated under
 seed S from catalog exports, each run with an argv drawn from the document
-commands.  REV's child builds the corpus, from REV's exports and REV's
+commands, plus 300 ``catalog`` argv drawn under the same seed: a family (or
+an unknown name), each parameter flag and ``--t`` about half the time with a
+valid or invalid value, sometimes ``--export``, and a ``--format``.  Those
+flag names are literals here, so both trees run the same catalog argv.
+REV's child builds the corpus, from REV's exports and REV's
 ``cli.DOC_COMMANDS``, and the working tree's child runs that same corpus.
 
 The script prints each side's exit-code counts and the number of cases whose
@@ -44,6 +48,10 @@ OPTIONS = {  # raw argv values per option: valid ones and ones to refuse
     "alpha": ["1", "2/3", "50", "0", "-1", "x", "1e5", "0.5", "1/0"],
 }
 FORMATS = ("text", "json", "csv")
+CATALOG_CASES = 300
+CATALOG_NAMES = ("ross", "hirzebruch", "perfect_lightcone", "blowup_path", "k3")
+CATALOG_FLAGS = ("--g", "--sC", "--a", "--rank", "--t")
+CATALOG_VALUES = ("2", "4", "5/2", "0", "-1", "1/0", "x", "1e5", "501")
 
 
 # --- child: one tree --------------------------------------------------------
@@ -102,6 +110,17 @@ def _argv(rng: Random, commands: dict, doc: dict, labels: list[str]) -> list[str
     return argv + ["--format", rng.choice(FORMATS)]
 
 
+def _catalog_argv(rng: Random) -> list[str]:
+    """A catalog family or an unknown one, each flag or not, maybe --export, and a format."""
+    argv = ["catalog", rng.choice(CATALOG_NAMES)]
+    for flag in CATALOG_FLAGS:
+        if rng.random() < 0.5:
+            argv += [flag, rng.choice(CATALOG_VALUES)]
+    if rng.random() < 0.25:
+        argv.append("--export")
+    return argv + ["--format", rng.choice(FORMATS)]
+
+
 def _corpus(run, commands: dict, mutants: int, seed: int) -> list[tuple[list[str], bytes]]:
     import workloads
 
@@ -119,6 +138,7 @@ def _corpus(run, commands: dict, mutants: int, seed: int) -> list[tuple[list[str
         text = json.dumps(doc)
         cases.append((_argv(rng, commands, doc if isinstance(doc, dict) else {}, labels),
                       text.encode()))
+    cases += [(_catalog_argv(rng), b"") for _ in range(CATALOG_CASES)]
     return cases
 
 
