@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import itemgetter
@@ -29,9 +30,9 @@ from .documents import (InputDocument, document_to_json, parse_document,
 from .errors import BadDocument, BadParams, JThreshError
 from .exactnum import (DEFAULT_DIGITS, MAX_DECIMAL_DIGITS, QuadNum, _decimal_ratio, decimal_str,
                        format_rat, rat)
-from .surface import (PerfectCone, _path_rows, csck_criterion, is_solvable, path_R,
+from .surface import (PerfectCone, Status, _path_rows, csck_criterion, is_solvable, path_R,
                       stable_subcone, surface_gamma)
-from .toric import count_orbits, toric_gamma
+from .toric import AUTOMORPHISM_CAVEAT, _gamma_rows, count_orbits
 
 
 def _display_digits() -> int:
@@ -71,7 +72,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _JSON_SCALARS = {True: "true", False: "false", None: "null"}
-# a column of records whose values all have one of these types goes to text in one map
+# a list or a record column whose items all have one of these types goes to text in one map
 _COLUMN_TEXT = {frozenset([str]): encode_basestring_ascii, frozenset([int]): int.__repr__,
                 frozenset([bool]): _JSON_SCALARS.__getitem__}
 
@@ -101,7 +102,9 @@ def _json_text(value: Any, newline: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if type(first := value[0]) is dict and first and {*map(type, value)} == {dict} and all(
+        if text := _COLUMN_TEXT.get(types := frozenset(map(type, value))):
+            return "[" + inner + ("," + inner).join(map(text, value)) + newline + "]"
+        if types == {dict} and (first := value[0]) and all(
                 map(first.keys().__eq__, map(dict.keys, value))):
             keys, field, cols = sorted(first), inner + "  ", []
             for key in keys:
@@ -324,19 +327,20 @@ def _cmd_stable_cone(lattice, cone, theta, a, digits) -> dict[str, Any]:
 
 
 def _cmd_toric_gamma(fan, theta, omega, digits) -> dict[str, Any]:
-    res = toric_gamma(fan, theta, omega)
-    return {
-        "exact": {"value": format_rat(res.value)},
-        "decimal": _decimal(digits, value=res.value),
-        "status": res.status.value,
-        "minimizer": list(res.minimizer),
-        "audit": {"C": format_rat(res.C), "T": None if res.T is None else format_rat(res.T),
-                  "binding_curve": None if res.binding_curve is None else list(res.binding_curve),
-                  "orbits": len(res.scores)},
-        "scores": [{"cone": list(s.cone), "p": s.p, "numerator": format_rat(s.numerator),
-                    "denominator": format_rat(s.denominator), "value": format_rat(s.value)}
-                   for s in res.scores],
-        "caveats": [res.caveat],
+    rows, best, c, t, curve = _gamma_rows(fan, theta, omega)
+    minimizer, _, top, _, sv, _, bottom = rows[best]
+    value = Fraction(top, sv * bottom)  # the one Fraction of a score, for Status.of
+    return {  # each score is written from its integers; _display_digits checked digits
+        "exact": {"value": format_rat(value)},
+        "decimal": {"value": _decimal_ratio(*value.as_integer_ratio(), digits), "digits": digits},
+        "status": Status.of(value, t).value,
+        "minimizer": list(minimizer),
+        "audit": {"C": format_rat(c), "T": None if t is None else format_rat(t),
+                  "binding_curve": None if curve is None else list(curve), "orbits": len(rows)},
+        "scores": [{"cone": list(tau), "p": p, "numerator": _ratio(top, num_den),
+                    "denominator": _ratio(sv, scale), "value": _ratio(top, sv * bottom)}
+                   for tau, p, top, num_den, sv, scale, bottom in rows],
+        "caveats": [AUTOMORPHISM_CAVEAT],
     }
 
 

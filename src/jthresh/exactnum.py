@@ -266,11 +266,11 @@ class QuadNum:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.sign() == 0:
-            raise ZeroDivisionError("division by zero QuadNum")
         if o.b == 0:
+            if not o.a:
+                raise ZeroDivisionError("division by zero QuadNum")
             return QuadNum._of(self.a / o.a, self.b / o.a, self.d)
-        # multiply by the conjugate; norm = a^2 - b^2 d is nonzero
+        # never zero, since d is square-free > 1; multiply by the conjugate, norm a^2 - b^2 d != 0
         norm = o.a * o.a - o.b * o.b * o.d
         conj = QuadNum._of(o.a, -o.b, o.d)
         return (self * conj) / QuadNum(norm)

@@ -29,9 +29,10 @@ orbit closure (``_orbit_integrals``) as integer sums over one common
 denominator D = lcm over sigma of |prod weights|, each class scaled to
 integers.  ``toric_gamma`` reads the ampleness checks, T and the curve
 attaining it, C and every orbit score from that one integer table; D cancels
-from each ratio, so each reported rational is one Fraction of two integers.  A
-document fan with more than ``MAX_FIXED_POINT_TERMS`` (maximal cone, face)
-pairs is refused before validation.
+from each ratio, so a score is a row of integer pairs (``_score_rows``): the
+library returns one Fraction per rational, and the CLI writes each from its
+two integers with one gcd.  A document fan with more than
+``MAX_FIXED_POINT_TERMS`` (maximal cone, face) pairs is refused before validation.
 """
 
 from __future__ import annotations
@@ -442,15 +443,14 @@ def _c_constant_toric(n: int, table: Table) -> Fraction:
     return Fraction(n * table.q_omega * mixed, table.q_theta * vol)
 
 
-def _scores(n: int, table: Table,
-            cones: Sequence[tuple[int, ...]]) -> tuple[SubvarietyScore, ...]:
-    """The score of V(tau) for each tau in cones, from the integer rows; omega^n > 0.
+def _score_rows(n: int, table: Table, cones: Sequence[tuple[int, ...]]) -> list[tuple]:
+    """(tau, p, top, num_den, s V, scale, c_bottom) for each tau in cones; omega^n > 0.
 
-    With (V_0, M_0) the empty cone's row, (V, M) tau's, s = len(tau) and
-    p = n - s, the numerator C int_V omega^p - p int_V theta omega^(p-1) is
-    q_omega (n M_0 V - p M V_0) / (q_theta V_0 D q_omega^p), the denominator
-    s int_V omega^p is s V / (D q_omega^p), and their quotient drops
-    D q_omega^p: each is one Fraction of two integers.
+    With (V_0, M_0) the empty cone's row, (V, M) tau's, s = len(tau), p = n - s,
+    c_bottom = q_theta V_0 and scale = D q_omega^p, the numerator C int_V omega^p
+    - p int_V theta omega^(p-1) is top / num_den, top = q_omega (n M_0 V - p M V_0)
+    and num_den = c_bottom scale; the denominator s int_V omega^p is s V / scale,
+    and the value (their quotient) is top / (s V c_bottom).  Each bottom is > 0 if V > 0.
     """
     den, q_t, q_w, rows = table
     vol0, mixed0 = rows[()]
@@ -458,16 +458,20 @@ def _scores(n: int, table: Table,
     scales = [den]  # D q_omega^p for p = 0..n
     for _ in range(n):
         scales.append(scales[-1] * q_w)
-    scores = []
+    out = []
     for tau in cones:
         vol, mixed = rows[tau]
-        s = len(tau)
-        p = n - s
-        top = q_w * (c_top * vol - p * mixed * vol0)
-        scores.append(SubvarietyScore(tau, p, Fraction(top, c_bottom * scales[p]),
-                                      Fraction(s * vol, scales[p]),
-                                      Fraction(top, s * c_bottom * vol)))
-    return tuple(scores)
+        p = n - len(tau)
+        out.append((tau, p, q_w * (c_top * vol - p * mixed * vol0), c_bottom * scales[p],
+                    len(tau) * vol, scales[p], c_bottom))
+    return out
+
+
+def _scores(rows: Sequence[tuple]) -> tuple[SubvarietyScore, ...]:
+    """Each score row of ``_score_rows`` as a SubvarietyScore: one Fraction per rational."""
+    return tuple([SubvarietyScore(tau, p, Fraction(top, num_den), Fraction(sv, scale),
+                                  Fraction(top, sv * bottom))
+                  for tau, p, top, num_den, sv, scale, bottom in rows])
 
 
 def subvariety_score(fan: Fan, theta: DivClass, omega: DivClass,
@@ -483,7 +487,28 @@ def subvariety_score(fan: Fan, theta: DivClass, omega: DivClass,
         vol_p = Fraction(vol, table.den * table.q_omega ** p)
         raise OmegaNotAmpleOnOrbit(f"int_V omega^{p} = {vol_p} on orbit {sigma}")
     _c_constant_toric(fan.dim, table)  # omega^n > 0, checked after the orbit's volume
-    return _scores(fan.dim, table, [sigma])[0]
+    return _scores(_score_rows(fan.dim, table, [sigma]))[0]
+
+
+def _gamma_rows(fan: Fan, theta: DivClass, omega: DivClass
+                ) -> tuple[list[tuple], int, Fraction, Fraction | None, tuple[int, ...] | None]:
+    """Every orbit's score row in (len, lex) order, the position of the first least score,
+    C, and T and its binding curve (both None when theta is ample).
+
+    Rows compare as top / (s V) by cross-multiplying: every s V > 0 and c_bottom is
+    common, since an ample omega is ample on every orbit closure.
+    """
+    n = fan.dim
+    table = _orbit_integrals(fan, theta, omega)
+    bound, curve = _seshadri_bound(n, table)
+    c = _c_constant_toric(n, table)
+    rows = _score_rows(n, table, sorted(table.rows, key=lambda tau: (len(tau), tau))[1:])
+    best, (_, _, top, _, sv, _, _) = 0, rows[0]
+    for k, (_, _, t, _, v, _, _) in enumerate(rows):
+        if t * sv < top * v:  # strict: the first minimum in orbit order wins
+            best, top, sv = k, t, v
+    t_bound = None if bound > 0 else bound  # bound > 0 exactly when theta is ample
+    return rows, best, c, t_bound, None if t_bound is None else curve
 
 
 def toric_gamma(fan: Fan, theta: DivClass, omega: DivClass) -> ToricGammaResult:
@@ -495,17 +520,11 @@ def toric_gamma(fan: Fan, theta: DivClass, omega: DivClass) -> ToricGammaResult:
     bound computed from the fan's own invariant curves.  One integer table
     serves the whole query: curve degrees, C and every orbit score, its
     keys in (len, lex) order being the orbits of ``enumerate_orbits`` after
-    the empty cone.  An ample omega is ample on every orbit closure, so no
-    orbit volume needs a check.
+    the empty cone (``_gamma_rows``).
     """
-    n = fan.dim
-    table = _orbit_integrals(fan, theta, omega)
-    bound, curve = _seshadri_bound(n, table)
-    c = _c_constant_toric(n, table)
-    orbits = sorted(table.rows, key=lambda tau: (len(tau), tau))[1:]
-    scores = _scores(n, table, orbits)
-    best = min(scores, key=lambda s: s.value)  # first minimum in orbit order
-    t_bound = None if bound > 0 else bound  # bound > 0 exactly when theta is ample
+    rows, k, c, t_bound, curve = _gamma_rows(fan, theta, omega)
+    scores = _scores(rows)
+    best = scores[k]
     return ToricGammaResult(value=best.value, minimizer=best.cone, scores=scores,
                             status=Status.of(best.value, t_bound), C=c, T=t_bound,
-                            binding_curve=None if t_bound is None else curve)
+                            binding_curve=curve)

@@ -81,6 +81,17 @@ def test_record_near_misses(value):
 
 
 @pytest.mark.parametrize("value", [
+    [1, True, 0], [False, 1], [True, False],  # a bool among ints, and bools alone
+    [Count(3), 1], [Count(-2), Count(5)],  # an int subclass
+    [Text("x"), "y"], [Text("%s")],  # a str subclass
+    [], [[]], [[1, 2], [3], []], [["a"], [True], [None]],  # empty lists and lists of lists
+    {"cone": [0, 2], "names": ["a", "é"], "rows": [{"cone": [1], "ok": [True]}]},
+])
+def test_scalar_list_near_misses(value):
+    assert _json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
     [{"a": 0.5}, {"a": 1}], [{"a": [1, 0.5]}], [{1: "a"}, {1: "b"}],
     [{"a": 1, 2: "b"}, {"a": 1, 2: "c"}], [{"a": 1, None: 2}]])
 def test_a_record_no_payload_holds_is_a_type_error(value):

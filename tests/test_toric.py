@@ -24,6 +24,7 @@ from jthresh import (DivClass, Fan, NefConeModel, QuadNum, Status,
                      diagonal_lattice, intersection_number, subvariety_score,
                      surface_gamma, toric_gamma)
 from jthresh.cli import run
+from jthresh.exactnum import decimal_str, format_rat
 from jthresh.toric import (ToricGammaResult, enumerate_orbits, invariant_curves, is_ample,
                            toric_seshadri_T, validate_fan)
 from jthresh.errors import (BadFace, BadParams, DimensionMismatch, FanInvalid, JThreshError,
@@ -973,6 +974,73 @@ class TestScoreOracle:
         rng = Random(9011)
         for _ in range(40):
             self._check_scales(rng, *blowup_fan(rng))
+
+
+class TestCliScoreOracle:
+    """``toric-gamma --format json`` against conftest.fraction_toric_gamma, whole payload.
+
+    The CLI writes every score from integer pairs and never reads toric_gamma's
+    Fractions, so each reported rational is checked here against format_rat of
+    the oracle's, and the decimal against decimal_str, at 1, 12 and 1000 digits.
+    """
+
+    @staticmethod
+    def _payload(monkeypatch, fan: Fan, theta: DivClass, omega: DivClass, digits: int) -> dict:
+        doc = {"fan": {"dim": fan.dim, "rays": fan.rays, "max_cones": fan.max_cones},
+               "toric_classes": {name: [format_rat(x) for x in cls.coords]
+                                 for name, cls in (("theta", theta), ("omega", omega))}}
+        monkeypatch.setenv("JTHRESH_DECIMAL_DIGITS", str(digits))
+        code, out = run(["toric-gamma", "--theta", "theta", "--omega", "omega",
+                         "--format", "json"], json.dumps(doc).encode())
+        assert code == 0, out
+        return json.loads(out)
+
+    @staticmethod
+    def _expected(res: ToricGammaResult, digits: int) -> dict:
+        return {
+            "command": "toric-gamma", "theta": "theta", "omega": "omega",
+            "exact": {"value": format_rat(res.value)},
+            "decimal": {"value": decimal_str(res.value, digits), "digits": digits},
+            "status": res.status.value,
+            "minimizer": list(res.minimizer),
+            "audit": {"C": format_rat(res.C), "T": None if res.T is None else format_rat(res.T),
+                      "binding_curve": None if res.binding_curve is None
+                      else list(res.binding_curve), "orbits": len(res.scores)},
+            "scores": [{"cone": list(s.cone), "p": s.p, "numerator": format_rat(s.numerator),
+                        "denominator": format_rat(s.denominator), "value": format_rat(s.value)}
+                       for s in res.scores],
+            "caveats": [toric.AUTOMORPHISM_CAVEAT],
+        }
+
+    def _check(self, monkeypatch, fan: Fan, theta: DivClass, omega: DivClass) -> Status:
+        res = fraction_toric_gamma(fan, theta, omega)
+        for digits in (1, 12, 1000):
+            got = self._payload(monkeypatch, fan, theta, omega, digits)
+            assert got == self._expected(res, digits)
+        return res.status
+
+    def test_named_fans_and_blowups(self, monkeypatch):
+        rng = Random(9020)
+        # (fan, an ample class for omega, an ample theta): a blowup's theta is omega's class
+        cases = [(fan, _random_ample(rng, fan), _random_ample(rng, fan))
+                 for fan in (projective_space(2), projective_space(3), p1_power(3), F1)]
+        cases += [(fan, ample, ample) for fan, ample in (blowup_fan(rng) for _ in range(12))]
+        cases.append((F1, F1_H.scale(5) - F1_E, F1_H.scale(2) - F1_E))  # ExactUnstable
+        statuses = set()
+        for fan, omega, ample in cases:
+            omega = omega.scale(Fraction(rng.randint(1, 3), rng.randint(1, 4)))
+            for theta in (ample, omega, DivClass([0] * len(fan.rays)), ample.scale(-1),
+                          _small_class(rng, fan), _small_class(rng, fan)):
+                statuses.add(self._check(monkeypatch, fan, theta, omega))
+        assert statuses == set(Status)  # ample and non-ample twists, values of both signs
+
+    def test_equal_scores_name_the_first_orbit(self, monkeypatch):
+        # theta = omega on P^2 scores every orbit 1: the first in orbit order is the minimizer
+        h = DivClass([1, 0, 0])
+        payload = self._payload(monkeypatch, P2, h, h, 12)
+        assert {s["value"] for s in payload["scores"]} == {"1"}
+        assert payload["minimizer"] == [0] and len(payload["scores"]) == 6
+        assert self._check(monkeypatch, P2, h, h) == Status.SOLVABLE
 
 
 class TestSurfaceModels:
