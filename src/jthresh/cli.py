@@ -120,7 +120,8 @@ def _json_text(value: Any, newline: str = "\n") -> str:
 
 
 def _text_lines(value: Any, prefix: str) -> list[str]:
-    """One 'path.to.key: value' line per leaf; a list of scalars is one JSON leaf."""
+    """One 'path.to.key: value' line per leaf, a list of scalars being one leaf: each leaf
+    as JSON but a printable str as it is, so a label holding a newline stays on one line."""
     if isinstance(value, dict):
         items = value.items()
     elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
@@ -128,8 +129,8 @@ def _text_lines(value: Any, prefix: str) -> list[str]:
     else:
         if isinstance(value, list):
             value = "[" + ", ".join(map(_json_text, value)) + "]"
-        elif value is None or value is True or value is False:
-            value = _JSON_SCALARS[value]
+        elif not (isinstance(value, str) and value.isprintable()):
+            value = _json_text(value)
         return [f"{prefix}: {value}"]
     return [line for key, sub in items
             for line in _text_lines(sub, f"{prefix}.{key}" if prefix else str(key))]
@@ -225,13 +226,12 @@ class _Option:
 class _DocCommand:
     """One document command.  Its handler gets the part's fields (the document when
     part is None), each label's class, each option's value and digits as keywords,
-    and returns its own payload fields; render_csv turns a payload into CSV."""
+    and returns its own payload fields."""
 
     handler: Callable[..., dict[str, Any]]
     part: _Part | None
     labels: tuple[str, ...] = ()
     options: dict[str, _Option] = field(default_factory=dict)
-    render_csv: Callable[[dict[str, Any]], str] | None = None
 
 
 # --- command handlers -------------------------------------------------------
@@ -287,7 +287,7 @@ def _cmd_path(lattice, cone, theta, a, samples, digits) -> dict[str, Any]:
     # path_R's faults are reported before a bad count, unlike sample_path's order
     analysis = path_R(lattice, cone, theta, a)
     scale, gammas = _path_rows(analysis, samples)
-    rows = []  # keys in _PATH_COLUMNS order, which _path_csv reads
+    rows = []
     for k, num, gp, gq in gammas:
         g = gcd(gp, gq)  # one gcd for gamma's text and decimal; _display_digits checked digits
         gp, gq = gp // g, gq // g
@@ -312,7 +312,7 @@ def _path_csv(payload: dict[str, Any]) -> str:
     """The sweep's rows as CSV, solvable as 0/1; no field can hold a comma, quote or newline."""
     return "".join([",".join(_PATH_COLUMNS) + "\n"] + [
         f"{t},{r},{value},{int(solvable)},{approx}\n"
-        for t, r, value, solvable, approx in map(dict.values, payload["rows"])])
+        for t, r, value, solvable, approx in map(itemgetter(*_PATH_COLUMNS), payload["rows"])])
 
 
 def _cmd_stable_cone(lattice, cone, theta, a, digits) -> dict[str, Any]:
@@ -328,20 +328,17 @@ def _cmd_stable_cone(lattice, cone, theta, a, digits) -> dict[str, Any]:
 
 def _cmd_toric_gamma(fan, theta, omega, digits) -> dict[str, Any]:
     rows, best, c, t, curve = _gamma_rows(fan, theta, omega)
-    minimizer, _, top, _, sv, _, bottom = rows[best]
-    value = Fraction(top, sv * bottom)  # the one Fraction of a score, for Status.of
-    return {  # each score is written from its integers; _display_digits checked digits
-        "exact": {"value": format_rat(value)},
-        "decimal": {"value": _decimal_ratio(*value.as_integer_ratio(), digits), "digits": digits},
-        "status": Status.of(value, t).value,
-        "minimizer": list(minimizer),
-        "audit": {"C": format_rat(c), "T": None if t is None else format_rat(t),
-                  "binding_curve": None if curve is None else list(curve), "orbits": len(rows)},
-        "scores": [{"cone": list(tau), "p": p, "numerator": _ratio(top, num_den),
-                    "denominator": _ratio(sv, scale), "value": _ratio(top, sv * bottom)}
-                   for tau, p, top, num_den, sv, scale, bottom in rows],
-        "caveats": [AUTOMORPHISM_CAVEAT],
-    }
+    minimizer, _, top, _, _, _, val_den = rows[best]
+    value = Fraction(top, val_den)  # the one Fraction of a score, for Status.of
+    return {**_value(QuadNum(value), digits), "status": Status.of(value, t).value,
+            "minimizer": list(minimizer),
+            "audit": {"C": format_rat(c), "T": None if t is None else format_rat(t),
+                      "binding_curve": None if curve is None else list(curve),
+                      "orbits": len(rows)},
+            "scores": [{"cone": list(tau), "p": p, "numerator": _ratio(top, num_den),
+                        "denominator": _ratio(sv, scale), "value": _ratio(top, val_den)}
+                       for tau, p, top, num_den, sv, scale, val_den in rows],
+            "caveats": [AUTOMORPHISM_CAVEAT]}
 
 
 def _cmd_csck(lattice, cone, minus_c1, omega, alpha, digits) -> dict[str, Any]:
@@ -406,8 +403,7 @@ DOC_COMMANDS: dict[str, _DocCommand] = {
     "sigma": _DocCommand(_cmd_sigma, _SURFACE, ("theta", "omega")),
     "solvable": _DocCommand(_cmd_solvable, _SURFACE, ("theta", "omega")),
     "path": _DocCommand(_cmd_path, _SURFACE, ("theta", "a"), {
-        "samples": _Option("grid size N; rows at t=k/N", _samples, default=100)},
-        render_csv=_path_csv),
+        "samples": _Option("grid size N; rows at t=k/N", _samples, default=100)}),
     "stable-cone": _DocCommand(_cmd_stable_cone, _SURFACE, ("theta", "a")),
     "toric-gamma": _DocCommand(_cmd_toric_gamma, _FAN, ("theta", "omega")),
     "csck": _DocCommand(_cmd_csck, _SURFACE, ("minus_c1", "omega"), {
@@ -475,14 +471,14 @@ def _resolve(command: _DocCommand, args: argparse.Namespace, doc: InputDocument,
 def _dispatch(args: argparse.Namespace, stdin_bytes: bytes,
               stdin_reader: Callable[[], bytes] | None) -> str:
     digits = _display_digits()
-    command = DOC_COMMANDS.get(args.command)
-    if args.format == "csv" and (command is None or command.render_csv is None):
+    if args.format == "csv" and args.command != "path":
         raise BadParams("csv output is only defined for the 'path' command")
+    command = DOC_COMMANDS.get(args.command)
     if command is None:  # catalog
         return _render(_cmd_catalog(args, digits), "json" if args.export else args.format)
     doc = _load_document(args, stdin_bytes, stdin_reader)
     payload = _resolve(command, args, doc, digits)
-    return command.render_csv(payload) if args.format == "csv" else _render(payload, args.format)
+    return _path_csv(payload) if args.format == "csv" else _render(payload, args.format)
 
 
 def run(argv: list[str], stdin_bytes: bytes = b"",

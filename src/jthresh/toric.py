@@ -29,9 +29,9 @@ orbit closure (``_orbit_integrals``) as integer sums over one common
 denominator D = lcm over sigma of |prod weights|, each class scaled to
 integers.  ``toric_gamma`` reads the ampleness checks, T and the curve
 attaining it, C and every orbit score from that one integer table; D cancels
-from each ratio, so a score is a row of integer pairs (``_score_rows``): the
-library returns one Fraction per rational, and the CLI writes each from its
-two integers with one gcd.  A document fan with more than
+from each ratio, so a score is a row of integer pairs (``_score_rows``; the value
+is top / val_den): the library returns one Fraction per rational, and the CLI
+writes each from its two integers with one gcd.  A document fan with more than
 ``MAX_FIXED_POINT_TERMS`` (maximal cone, face) pairs is refused before validation.
 """
 
@@ -444,13 +444,13 @@ def _c_constant_toric(n: int, table: Table) -> Fraction:
 
 
 def _score_rows(n: int, table: Table, cones: Sequence[tuple[int, ...]]) -> list[tuple]:
-    """(tau, p, top, num_den, s V, scale, c_bottom) for each tau in cones; omega^n > 0.
+    """(tau, p, top, num_den, s V, scale, val_den) for each tau in cones; omega^n > 0.
 
     With (V_0, M_0) the empty cone's row, (V, M) tau's, s = len(tau), p = n - s,
     c_bottom = q_theta V_0 and scale = D q_omega^p, the numerator C int_V omega^p
     - p int_V theta omega^(p-1) is top / num_den, top = q_omega (n M_0 V - p M V_0)
     and num_den = c_bottom scale; the denominator s int_V omega^p is s V / scale,
-    and the value (their quotient) is top / (s V c_bottom).  Each bottom is > 0 if V > 0.
+    and the value is top / val_den, val_den = s V c_bottom.  Each bottom is > 0 if V > 0.
     """
     den, q_t, q_w, rows = table
     vol0, mixed0 = rows[()]
@@ -463,15 +463,15 @@ def _score_rows(n: int, table: Table, cones: Sequence[tuple[int, ...]]) -> list[
         vol, mixed = rows[tau]
         p = n - len(tau)
         out.append((tau, p, q_w * (c_top * vol - p * mixed * vol0), c_bottom * scales[p],
-                    len(tau) * vol, scales[p], c_bottom))
+                    len(tau) * vol, scales[p], len(tau) * vol * c_bottom))
     return out
 
 
 def _scores(rows: Sequence[tuple]) -> tuple[SubvarietyScore, ...]:
     """Each score row of ``_score_rows`` as a SubvarietyScore: one Fraction per rational."""
     return tuple([SubvarietyScore(tau, p, Fraction(top, num_den), Fraction(sv, scale),
-                                  Fraction(top, sv * bottom))
-                  for tau, p, top, num_den, sv, scale, bottom in rows])
+                                  Fraction(top, val_den))
+                  for tau, p, top, num_den, sv, scale, val_den in rows])
 
 
 def subvariety_score(fan: Fan, theta: DivClass, omega: DivClass,
@@ -495,18 +495,18 @@ def _gamma_rows(fan: Fan, theta: DivClass, omega: DivClass
     """Every orbit's score row in (len, lex) order, the position of the first least score,
     C, and T and its binding curve (both None when theta is ample).
 
-    Rows compare as top / (s V) by cross-multiplying: every s V > 0 and c_bottom is
-    common, since an ample omega is ample on every orbit closure.
+    Rows compare as top / val_den by cross-multiplying: every val_den > 0, since an
+    ample omega is ample on every orbit closure.
     """
     n = fan.dim
     table = _orbit_integrals(fan, theta, omega)
     bound, curve = _seshadri_bound(n, table)
     c = _c_constant_toric(n, table)
     rows = _score_rows(n, table, sorted(table.rows, key=lambda tau: (len(tau), tau))[1:])
-    best, (_, _, top, _, sv, _, _) = 0, rows[0]
-    for k, (_, _, t, _, v, _, _) in enumerate(rows):
-        if t * sv < top * v:  # strict: the first minimum in orbit order wins
-            best, top, sv = k, t, v
+    best, (_, _, top, _, _, _, vd) = 0, rows[0]
+    for k, (_, _, t, _, _, _, v) in enumerate(rows):
+        if t * vd < top * v:  # strict: the first minimum in orbit order wins
+            best, top, vd = k, t, v
     t_bound = None if bound > 0 else bound  # bound > 0 exactly when theta is ample
     return rows, best, c, t_bound, None if t_bound is None else curve
 

@@ -15,7 +15,7 @@ from random import Random
 
 import pytest
 
-from jthresh.cli import DOC_COMMANDS, MAX_DECIMAL_DIGITS, _build_parser, run
+from jthresh.cli import DOC_COMMANDS, MAX_DECIMAL_DIGITS, _build_parser, _path_csv, run
 from jthresh.documents import parse_document
 from jthresh.exactnum import decimal_str, rat
 from jthresh.toric import MAX_FIXED_POINT_TERMS
@@ -148,6 +148,23 @@ class TestSurfaceCommands:
         assert "exact.value: -1/4" in text
         assert "status: ExactUnstable" in text
 
+    def test_text_keeps_each_leaf_on_one_line(self):
+        # a string leaf that is not printable is written as its JSON string
+        doc = json.loads(F1_DOC)
+        doc["cone"]["facet_labels"] = ["E\nx", "F\u2028"]
+        doc["classes"]["th\nx"] = doc["classes"].pop("theta")
+        doc = json.dumps(doc).encode()
+        argv = ["gamma", "--theta", "th\nx", "--omega", "omega"]
+        code, out = run(argv, doc)
+        lines = out.decode().splitlines()
+        assert code == 0 and len(lines) == 14  # one per leaf
+        assert {'theta: "th\\nx"', 'audit.binding_facet_sigma: "E\\nx"',
+                'audit.binding_facet_T: "F\\u2028"', "omega: omega"} <= set(lines)
+        expected = run_json(["gamma", "--theta", "theta", "--omega", "omega"], F1_DOC)
+        expected["theta"] = "th\nx"
+        expected["audit"].update(binding_facet_sigma="E\nx", binding_facet_T="F\u2028")
+        assert run_json(argv, doc) == expected
+
     def test_seshadri_and_sigma(self):
         t = run_json(["seshadri", "--theta", "theta", "--omega", "omega"], F1_DOC)
         assert t["exact"]["value"] == "1/4" and t["binding_facet"] == "F"
@@ -229,6 +246,14 @@ class TestPathCommand:
         assert payload["decimal_digits"] == digits and len(payload["rows"]) == 50
         for row in payload["rows"]:
             assert row["decimal_approx"] == decimal_str(rat(row["gamma_value"]), digits)
+
+    def test_csv_reads_columns_by_name(self):
+        # rows whose keys come in another order than the CSV's columns give the same CSV
+        argv = ["path", "--theta", "theta", "--a", "H", "--samples", "10"]
+        code, csv = run(argv + ["--format", "csv"], F1_DOC)
+        payload = run_json(argv, F1_DOC)
+        for rows in (payload["rows"], [dict(reversed(row.items())) for row in payload["rows"]]):
+            assert code == 0 and _path_csv({**payload, "rows": rows}).encode() == csv
 
     def test_csv_only_for_path(self):
         code, out = run(["gamma", "--theta", "theta", "--omega", "omega",

@@ -87,7 +87,7 @@ def _argv(rng: Random, command: str, doc: dict, labels: bool) -> list[str]:
             argv += ["--" + option, rng.choice(values)]
     if rng.random() < 0.05:
         argv.append(rng.choice(["--bogus", "--format=xml", "extra.json", "-"]))
-    formats = FORMATS if spec.render_csv or rng.random() < 0.05 else FORMATS[:2]
+    formats = FORMATS if command == "path" or rng.random() < 0.05 else FORMATS[:2]
     return argv + ["--format", rng.choice(formats)]
 
 

@@ -142,3 +142,5 @@ class TestRoundTrip:
         # True is an int to isinstance, and once decoded as radicand 1
         with pytest.raises(BadDocument, match=r"^bad radicand True$"):
             quad_from_json({"rat": "1", "coef": "1", "rad": True})
+        # the boundary: radicand 0 is allowed, and a zero coef makes the number rational
+        assert quad_from_json({"rat": "1", "coef": "0", "rad": 0}) == QuadNum(1)

@@ -43,19 +43,19 @@ def _dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(VALUES)
 def test_writer_matches_json_dumps(value):
     assert _json_text(value) == _dumps(value)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.dictionaries(TEXT, VALUES, max_size=5))
 def test_json_payload_is_one_document_and_a_newline(payload):
     assert _render(payload, "json") == _dumps(payload) + "\n"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(records(), VALUES)
 def test_records_match_json_dumps(rows, other):
     # at the top, as a field's value and inside a list: three indents

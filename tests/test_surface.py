@@ -353,6 +353,14 @@ class TestPathAnalysis:
         with pytest.raises(BadParams, match=f"between 1 and {MAX_SAMPLES}, got {MAX_SAMPLES + 1}"):
             sample_path(F1_LATTICE, F1_CONE, F1_THETA, DivClass([1, 0]), MAX_SAMPLES + 1)
 
+    def test_light_cone_omega_of_zero_square_is_refused(self):
+        # diag(1, 1, -1) is not hyperbolic, so only the library reaches this: a document
+        # is refused as BadSignature.  omega_{1/2} = (1, 0, 1)/2 has square 0.
+        lat = IntersectionLattice([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+        cone = NefConeModel(facets=[], light_cone=LightConeFacet(DivClass([1, 0, 0])))
+        with pytest.raises(OmegaNotKahler, match="^omega is not interior to the cone model$"):
+            sample_path(lat, cone, DivClass([1, -1, 0]), DivClass([0, 1, 1]), 2)
+
     @pytest.mark.parametrize("samples", [True, 2.0, "2", Fraction(2)])
     def test_sample_count_must_be_an_int(self, samples):
         # True once gave one row, and 2.0 a TypeError
