@@ -7,6 +7,9 @@ validation, 1 on internal errors.  A document command reports the first
 fault in this order: the document part it computes on, each class label
 given (in argv or the document's query), each other option, each label
 defined in the document.
+
+A plain argv (a document command, maybe a path, then full '--flag value' pairs)
+is read straight from DOC_COMMANDS; argparse reads every other argv.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import itemgetter
@@ -109,8 +113,16 @@ def _json_text(value: Any, newline: str = "\n") -> str:
             keys, field, cols = sorted(first), inner + "  ", []
             for key in keys:
                 column = list(map(itemgetter(key), value))
-                text = _COLUMN_TEXT.get(frozenset(map(type, column)))
-                cols.append(map(text, column) if text else [_json_text(v, field) for v in column])
+                kinds = frozenset(map(type, column))
+                if text := _COLUMN_TEXT.get(kinds):
+                    cols.append(map(text, column))
+                elif kinds == {list} and (text := _COLUMN_TEXT.get(
+                        frozenset(map(type, chain.from_iterable(column))))):
+                    cell, sep = field + "  ", "," + field + "  "  # scalar lists: one join each
+                    cols.append(["[" + cell + sep.join(map(text, v)) + field + "]" if v
+                                 else "[]" for v in column])
+                else:
+                    cols.append([_json_text(v, field) for v in column])
             form = "{" + ",".join([field + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
                                    for key in keys]) + inner + "}"
             return "[" + inner + ("," + inner).join(map(form.__mod__, zip(*cols))) + newline + "]"
@@ -410,14 +422,14 @@ DOC_COMMANDS: dict[str, _DocCommand] = {
         "alpha": _Option("integrability exponent (exact rational)", rat)}),
     "validate": _DocCommand(_cmd_validate, None),
 }
+_FORMATS = ("text", "json", "csv")
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argv grammar, built on first use and shared by every later run."""
-    parser = _Parser(prog="jthresh", description=__doc__)
+    parser = _Parser(prog="jthresh", description=__doc__.rsplit("\n\n", 1)[0])  # not the routes
     sub = parser.add_subparsers(dest="command", required=True)
-    formats = ["text", "json", "csv"]
     for name, command in DOC_COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("doc", nargs="?", default=None,
@@ -426,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(_flag(label), default=None, help=_LABEL_HELP[label])
         for option, spec in command.options.items():
             p.add_argument(_flag(option), default=None, help=spec.help)
-        p.add_argument("--format", default="text", choices=formats)
+        p.add_argument("--format", default="text", choices=_FORMATS)
     cat = sub.add_parser("catalog")
     cat.add_argument("name", help=" | ".join(catalog_mod._BUILDERS))
     families: dict[str, list[str]] = {}  # each family's parameter: its flag drops '_'
@@ -439,8 +451,33 @@ def _build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--t", default=None, help="evaluate ross at polarization L_t")
     cat.add_argument("--export", action="store_true",
                      help="print the entry as an input document (always JSON)")
-    cat.add_argument("--format", default="text", choices=formats)
+    cat.add_argument("--format", default="text", choices=_FORMATS)
     return parser
+
+
+@functools.cache
+def _plain_flags() -> dict[str, dict[str, str]]:
+    """Each document command's full flags, named as _build_parser names them, to fields."""
+    return {name: {_flag(key): key for key in (*command.labels, *command.options, "format")}
+            for name, command in DOC_COMMANDS.items()}
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """argparse's Namespace for a plain argv: a document command, maybe a document path
+    that is '-' or does not start with '-', then distinct full '--flag value' pairs with
+    no value starting with '-' and a known format.  None leaves argv to argparse."""
+    flags = _plain_flags().get(argv[0] if argv else None)
+    if flags is None:
+        return None
+    doc, pairs = (argv[1], argv[2:]) if len(argv) % 2 == 0 else (None, argv[1:])
+    given = dict(zip(pairs[::2], pairs[1::2]))
+    if (2 * len(given) < len(pairs) or not given.keys() <= flags.keys()
+            or given.setdefault("--format", "text") not in _FORMATS
+            or doc is not None and doc[:1] == "-" != doc
+            or any(value[:1] == "-" for value in given.values())):
+        return None
+    return argparse.Namespace(command=argv[0], doc=doc,
+                              **{name: given.get(flag) for flag, name in flags.items()})
 
 
 def _resolve(command: _DocCommand, args: argparse.Namespace, doc: InputDocument,
@@ -485,7 +522,7 @@ def run(argv: list[str], stdin_bytes: bytes = b"",
         stdin_reader: Callable[[], bytes] | None = None) -> tuple[int, bytes]:
     """Execute one CLI invocation; returns (exit_code, stdout bytes)."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _plain_args(argv) or _build_parser().parse_args(argv)
         return 0, _dispatch(args, stdin_bytes, stdin_reader).encode()
     except _HelpRequested as exc:  # -h/--help: exit 0 with the help text
         return 0, str(exc).encode()

@@ -39,6 +39,7 @@ _EXPONENT_FORM = re.compile(r"[-+]?(?=\d|\.\d)(\d+(_\d+)*)?(\.(\d+(_\d+)*)?)?"
                             r"e[-+]?\d+(_\d+)*", re.IGNORECASE)
 # 'p' or 'p/q' in ASCII digits with q != 0: two ints, no regex of Fraction's own
 _PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+_ZERO = Fraction(0)  # QuadNum's default irrational part: no exactness gate to pass
 
 
 def exact(x: object, what: str) -> Fraction:
@@ -168,7 +169,7 @@ class QuadNum:
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a: RatLike = 0, b: RatLike = 0, d: int = 0):
+    def __init__(self, a: RatLike = 0, b: RatLike = _ZERO, d: int = 0):
         if not isinstance(a, Fraction):
             a = exact(a, "QuadNum parts")
         if not isinstance(b, Fraction):

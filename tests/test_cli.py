@@ -469,10 +469,23 @@ class TestDeterminismAndErrors:
 
 
 class TestSharedParser:
-    """run parses every argv with one parser, built on first use."""
+    """run parses every argv that is not plain with one parser, built on first use; a
+    plain document-command argv never builds it."""
+
+    SURFACE = ["--theta", "theta", "--omega", "omega"]
+    QUERIES = [
+        (["gamma", *SURFACE], F1_DOC), (["seshadri", *SURFACE], F1_DOC),
+        (["sigma", *SURFACE], F1_DOC), (["solvable", *SURFACE], F1_DOC),
+        (["path", "--theta", "theta", "--a", "H", "--samples", "3"], F1_DOC),
+        (["stable-cone", "--theta", "theta", "--a", "H"], F1_DOC),
+        (["toric-gamma", *SURFACE], FAN_DOC),
+        (["csck", "--minus-c1", "mc1", "--omega", "omega", "--alpha", "1"], F1_DOC),
+        (["validate"], F1_DOC),
+        (["catalog", "ross", "--g", "4", "--sC", "2", "--t", "3"], b""),
+    ]
 
     def test_built_once(self, monkeypatch):
-        run(["validate"], F1_DOC)
+        _build_parser()
         inits, original = [], argparse.ArgumentParser.__init__
 
         def counting_init(parser, *args, **kwargs):
@@ -480,21 +493,19 @@ class TestSharedParser:
             original(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        surface = ["--theta", "theta", "--omega", "omega"]
-        queries = [([command, *surface], F1_DOC)
-                   for command in ("gamma", "seshadri", "sigma", "solvable")]
-        queries += [
-            (["path", "--theta", "theta", "--a", "H", "--samples", "3"], F1_DOC),
-            (["stable-cone", "--theta", "theta", "--a", "H"], F1_DOC),
-            (["toric-gamma", *surface], FAN_DOC),
-            (["csck", "--minus-c1", "mc1", "--omega", "omega", "--alpha", "1"], F1_DOC),
-            (["validate"], F1_DOC),
-            (["catalog", "ross", "--g", "4", "--sC", "2", "--t", "3"], b""),
-        ]
-        assert {argv[0] for argv, _ in queries} == {*DOC_COMMANDS, "catalog"}
-        for argv, stdin in queries:
+        assert {argv[0] for argv, _ in self.QUERIES} == {*DOC_COMMANDS, "catalog"}
+        for argv, stdin in self.QUERIES:
             assert run(argv, stdin)[0] == 0, argv
         assert inits == []
+
+    def test_plain_argv_never_builds_the_parser(self):
+        _build_parser.cache_clear()
+        for argv, stdin in self.QUERIES[:-1]:
+            assert run(argv, stdin)[0] == 0, argv
+        assert _build_parser.cache_info().currsize == 0
+        assert run(*self.QUERIES[-1])[0] == 0
+        info = _build_parser.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     @staticmethod
     def fresh(argv, stdin=b""):

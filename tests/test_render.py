@@ -86,6 +86,12 @@ def test_record_near_misses(value):
     [Text("x"), "y"], [Text("%s")],  # a str subclass
     [], [[]], [[1, 2], [3], []], [["a"], [True], [None]],  # empty lists and lists of lists
     {"cone": [0, 2], "names": ["a", "é"], "rows": [{"cone": [1], "ok": [True]}]},
+    # record columns of lists: int lists beside str lists, an empty list among int lists,
+    # only empty lists, a bool among ints, a str subclass, a tuple, and lists of lists
+    [{"cone": [0, 1], "p": 1}, {"cone": ["a"], "p": 2}],
+    [{"cone": [0, 1]}, {"cone": []}, {"cone": [2]}], [{"cone": []}, {"cone": []}],
+    [{"cone": [1, True]}, {"cone": [0]}], [{"cone": [Text("x")]}, {"cone": ["y"]}],
+    [{"cone": [1]}, {"cone": (2, 3)}], [{"cone": [[1], [2]]}, {"cone": [[3], []]}],
 ])
 def test_scalar_list_near_misses(value):
     assert _json_text(value) == _dumps(value)

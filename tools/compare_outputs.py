@@ -11,7 +11,12 @@ seed S from catalog exports, each run with an argv drawn from the document
 commands, plus 300 ``catalog`` argv drawn under the same seed: a family (or
 an unknown name), each parameter flag and ``--t`` about half the time with a
 valid or invalid value, sometimes ``--export``, and a ``--format``.  Those
-flag names are literals here, so both trees run the same catalog argv.
+flag names are literals here, so both trees run the same catalog argv.  A
+document-command argv comes in the plain spelling, which ``cli.run`` reads
+without argparse, except for about a quarter of them (about 2000 of the
+default 8000, drawn under S too), respelled so that only argparse reads them:
+a flag abbreviated, a '--flag=value', the path '-' after the flags, a flag
+given twice, or a value led by '-'.
 REV's child builds the corpus, from REV's exports and REV's
 ``cli.DOC_COMMANDS``, and the working tree's child runs that same corpus.
 
@@ -48,6 +53,8 @@ OPTIONS = {  # raw argv values per option: valid ones and ones to refuse
     "alpha": ["1", "2/3", "50", "0", "-1", "x", "1e5", "0.5", "1/0"],
 }
 FORMATS = ("text", "json", "csv")
+RESPELLED = 0.25  # share of the mutated-document argv respelled for argparse
+RESPELLINGS = ("abbreviate", "equals", "path_last", "repeat", "dash")
 CATALOG_CASES = 300
 CATALOG_NAMES = ("ross", "hirzebruch", "perfect_lightcone", "blowup_path", "k3")
 CATALOG_FLAGS = ("--g", "--sC", "--a", "--rank", "--t")
@@ -110,6 +117,27 @@ def _argv(rng: Random, commands: dict, doc: dict, labels: list[str]) -> list[str
     return argv + ["--format", rng.choice(FORMATS)]
 
 
+def _respell(rng: Random, argv: list[str]) -> list[str]:
+    """argv (a command, then '--flag value' pairs) spelled so that only argparse reads it:
+    one flag abbreviated, one pair as '--flag=value', the path '-' after the flags, one
+    flag given first with another value (argparse keeps the last), or one value led by '-'."""
+    pairs = [argv[i:i + 2] for i in range(1, len(argv), 2)]
+    way = rng.choice(RESPELLINGS)
+    k = rng.choice([i for i, (flag, _) in enumerate(pairs) if way != "abbreviate" or len(flag) > 3])
+    flag, value = pairs[k]
+    if way == "abbreviate":
+        pairs[k] = [flag[:-2], value]
+    elif way == "equals":
+        pairs[k] = [f"{flag}={value}"]
+    elif way == "path_last":
+        pairs.append(["-"])
+    elif way == "repeat":
+        pairs.insert(k, [flag, rng.choice(FORMATS) if flag == "--format" else "x"])
+    else:
+        pairs[k] = [flag, "-" + value]
+    return [argv[0], *(word for pair in pairs for word in pair)]
+
+
 def _catalog_argv(rng: Random) -> list[str]:
     """A catalog family or an unknown one, each flag or not, maybe --export, and a format."""
     argv = ["catalog", rng.choice(CATALOG_NAMES)]
@@ -132,12 +160,14 @@ def _corpus(run, commands: dict, mutants: int, seed: int) -> list[tuple[list[str
                for argv in workloads.EXPORTS + EXTRA_EXPORTS]
     labels = sorted({label for doc in exports for key in ("classes", "toric_classes")
                      for label in doc.get(key, {})})
-    rng = Random(seed)
+    rng, respell = Random(seed), Random(f"{seed}/respell")
     for _ in range(mutants):
         doc = _mutate(rng, rng.choice(exports), labels)
         text = json.dumps(doc)
-        cases.append((_argv(rng, commands, doc if isinstance(doc, dict) else {}, labels),
-                      text.encode()))
+        argv = _argv(rng, commands, doc if isinstance(doc, dict) else {}, labels)
+        if respell.random() < RESPELLED:
+            argv = _respell(respell, argv)
+        cases.append((argv, text.encode()))
     cases += [(_catalog_argv(rng), b"") for _ in range(CATALOG_CASES)]
     return cases
 
