@@ -23,7 +23,7 @@ from typing import Mapping
 from .cones import LightConeFacet, NefConeModel, validate_cone
 from .documents import InputDocument
 from .errors import BadParams, OutOfDomain, UnknownName
-from .exactnum import RatLike, rat
+from .exactnum import RatLike, int_between, rat
 from .lattice import DivClass, diagonal_lattice, validate_signature
 from .toric import Fan
 
@@ -128,9 +128,7 @@ def hirzebruch_entry(a: RatLike | str) -> CatalogEntry:
 
 
 def perfect_lightcone_entry(rank: RatLike | str = 2) -> CatalogEntry:
-    rank = _require_integer(rat(rank), "rank")
-    if not 1 <= rank <= MAX_RANK:
-        raise BadParams(f"rank must be between 1 and {MAX_RANK}, got {rank}")
+    rank = int_between(_require_integer(rat(rank), "rank"), "rank", 1, MAX_RANK)
     lattice = diagonal_lattice([1] + [-1] * (rank - 1))
     h = DivClass([1] + [0] * (rank - 1))
     cone = NefConeModel(facets=[], light_cone=LightConeFacet(reference_kahler=h))

@@ -33,7 +33,7 @@ from .documents import (InputDocument, document_to_json, parse_document,
                         quad_to_json)
 from .errors import BadDocument, BadParams, JThreshError
 from .exactnum import (DEFAULT_DIGITS, MAX_DECIMAL_DIGITS, QuadNum, _decimal_ratio, decimal_str,
-                       format_rat, rat)
+                       format_rat, int_between, rat)
 from .surface import (PerfectCone, Status, _path_rows, csck_criterion, is_solvable, path_R,
                       stable_subcone, surface_gamma)
 from .toric import AUTOMORPHISM_CAVEAT, _gamma_rows, count_orbits
@@ -47,11 +47,7 @@ def _display_digits() -> int:
         digits = int(raw)
     except ValueError:
         raise BadParams(f"JTHRESH_DECIMAL_DIGITS = {raw!r} is not an integer") from None
-    if digits < 1:
-        raise BadParams("JTHRESH_DECIMAL_DIGITS must be >= 1")
-    if digits > MAX_DECIMAL_DIGITS:
-        raise BadParams(f"JTHRESH_DECIMAL_DIGITS must be <= {MAX_DECIMAL_DIGITS}, got {digits}")
-    return digits
+    return int_between(digits, "JTHRESH_DECIMAL_DIGITS", 1, MAX_DECIMAL_DIGITS)
 
 
 class _HelpRequested(Exception):
@@ -134,7 +130,7 @@ def _json_text(value: Any, newline: str = "\n") -> str:
 def _text_lines(value: Any, prefix: str) -> list[str]:
     """One 'path.to.key: value' line per leaf, a list of scalars being one leaf: each leaf
     as JSON but a printable str as it is, so a label holding a newline stays on one line."""
-    if isinstance(value, dict):
+    if isinstance(value, dict) and value:  # an empty object is one leaf, as [] is
         items = value.items()
     elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
         items = enumerate(value)

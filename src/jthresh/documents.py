@@ -15,24 +15,17 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from .cones import LightConeFacet, NefConeModel, validate_cone
-from .errors import BadDocument, BadParams, DimensionMismatch
+from .errors import BadDocument, DimensionMismatch
 from .exactnum import QuadNum, exact_int, format_rat, rat
 from .lattice import DivClass, IntersectionLattice, validate_signature
 from .toric import MAX_FIXED_POINT_TERMS, Fan, _rows
-
-
-def parse_rat(value: Any) -> Fraction:
-    try:
-        return rat(value)
-    except BadParams as exc:
-        raise BadDocument(str(exc)) from None
 
 
 def _rat_list(value: Any, what: str) -> list[Fraction]:
     """A JSON list of exact rationals; a string is never iterated."""
     if not isinstance(value, list):
         raise BadDocument(f"{what} must be a list of exact rationals, got {value!r}")
-    return [parse_rat(x) for x in value]
+    return [rat(x, BadDocument) for x in value]
 
 
 def _object(data: dict[str, Any], key: str, message: str) -> dict[str, Any]:
@@ -60,11 +53,11 @@ def quad_from_json(value: Any) -> QuadNum:
         missing = {"rat", "coef", "rad"} - set(value)
         if missing:
             raise BadDocument(f"quadratic number missing fields {sorted(missing)}")
-        rad = value["rad"]
-        if isinstance(rad, bool) or not isinstance(rad, int) or rad < 0:
-            raise BadDocument(f"bad radicand {rad!r}")
-        return QuadNum(parse_rat(value["rat"]), parse_rat(value["coef"]), rad)
-    return QuadNum(parse_rat(value))
+        rad = exact_int(value["rad"], "radicand", BadDocument)
+        if rad < 0:
+            raise BadDocument(f"radicand must be non-negative, got {rad}")
+        return QuadNum(rat(value["rat"], BadDocument), rat(value["coef"], BadDocument), rad)
+    return QuadNum(rat(value, BadDocument))
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ def _parse_lattice(data: Any) -> IntersectionLattice:
     matrix = data["matrix"]
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise BadDocument("lattice matrix must be a list of rows")
-    rows = [[parse_rat(x) for x in row] for row in matrix]
+    rows = [[rat(x, BadDocument) for x in row] for row in matrix]
     labels = data.get("labels")
     if labels is not None and (not isinstance(labels, list)
                                or not all(isinstance(s, str) for s in labels)):

@@ -58,25 +58,34 @@ def exact_int(value: object, what: str, error: type[JThreshError] = BadParams) -
     return value
 
 
-def rat(value: RatLike | str) -> Fraction:
+def int_between(value: object, what: str, lo: int, hi: int) -> int:
+    """value if it is an int from lo to hi, the one range gate of every count and digits;
+    a non-int raises exact_int's BadParams line, an int out of range this one."""
+    if not lo <= exact_int(value, what) <= hi:
+        raise BadParams(f"{what} must be between {lo} and {hi}, got {value}")
+    return value
+
+
+def rat(value: RatLike | str, error: type[JThreshError] = BadParams) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to a Fraction.
 
     A malformed string, exponent notation, a zero denominator or any other type
-    (a bool or a float among them) raises BadParams.
+    (a bool or a float among them) raises error: BadParams, or the class a
+    caller names (a document's BadDocument), with the same line.
     """
     if isinstance(value, str):  # first: a str fails Fraction's ABC check slowly
         plain, text = _PLAIN_RATIONAL.fullmatch(value), value.strip()
         if not plain and _EXPONENT_FORM.fullmatch(text):
-            raise BadParams(f"bad rational {value!r}: exponent notation is not accepted")
+            raise error(f"bad rational {value!r}: exponent notation is not accepted")
         try:  # past 4300 digits int() raises Fraction(text)'s ValueError
             return Fraction(int(plain[1]), int(plain[2] or 1)) if plain else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise BadParams(f"bad rational {value!r}: {exc}") from None
+            raise error(f"bad rational {value!r}: {exc}") from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    raise BadParams(f"expected an exact rational (int, Fraction or 'p/q' string), got {value!r}")
+    raise error(f"expected an exact rational (int, Fraction or 'p/q' string), got {value!r}")
 
 
 def format_rat(value: Fraction) -> str:
@@ -358,15 +367,6 @@ def _pow10(n: int) -> int:
     return 10 ** n
 
 
-def _check_digits(digits: int) -> None:
-    if type(digits) is not int:  # the call only when it may raise
-        exact_int(digits, "digits")
-    if digits < 1:
-        raise BadParams(f"digits must be positive, got {digits}")
-    if digits > MAX_DECIMAL_DIGITS:
-        raise BadParams(f"digits must be at most {MAX_DECIMAL_DIGITS}, got {digits}")
-
-
 def _exponent(bits: int) -> int:
     """floor(bits * log10(2)) to within one, in integers: a decade estimate from bit lengths."""
     return bits * 30103 // 100000
@@ -449,9 +449,9 @@ def decimal_str(x: Scalar, digits: int = DEFAULT_DIGITS) -> str:
     Display-only: correctly rounded, ties to even, in integer arithmetic;
     deterministic across platforms.  Exact zero renders as "0", anything
     else in Decimal.__str__'s form with exactly digits digits.  digits must be an
-    int from 1 to MAX_DECIMAL_DIGITS, else BadParams.
+    int from 1 to MAX_DECIMAL_DIGITS (``int_between``), else BadParams.
     """
-    _check_digits(digits)
+    int_between(digits, "digits", 1, MAX_DECIMAL_DIGITS)
     if isinstance(x, QuadNum):
         if x.b:
             q, (a, b) = scale_to_integers((x.a, x.b))

@@ -19,7 +19,7 @@ from .cones import (ConeConstants, NefConeModel, PairingTable, _check_omega, _co
                     cone_constants, seshadri_T, sigma_inf)  # noqa: F401
 from .errors import (ANotOnBoundary, BadConeModel, BadParams, NegativeSelfIntersection,
                      ThetaNotKahler, ZeroVolume)
-from .exactnum import QuadNum, exact, exact_int, rat_sqrt
+from .exactnum import QuadNum, exact, int_between, rat_sqrt
 from .lattice import DivClass, IntersectionLattice
 
 CSCK_CAVEAT = "requires discrete automorphism group"
@@ -217,11 +217,6 @@ class PathSample:
     solvable: bool
 
 
-def _check_samples(samples: int) -> None:
-    if not 1 <= exact_int(samples, "samples") <= MAX_SAMPLES:
-        raise BadParams(f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
-
-
 def _path_rows(analysis: PathAnalysis, n: int) -> tuple[int, list[tuple[int, int, int, int]]]:
     """(L*n^2, [(k, L*n^2*R(k/n), gp, gq) for k = 1..n]): the count's check, then each row's.
 
@@ -234,7 +229,7 @@ def _path_rows(analysis: PathAnalysis, n: int) -> tuple[int, list[tuple[int, int
     discriminant.  Every gamma exists before a caller builds row strings: a
     row-by-row loop raised surface_path's peak RSS ~3%.
     """
-    _check_samples(n)
+    int_between(n, "samples", 1, MAX_SAMPLES)
     den, _, _, at, tt, aa = analysis.pairings.integers
     rows = []
     for k in range(1, n + 1):
@@ -252,7 +247,7 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
 
     The count is checked before path_R's checks on theta and a.
     """
-    _check_samples(samples)
+    int_between(samples, "samples", 1, MAX_SAMPLES)
     scale, rows = _path_rows(path_R(lattice, cone, theta, a), samples)
     return [PathSample(t=Fraction(k, samples), r_numerator=Fraction(num, scale),
                        gamma=Fraction(gp, gq), solvable=num > 0) for k, num, gp, gq in rows]

@@ -10,7 +10,7 @@ faces.  Validation finds every maximal cone's dual basis with one
 elimination per fan (the fraction-free ``_eliminate``, once per connected
 component), then one update per wall crossing (Cox-Little-Schenck, 6.4),
 which also decides that wall's unimodularity and sides (``_wall_walk``).
-The ``Fan`` keeps those bases and their weights at c; it holds no query state.
+The ``Fan`` keeps only the bases' weights at c; it holds no query state.
 
 Intersection numbers come from localization at the torus-fixed points
 (Brion; Cox-Little-Schenck, ch. 12-13).  At the fixed point of a maximal cone
@@ -83,8 +83,9 @@ Dual = tuple[tuple[int, ...], ...]
 # A query's localization pass has len(max_cones) * 2^dim fixed-point terms, one
 # per (maximal cone, face), and its time follows that count.  Documents over
 # the cap are refused before validation.  Sized with ``cli.run`` on toric-gamma
-# (Xeon, 2 vCPU, Python 3.11): P^14 (245760 terms) takes 1.3-1.5 s, (P^1)^9
-# (262144 terms) 0.7-1.1 s; P^15 and (P^1)^10 have twice as many terms or more.
+# (Intel Xeon, 2 vCPU shared with other load, Python 3.11.7; 15 runs each): P^14
+# (245760 terms) takes 0.55-0.95 s, (P^1)^9 (262144 terms) 0.32-0.75 s; P^15 and
+# (P^1)^10 have twice as many terms or more.
 MAX_FIXED_POINT_TERMS = 2 ** 18
 
 
@@ -117,14 +118,13 @@ class Fan:
     Ray indices are 0-based everywhere, including in documents.  The
     constructor refuses non-integer data and runs :func:`validate_fan`, so
     every ``Fan`` is valid.  It is a frozen dataclass, equal and hashed on
-    dim, rays and max_cones, and also keeps the maximal cones' dual bases and
-    their weights at the generic point c.
+    dim, rays and max_cones, and also keeps the weights of the maximal cones'
+    dual bases at the generic point c.
     """
 
     dim: int
     rays: tuple[tuple[int, ...], ...]
     max_cones: tuple[tuple[int, ...], ...]
-    _duals: tuple[Dual, ...] = field(compare=False)
     _weights: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def __init__(self, dim: int, rays: Sequence[Sequence[int]],
@@ -134,9 +134,7 @@ class Fan:
         init(self, "rays", _rows(rays, "rays", "fan ray entry"))
         init(self, "max_cones", tuple(tuple(sorted(cone)) for cone
                                       in _rows(max_cones, "max_cones", "fan cone index")))
-        duals, weights = validate_fan(self)
-        init(self, "_duals", duals)
-        init(self, "_weights", weights)
+        init(self, "_weights", validate_fan(self))
 
     def __reduce__(self):  # copy and pickle rebuild through the validating constructor
         return Fan, (self.dim, self.rays, self.max_cones)
@@ -155,12 +153,10 @@ class Fan:
         sigma (minus u_i's dual vector); the relation sum_j <m,u_j> D_j then
         expresses D_i through rays outside it.
         """
-        ambient = min(((c, d) for c, d in zip(self.max_cones, self._duals)
-                       if sigma.issubset(c)), default=None)
-        if ambient is None:
+        smax = min((c for c in self.max_cones if sigma.issubset(c)), default=None)
+        if smax is None:
             raise BadFace(f"rays {sorted(sigma)} do not span a cone of the fan")
-        smax, dual = ambient
-        m = dual[smax.index(i)]
+        m = _unimodular_dual([self.rays[j] for j in smax])[smax.index(i)]
         coeffs = ((j, -sum(map(mul, m, u))) for j, u in enumerate(self.rays) if j not in smax)
         return tuple((j, c) for j, c in coeffs if c != 0)
 
@@ -168,14 +164,14 @@ class Fan:
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
 
-def validate_fan(fan: Fan) -> tuple[tuple[Dual, ...], tuple[tuple[int, ...], ...]]:
-    """Smoothness, completeness, face compatibility; each maximal cone's dual basis and weights.
+def validate_fan(fan: Fan) -> tuple[tuple[int, ...], ...]:
+    """Smoothness, completeness, face compatibility; each maximal cone's weights.
 
     The first fault is reported: rays, then per cone in cone order its
     arity, indices and unimodularity, duplicate cones, unused rays, walls in
-    ridge order and last the count of maximal cones containing c.  Both
-    results follow cone order; a cone's weights are <m_rho, c> for its dual
-    basis (m_rho), with c = (1, N, ..., N^(n-1)) and N = 1 + max |dual entry|.
+    ridge order and last the count of maximal cones containing c.  The weights
+    follow cone order; a cone's weights are <m_rho, c> for its dual basis
+    (m_rho), with c = (1, N, ..., N^(n-1)) and N = 1 + max |dual entry|.
     No weight is 0, since base-N digits are unique, so c is generic for
     every maximal cone.  Under the wall condition, once there is a cone,
     every generic point lies in the same number of maximal cones, at least
@@ -225,7 +221,7 @@ def validate_fan(fan: Fan) -> tuple[tuple[Dual, ...], tuple[tuple[int, ...], ...
     weights = tuple(tuple([sum(map(mul, m, c)) for m in dual]) for dual in duals)
     if sum(min(w) > 0 for w in weights) > 1:
         raise BadFace("maximal cones overlap in their interiors")
-    return tuple(duals), weights
+    return weights
 
 
 def _wall_walk(rays: Sequence[Sequence[int]], cones: Sequence[tuple[int, ...]]

@@ -464,7 +464,7 @@ class TestDeterminismAndErrors:
             start = time.perf_counter()
             result = run(argv)
             assert time.perf_counter() - start < 1.0
-            assert result == (2, f"BadParams: JTHRESH_DECIMAL_DIGITS must be <= "
+            assert result == (2, f"BadParams: JTHRESH_DECIMAL_DIGITS must be between 1 and "
                                  f"{MAX_DECIMAL_DIGITS}, got {digits}\n".encode())
 
 
@@ -771,7 +771,7 @@ class TestMalformedInput:
     def test_decimal_digits_below_one(self, monkeypatch):
         monkeypatch.setenv("JTHRESH_DECIMAL_DIGITS", "0")
         assert run(["gamma", "--theta", "theta", "--omega", "omega"], F1_DOC) == (
-            2, b"BadParams: JTHRESH_DECIMAL_DIGITS must be >= 1\n")
+            2, b"BadParams: JTHRESH_DECIMAL_DIGITS must be between 1 and 1000, got 0\n")
 
     def test_query_sample_count_diagnostics(self):
         expected = {

@@ -55,6 +55,32 @@ class TestParse:
         with pytest.raises(BadDocument):
             parse_document({"lattice": {"matrix": [[1.5, 0], [0, -1]]}})
 
+    LIGHT_DOC = {**F1_DOC, "cone": {**F1_DOC["cone"], "light_cone": {"H": ["2", "-1"]}}}
+
+    @pytest.mark.parametrize("doc, path", [
+        (F1_DOC, ("lattice", "matrix", 1, 0)), (F1_DOC, ("cone", "facets", 0, 1)),
+        (F1_DOC, ("classes", "theta", 0)), (FAN_DOC, ("toric_classes", "omega", 3)),
+        (LIGHT_DOC, ("cone", "light_cone", "H", 0)),
+        (None, ("rat",)), (None, ("coef",)),  # quad_from_json's two rationals
+    ])
+    @pytest.mark.parametrize("value, line", [
+        ("x", "bad rational 'x': Invalid literal for Fraction: 'x'"),
+        ("1/0", "bad rational '1/0': Fraction(1, 0)"),
+        ("1e5", "bad rational '1e5': exponent notation is not accepted"),
+        (0.5, "expected an exact rational (int, Fraction or 'p/q' string), got 0.5"),
+        (True, "expected an exact rational (int, Fraction or 'p/q' string), got True"),
+    ])
+    def test_each_rational_field_refuses_in_rats_words(self, doc, path, value, line):
+        data = copy.deepcopy(doc) if doc else {"rat": "1", "coef": "1", "rad": 2}
+        *head, last = path
+        node = data
+        for key in head:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(BadDocument) as info:
+            parse_document(data) if doc else quad_from_json(data)
+        assert f"{info.value.code}: {info.value}" == f"BadDocument: {line}"
+
     def test_missing_geometry(self):
         with pytest.raises(BadDocument):
             parse_document({"classes": {"x": ["1"]}})
@@ -134,13 +160,22 @@ class TestRoundTrip:
         assert quad_to_json(QuadNum(Fraction(6, 5))) == "6/5"
         assert quad_from_json("6/5") == QuadNum(Fraction(6, 5))
 
+    @pytest.mark.parametrize("rad, line", [
+        (-3, "radicand must be non-negative, got -3"),  # QuadNum's words, as a BadDocument
+        (2.0, "radicand must be an integer, got 2.0"),
+    ])
+    def test_radicand_refusals(self, rad, line):
+        with pytest.raises(BadDocument) as info:
+            quad_from_json({"rat": "1", "coef": "1", "rad": rad})
+        assert str(info.value) == line
+
     def test_quadnum_bad_payloads(self):
         with pytest.raises(BadDocument):
             quad_from_json({"rat": "1", "coef": "2"})
         with pytest.raises(BadDocument):
             quad_from_json({"rat": "1", "coef": "2", "rad": -3})
         # True is an int to isinstance, and once decoded as radicand 1
-        with pytest.raises(BadDocument, match=r"^bad radicand True$"):
+        with pytest.raises(BadDocument, match=r"^radicand must be an integer, got True$"):
             quad_from_json({"rat": "1", "coef": "1", "rad": True})
         # the boundary: radicand 0 is allowed, and a zero coef makes the number rational
         assert quad_from_json({"rat": "1", "coef": "0", "rad": 0}) == QuadNum(1)

@@ -460,6 +460,23 @@ class TestExactGates:
         with pytest.raises(BadDocument, match="^fan dim must be an integer, got 2.5$"):
             exact_int(2.5, "fan dim", BadDocument)  # the caller names the error class
 
+    @pytest.mark.parametrize("value, line", [
+        (1, "count must be between 2 and 5, got 1"),
+        (2, None), (5, None),
+        (6, "count must be between 2 and 5, got 6"),
+        (True, "count must be an integer, got True"),
+        (3.0, "count must be an integer, got 3.0"),
+        ("3", "count must be an integer, got '3'"),
+    ])
+    def test_int_between(self, value, line):
+        # the one range gate: digits, samples, rank and JTHRESH_DECIMAL_DIGITS
+        if line is None:
+            assert exactnum.int_between(value, "count", 2, 5) == value
+            return
+        with pytest.raises(BadParams) as info:
+            exactnum.int_between(value, "count", 2, 5)
+        assert f"{info.value.code}: {info.value}" == f"BadParams: {line}"
+
     @pytest.mark.parametrize("args, line", [
         ((0.1,), "QuadNum parts must be int or Fraction, got 0.1"),  # was 3602879701896397/2^55
         ((True,), "QuadNum parts must be int or Fraction, got True"),  # was 1
@@ -487,8 +504,8 @@ class TestExactGates:
         (12.0, "digits must be an integer, got 12.0"),  # printed 0.333333333333.0
         (3.5, "digits must be an integer, got 3.5"),  # printed 0.1054.0
         (True, "digits must be an integer, got True"),
-        (0, "digits must be positive, got 0"),  # was a ValueError
-        (-2, "digits must be positive, got -2"),
+        (0, "digits must be between 1 and 1000, got 0"),  # was a ValueError
+        (-2, "digits must be between 1 and 1000, got -2"),
     ])
     def test_digits_must_be_a_positive_int(self, digits, line):
         for render in (lambda: decimal_str(Fraction(1, 3), digits),
@@ -652,7 +669,8 @@ class TestRendering:
             with pytest.raises(BadParams) as info:
                 decimal_str(root3, digits)
             assert time.perf_counter() - start < 0.1
-            assert str(info.value) == f"digits must be at most {MAX_DECIMAL_DIGITS}, got {digits}"
+            assert str(info.value) == (f"digits must be between 1 and {MAX_DECIMAL_DIGITS}, "
+                                       f"got {digits}")
 
     def test_repr_is_readable(self):
         assert repr(QuadNum(Fraction(-1, 2), Fraction(1, 2), 3)) == "-1/2 + 1/2*sqrt(3)"

@@ -10,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from jthresh.cli import _json_text, _render, _text_lines  # noqa: E402
+from jthresh.cli import _json_text, _render, _text_lines, run  # noqa: E402
 
 # every code point, surrogates and control characters included
 TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
@@ -125,3 +125,12 @@ def test_text_leaves_are_json_scalars():
     payload = {"a": True, "b": None, "c": [1, "x", None], "d": {"e": False, "f": "s", "g": 3}}
     assert _text_lines(payload, "") == [
         "a: true", "b: null", 'c: [1, "x", null]', "d.e: false", "d.f: s", "d.g: 3"]
+
+
+def test_text_keeps_empty_objects_and_lists():
+    # an empty object is one leaf, as an empty list is: JSON and text name the same keys
+    payload = {"params": {}, "caveats": [], "rows": [{}, {"a": {}}]}
+    assert _text_lines(payload, "") == [
+        "params: {}", "caveats: []", "rows.0: {}", "rows.1.a: {}"]
+    code, out = run(["catalog", "blowup_path"])
+    assert code == 0 and "\nparams: {}\n" in out.decode()

@@ -1,4 +1,5 @@
-"""Source rules: the package computes without floats (exact kernels only).
+"""Source rules: the package computes without floats (exact kernels only), and
+imports nothing it does not use.
 
 Decimal counts as a float here: it rounds at a context's precision.
 """
@@ -34,6 +35,23 @@ def float_faults(tree: ast.AST) -> list[str]:
     return faults
 
 
+def unused_imports(source: str) -> list[str]:
+    """Each name a module imports at top level and never reads, by line; an import
+    marked '# noqa: F401' on any of its lines is a re-export and exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    faults = []
+    for node in tree.body:
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        faults += [f"{node.lineno}: {name}" for alias in node.names
+                   if (name := (alias.asname or alias.name).split(".")[0]) not in read]
+    return faults
+
+
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"exactnum.py", "surface.py", "toric.py", "cli.py"}
 
@@ -50,3 +68,17 @@ def test_the_rule_sees_each_kind_of_fault():
         "1: from math import sqrt", "2: import math", "3: float literal 0.5",
         "4: name float", "5: name float", "6: float literal 2j",
         "7: from decimal import", "8: import decimal"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports_in_the_package(path):
+    # __init__.py imports only to re-export README's names
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_import_rule_sees_each_kind_of_fault():
+    source = ("from __future__ import annotations\nimport os.path\nimport json as j\n"
+              "from a import (b,\n    c)  # noqa: F401\nfrom d import e, f as g\n"
+              "def h():\n    import sys\n    return e\n")
+    assert unused_imports(source) == ["2: os", "3: j", "6: g"]
