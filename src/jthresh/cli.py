@@ -292,7 +292,6 @@ def _ratio(p: int, q: int) -> str:
 
 
 def _cmd_path(lattice, cone, theta, a, samples, digits) -> dict[str, Any]:
-    # path_R's faults are reported before a bad count, unlike sample_path's order
     analysis = path_R(lattice, cone, theta, a)
     scale, gammas = _path_rows(analysis, samples)
     rows = []

@@ -198,7 +198,7 @@ def _constants(table: PairingTable) -> ConeConstants:
 
     The table's integers are over one denominator L > 0, which cancels from
     every result: facet f bounds delta at theta_f/omega_f, the light-cone roots
-    are (tw -+ r sqrt(d))/ww with tw^2 - tt*ww = r^2 d, d square-free, and
+    are (tw -+ r sqrt(d))/ww with squarefree_decompose(tw^2 - tt*ww) = (r, d), and
     C = 2tw/ww.  Facet bounds compare by cross-multiplication; the binding
     bounds and the roots then compare as QuadNums, each root with one strict
     comparison, so on a tie the facet keeps it.

@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from .cones import LightConeFacet, NefConeModel, validate_cone
-from .errors import BadDocument, DimensionMismatch
+from .errors import BadDocument, BadParams, DimensionMismatch
 from .exactnum import QuadNum, exact_int, format_rat, rat
 from .lattice import DivClass, IntersectionLattice, validate_signature
 from .toric import MAX_FIXED_POINT_TERMS, Fan, _rows
@@ -49,15 +49,16 @@ def quad_to_json(x: QuadNum) -> Any:
 
 
 def quad_from_json(value: Any) -> QuadNum:
-    if isinstance(value, dict):
-        missing = {"rat", "coef", "rad"} - set(value)
-        if missing:
-            raise BadDocument(f"quadratic number missing fields {sorted(missing)}")
-        rad = exact_int(value["rad"], "radicand", BadDocument)
-        if rad < 0:
-            raise BadDocument(f"radicand must be non-negative, got {rad}")
-        return QuadNum(rat(value["rat"], BadDocument), rat(value["coef"], BadDocument), rad)
-    return QuadNum(rat(value, BadDocument))
+    if not isinstance(value, dict):
+        return QuadNum(rat(value, BadDocument))
+    missing = {"rat", "coef", "rad"} - set(value)
+    if missing:
+        raise BadDocument(f"quadratic number missing fields {sorted(missing)}")
+    a, b = rat(value["rat"], BadDocument), rat(value["coef"], BadDocument)
+    try:  # QuadNum's radicand gate, its line raised in a document's fault class
+        return QuadNum(a, b, value["rad"])
+    except BadParams as exc:
+        raise BadDocument(str(exc)) from None
 
 
 @dataclass(frozen=True)

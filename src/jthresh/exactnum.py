@@ -2,8 +2,10 @@
 
 Rationals are plain :class:`fractions.Fraction`.  A
 :class:`QuadNum` is a real number ``a + b*sqrt(d)`` with rational ``a, b``
-and a square-free integer radicand ``d >= 0``; its ordering is the ordering
-of the real numbers it denotes, decided exactly by integer arithmetic.
+and a reduced integer radicand ``d >= 0``: 0 for a rational, else not a
+square and free of the square of every prime up to MAX_TRIAL_DIVISOR, so
+square-free below 10^18.  Its ordering is the ordering of the real numbers
+it denotes, decided exactly by integer arithmetic.
 Within one computation at most one irrational radicand ever occurs, so
 arithmetic between two distinct radicands is rejected rather than widened.
 """
@@ -28,8 +30,8 @@ Scalar = Union[int, Fraction, "QuadNum"]
 MAX_DECIMAL_DIGITS = 1000
 DEFAULT_DIGITS = 12  # decimal_str's precision; the CLI's unless JTHRESH_DECIMAL_DIGITS is set
 
-# largest trial divisor of squarefree_decompose: reaching it takes about 0.1 s
-# (0.08-0.16 s, Intel Xeon, Python 3.11), and the time grows linearly with it
+# largest trial divisor of squarefree_decompose, which leaves the rest in d: reaching
+# it takes about 0.1 s (0.08-0.16 s, Intel Xeon, Python 3.11), linearly in the cap
 MAX_TRIAL_DIVISOR = 10**6
 
 
@@ -96,25 +98,22 @@ def format_rat(value: Fraction) -> str:
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n >= 0 as s*s*d with d square-free; returns (s, d).
+    """Write n >= 0 as s*s*d with d reduced (0, 1 or not a square); returns (s, d).
 
     Trial division takes each p out of the unfactored part m completely and
-    stops once m is a square or p^3 > m.  Then m has at most two prime
-    factors, all >= p, so it is square-free unless it is a square: at most
-    about n^(1/3)/2 divisions, and far fewer when m becomes a square early.
-    Past p = MAX_TRIAL_DIVISOR a part m that is still undecided (not a square,
-    so at least the cap cubed) is refused with BadParams.
+    stops once m is a square, p^3 > m or p > MAX_TRIAL_DIVISOR.  At p^3 > m,
+    m has at most two prime factors, all >= p, so it is square-free unless it
+    is a square: at most about n^(1/3)/2 divisions, and far fewer when m
+    becomes a square early.  Past MAX_TRIAL_DIVISOR an m that is not a square
+    (so at least that cap cubed) stays in d undecided: d is then not a square,
+    but may hold the square of a prime past the cap.
     """
     if n < 0:
         raise ValueError("radicand must be non-negative")
     if n == 0:
         return 0, 0
     s, d, m, p, r = 1, 1, n, 2, isqrt(n)
-    while r * r != m and p * p * p <= m:
-        if p > MAX_TRIAL_DIVISOR:
-            raise BadParams(f"radicand past the trial-division cap {MAX_TRIAL_DIVISOR}: "
-                            "its part with no prime factor up to the cap is at least the "
-                            "cap cubed and not a square")
+    while r * r != m and p * p * p <= m and p <= MAX_TRIAL_DIVISOR:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -137,7 +136,7 @@ def rat_sqrt(x: Fraction) -> "QuadNum":
 
 
 def quad_ratio(t: int, r: int, d: int, w: int) -> "QuadNum":
-    """(t + r*sqrt(d))/w for ints, w != 0 and d >= 0 square-free; d = 0 or 1 is rational."""
+    """(t + r*sqrt(d))/w for ints, w != 0 and d >= 0 reduced; d = 0 or 1 is rational."""
     if d <= 1:
         return QuadNum(Fraction(t + r * d, w))
     return QuadNum._of(Fraction(t, w), Fraction(r, w), d)
@@ -150,7 +149,7 @@ def scale_to_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def _sign(a: RatLike, b: RatLike, d: int) -> int:
-    """Sign of a + b*sqrt(d) for a square-free d, in {-1, 0, +1}, exactly.
+    """Sign of a + b*sqrt(d) for an integer d > 0, in {-1, 0, +1}, exactly.
 
     a and b are ints or Fractions; on ints it is integer arithmetic only.
     """
@@ -170,7 +169,7 @@ def _sign(a: RatLike, b: RatLike, d: int) -> int:
 
 
 class QuadNum:
-    """Real number a + b*sqrt(d), d square-free >= 0, with exact ordering.
+    """Real number a + b*sqrt(d), d >= 0 reduced (see the module), with exact ordering.
 
     Perfect-square radicands are folded into the rational part eagerly, so
     rational values always have b == 0 and d == 0.
@@ -200,7 +199,7 @@ class QuadNum:
 
     @classmethod
     def _of(cls, a: Fraction, b: Fraction, d: int) -> "QuadNum":
-        """a + b*sqrt(d) for a d already square-free (an operand's): nothing to factor."""
+        """a + b*sqrt(d) for a d already reduced (an operand's): nothing to factor."""
         q = object.__new__(cls)
         object.__setattr__(q, "a", a)
         object.__setattr__(q, "b", b)
@@ -280,7 +279,7 @@ class QuadNum:
             if not o.a:
                 raise ZeroDivisionError("division by zero QuadNum")
             return QuadNum._of(self.a / o.a, self.b / o.a, self.d)
-        # never zero, since d is square-free > 1; multiply by the conjugate, norm a^2 - b^2 d != 0
+        # never zero, since d > 1 is not a square; multiply by the conjugate, norm a^2 - b^2 d != 0
         norm = o.a * o.a - o.b * o.b * o.d
         conj = QuadNum._of(o.a, -o.b, o.d)
         return (self * conj) / QuadNum(norm)
@@ -334,8 +333,8 @@ def poly_roots_quadratic(coeffs: Sequence[RatLike]) -> list[QuadNum]:
     """All real roots of a polynomial of degree <= 2, increasing, exact.
 
     coeffs are rationals, lowest degree first; trailing zeros are dropped.
-    Both roots of a genuine quadratic share one square-free radicand (the
-    square-free part of the discriminant).  Negative discriminant gives [].
+    Both roots of a genuine quadratic share one radicand (the discriminant,
+    reduced).  Negative discriminant gives [].
     """
     cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -419,7 +418,7 @@ def _floor_times_root(c: int, d: int) -> int:
 
 
 def _decimal_quad(a: int, b: int, d: int, q: int, digits: int) -> str:
-    """(a + b*sqrt(d))/q for integers, b != 0, q > 0 and d > 1 square-free, rounded
+    """(a + b*sqrt(d))/q for integers, b != 0, q > 0 and d > 1 not a square, rounded
     as _decimal_ratio rounds; the value is irrational, so never a tie."""
     negative = _sign(a, b, d) < 0
     if negative:

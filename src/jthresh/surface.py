@@ -245,9 +245,8 @@ def sample_path(lattice: IntersectionLattice, cone: NefConeModel, theta: DivClas
                 a: DivClass, samples: int) -> list[PathSample]:
     """Evaluate the path at t = k/samples, k = 1..samples, in order.
 
-    The count is checked before path_R's checks on theta and a.
+    path_R's checks on theta and a come before the count's, as in the path command.
     """
-    int_between(samples, "samples", 1, MAX_SAMPLES)
     scale, rows = _path_rows(path_R(lattice, cone, theta, a), samples)
     return [PathSample(t=Fraction(k, samples), r_numerator=Fraction(num, scale),
                        gamma=Fraction(gp, gq), solvable=num > 0) for k, num, gp, gq in rows]

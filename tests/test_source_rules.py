@@ -1,5 +1,7 @@
-"""Source rules: the package computes without floats (exact kernels only), and
-imports nothing it does not use.
+"""Source rules: the package computes without floats (exact kernels only),
+imports nothing it does not use, and defines no function without a reader:
+code in the package, the public API, argparse, or, for a listed few, only the
+benchmark's tracer.
 
 Decimal counts as a float here: it rounds at a context's precision.
 """
@@ -11,8 +13,19 @@ from pathlib import Path
 
 import pytest
 
+import jthresh
+from test_bench_targets import _targets
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "jthresh").glob("*.py"))
 EXACT_MATH = {"gcd", "lcm", "isqrt", "prod"}
+# argparse calls these by name; nothing in the package does
+HOOKS = {"cli._Parser.print_help"}
+# kept only by perfbench/tracing.py's TARGETS: ROADMAP item 1's deletion list
+TRACER_ONLY = {
+    "cones.is_nef", "cones.is_kahler", "surface.c_constant", "exactnum.poly_roots_quadratic",
+    "exactnum.QuadNum.sign", "documents.quad_from_json", "toric.Fan.rewrite_terms",
+    "toric.enumerate_orbits", "toric.invariant_curves", "toric.is_ample",
+    "toric.toric_seshadri_T"}
 
 
 def float_faults(tree: ast.AST) -> list[str]:
@@ -52,6 +65,25 @@ def unused_imports(source: str) -> list[str]:
     return faults
 
 
+def unreferenced(sources: dict[str, str]) -> list[str]:
+    """'module.name' of each top-level function and 'module.Class.name' of each method
+    whose name no source reads, as a name or an attribute; an import is not a read,
+    and a dunder method, which Python calls, is exempt."""
+    defs, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{module}.{node.name}", node.name))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{module}.{node.name}.{item.name}", item.name) for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+        read |= {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    return [qualified for qualified, name in defs
+            if name not in read and not (name.startswith("__") and name.endswith("__"))]
+
+
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"exactnum.py", "surface.py", "toric.py", "cli.py"}
 
@@ -82,3 +114,21 @@ def test_the_import_rule_sees_each_kind_of_fault():
               "from a import (b,\n    c)  # noqa: F401\nfrom d import e, f as g\n"
               "def h():\n    import sys\n    return e\n")
     assert unused_imports(source) == ["2: os", "3: j", "6: g"]
+
+
+def test_every_function_has_a_reader():
+    # a function nothing in src reads is public (jthresh.__all__), an argparse
+    # hook, or a tracer target; the last kind is item 1's list, to be deleted
+    found = set(unreferenced({p.stem: p.read_text() for p in SOURCES}))
+    public = {name for name in found if name.partition(".")[2] in jthresh.__all__}
+    traced = {f"{layer}.{name}" for layer, name in _targets()}
+    assert found - public - HOOKS - traced == set()
+    assert found - public - HOOKS == TRACER_ONLY
+
+
+def test_the_reader_rule_sees_each_kind_of_fault():
+    sources = {"a": ("import b\nfrom c import g\ndef f():\n    return h(b.k)\n"
+                     "def g():\n    pass\ndef h(x):\n    return x\n"),
+               "b": ("def k():\n    pass\nclass K:\n    def __init__(self):\n        pass\n"
+                     "    def m(self):\n        pass\n    def n(self):\n        return self.m\n")}
+    assert unreferenced(sources) == ["a.f", "a.g", "b.K.n"]

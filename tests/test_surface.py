@@ -892,7 +892,7 @@ class TestDiagnosticOrder:
     """Inputs with two faults: the first check in the documented order reports.
 
     theta interior, then a nef but not interior, then a^2 >= 0, then omega's
-    checks; sample_path checks its count first.  After a^2's checks
+    checks; sample_path, like the path command, checks its count after them.  After a^2's checks
     stable_subcone refuses theta^2 <= 0, then answers PerfectCone for a^2 = 0.
     """
 
@@ -931,16 +931,21 @@ class TestDiagnosticOrder:
             assert _first_fault(lambda: is_solvable(lattice, cone, DivClass([1, 0]), omega)) \
                 == (ThetaNotKahler, "theta is not interior to the cone model")
 
-    def test_sample_count_before_theta(self):
-        # the library checks the count first; the CLI's path command runs path_R first
-        line = "samples must be between 1 and 100000, got 0"
-        for lattice, cone in ((F1_LATTICE, F1_CONE), (BLOWUP.lattice, BLOWUP.cone)):
-            assert _first_fault(lambda: sample_path(lattice, cone, DivClass([1, 0]),
-                                                    DivClass([1, 0]), 0)) == (BadParams, line)
-        argv = ["path", "--theta", "H", "--a", "a", "--samples", "0"]
+    def test_sample_path_and_the_cli_report_one_first_fault(self):
+        # theta on the boundary and a bad count: both report theta; a good theta
+        # and a bad count: both report the count
         document = run(["catalog", "blowup_path", "--export"])[1]
-        assert run(argv, document) == (
-            2, b"ThetaNotKahler: theta must be interior to the cone model\n")
+        parsed = parse_document(json.loads(document))
+        lattice, cone = parsed.lattice, parsed.cone
+        for theta, samples, outcome in (
+                ("H", 0, (ThetaNotKahler, "theta must be interior to the cone model")),
+                ("theta", 0, (BadParams, "samples must be between 1 and 100000, got 0")),
+                ("theta", 100001, (BadParams, "samples must be between 1 and 100000, got 100001"))):
+            classes = parsed.classes
+            assert _first_fault(lambda: sample_path(lattice, cone, classes[theta], classes["a"],
+                                                    samples)) == outcome
+            argv = ["path", "--theta", theta, "--a", "a", "--samples", str(samples)]
+            assert run(argv, document) == (2, f"{outcome[0].__name__}: {outcome[1]}\n".encode())
 
     @pytest.mark.parametrize("other", [DivClass([3]), DivClass([3, -1, 0])])
     def test_theta_before_the_other_class_is_paired(self, other):
