@@ -60,7 +60,8 @@ class NefConeModel:
     def __post_init__(self):
         init = object.__setattr__
         init(self, "facets", tuple(self.facets))
-        labels = self.facet_labels
+        if isinstance(labels := self.facet_labels, str):
+            raise BadConeModel(f"facet labels must be a list of strings, got {labels!r}")
         init(self, "facet_labels", tuple(labels) if labels is not None
              else tuple(f"f{i}" for i in range(len(self.facets))))
         if not self.facets and self.light_cone is None:

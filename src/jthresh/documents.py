@@ -18,14 +18,14 @@ from .cones import LightConeFacet, NefConeModel, validate_cone
 from .errors import BadDocument, BadParams, DimensionMismatch
 from .exactnum import QuadNum, exact_int, format_rat, rat
 from .lattice import DivClass, IntersectionLattice, validate_signature
-from .toric import MAX_FIXED_POINT_TERMS, Fan, _rows
+from .toric import MAX_FIXED_POINT_TERMS, Fan
 
 
 def _rat_list(value: Any, what: str) -> list[Fraction]:
     """A JSON list of exact rationals; a string is never iterated."""
     if not isinstance(value, list):
         raise BadDocument(f"{what} must be a list of exact rationals, got {value!r}")
-    return [rat(x, BadDocument) for x in value]
+    return [rat(x) for x in value]
 
 
 def _object(data: dict[str, Any], key: str, message: str) -> dict[str, Any]:
@@ -49,14 +49,12 @@ def quad_to_json(x: QuadNum) -> Any:
 
 
 def quad_from_json(value: Any) -> QuadNum:
-    if not isinstance(value, dict):
-        return QuadNum(rat(value, BadDocument))
-    missing = {"rat", "coef", "rad"} - set(value)
-    if missing:
-        raise BadDocument(f"quadratic number missing fields {sorted(missing)}")
-    a, b = rat(value["rat"], BadDocument), rat(value["coef"], BadDocument)
-    try:  # QuadNum's radicand gate, its line raised in a document's fault class
-        return QuadNum(a, b, value["rad"])
+    try:  # rat's and QuadNum's radicand gate: each BadParams line as a BadDocument
+        if not isinstance(value, dict):
+            return QuadNum(rat(value))
+        if missing := {"rat", "coef", "rad"} - set(value):
+            raise BadDocument(f"quadratic number missing fields {sorted(missing)}")
+        return QuadNum(rat(value["rat"]), rat(value["coef"]), value["rad"])
     except BadParams as exc:
         raise BadDocument(str(exc)) from None
 
@@ -92,17 +90,13 @@ def _parse_lattice(data: Any) -> IntersectionLattice:
     matrix = data["matrix"]
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise BadDocument("lattice matrix must be a list of rows")
-    rows = [[rat(x, BadDocument) for x in row] for row in matrix]
-    labels = data.get("labels")
-    if labels is not None and (not isinstance(labels, list)
-                               or not all(isinstance(s, str) for s in labels)):
-        raise BadDocument("lattice labels must be strings")
+    rows = [[rat(x) for x in row] for row in matrix]
     try:
-        lattice = IntersectionLattice(rows, labels)
+        lattice = IntersectionLattice(rows, data.get("labels"))
     except DimensionMismatch as exc:
         raise BadDocument(str(exc)) from None
     if "rank" in data:
-        rank = exact_int(data["rank"], "lattice rank", BadDocument)
+        rank = exact_int(data["rank"], "lattice rank")
         if rank != lattice.rank:
             raise BadDocument(f"declared rank {rank} != matrix rank {lattice.rank}")
     validate_signature(lattice)
@@ -137,48 +131,50 @@ def _parse_fan(data: Any) -> Fan:
     for key in ("dim", "rays", "max_cones"):
         if key not in data:
             raise BadDocument(f"fan missing field {key!r}")
-    dim = exact_int(data["dim"], "fan dim", BadDocument)
-    rays = _rows(data["rays"], "rays", "fan rays entry", BadDocument)
-    cones = _rows(data["max_cones"], "max_cones", "fan max_cones entry", BadDocument)
-    if dim > 0 and len(cones) > MAX_FIXED_POINT_TERMS >> dim:  # never forms 2^dim
+    dim, cones = exact_int(data["dim"], "fan dim"), data["max_cones"]
+    # the cap before any entry, never forming 2^dim; Fan gates the entries and validates
+    if isinstance(cones, list) and dim > 0 and len(cones) > MAX_FIXED_POINT_TERMS >> dim:
         raise BadDocument(f"fan has len(max_cones) * 2^dim = {len(cones)} * 2^{dim} fixed-point "
                           f"terms, over MAX_FIXED_POINT_TERMS = {MAX_FIXED_POINT_TERMS}")
-    return Fan(dim=dim, rays=rays, max_cones=cones)
+    return Fan(dim=dim, rays=data["rays"], max_cones=cones)
 
 
 def parse_document(data: Any) -> InputDocument:
-    """Parse and fully validate a JSON document object."""
+    """Parse and fully validate a JSON document object; the BadParams line of a gate
+    it passes (rat, exact_int, lattice labels, fan data) is raised as a BadDocument."""
     if not isinstance(data, dict):
         raise BadDocument("document must be a JSON object")
-    lattice = cone = fan = None
-    if data.get("lattice") is not None:
-        lattice = _parse_lattice(data["lattice"])
-    if data.get("cone") is not None:
-        if lattice is None:
-            raise BadDocument("cone requires a lattice")
-        cone = _parse_cone(data["cone"], lattice)
-    if data.get("fan") is not None:
-        fan = _parse_fan(data["fan"])
-    if lattice is None and fan is None:
-        raise BadDocument("document must contain a lattice or a fan")
-    classes: dict[str, DivClass] = {}
-    for label, coords in _labelled(data, "classes").items():
-        if lattice is None:
-            raise BadDocument("'classes' requires a lattice; use 'toric_classes' with a fan")
-        cls = DivClass(_rat_list(coords, f"class {label!r}"))
-        lattice.check_class(cls)
-        classes[str(label)] = cls
-    toric_classes: dict[str, DivClass] = {}
-    for label, coeffs in _labelled(data, "toric_classes").items():
-        if fan is None:
-            raise BadDocument("'toric_classes' requires a fan")
-        coeffs = _rat_list(coeffs, f"toric class {label!r}")
-        if len(coeffs) != len(fan.rays):
-            raise BadDocument(f"toric class {label!r} needs one coefficient per ray")
-        toric_classes[str(label)] = DivClass(coeffs)
-    return InputDocument(lattice=lattice, cone=cone, fan=fan, classes=classes,
-                         toric_classes=toric_classes,
-                         query=_object(data, "query", "query must be an object"))
+    try:
+        lattice = cone = fan = None
+        if data.get("lattice") is not None:
+            lattice = _parse_lattice(data["lattice"])
+        if data.get("cone") is not None:
+            if lattice is None:
+                raise BadDocument("cone requires a lattice")
+            cone = _parse_cone(data["cone"], lattice)
+        if data.get("fan") is not None:
+            fan = _parse_fan(data["fan"])
+        if lattice is None and fan is None:
+            raise BadDocument("document must contain a lattice or a fan")
+        classes: dict[str, DivClass] = {}
+        for label, coords in _labelled(data, "classes").items():
+            if lattice is None:
+                raise BadDocument("'classes' requires a lattice; use 'toric_classes' with a fan")
+            cls = DivClass(_rat_list(coords, f"class {label!r}"))
+            lattice.check_class(cls)
+            classes[str(label)] = cls
+        toric_classes: dict[str, DivClass] = {}
+        for label, coeffs in _labelled(data, "toric_classes").items():
+            if fan is None:
+                raise BadDocument("'toric_classes' requires a fan")
+            coeffs = _rat_list(coeffs, f"toric class {label!r}")
+            if len(coeffs) != len(fan.rays):
+                raise BadDocument(f"toric class {label!r} needs one coefficient per ray")
+            toric_classes[str(label)] = DivClass(coeffs)
+        return InputDocument(lattice, cone, fan, classes, toric_classes,
+                             _object(data, "query", "query must be an object"))
+    except BadParams as exc:
+        raise BadDocument(str(exc)) from None
 
 
 def document_to_json(doc: InputDocument) -> dict[str, Any]:

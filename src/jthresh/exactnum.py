@@ -18,7 +18,7 @@ from functools import cache
 from math import isqrt, lcm
 from typing import Sequence, Union
 
-from .errors import BadParams, JThreshError, MixedRadicands, ZeroPolynomial
+from .errors import BadParams, MixedRadicands, ZeroPolynomial
 
 RatLike = Union[int, Fraction]
 Scalar = Union[int, Fraction, "QuadNum"]
@@ -53,10 +53,10 @@ def exact(x: object, what: str) -> Fraction:
     raise BadParams(f"{what} must be int or Fraction, got {x!r}")
 
 
-def exact_int(value: object, what: str, error: type[JThreshError] = BadParams) -> int:
-    """value if it is an int; a bool, float or string raises error, never truncated."""
+def exact_int(value: object, what: str) -> int:
+    """value if it is an int; a bool, float or string raises BadParams, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"{what} must be an integer, got {value!r}")
+        raise BadParams(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -64,30 +64,31 @@ def int_between(value: object, what: str, lo: int, hi: int) -> int:
     """value if it is an int from lo to hi, the one range gate of every count and digits;
     a non-int raises exact_int's BadParams line, an int out of range this one."""
     if not lo <= exact_int(value, what) <= hi:
-        raise BadParams(f"{what} must be between {lo} and {hi}, got {value}")
+        got = (value if abs(value) < 10**4300  # past Python's int-string limit: by size
+               else f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits")
+        raise BadParams(f"{what} must be between {lo} and {hi}, got {got}")
     return value
 
 
-def rat(value: RatLike | str, error: type[JThreshError] = BadParams) -> Fraction:
+def rat(value: RatLike | str) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to a Fraction.
 
     A malformed string, exponent notation, a zero denominator or any other type
-    (a bool or a float among them) raises error: BadParams, or the class a
-    caller names (a document's BadDocument), with the same line.
+    (a bool or a float among them) raises one BadParams line.
     """
     if isinstance(value, str):  # first: a str fails Fraction's ABC check slowly
         plain, text = _PLAIN_RATIONAL.fullmatch(value), value.strip()
         if not plain and _EXPONENT_FORM.fullmatch(text):
-            raise error(f"bad rational {value!r}: exponent notation is not accepted")
+            raise BadParams(f"bad rational {value!r}: exponent notation is not accepted")
         try:  # past 4300 digits int() raises Fraction(text)'s ValueError
             return Fraction(int(plain[1]), int(plain[2] or 1)) if plain else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise error(f"bad rational {value!r}: {exc}") from None
+            raise BadParams(f"bad rational {value!r}: {exc}") from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    raise error(f"expected an exact rational (int, Fraction or 'p/q' string), got {value!r}")
+    raise BadParams(f"expected an exact rational (int, Fraction or 'p/q' string), got {value!r}")
 
 
 def format_rat(value: Fraction) -> str:

@@ -21,7 +21,7 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .errors import BadSignature, DimensionMismatch
+from .errors import BadParams, BadSignature, DimensionMismatch
 from .exactnum import RatLike, exact, format_rat, scale_to_integers
 
 
@@ -70,7 +70,8 @@ class IntersectionLattice:
 
     ``matrix`` holds the entries as Fractions; the same matrix is kept as the
     integer Gram matrix ``_gram`` over one denominator ``_den`` > 0, the
-    entries' least common one.  Equality and hash read rank, matrix and labels.
+    entries' least common one.  Equality and hash read rank, matrix and labels:
+    b0, b1, ... by default, else a list or tuple of strs, one per row.
     """
 
     rank: int
@@ -82,6 +83,9 @@ class IntersectionLattice:
     def __init__(self, matrix: Sequence[Sequence[RatLike]],
                  labels: Sequence[str] | None = None):
         rows = [tuple(exact(x, "lattice entries") for x in row) for row in matrix]
+        if labels is not None and (not isinstance(labels, (list, tuple))
+                                   or not all(isinstance(s, str) for s in labels)):
+            raise BadParams("lattice labels must be strings")
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise DimensionMismatch("pairing matrix must be square and non-empty")

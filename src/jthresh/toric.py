@@ -44,8 +44,8 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import (BadFace, FanInvalid, JThreshError, NonPrimitiveRay, NotComplete,
-                     NotSmooth, OmegaNotAmpleOnOrbit, OmegaNotKahler, WrongArity)
+from .errors import (BadFace, BadParams, FanInvalid, NonPrimitiveRay, NotComplete, NotSmooth,
+                     OmegaNotAmpleOnOrbit, OmegaNotKahler, WrongArity)
 from .exactnum import exact_int
 from .lattice import DivClass
 from .surface import Status
@@ -99,15 +99,14 @@ def _unimodular_dual(rays: Sequence[Sequence[int]]) -> Dual | None:
     return tuple(tuple(d * x for x in row[n:]) for row in rows)
 
 
-def _rows(value: object, what: str, entry: str,
-          error: type[JThreshError] = FanInvalid) -> tuple[tuple[int, ...], ...]:
-    """A list or tuple of lists or tuples of ints, as tuples; anything else raises error."""
+def _rows(value: object, what: str) -> tuple[tuple[int, ...], ...]:
+    """A list or tuple of lists or tuples of ints, as tuples; else one BadParams line."""
     sequence = (list, tuple)
     if not isinstance(value, sequence) or not all(isinstance(row, sequence) for row in value):
-        raise error(f"fan {what} must be a list of integer lists, got {value!r}")
+        raise BadParams(f"fan {what} must be a list of integer lists, got {value!r}")
     rows = tuple(map(tuple, value))
     if not all(type(x) is int for x in chain.from_iterable(rows)):  # exact_int words a fault
-        return tuple([tuple([exact_int(x, entry, error) for x in row]) for row in rows])
+        return tuple([tuple([exact_int(x, f"fan {what} entry") for x in row]) for row in rows])
     return rows
 
 
@@ -116,10 +115,10 @@ class Fan:
     """Rays and maximal cones of a smooth complete fan, certified when built.
 
     Ray indices are 0-based everywhere, including in documents.  The
-    constructor refuses non-integer data and runs :func:`validate_fan`, so
-    every ``Fan`` is valid.  It is a frozen dataclass, equal and hashed on
-    dim, rays and max_cones, and also keeps the weights of the maximal cones'
-    dual bases at the generic point c.
+    constructor refuses non-integer data with BadParams and runs
+    :func:`validate_fan`, so every ``Fan`` is valid.  It is a frozen dataclass,
+    equal and hashed on dim, rays and max_cones, and also keeps the weights of
+    the maximal cones' dual bases at the generic point c.
     """
 
     dim: int
@@ -130,10 +129,9 @@ class Fan:
     def __init__(self, dim: int, rays: Sequence[Sequence[int]],
                  max_cones: Sequence[Sequence[int]]):
         init = object.__setattr__
-        init(self, "dim", exact_int(dim, "fan dim", FanInvalid))
-        init(self, "rays", _rows(rays, "rays", "fan ray entry"))
-        init(self, "max_cones", tuple(tuple(sorted(cone)) for cone
-                                      in _rows(max_cones, "max_cones", "fan cone index")))
+        init(self, "dim", exact_int(dim, "fan dim"))
+        init(self, "rays", _rows(rays, "rays"))
+        init(self, "max_cones", tuple(tuple(sorted(c)) for c in _rows(max_cones, "max_cones")))
         init(self, "_weights", validate_fan(self))
 
     def __reduce__(self):  # copy and pickle rebuild through the validating constructor

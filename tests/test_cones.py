@@ -124,6 +124,9 @@ class TestModelShape:
          "facet labels must be strings, got 7"),
         (lambda: NefConeModel(facets=[DivClass([0, 1]), DivClass([1, -1])],
                               facet_labels=["E", None]), "facet labels must be strings, got None"),
+        # a str was once split into one label per character
+        (lambda: NefConeModel(facets=[DivClass([0, 1]), DivClass([1, -1])], facet_labels="EF"),
+         "facet labels must be a list of strings, got 'EF'"),
     ])
     def test_part_that_is_not_a_class_or_label(self, make, message):
         with pytest.raises(BadConeModel) as info:

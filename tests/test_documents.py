@@ -12,10 +12,13 @@ from random import Random
 import pytest
 
 from conftest import random_instance
-from jthresh import DivClass, QuadNum
+from jthresh import DivClass, IntersectionLattice, QuadNum
+from jthresh.cli import run
 from jthresh.documents import (InputDocument, document_to_json, parse_document,
                                quad_from_json, quad_to_json)
-from jthresh.errors import BadDocument, BadSignature, DimensionMismatch
+from jthresh.errors import BadDocument, BadParams, BadSignature, DimensionMismatch
+from jthresh.exactnum import exact_int, rat
+from jthresh.toric import MAX_FIXED_POINT_TERMS, _rows
 
 F1_DOC = {
     "lattice": {"rank": 2, "matrix": [["1", "0"], ["0", "-1"]], "labels": ["H", "E"]},
@@ -104,6 +107,77 @@ class TestParse:
     def test_cone_needs_lattice(self):
         with pytest.raises(BadDocument):
             parse_document({"fan": FAN_DOC["fan"], "cone": F1_DOC["cone"]})
+
+
+def _with(doc: dict, part: str, **fields) -> dict:
+    return {**doc, part: {**doc[part], **fields}}
+
+
+class TestGateBoundary:
+    """A gate (rat, exact_int, toric._rows, IntersectionLattice's labels, QuadNum's
+    radicand) raises BadParams; a document prints the same line as a BadDocument."""
+
+    @pytest.mark.parametrize("doc, gate", [
+        (_with(F1_DOC, "lattice", matrix=[["1", "0"], ["0", "1e5"]]), lambda: rat("1e5")),
+        (_with(F1_DOC, "lattice", matrix=[["1", "0"], ["0", 0.5]]), lambda: rat(0.5)),
+        (_with(F1_DOC, "lattice", rank=2.0), lambda: exact_int(2.0, "lattice rank")),
+        (_with(F1_DOC, "lattice", labels=[1, None]),
+         lambda: IntersectionLattice([[1, 0], [0, -1]], [1, None])),
+        (_with(F1_DOC, "lattice", labels="HE"),
+         lambda: IntersectionLattice([[1, 0], [0, -1]], "HE")),
+        (_with(FAN_DOC, "fan", dim="2"), lambda: exact_int("2", "fan dim")),
+        (_with(FAN_DOC, "fan", rays=[[1, 0], 5]), lambda: _rows([[1, 0], 5], "rays")),
+        (_with(FAN_DOC, "fan", max_cones={"0": [0, 1]}),
+         lambda: _rows({"0": [0, 1]}, "max_cones")),
+        (_with(FAN_DOC, "fan", rays=[[1, 0], [0, 1], [-1, 1], [0, -1.0]]),
+         lambda: _rows([[0, -1.0]], "rays")),
+        (_with(FAN_DOC, "fan", max_cones=[[0, 1], [1, 2], [2, 3], [3, True]]),
+         lambda: _rows([[True]], "max_cones")),
+    ], ids=["rat_exponent", "rat_float", "rank_float", "labels_not_strings", "labels_str",
+            "dim_string", "row_not_a_list", "rows_an_object", "ray_entry_float",
+            "cone_entry_bool"])
+    def test_parse_document_prints_the_gates_line(self, doc, gate):
+        with pytest.raises(BadParams) as info:
+            gate()
+        assert type(info.value) is BadParams
+        with pytest.raises(BadDocument) as parsed:
+            parse_document(doc)
+        assert type(parsed.value) is BadDocument and str(parsed.value) == str(info.value)
+        assert run(["validate"], json.dumps(doc).encode()) == (
+            2, f"BadDocument: {info.value}\n".encode())
+
+    @pytest.mark.parametrize("payload, gate", [
+        ({"rat": "1", "coef": "1", "rad": -3}, lambda: QuadNum(1, 1, -3)),
+        ({"rat": "1", "coef": "1", "rad": "2"}, lambda: QuadNum(1, 1, "2")),
+        ({"rat": "1", "coef": "x", "rad": 2}, lambda: rat("x")),
+        ("1/0", lambda: rat("1/0")),
+    ])
+    def test_quad_from_json_raises_the_gates_line(self, payload, gate):
+        with pytest.raises(BadParams) as info:
+            gate()
+        with pytest.raises(BadDocument) as parsed:
+            quad_from_json(payload)
+        assert type(parsed.value) is BadDocument and str(parsed.value) == str(info.value)
+
+    def test_labels_are_reported_after_the_entries_before_the_shape(self):
+        # after the entries' rationals, before the matrix shape and the label count
+        for lattice, line in (
+                ({"matrix": [["1", "x"], ["0", "-1"]], "labels": "HE"},
+                 "bad rational 'x': Invalid literal for Fraction: 'x'"),
+                ({"matrix": [["1", "0"]], "labels": "HE"}, "lattice labels must be strings"),
+                ({"matrix": [["1", "0"], ["0", "-1"]], "labels": {"H": 0, "E": 1}},
+                 "lattice labels must be strings")):
+            assert run(["validate"], json.dumps({"lattice": lattice}).encode()) == (
+                2, f"BadDocument: {line}\n".encode())
+
+    def test_an_oversized_fan_reports_the_cap_before_its_entries(self):
+        # three cones in dimension 17 are over the cap; a float ray entry and a
+        # cone that is not a list are never read
+        fan = {"dim": 17, "rays": [[1.5]], "max_cones": [[0], 7, [0]]}
+        assert len(fan["max_cones"]) << fan["dim"] > MAX_FIXED_POINT_TERMS
+        assert run(["validate"], json.dumps({"fan": fan}).encode()) == (
+            2, b"BadDocument: fan has len(max_cones) * 2^dim = 3 * 2^17 fixed-point terms, "
+               b"over MAX_FIXED_POINT_TERMS = 262144\n")
 
 
 class TestRoundTrip:

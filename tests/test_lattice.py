@@ -275,3 +275,12 @@ def test_non_exact_entries_are_refused_with_one_line(build, line):
     with pytest.raises(BadParams) as info:
         build()
     assert f"{info.value.code}: {info.value}" == f"BadParams: {line}"
+
+
+@pytest.mark.parametrize("labels", [[1, None], "HE", ["H", b"E"], {"H": 0, "E": 1}, 5])
+def test_labels_must_be_a_list_or_tuple_of_strings(labels):
+    # [1, None] was once kept as is, and "HE" taken as ("H", "E")
+    with pytest.raises(BadParams) as info:
+        IntersectionLattice([[1, 0], [0, -1]], labels)
+    assert type(info.value) is BadParams and str(info.value) == "lattice labels must be strings"
+    assert IntersectionLattice([[1, 0], [0, -1]], ("H", "E")).labels == ("H", "E")

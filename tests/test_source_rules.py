@@ -1,7 +1,7 @@
 """Source rules: the package computes without floats (exact kernels only),
-imports nothing it does not use, and defines no function without a reader:
+imports nothing it does not use, defines no function without a reader:
 code in the package, the public API, argparse, or, for a listed few, only the
-benchmark's tracer.
+benchmark's tracer, and lets no caller choose the class a gate raises.
 
 Decimal counts as a float here: it rounds at a context's precision.
 """
@@ -19,7 +19,7 @@ from test_bench_targets import _targets
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "jthresh").glob("*.py"))
 EXACT_MATH = {"gcd", "lcm", "isqrt", "prod"}
 # argparse calls these by name; nothing in the package does
-HOOKS = {"cli._Parser.print_help"}
+HOOKS = {"cli._Parser.error", "cli._Parser.print_help"}
 # kept only by perfbench/tracing.py's TARGETS: ROADMAP item 1's deletion list
 TRACER_ONLY = {
     "cones.is_nef", "cones.is_kahler", "surface.c_constant", "exactnum.poly_roots_quadratic",
@@ -84,6 +84,21 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
             if name not in read and not (name.startswith("__") and name.endswith("__"))]
 
 
+def fault_class_parameters(source: str) -> list[str]:
+    """'line: function.parameter' of each parameter annotated type[JThreshError]: a
+    gate raises its own class, and a document rewords it as BadDocument in one place."""
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            faults += [f"{arg.lineno}: {node.name}.{arg.arg}" for arg in
+                       (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                       if arg is not None and arg.annotation is not None
+                       and ast.unparse(arg.annotation).replace("errors.", "")
+                       in ("type[JThreshError]", "Type[JThreshError]")]
+    return faults
+
+
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"exactnum.py", "surface.py", "toric.py", "cli.py"}
 
@@ -132,3 +147,17 @@ def test_the_reader_rule_sees_each_kind_of_fault():
                "b": ("def k():\n    pass\nclass K:\n    def __init__(self):\n        pass\n"
                      "    def m(self):\n        pass\n    def n(self):\n        return self.m\n")}
     assert unreferenced(sources) == ["a.f", "a.g", "b.K.n"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_gate_takes_a_fault_class(path):
+    assert fault_class_parameters(path.read_text()) == []
+
+
+def test_the_fault_class_rule_sees_each_kind_of_fault():
+    source = ("def rat(value, error: type[JThreshError] = BadParams):\n    pass\n"
+              "class K:\n    def m(self, *, cls: Type[errors.JThreshError]):\n        pass\n"
+              "def f(x: type[int], y: JThreshError, *rest: type[JThreshError]):\n"
+              "    def g(**kw: type[JThreshError]):\n        pass\n")
+    assert sorted(fault_class_parameters(source)) == [
+        "1: rat.error", "4: m.cls", "6: f.rest", "7: g.kw"]

@@ -309,16 +309,19 @@ class TestValidateFan:
 
     @pytest.mark.parametrize("dim, rays, cones, message", [
         (2.7, P2_RAYS, P2_CONES, "fan dim must be an integer, got 2.7"),
-        (2, [(1.9, 0), (0, 1), (-1, -1)], P2_CONES, "fan ray entry must be an integer, got 1.9"),
-        (2, P2_RAYS, [(0, 1), (1, 2), (0, 2.5)], "fan cone index must be an integer, got 2.5"),
-        (2, [("1", 0), (0, 1), (-1, -1)], P2_CONES, "fan ray entry must be an integer, got '1'"),
-        (2, P2_RAYS, [(0, True), (1, 2), (0, 2)], "fan cone index must be an integer, got True"),
+        (2, [(1.9, 0), (0, 1), (-1, -1)], P2_CONES, "fan rays entry must be an integer, got 1.9"),
+        (2, P2_RAYS, [(0, 1), (1, 2), (0, 2.5)],
+         "fan max_cones entry must be an integer, got 2.5"),
+        (2, [("1", 0), (0, 1), (-1, -1)], P2_CONES, "fan rays entry must be an integer, got '1'"),
+        (2, P2_RAYS, [(0, True), (1, 2), (0, 2)],
+         "fan max_cones entry must be an integer, got True"),
     ])
     def test_non_integer_data_is_refused(self, dim, rays, cones, message):
-        # int() would truncate each of these into a valid P^2
-        with pytest.raises(FanInvalid) as info:
+        # int() would truncate each of these into a valid P^2; the gates' BadParams
+        # lines name the document fields, the words a document prints
+        with pytest.raises(BadParams) as info:
             Fan(dim, rays, cones)
-        assert type(info.value) is FanInvalid and str(info.value) == message
+        assert type(info.value) is BadParams and str(info.value) == message
 
     @pytest.mark.parametrize("rays, cones, message", [
         ([5, [0, 1]], [[0, 1]], "fan rays must be a list of integer lists, got [5, [0, 1]]"),
@@ -329,9 +332,9 @@ class TestValidateFan:
     ])
     def test_rows_that_are_not_lists_are_refused(self, rays, cones, message):
         # each once raised TypeError while the constructor iterated it
-        with pytest.raises(FanInvalid) as info:
+        with pytest.raises(BadParams) as info:
             Fan(2, rays, cones)
-        assert type(info.value) is FanInvalid and str(info.value) == message
+        assert type(info.value) is BadParams and str(info.value) == message
 
     @pytest.mark.parametrize("name", ["dim", "rays", "max_cones", "_max_cone_sets", "extra"])
     def test_fan_is_immutable(self, name):

@@ -8,7 +8,7 @@ such as ``cli.main``, is not traced, so it is reported too.
 
 Under the tracer tier-1 runs about four times slower (about 95 s on an Intel
 Xeon, 2 vCPU, Python 3.11.7), so tests that time themselves can fail, among
-them ``test_radicand_past_the_trial_division_cap_is_refused_quickly`` and
+them ``test_radicand_past_the_trial_division_cap_is_answered_quickly`` and
 ``test_trial_division_stops_at_its_cap``.  The script reports lines, not
 verdicts: the pytest summary above the report says nothing about the suite.
 It is not part of tier-1.
