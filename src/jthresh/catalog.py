@@ -23,7 +23,7 @@ from typing import Mapping
 from .cones import LightConeFacet, NefConeModel, validate_cone
 from .documents import InputDocument
 from .errors import BadParams, OutOfDomain, UnknownName
-from .exactnum import RatLike, int_between, rat
+from .exactnum import RatLike, int_between, rat, shown
 from .lattice import DivClass, diagonal_lattice, validate_signature
 from .toric import Fan
 
@@ -48,7 +48,7 @@ class CatalogEntry(InputDocument):
 
 def _require_integer(value: Fraction, name: str) -> int:
     if value.denominator != 1:
-        raise BadParams(f"{name} must be an integer, got {value}")
+        raise BadParams(f"{name} must be an integer, got {shown(value)}")
     return value.numerator
 
 
@@ -56,11 +56,11 @@ def _check_ross_params(g: RatLike | str, s_c: RatLike | str) -> tuple[int, Fract
     g = _require_integer(rat(g), "g")
     s_c = rat(s_c)
     if g < 2:
-        raise BadParams(f"g = {g} < 2")
+        raise BadParams(f"g = {shown(g)} < 2")
     if s_c <= 0:
-        raise BadParams(f"s_C = {s_c} must be positive")
+        raise BadParams(f"s_C = {shown(s_c)} must be positive")
     if s_c * s_c < g:
-        raise BadParams(f"s_C^2 = {s_c * s_c} < g = {g}: no such ample threshold")
+        raise BadParams(f"s_C^2 = {shown(s_c * s_c)} < g = {shown(g)}: no such ample threshold")
     return g, s_c
 
 
@@ -95,7 +95,7 @@ def ross_gamma_closed_form(g: RatLike | str, s_c: RatLike | str,
     g, s_c = _check_ross_params(g, s_c)
     t = rat(t)
     if t <= s_c:
-        raise OutOfDomain(f"t = {t} <= s_C = {s_c}")
+        raise OutOfDomain(f"t = {shown(t)} <= s_C = {shown(s_c)}")
     k = 2 * g - 2
     return 2 * t * k / (t * t - g) - Fraction(k) / (t - s_c)
 
@@ -109,7 +109,7 @@ def hirzebruch_fan(a: int) -> Fan:
 def hirzebruch_entry(a: RatLike | str) -> CatalogEntry:
     a = _require_integer(rat(a), "a")
     if a < 0:
-        raise BadParams(f"a = {a} < 0")
+        raise BadParams(f"a = {shown(a)} < 0")
     lattice = diagonal_lattice([1, -1], labels=["x", "y"])
     # rational dictionary with E^2 = -a, F^2 = 0, E.F = 1, H = E + a*F
     e = DivClass([Fraction(1 - a, 2), Fraction(1 + a, 2)])

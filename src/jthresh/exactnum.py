@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import BadParams, MixedRadicands, ZeroPolynomial
 
@@ -50,23 +50,34 @@ def exact(x: object, what: str) -> Fraction:
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    raise BadParams(f"{what} must be int or Fraction, got {x!r}")
+    raise BadParams(f"{what} must be int or Fraction, got {shown(x, repr)}")
 
 
 def exact_int(value: object, what: str) -> int:
     """value if it is an int; a bool, float or string raises BadParams, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise BadParams(f"{what} must be an integer, got {value!r}")
+        raise BadParams(f"{what} must be an integer, got {shown(value, repr)}")
     return value
+
+
+def shown(value: object, text: Callable[[object], str] = str) -> str:
+    """text(value), or its size in words where it holds an int past Python's int-string limit."""
+    try:
+        return text(value)
+    except ValueError:  # str and repr refuse an int of more than 4300 digits, even in a Fraction
+        if not isinstance(value, (int, Fraction)):
+            return f"a {type(value).__name__} holding an integer too long to print"
+        num, den = Fraction(value).as_integer_ratio()
+        return (f"{'a negative' if num < 0 else 'an' if den == 1 else 'a'} "
+                + (f"integer of {num.bit_length()} bits" if den == 1 else
+                   f"rational of {num.bit_length()} bits over {den.bit_length()} bits"))
 
 
 def int_between(value: object, what: str, lo: int, hi: int) -> int:
     """value if it is an int from lo to hi, the one range gate of every count and digits;
     a non-int raises exact_int's BadParams line, an int out of range this one."""
     if not lo <= exact_int(value, what) <= hi:
-        got = (value if abs(value) < 10**4300  # past Python's int-string limit: by size
-               else f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits")
-        raise BadParams(f"{what} must be between {lo} and {hi}, got {got}")
+        raise BadParams(f"{what} must be between {lo} and {hi}, got {shown(value)}")
     return value
 
 
@@ -184,7 +195,7 @@ class QuadNum:
         if not isinstance(b, Fraction):
             b = exact(b, "QuadNum parts")
         if exact_int(d, "radicand") < 0:
-            raise BadParams(f"radicand must be non-negative, got {d}")
+            raise BadParams(f"radicand must be non-negative, got {shown(d)}")
         if b == 0:
             d = 0
         else:

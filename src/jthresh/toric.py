@@ -9,8 +9,10 @@ maximal cone; together these certify a smooth complete fan with compatible
 faces.  Validation finds every maximal cone's dual basis with one
 elimination per fan (the fraction-free ``_eliminate``, once per connected
 component), then one update per wall crossing (Cox-Little-Schenck, 6.4),
-which also decides that wall's unimodularity and sides (``_wall_walk``).
-The ``Fan`` keeps only the bases' weights at c; it holds no query state.
+which also decides that wall's unimodularity and sides (``_wall_walk``); a ray
+with one nonzero entry pairs with a dual row by one lookup, and each distinct
+dual row is weighed once.  The ``Fan`` keeps only the bases' weights at c; it
+holds no query state.
 
 Intersection numbers come from localization at the torus-fixed points
 (Brion; Cox-Little-Schenck, ch. 12-13).  At the fixed point of a maximal cone
@@ -39,9 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mul, neg
 from typing import NamedTuple, Sequence
 
 from .errors import (BadFace, BadParams, FanInvalid, NonPrimitiveRay, NotComplete, NotSmooth,
@@ -59,18 +61,18 @@ def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[int], int, list[list
     exact, since every entry stays a minor of the input.  For [A | I] with A
     square and invertible, |d| = |det A| and the right block is d * A^-1.
     """
-    m = [list(row) for row in rows]
+    m = list(map(list, rows))
     pivots: list[int] = []
     d = 1
     for col in range(len(m[0])):
         r = len(pivots)
-        p = next((i for i in range(r, len(m)) if m[i][col]), None)
+        p = r if m[r][col] else next((i for i in range(r + 1, len(m)) if m[i][col]), None)
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
         top, new = m[r], m[r][col]
-        m = [row if i == r else [(new * x - row[col] * y) // d for x, y in zip(row, top)]
-             for i, row in enumerate(m)]
+        m = [row if i == r or new == d and not row[col] else  # 0 in col: row * new/d
+             [(new * x - row[col] * y) // d for x, y in zip(row, top)] for i, row in enumerate(m)]
         d = new
         pivots.append(col)
         if len(pivots) == len(m):
@@ -92,20 +94,20 @@ MAX_FIXED_POINT_TERMS = 2 ** 18
 def _unimodular_dual(rays: Sequence[Sequence[int]]) -> Dual | None:
     """Dual basis of n rays in Z^n, <m_k, rays[l]> = [k == l]; None unless |det| = 1."""
     n = len(rays)
-    pivots, d, rows = _eliminate([list(col) + [int(i == j) for j in range(n)]
+    pivots, d, rows = _eliminate([[*col, *[0] * i, 1, *[0] * (n - 1 - i)]  # [A | I]
                                   for i, col in enumerate(zip(*rays))])
     if pivots[-1] != n - 1 or abs(d) != 1:
         return None
-    return tuple(tuple(d * x for x in row[n:]) for row in rows)
+    return tuple([tuple(row[n:] if d == 1 else map(neg, row[n:])) for row in rows])
 
 
 def _rows(value: object, what: str) -> tuple[tuple[int, ...], ...]:
     """A list or tuple of lists or tuples of ints, as tuples; else one BadParams line."""
     sequence = (list, tuple)
-    if not isinstance(value, sequence) or not all(isinstance(row, sequence) for row in value):
+    if not isinstance(value, sequence) or not all(map(isinstance, value, repeat(sequence))):
         raise BadParams(f"fan {what} must be a list of integer lists, got {value!r}")
     rows = tuple(map(tuple, value))
-    if not all(type(x) is int for x in chain.from_iterable(rows)):  # exact_int words a fault
+    if set(map(type, chain.from_iterable(rows))) - {int}:  # exact_int words a fault
         return tuple([tuple([exact_int(x, f"fan {what} entry") for x in row]) for row in rows])
     return rows
 
@@ -131,7 +133,7 @@ class Fan:
         init = object.__setattr__
         init(self, "dim", exact_int(dim, "fan dim"))
         init(self, "rays", _rows(rays, "rays"))
-        init(self, "max_cones", tuple(tuple(sorted(c)) for c in _rows(max_cones, "max_cones")))
+        init(self, "max_cones", tuple(map(tuple, map(sorted, _rows(max_cones, "max_cones")))))
         init(self, "_weights", validate_fan(self))
 
     def __reduce__(self):  # copy and pickle rebuild through the validating constructor
@@ -169,7 +171,8 @@ def validate_fan(fan: Fan) -> tuple[tuple[int, ...], ...]:
     arity, indices and unimodularity, duplicate cones, unused rays, walls in
     ridge order and last the count of maximal cones containing c.  The weights
     follow cone order; a cone's weights are <m_rho, c> for its dual basis
-    (m_rho), with c = (1, N, ..., N^(n-1)) and N = 1 + max |dual entry|.
+    (m_rho), with c = (1, N, ..., N^(n-1)) and N = 1 + max |dual entry|, read
+    from the distinct rows: cones across a wall share their unchanged rows.
     No weight is 0, since base-N digits are unique, so c is generic for
     every maximal cone.  Under the wall condition, once there is a cone,
     every generic point lies in the same number of maximal cones, at least
@@ -214,9 +217,11 @@ def validate_fan(fan: Fan) -> tuple[tuple[int, ...], ...]:
 
     if not cones:  # before c, whose n entries cost time and memory linear in dim
         raise NotComplete("generic point not covered by any maximal cone")
-    base = 1 + max(map(abs, chain.from_iterable(chain.from_iterable(duals))))
+    rows = dict.fromkeys(chain.from_iterable(duals))  # a crossing shares its unchanged rows
+    base = 1 + max(map(abs, chain.from_iterable(rows)))
     c = [base ** i for i in range(n)]
-    weights = tuple(tuple([sum(map(mul, m, c)) for m in dual]) for dual in duals)
+    weight = {m: sum(map(mul, m, c)) for m in rows}.__getitem__
+    weights = tuple([tuple(map(weight, dual)) for dual in duals])
     if sum(min(w) > 0 for w in weights) > 1:
         raise BadFace("maximal cones overlap in their interiors")
     return weights
@@ -232,8 +237,9 @@ def _wall_walk(rays: Sequence[Sequence[int]], cones: Sequence[tuple[int, ...]]
     wall tau of sigma = tau + u_d and sigma' = tau + u_e, let a_k = <m_k, u_e>
     in sigma's basis: |det sigma'| = |a_d|, so sigma' is unimodular exactly when
     a_d = +-1, and then its basis is m'_e = a_d m_d, m'_k = m_k - a_d a_k m_d.
-    Unimodular cones lie on opposite sides exactly when a_d = -1; m'_k = m_k when
-    a_k = 0.  A wall into a cone that has its basis needs a_d alone.  Raises
+    Unimodular cones lie on opposite sides exactly when a_d = -1; m'_k = m_k, the
+    same tuple, when a_k = 0.  A wall into a cone that has its basis needs a_d
+    alone, and a_k = m_k[i] * v is a lookup when u_e = v e_i (``units``).  Raises
     nothing: the caller reports the faults in its own order.
     """
     masks = [sum(1 << i for i in cone) for cone in cones]
@@ -241,6 +247,7 @@ def _wall_walk(rays: Sequence[Sequence[int]], cones: Sequence[tuple[int, ...]]
     for k, cone in enumerate(cones):
         for p, drop in enumerate(cone):
             ridges.setdefault(masks[k] ^ 1 << drop, []).append((k, p))
+    units = [(r.index(v), v) if r.count(0) == len(r) - 1 and (v := sum(r)) else None for r in rays]
     duals: list[Dual | None] = [None] * len(cones)
     seen, sides = [False] * len(cones), {}
     for start, cone in enumerate(cones):
@@ -251,26 +258,28 @@ def _wall_walk(rays: Sequence[Sequence[int]], cones: Sequence[tuple[int, ...]]
         stack = [start] if duals[start] is not None else []
         while stack:
             k = stack.pop()
-            cone, dual = cones[k], duals[k]
+            cone, dual, mask = cones[k], duals[k], masks[k]
             for p, drop in enumerate(cone):
-                ridge = masks[k] ^ 1 << drop
-                owners = ridges[ridge]
-                if len(owners) != 2 or ridge in sides:
+                ridge = mask ^ 1 << drop
+                if ridge in sides or len(owners := ridges[ridge]) != 2:
                     continue
                 other, q = owners[owners[0][0] == k]
-                u, m_d = rays[cones[other][q]], dual[p]
+                e, m_d = cones[other][q], dual[p]
+                u, unit = rays[e], units[e]
                 if seen[other]:
-                    sides[ridge] = sum(map(mul, m_d, u))
+                    sides[ridge] = m_d[unit[0]] * unit[1] if unit else sum(map(mul, m_d, u))
                     continue
                 seen[other] = True
-                a = [sum(map(mul, m, u)) for m in dual]
+                a = ([m[unit[0]] * unit[1] for m in dual] if unit else
+                     [sum(map(mul, m, u)) for m in dual])
                 a_d = sides[ridge] = a[p]
                 if abs(a_d) != 1:
                     continue
+                a[p] = 0  # m_d itself is replaced, not updated
                 basis = [tuple([x - a_d * a_k * y for x, y in zip(m, m_d)]) if a_k else m
                          for m, a_k in zip(dual, a)]
                 del basis[p]
-                basis.insert(q, tuple([a_d * y for y in m_d]))
+                basis.insert(q, m_d if a_d == 1 else tuple(map(neg, m_d)))
                 duals[other] = tuple(basis)
                 stack.append(other)
     return duals, ridges, sides

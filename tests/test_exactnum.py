@@ -14,12 +14,15 @@ import pytest
 
 from conftest import check_decimal, poly_at
 from jthresh import exactnum
-from jthresh.catalog import MAX_RANK, blowup_path_entry, perfect_lightcone_entry
-from jthresh.errors import BadParams, MixedRadicands, ZeroPolynomial
+from jthresh.catalog import (MAX_RANK, blowup_path_entry, build, perfect_lightcone_entry,
+                             ross_gamma_closed_form)
+from jthresh.errors import BadParams, MixedRadicands, OutOfDomain, ZeroPolynomial
 from jthresh.exactnum import (MAX_DECIMAL_DIGITS, QuadNum, decimal_str, exact,
                               exact_int, format_rat, poly_roots_quadratic, quad_ratio, rat,
                               rat_sqrt, squarefree_decompose)
 from jthresh.surface import MAX_SAMPLES, sample_path
+
+HUGE = 10**5000  # 5001 digits: str() and repr() of it raise ValueError
 
 
 def oracle_sign(p: Fraction, q: Fraction, d: int) -> int:
@@ -507,6 +510,46 @@ class TestExactGates:
                 with pytest.raises(BadParams) as info:
                     call(n)
                 assert str(info.value) == f"{what} must be between 1 and {hi}, got {got}"
+
+    @pytest.mark.parametrize("call, line", [
+        (lambda: QuadNum(0, 1, -HUGE),
+         "radicand must be non-negative, got a negative integer of 16610 bits"),
+        (lambda: exact_int(Fraction(HUGE + 1, 2), "n"),
+         "n must be an integer, got a rational of 16610 bits over 2 bits"),
+        (lambda: exact_int([HUGE], "n"),
+         "n must be an integer, got a list holding an integer too long to print"),
+        (lambda: exact([HUGE], "x"),
+         "x must be int or Fraction, got a list holding an integer too long to print"),
+        (lambda: perfect_lightcone_entry(Fraction(HUGE + 1, 2)),
+         "rank must be an integer, got a rational of 16610 bits over 2 bits"),
+        (lambda: build("ross", {"g": -HUGE, "s_C": 2}),
+         "g = a negative integer of 16610 bits < 2"),
+        (lambda: build("ross", {"g": HUGE, "s_C": 2}),
+         "s_C^2 = 4 < g = an integer of 16610 bits: no such ample threshold"),
+        (lambda: build("ross", {"g": 3, "s_C": -HUGE}),
+         "s_C = a negative integer of 16610 bits must be positive"),
+        (lambda: build("ross", {"g": 3, "s_C": Fraction(-HUGE, 3)}),
+         "s_C = a negative rational of 16610 bits over 2 bits must be positive"),
+        (lambda: build("hirzebruch", {"a": -HUGE}), "a = a negative integer of 16610 bits < 0"),
+    ])
+    def test_a_huge_integer_is_worded_by_its_size(self, call, line):
+        # past Python's 4300-digit int-string limit each of these lines once raised
+        # ValueError while it was written; exactnum.shown words the value by its size
+        with pytest.raises(BadParams) as info:
+            call()
+        assert f"{info.value.code}: {info.value}" == f"BadParams: {line}"
+
+    def test_a_huge_t_is_worded_by_its_size(self):
+        with pytest.raises(OutOfDomain) as info:
+            ross_gamma_closed_form(3, 2, -HUGE)
+        assert str(info.value) == "t = a negative integer of 16610 bits <= s_C = 2"
+
+    def test_shown_writes_what_it_can(self):
+        assert exactnum.shown(10**4300 - 1) == str(10**4300 - 1)  # 4300 digits
+        assert exactnum.shown(10**4300) == "an integer of 14285 bits"
+        assert exactnum.shown(Fraction(-3, 2), repr) == "Fraction(-3, 2)"
+        assert exactnum.shown(Fraction(-HUGE)) == "a negative integer of 16610 bits"
+        assert exactnum.shown(Fraction(1, HUGE)) == "a rational of 1 bits over 16610 bits"
 
     @pytest.mark.parametrize("args, line", [
         ((0.1,), "QuadNum parts must be int or Fraction, got 0.1"),  # was 3602879701896397/2^55

@@ -227,19 +227,49 @@ def _check_h_vector(fan: Fan) -> None:
     assert _validated_orbits(fan) == len(enumerate_orbits(fan))
 
 
+def _check_duals_against_the_oracle(fan: Fan, rng: Random) -> None:
+    """The fan, its images under random GL_n(Z) maps and their mutations: the wall walk
+    and the per-cone oracle find the same bases, or the same first fault."""
+    n = fan.dim
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    for shear in [identity] + [unimodular_shear(rng, n) for _ in range(3)]:
+        rays = [tuple(sum(a * x for a, x in zip(row, ray)) for row in shear) for ray in fan.rays]
+        for case in _mutations(rng, rays, list(fan.max_cones)):
+            built = _validation_outcome(n, *case, _built_duals)
+            assert built == _validation_outcome(n, *case, per_cone_validation)
+
+
+def _direct_weights(fan: Fan) -> tuple:
+    """Each cone's dual rows, found cone by cone, dotted with c = (1, N, ..., N^(n-1)),
+    N = 1 + the largest |entry| over all cones."""
+    duals = per_cone_validation(fan.dim, fan.rays, fan.max_cones)
+    base = 1 + max(abs(x) for dual in duals for m in dual for x in m)
+    return tuple(tuple(sum(x * base ** i for i, x in enumerate(m)) for m in dual)
+                 for dual in duals)
+
+
 class TestValidateFan:
     @pytest.mark.parametrize("name", list(SEEDED_FANS))
     def test_duals_match_the_per_cone_oracle(self, name):
-        # the fan, its images under random GL_n(Z) maps and their mutations
-        fan = SEEDED_FANS[name]()
-        n, rng = fan.dim, Random(f"per-cone {name}")
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        for shear in [identity] + [unimodular_shear(rng, n) for _ in range(3)]:
-            rays = [tuple(sum(a * x for a, x in zip(row, ray)) for row in shear)
-                    for ray in fan.rays]
-            for case in _mutations(rng, rays, list(fan.max_cones)):
-                built = _validation_outcome(n, *case, _built_duals)
-                assert built == _validation_outcome(n, *case, per_cone_validation)
+        _check_duals_against_the_oracle(SEEDED_FANS[name](), Random(f"per-cone {name}"))
+
+    def test_duals_of_blowups_match_the_per_cone_oracle(self):
+        # blowup rays mix one-entry rays, paired by lookup, with dense ones
+        rng = Random(8912)
+        for _ in range(40):
+            _check_duals_against_the_oracle(blowup_fan(rng)[0], rng)
+
+    @pytest.mark.parametrize("name", list(SEEDED_FANS))
+    def test_weights_follow_the_direct_formula(self, name):
+        # validation weighs each distinct dual row once; the formula weighs every row
+        for built in _sheared_images(name, "weights"):
+            assert built._weights == _direct_weights(built)
+
+    def test_weights_of_blowups_follow_the_direct_formula(self):
+        rng = Random(8913)
+        for _ in range(100):
+            fan = blowup_fan(rng)[0]
+            assert fan._weights == _direct_weights(fan)
 
     @pytest.mark.parametrize("name", list(SEEDED_FANS))
     def test_generic_point_lies_inside_exactly_one_cone(self, name):
@@ -1176,26 +1206,59 @@ class TestWorkCounts:
         assert len(calls) == 1
 
 
+def _sparse_matrix(rng: Random, n: int) -> list[list[int]]:
+    """A row-permuted identity, its diagonal scaled by 1, -1 or 2 and a few entries set."""
+    a = [[rng.choice([1, 1, -1, 2]) if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, n)):
+        a[rng.randrange(n)][rng.randrange(n)] = rng.randint(-2, 2)
+    rng.shuffle(a)
+    return a
+
+
 class TestElimination:
     """``_eliminate`` against sympy's exact determinant, inverse and rref."""
+
+    @staticmethod
+    def _check_inverse(sympy, a):
+        n = len(a)
+        pivots, d, rows = eliminate([row + [int(i == j) for j in range(n)]
+                                     for i, row in enumerate(a)])
+        if pivots == list(range(n)):
+            assert abs(d) == abs(sympy.Matrix(a).det())
+            inverse = sympy.Matrix([row[n:] for row in rows])  # d * A^-1
+            assert sympy.Matrix(a) * inverse == d * sympy.eye(n)
+        else:
+            assert sympy.Matrix(a).det() == 0
+
+    @staticmethod
+    def _check_rref(sympy, m):
+        pivots, d, rows = eliminate(m)
+        rref, sympy_pivots = sympy.Matrix(m).rref()
+        assert pivots == list(sympy_pivots)
+        assert sympy.Matrix(rows) == d * rref  # every pivot entry is d
 
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         rng = Random(8800)
         for _ in range(300):
             n = rng.randint(1, 4)
-            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            pivots, d, rows = eliminate([row + [int(i == j) for j in range(n)]
-                                         for i, row in enumerate(a)])
-            if pivots == list(range(n)):
-                assert abs(d) == abs(sympy.Matrix(a).det())
-                inverse = sympy.Matrix([row[n:] for row in rows])  # d * A^-1
-                assert sympy.Matrix(a) * inverse == d * sympy.eye(n)
-            else:
-                assert sympy.Matrix(a).det() == 0
+            self._check_inverse(sympy, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
             m = [[rng.randint(-2, 2) for _ in range(rng.randint(1, 5))]]
             m += [[rng.randint(-2, 2) for _ in m[0]] for _ in range(rng.randint(0, 3))]
-            pivots, d, rows = eliminate(m)
-            rref, sympy_pivots = sympy.Matrix(m).rref()
-            assert pivots == list(sympy_pivots)
-            assert sympy.Matrix(rows) == d * rref  # every pivot entry is d
+            self._check_rref(sympy, m)
+
+    def test_rows_with_zero_in_the_pivot_column(self):
+        # such a row is new/d times itself, and kept as it is when new == d
+        assert eliminate([[1, 0, 1, 0], [0, 1, 0, 1]]) == ([0, 1], 1, [[1, 0, 1, 0], [0, 1, 0, 1]])
+        # column 0: new = 2 != d = 1 rescales row 1; column 1: new = 6 != d = 2 rescales row 0
+        assert eliminate([[2, 0, 1, 0], [0, 3, 0, 1]]) == ([0, 1], 6, [[6, 0, 3, 0], [0, 6, 0, 2]])
+        # column 0 keeps rows 1 and 2 (new == d == 1), column 1 rescales rows 0 and 2
+        # (new = 2 != d = 1), column 2 keeps rows 0 and 1 (new == d == 2)
+        assert eliminate([[1, 0, 0], [0, 2, 0], [0, 0, 1]]) == (
+            [0, 1, 2], 2, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+        sympy = pytest.importorskip("sympy")
+        rng = Random(8801)
+        for _ in range(300):
+            a = _sparse_matrix(rng, rng.randint(1, 6))
+            self._check_inverse(sympy, a)
+            self._check_rref(sympy, a)

@@ -16,15 +16,20 @@ document-command argv comes in the plain spelling, which ``cli.run`` reads
 without argparse, except for about a quarter of them (about 2000 of the
 default 8000, drawn under S too), respelled so that only argparse reads them:
 a flag abbreviated, a '--flag=value', the path '-' after the flags, a flag
-given twice, or a value led by '-'.
+given twice, or a value led by '-'.  Last come seeded fan documents, each
+run under ``validate`` and ``toric-gamma``: P^1..P^5, (P^1)^1..(P^1)^4,
+F_0..F_3 and 12 blowups of P^2 and F_a, whose one-entry and dense rays take
+both pairing routes of the wall walk, each as given and under 2 random
+unimodular shears, each with one flipped ray sign, swapped rays, a dropped and
+a duplicated cone; and one fan at each fault line these never reach.
 REV's child builds the corpus, from REV's exports and REV's
 ``cli.DOC_COMMANDS``, and the working tree's child runs that same corpus.
 
 The script prints each side's exit-code counts and the number of cases whose
 exit code or stdout bytes differ, then the first ten such cases with their
 argv, and exits 1 on any difference.  It reads ``perfbench/workloads.py`` and
-writes nothing in the repository.  Each side takes about 3 s on the default
-corpus (Intel Xeon, 2 vCPU, Python 3.11.7).  It is not part of tier-1.
+writes nothing in the repository.  Each side takes about 2.5 s on the default
+corpus of 9539 cases (Intel Xeon, 2 vCPU, Python 3.11.7).  It is not part of tier-1.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from itertools import product
+from operator import mul
 from pathlib import Path
 from random import Random
 
@@ -59,6 +66,18 @@ CATALOG_CASES = 300
 CATALOG_NAMES = ("ross", "hirzebruch", "perfect_lightcone", "blowup_path", "k3")
 CATALOG_FLAGS = ("--g", "--sC", "--a", "--rank", "--t")
 CATALOG_VALUES = ("2", "4", "5/2", "0", "-1", "1/0", "x", "1e5", "501")
+FAN_SHEARS = 2  # sheared images of each seeded fan, besides the fan as given
+FAN_BLOWUPS = 12  # seeded blowups of P^2 and F_a
+FAN_FORMATS = ("text", "json")  # csv is for path alone
+P2_RAYS, P2_CONES = [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]]
+# eight unimodular cones winding twice around the origin
+TWICE = [[1, 0], [-2, 1], [-1, 0], [-1, -1], [-1, -2], [0, -1], [1, 1], [-2, -1]]
+FAN_FAULTS = (  # (dim, rays, max_cones) at the fault lines that no mutation reaches
+    (0, [], []), (2, [], []), (2, [[1, 0], [0, 1], [-1]], P2_CONES),
+    (2, [[2, 0], [0, 1], [-1, -1]], P2_CONES), (2, [[0, 0], [0, 1], [-1, -1]], P2_CONES),
+    (2, P2_RAYS, [[0, 1], [1, 1], [0, 2]]), (2, P2_RAYS, [[0, 1], [1, 2], [0, 3]]),
+    (2, P2_RAYS, [[0, 1], [1], [0, 2]]), (2, P2_RAYS + [[1, 1]], P2_CONES + [[0, 3]]),
+    (2, TWICE, [[i, (i + 1) % 8] for i in range(8)]))
 
 
 # --- child: one tree --------------------------------------------------------
@@ -149,6 +168,96 @@ def _catalog_argv(rng: Random) -> list[str]:
     return argv + ["--format", rng.choice(FORMATS)]
 
 
+def _blowup(rng: Random) -> tuple[list, list[int]]:
+    """Rays of P^2 or some F_a, a = 0..3, blown up at 0-5 torus-fixed points, and an
+    ample class: blowing up the fixed point of (u_i, u_i+1) inserts the ray u_i + u_i+1,
+    and D becomes 2 pi^*D - E, ample again (Fulton, 2.5)."""
+    if rng.random() < 0.2:
+        rays, ample = [[1, 0], [0, 1], [-1, -1]], [1, 0, 0]
+    else:
+        a = rng.randint(0, 3)
+        rays, ample = [[1, 0], [0, 1], [-1, a], [0, -1]], [a + 1, 1, 0, 0]
+    for _ in range(rng.randint(0, 5)):
+        i = rng.randrange(len(rays))
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        e = 2 * (ample[i] + ample[(i + 1) % len(rays)]) - 1
+        rays.insert(i + 1, [u[0] + v[0], u[1] + v[1]])
+        ample = [2 * x for x in ample[:i + 1]] + [e] + [2 * x for x in ample[i + 1:]]
+    return rays, ample
+
+
+def _seeded_fans(rng: Random) -> list[tuple[int, list, list, list[int]]]:
+    """(dim, rays, max_cones, an ample class) of P^1..P^5, (P^1)^1..(P^1)^4, F_0..F_3
+    and FAN_BLOWUPS blowups: one-entry rays, paired by lookup, and dense ones."""
+    fans = []
+    for n in range(1, 6):
+        rays = [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n]
+        fans.append((n, rays, [[i for i in range(n + 1) if i != k] for k in range(n + 1)],
+                     [1] * (n + 1)))
+    for n in range(1, 5):
+        rays = [[s * int(i == j) for j in range(n)] for i in range(n) for s in (1, -1)]
+        cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=n)]
+        fans.append((n, rays, cones, [1] * (2 * n)))
+    for a in range(4):
+        fans.append((2, [[1, 0], [0, 1], [-1, a], [0, -1]], [[0, 1], [1, 2], [2, 3], [3, 0]],
+                     [a + 1, 1, 0, 0]))
+    for _ in range(FAN_BLOWUPS):
+        rays, ample = _blowup(rng)
+        fans.append((2, rays, [[i, (i + 1) % len(rays)] for i in range(len(rays))], ample))
+    return fans
+
+
+def _shear(rng: Random, n: int) -> list[list[int]]:
+    """A random integer matrix of determinant +-1: four elementary row operations, then
+    maybe a row swap."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.choice([-2, -1, 1, 2])
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    if rng.random() < 0.5:
+        i, j = rng.randrange(n), rng.randrange(n)
+        m[i], m[j] = m[j], m[i]
+    return m
+
+
+def _fan_mutations(rng: Random, rays: list, cones: list):
+    """The fan itself, then one flipped ray sign, swapped rays, dropped and duplicated cones."""
+    yield rays, cones
+    i, j = rng.sample(range(len(rays)), 2)
+    yield [[-x for x in ray] if k == i else ray for k, ray in enumerate(rays)], cones
+    yield [rays[j] if k == i else rays[i] if k == j else ray for k, ray in enumerate(rays)], cones
+    k = rng.randrange(len(cones))
+    yield rays, cones[:k] + cones[k + 1:]
+    yield rays, cones[:k] + [cones[rng.randrange(len(cones))]] + cones[k:]
+
+
+def _fan_cases(rng: Random) -> list[tuple[list[str], bytes]]:
+    """Each seeded fan as given and under FAN_SHEARS random shears, each with its
+    mutations, as a document with an ample omega and a random theta, run under
+    validate and toric-gamma."""
+    cases = []
+    for n, rays, cones in FAN_FAULTS:
+        doc = {"fan": {"dim": n, "rays": rays, "max_cones": cones},
+               "toric_classes": {"omega": ["1"] * len(rays), "theta": ["0"] * len(rays)}}
+        for argv in (["validate"], ["toric-gamma", "--theta", "theta", "--omega", "omega"]):
+            cases.append((argv, json.dumps(doc).encode()))
+    for n, rays, cones, ample in _seeded_fans(rng):
+        for shear in [None] + [_shear(rng, n) for _ in range(FAN_SHEARS)]:
+            image = rays if shear is None else [[sum(map(mul, row, ray)) for row in shear]
+                                                for ray in rays]
+            for new_rays, new_cones in _fan_mutations(rng, image, cones):
+                theta = [str(rng.randint(-3, 3)) for _ in ample]
+                doc = {"fan": {"dim": n, "rays": new_rays, "max_cones": new_cones},
+                       "toric_classes": {"omega": [str(x) for x in ample], "theta": theta}}
+                text = json.dumps(doc).encode()
+                cases.append((["validate", "--format", rng.choice(FAN_FORMATS)], text))
+                cases.append((["toric-gamma", "--theta", "theta", "--omega", "omega",
+                               "--format", rng.choice(FAN_FORMATS)], text))
+    return cases
+
+
 def _corpus(run, commands: dict, mutants: int, seed: int) -> list[tuple[list[str], bytes]]:
     import workloads
 
@@ -169,7 +278,7 @@ def _corpus(run, commands: dict, mutants: int, seed: int) -> list[tuple[list[str
             argv = _respell(respell, argv)
         cases.append((argv, text.encode()))
     cases += [(_catalog_argv(rng), b"") for _ in range(CATALOG_CASES)]
-    return cases
+    return cases + _fan_cases(Random(f"{seed}/fans"))
 
 
 def child(src: str, mutants: int, seed: int) -> None:
